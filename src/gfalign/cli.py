@@ -108,17 +108,24 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _explicit_message(args, m: int) -> bool:
+    """True when --w1/--w2 give the message, False when --seed draws it."""
+    if args.w1 is None and args.w2 is None:
+        if args.seed is None:
+            raise ValueError("a random message needs --seed")
+        return False
+    if args.w1 is None or (m > 1 and args.w2 is None):
+        raise ValueError("give both --w1 and --w2, or neither")
+    return True
+
+
 def cmd_simulate(args) -> int:
     ch = scheme.channel_from_dict(_load_json(args.channel))
     spec = ch.spec
-    if args.w1 is not None or args.w2 is not None:
-        if args.w1 is None or (spec.m > 1 and args.w2 is None):
-            raise ValueError("give both --w1 and --w2, or neither")
+    if _explicit_message(args, spec.m):
         msg = scheme.MessagePair.create(spec, _parse_int_list(args.w1),
                                         _parse_int_list(args.w2 or ""))
     else:
-        if args.seed is None:
-            raise ValueError("a random message needs --seed")
         msg = scheme.random_message(spec, random.Random(args.seed))
     report = scheme.simulate(ch, msg)
     _emit_json(args, report.to_dict())
@@ -147,14 +154,12 @@ def cmd_symbol_ext(args) -> int:
                           "error": str(exc), "success": False})
         return 1
     pipeline = mimo.MimoPipeline(mimo.build_mimo_precoders(plan))
-    if args.w1 is not None:
+    if _explicit_message(args, ch.m):
         w1 = [plan.ext.element(_parse_int_list(part))
               for part in args.w1.split(";")]
         w2 = [plan.ext.element(_parse_int_list(part))
               for part in args.w2.split(";")] if args.w2 else []
     else:
-        if rng is None:
-            raise ValueError("a random message needs --seed")
         w1, w2 = mimo.random_message(plan.ext, ch.m, rng)
     report = mimo.simulate_symbol_ext(ch, w1, w2, pipeline)
     _emit_json(args, report.to_dict())

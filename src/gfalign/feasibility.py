@@ -180,12 +180,11 @@ def _diag_slot_ratio1(p, q11, q12, q21, q22):
 
 def _diag_slot_ratio2(p, q33, q34, q43, q44):
     """Second-hop per-slot cross ratio, or None when the slot is singular."""
-    det = (q33 * q44 - q34 * q43) % p
-    if det == 0:
+    if (q33 * q44 - q34 * q43) % p == 0:
         return None
     # s11 = q44/det, s12 = -q34/det, s21 = -q43/det, s22 = q33/det; the
-    # determinants cancel in the cross ratio.
-    return q34 * q43 * pow(q33 * q44, p - 2, p) % p
+    # determinants cancel in the cross ratio, leaving the hop's own ratio.
+    return _diag_slot_ratio1(p, q33, q34, q43, q44)
 
 
 def _diag_feasible(p, m, slots1, slots2) -> tuple[bool, bool]:

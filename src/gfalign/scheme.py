@@ -12,11 +12,12 @@ channel is feasible:
   matrix, which diagonalizes the network: destination 1 receives only w1,
   destination 2 only w2.
 
-Feasibility hinges on two cross ratios, one per hop: the first-hop ratio
-q11^-1 q12 q22^-1 q21 and the same expression in the blocks of the inverted
-second-hop matrix.  The scheme works exactly when both ratios have minimal
-polynomials of full degree m, which makes the power-basis precoders full
-rank.
+Feasibility hinges on two cross ratios, one per hop: each hop's own ratio
+a^-1 b d^-1 c of its coefficients (a, b, c, d).  The relays precode with the
+same expression in the blocks of the inverted second-hop matrix, but the
+determinant cancels, so that ratio is the second hop's own.  The scheme works
+exactly when both ratios have minimal polynomials of full degree m, which
+makes the power-basis precoders full rank.
 """
 
 from __future__ import annotations
@@ -72,22 +73,28 @@ def second_hop_inverse(ch: TwoHopChannel) -> tuple[FieldElem, ...]:
     return (q44 * dinv, -q34 * dinv, -q43 * dinv, q33 * dinv)
 
 
+def _cross_ratio(a: FieldElem, b: FieldElem, c: FieldElem,
+                 d: FieldElem) -> FieldElem:
+    """a^-1 b d^-1 c for the hop matrix [[a, b], [c, d]]."""
+    return a.inv() * b * d.inv() * c
+
+
 def alignment_ratios(ch: TwoHopChannel) -> tuple[FieldElem, FieldElem]:
     """The two cross ratios driving feasibility and precoder construction.
 
-    The first is q11^-1 q12 q22^-1 q21; the second is the same expression in
-    the blocks of the inverted second-hop matrix.  Raises ZeroSBlock when an
-    inverse block vanishes (possible only for channels with zero
-    coefficients, e.g. a diagonal second hop), since the second ratio then
-    does not exist.
+    The first is q11^-1 q12 q22^-1 q21.  The second is the same expression in
+    the blocks of the inverted second-hop matrix, which equals the second
+    hop's own ratio q33^-1 q34 q44^-1 q43 because the determinant cancels.
+    Raises ZeroDivisionError when q11, q22 or the second-hop determinant is
+    zero, and ZeroSBlock when the second hop is invertible but has a zero
+    coefficient (e.g. a diagonal second hop): an inverse block then
+    vanishes, so the ratio of the inverted hop does not exist.
     """
-    q11, q12, q21, q22 = ch.hop1
-    r1 = q11.inv() * q12 * q22.inv() * q21
-    s11, s12, s21, s22 = second_hop_inverse(ch)
-    if not (s11 and s12 and s21 and s22):
+    r1 = _cross_ratio(*ch.hop1)
+    ch.hop_det(2).inv()             # ZeroDivisionError on a singular second hop
+    if not all(ch.hop2):
         raise ZeroSBlock("inverted second hop has a zero block")
-    r2 = s11.inv() * s12 * s22.inv() * s21
-    return r1, r2
+    return r1, _cross_ratio(*ch.hop2)
 
 
 @dataclass(frozen=True)
@@ -123,17 +130,16 @@ def check_feasible(ch: TwoHopChannel) -> FeasibilityVerdict:
         model_ok = False
 
     deg1 = deg2 = None
-    q11, q12, q21, q22 = ch.hop1
+    q11, _, _, q22 = ch.hop1
     if q11 and q22:
-        deg1 = minpoly_degree(q11.inv() * q12 * q22.inv() * q21)
+        deg1 = minpoly_degree(_cross_ratio(*ch.hop1))
         if deg1 != m:
             reasons.append(f"first-hop ratio has minimal polynomial degree {deg1} < {m}")
     if ch.hop_det(2):
-        s11, s12, s21, s22 = second_hop_inverse(ch)
-        if not (s11 and s12 and s21 and s22):
+        if not all(ch.hop2):
             reasons.append("inverted second hop has a zero block")
         else:
-            deg2 = minpoly_degree(s11.inv() * s12 * s22.inv() * s21)
+            deg2 = minpoly_degree(_cross_ratio(*ch.hop2))
             if deg2 != m:
                 reasons.append(
                     f"second-hop ratio has minimal polynomial degree {deg2} < {m}")
@@ -365,6 +371,28 @@ class SimulationReport:
         }
 
 
+def _relay_sums(spec: FieldSpec,
+                msg: MessagePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The symbol sums relays 1 and 2 decode (see relay_decode)."""
+    p = spec.p
+    return (tuple((a + b) % p for a, b in zip(msg.w1, (0,) + msg.w2)),
+            tuple((a + b) % p for a, b in zip(msg.w1, msg.w2 + (0,))))
+
+
+def _relay_half(pre: PrecoderSet, ch: TwoHopChannel,
+                msg: MessagePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Encode, send over hop 1 and decode the sums at both relays."""
+    y1, y2 = apply_hop(ch, 1, *source_encode(pre, msg))
+    return relay_decode(pre, ch, y1, 1), relay_decode(pre, ch, y2, 2)
+
+
+def _destination_half(pre: PrecoderSet, ch: TwoHopChannel, u1: Sequence[int],
+                      u2: Sequence[int]) -> MessagePair:
+    """Re-encode the relay sums, send over hop 2 and decode both messages."""
+    y3, y4 = apply_hop(ch, 2, relay_encode(pre, u1, 1), relay_encode(pre, u2, 2))
+    return destination_decode(pre, y3, y4)
+
+
 def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
     """Run the full pipeline; infeasible channels produce a report with the
     verdict and no transmission."""
@@ -373,14 +401,8 @@ def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
         return SimulationReport(ch, verdict, None, None, None, None, None,
                                 None, None, False, None)
     pre = build_precoders(ch)
-    x1, x2 = source_encode(pre, msg)
-    y1, y2 = apply_hop(ch, 1, x1, x2)
-    u1 = relay_decode(pre, ch, y1, 1)
-    u2 = relay_decode(pre, ch, y2, 2)
-    x3 = relay_encode(pre, u1, 1)
-    x4 = relay_encode(pre, u2, 2)
-    y3, y4 = apply_hop(ch, 2, x3, x4)
-    decoded = destination_decode(pre, y3, y4)
+    u1, u2 = _relay_half(pre, ch, msg)
+    decoded = _destination_half(pre, ch, u1, u2)
     success = decoded == msg
     rate = (2 * ch.spec.m - 1) * math.log2(ch.spec.p) if success else None
     return SimulationReport(ch, verdict, pre.hop1_ratio, pre.hop2_ratio, pre,
@@ -434,7 +456,11 @@ def draw_valid_channel(spec: FieldSpec, rng: random.Random,
 
 @dataclass(frozen=True)
 class HopScan:
-    """Exhaustive classification of one hop's coefficient 4-tuples."""
+    """Exhaustive classification of the all-nonzero hop coefficient 4-tuples.
+
+    It serves both hops: a tuple's cross ratio is the same whether it is
+    read as the first hop or, through the inverted matrix, as the second.
+    """
 
     tuples: int
     valid: int          # full-rank matrices among all-nonzero tuples
@@ -442,24 +468,17 @@ class HopScan:
     feasible_tuples: list[tuple[FieldElem, ...]]
 
 
-def _scan_hop(spec: FieldSpec, second: bool) -> HopScan:
+def _scan_hop(spec: FieldSpec) -> HopScan:
     m = spec.m
     total = valid = feasible = 0
     keep = []
     for t in itertools.product(list(spec.nonzero_elements()), repeat=4):
         total += 1
         a, b, c, d = t
-        det = a * d - b * c
-        if not det:
+        if not a * d - b * c:
             continue
         valid += 1
-        if second:
-            dinv = det.inv()
-            s11, s12, s21, s22 = d * dinv, -b * dinv, -c * dinv, a * dinv
-            ratio = s11.inv() * s12 * s22.inv() * s21
-        else:
-            ratio = a.inv() * b * d.inv() * c
-        if minpoly_degree(ratio) == m:
+        if minpoly_degree(_cross_ratio(*t)) == m:
             feasible += 1
             keep.append(t)
     return HopScan(total, valid, feasible, keep)
@@ -471,9 +490,12 @@ class ScanReport:
 
     mode is "paired" when every valid channel pair was driven end to end, or
     "factored" when each hop was verified exhaustively on its own half of
-    the pipeline (the two hop events are independent, and decoding splits
+    the pipeline.  The two hop events are independent, and decoding splits
     into a relay half that only involves hop 1 and a destination half that
-    only involves hop 2, so the joint statements follow exactly).
+    only involves hop 2, so the joint statements follow exactly.  Factored
+    mode runs each feasible tuple t as the channel (t, t): the relay half
+    must decode the symbol sums, and the destination half, fed those sums,
+    must return the message.  Each half counts as one round trip.
     """
 
     p: int
@@ -514,109 +536,51 @@ class ScanReport:
         }
 
 
-def _verify_first_hop(spec: FieldSpec, hop1: tuple[FieldElem, ...]) -> int:
-    """Relay half of the pipeline for one feasible hop-1 tuple, all messages.
-    Returns the number of failures (expected 0)."""
-    unit = spec.one
-    ch = TwoHopChannel(spec, hop1, (unit, unit, unit, unit))  # hop 2 unused here
-    q11, q12, q21, q22 = hop1
-    r1 = q11.inv() * q12 * q22.inv() * q21
-    v1 = power_basis_matrix(r1, spec.m)
-    v2 = _shifted_columns(q22.inv() * q21, r1, spec.m - 1)
-    pre = PrecoderSet(spec, v1, v2, v1, v2, r1, r1, unit, unit, unit, unit)
-    m = spec.m
-    failures = 0
-    for msg in all_messages(spec):
-        x1, x2 = source_encode(pre, msg)
-        y1, y2 = apply_hop(ch, 1, x1, x2)
-        u1 = relay_decode(pre, ch, y1, 1)
-        u2 = relay_decode(pre, ch, y2, 2)
-        w1, w2 = msg.w1, msg.w2
-        want1 = tuple((w1[i] + (w2[i - 1] if i else 0)) % spec.p for i in range(m))
-        want2 = tuple((w1[i] + (w2[i] if i < m - 1 else 0)) % spec.p for i in range(m))
-        if u1 != want1 or u2 != want2:
-            failures += 1
-    return failures
-
-
-def _verify_second_hop(spec: FieldSpec, hop2: tuple[FieldElem, ...]) -> int:
-    """Destination half for one feasible hop-2 tuple, all messages: form the
-    relay sums directly from the messages, re-encode, transmit, decode."""
-    unit = spec.one
-    ch = TwoHopChannel(spec, (unit, unit, unit, unit), hop2)
-    s11, s12, s21, s22 = second_hop_inverse(ch)
-    r2 = s11.inv() * s12 * s22.inv() * s21
-    v3 = power_basis_matrix(r2, spec.m)
-    v4 = _shifted_columns(s22.inv() * s21, r2, spec.m - 1)
-    pre = PrecoderSet(spec, v3, v4, v3, v4, r2, r2, s11, s12, s21, s22)
-    m = spec.m
-    failures = 0
-    for msg in all_messages(spec):
-        w1, w2 = msg.w1, msg.w2
-        u1 = tuple((w1[i] + (w2[i - 1] if i else 0)) % spec.p for i in range(m))
-        u2 = tuple((w1[i] + (w2[i] if i < m - 1 else 0)) % spec.p for i in range(m))
-        x3 = relay_encode(pre, u1, 1)
-        x4 = relay_encode(pre, u2, 2)
-        y3, y4 = apply_hop(ch, 2, x3, x4)
-        if destination_decode(pre, y3, y4) != msg:
-            failures += 1
-    return failures
-
-
 def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
                     pair_limit: int = 20000) -> ScanReport:
     """Classify every all-nonzero channel tuple and verify decoding.
 
     Guard: refuses when the raw tuple count (p^m - 1)^8 exceeds tuple_limit.
     Up to pair_limit valid channels, every feasible pair is driven end to end
-    over every message (paired mode); beyond that each hop is verified
-    exhaustively on its own half of the pipeline (factored mode), which
-    covers the same ground because the halves interact only through the
-    decoded sums.
+    over every message (paired mode).  Beyond that, each feasible hop tuple t
+    is run as the channel (t, t), with the relay half and the destination
+    half checked separately (factored mode).  This covers the same ground,
+    because the halves interact only through the decoded sums.
     """
     spec = make_field(p, m, pi)
     q1 = spec.order - 1
     if q1 ** 8 > tuple_limit:
         raise TooLarge(
             f"({q1})^8 = {q1 ** 8} channel tuples exceed the guard of {tuple_limit}")
-    scan1 = _scan_hop(spec, second=False)
-    scan2 = _scan_hop(spec, second=True)
-    valid_channels = scan1.valid * scan2.valid
-    feasible_channels = scan1.feasible * scan2.feasible
-    messages = spec.p ** (2 * m - 1)
+    scan = _scan_hop(spec)
+    valid_channels = scan.valid ** 2
+    feasible_channels = scan.feasible ** 2
+    messages = list(all_messages(spec))
     round_trips = 0
     failures = 0
-    messages_list = list(all_messages(spec))
     if valid_channels <= pair_limit:
         mode = "paired"
-        for t1 in scan1.feasible_tuples:
-            for t2 in scan2.feasible_tuples:
-                ch = TwoHopChannel(spec, t1, t2)
-                pre = build_precoders(ch)
-                for msg in messages_list:
-                    round_trips += 1
-                    x1, x2 = source_encode(pre, msg)
-                    y1, y2 = apply_hop(ch, 1, x1, x2)
-                    u1 = relay_decode(pre, ch, y1, 1)
-                    u2 = relay_decode(pre, ch, y2, 2)
-                    x3 = relay_encode(pre, u1, 1)
-                    x4 = relay_encode(pre, u2, 2)
-                    y3, y4 = apply_hop(ch, 2, x3, x4)
-                    if destination_decode(pre, y3, y4) != msg:
-                        failures += 1
+        for t1, t2 in itertools.product(scan.feasible_tuples, repeat=2):
+            ch = TwoHopChannel(spec, t1, t2)
+            pre = build_precoders(ch)
+            for msg in messages:
+                round_trips += 1
+                u1, u2 = _relay_half(pre, ch, msg)
+                failures += _destination_half(pre, ch, u1, u2) != msg
     else:
         mode = "factored"
-        for t1 in scan1.feasible_tuples:
-            failures += _verify_first_hop(spec, t1)
-            round_trips += messages
-        for t2 in scan2.feasible_tuples:
-            failures += _verify_second_hop(spec, t2)
-            round_trips += messages
+        for t in scan.feasible_tuples:
+            ch = TwoHopChannel(spec, t, t)
+            pre = build_precoders(ch)
+            for msg in messages:
+                sums = _relay_sums(spec, msg)
+                round_trips += 2
+                failures += _relay_half(pre, ch, msg) != sums
+                failures += _destination_half(pre, ch, *sums) != msg
+    counts = (scan.tuples, scan.valid, scan.feasible)
     return ScanReport(
-        p, m, list(spec.modulus_coeffs), mode,
-        (scan1.tuples, scan1.valid, scan1.feasible),
-        (scan2.tuples, scan2.valid, scan2.feasible),
+        p, m, list(spec.modulus_coeffs), mode, counts, counts,
         valid_channels, feasible_channels,
         feasible_channels / valid_channels if valid_channels else None,
-        feasible_channels / (scan1.tuples * scan2.tuples),
-        messages, round_trips, failures)
+        feasible_channels / scan.tuples ** 2,
+        len(messages), round_trips, failures)

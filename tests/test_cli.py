@@ -197,3 +197,9 @@ class TestSymbolExt:
     def test_needs_channel_or_params(self, capsys):
         code, _, err = run(capsys, "symbol-ext", "--seed", "1")
         assert code == 2
+
+    def test_w2_without_w1_exits_2(self, capsys):
+        code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",
+                             "--seed", "5", "--w2", "1,1")
+        assert code == 2 and out == ""
+        assert "give both --w1 and --w2, or neither" in err

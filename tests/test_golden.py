@@ -1,0 +1,107 @@
+"""Byte-for-byte golden outputs of the scalar pipeline: `gfalign simulate`,
+`gfalign scan` and the factored scan report.
+
+Each case renders its exit code and output text; the test checks the code
+and compares the text byte for byte with tests/golden/<case>.json.  The
+files are rewritten only for a deliberate, documented output change, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gfalign import exhaustive_scan
+from gfalign.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+CHANNELS = {
+    # README library quickstart: hop 1 = [1, 1, 1, a], hop 2 = [1, a, 1, 1]
+    "quickstart": {
+        "p": 2, "m": 2, "pi": [1, 1, 1],
+        "hop1": {"q11": [1, 0], "q12": [1, 0], "q21": [1, 0], "q22": [0, 1]},
+        "hop2": {"q33": [1, 0], "q34": [0, 1], "q43": [1, 0], "q44": [1, 0]},
+    },
+    # README file-format example; its second hop is singular
+    "readme": {
+        "p": 2, "m": 2, "pi": [1, 1, 1],
+        "hop1": {"q11": "a^0", "q12": [0, 1], "q21": 1, "q22": "a^2"},
+        "hop2": {"q33": "a^1", "q34": "a^2", "q43": "a^0", "q44": "a^1"},
+    },
+    "gf9": {
+        "p": 3, "m": 2, "pi": [2, 1, 1],
+        "hop1": {"q11": [1, 2], "q12": [1, 2], "q21": [1, 0], "q22": [2, 1]},
+        "hop2": {"q33": [2, 2], "q34": [1, 2], "q43": [2, 1], "q44": [2, 2]},
+    },
+    # nonsingular second hop with q43 = 0: the inverse has a zero block
+    "zero_q43": {
+        "p": 2, "m": 2, "pi": [1, 1, 1],
+        "hop1": {"q11": [1, 0], "q12": [1, 0], "q21": [1, 0], "q22": [0, 1]},
+        "hop2": {"q33": [0, 1], "q34": [1, 0], "q43": [0, 0], "q44": [1, 0]},
+    },
+    # q11 = 0: no first-hop ratio, the second hop is still classified
+    "zero_q11": {
+        "p": 2, "m": 2, "pi": [1, 1, 1],
+        "hop1": {"q11": [0, 0], "q12": [1, 0], "q21": [1, 0], "q22": [0, 1]},
+        "hop2": {"q33": [1, 0], "q34": [0, 1], "q43": [1, 0], "q44": [1, 0]},
+    },
+}
+
+# case -> (CLI arguments, exit code); "@name" stands for a file holding
+# CHANNELS[name]
+CLI_CASES = {
+    "simulate_quickstart": (["simulate", "--channel", "@quickstart",
+                             "--w1", "1,0", "--w2", "1"], 0),
+    "simulate_readme": (["simulate", "--channel", "@readme",
+                         "--w1", "1,0", "--w2", "1"], 1),
+    "simulate_gf9": (["simulate", "--channel", "@gf9", "--seed", "7"], 0),
+    "simulate_zero_q43": (["simulate", "--channel", "@zero_q43",
+                           "--w1", "0,1", "--w2", "1"], 1),
+    "simulate_zero_q11": (["simulate", "--channel", "@zero_q11",
+                           "--w1", "1,1", "--w2", "0"], 1),
+    "scan_p3_m1": (["scan", "--p", "3", "--m", "1"], 0),
+    "scan_p5_m1": (["scan", "--p", "5", "--m", "1"], 0),
+    "scan_p2_m2": (["scan", "--p", "2", "--m", "2"], 0),
+}
+
+CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]
+
+
+def render(case: str) -> tuple[int, str]:
+    """Exit code and output text of one case."""
+    if case == "exhaustive_scan_p2_m2_factored":
+        report = exhaustive_scan(2, 2, pair_limit=10)
+        return 0, json.dumps(report.to_dict(), indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for arg in CLI_CASES[case][0]:
+            if arg.startswith("@"):
+                path = Path(tmp) / f"{arg[1:]}.json"
+                path.write_text(json.dumps(CHANNELS[arg[1:]]))
+                arg = str(path)
+            argv.append(arg)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden(case):
+    code, text = render(case)
+    assert code == CLI_CASES.get(case, (None, 0))[1]
+    assert text == (GOLDEN / f"{case}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in CASES:
+        (GOLDEN / f"{case}.json").write_text(render(case)[1])
+        print("wrote", case, file=sys.stderr)

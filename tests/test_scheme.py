@@ -14,6 +14,7 @@ from gfalign import (InconsistentSystem, Mat, MessagePair, TwoHopChannel,
                      prime_field, primitive_element, relay_decode,
                      relay_encode, second_hop_inverse, simulate,
                      source_encode)
+from gfalign.scheme import _relay_sums, _scan_hop
 
 F4 = make_field(2, 2)
 ALPHA = primitive_element(F4)
@@ -338,6 +339,71 @@ class TestExhaustiveScan:
         assert rep.mode == "factored"
         assert rep.decode_failures == 0
         assert rep.feasible_channels == 2916
+
+
+def s_block_ratio(ch):
+    """Oracle: the cross ratio of the inverted second hop's blocks, or None
+    when a block vanishes."""
+    s11, s12, s21, s22 = second_hop_inverse(ch)
+    if not (s11 and s12 and s21 and s22):
+        return None
+    return s11.inv() * s12 * s22.inv() * s21
+
+
+class TestSecondHopIdentity:
+    """The ratio of the inverted second hop is the hop's own cross ratio."""
+
+    def test_every_gf4_second_hop(self):
+        elems = list(F4.elements())
+        for hop2 in itertools.product(elems, repeat=4):
+            ch = TwoHopChannel(F4, f4_fixture().hop1, hop2)
+            verdict = check_feasible(ch)
+            hop2_reasons = [r for r in verdict.reasons if "second" in r]
+            if not ch.hop_det(2):
+                assert hop2_reasons == ["second-hop matrix is singular"]
+                assert verdict.hop2_degree is None
+                with pytest.raises(ZeroDivisionError):
+                    alignment_ratios(ch)
+                continue
+            ratio = s_block_ratio(ch)
+            if ratio is None:
+                assert hop2_reasons == ["inverted second hop has a zero block"]
+                assert verdict.hop2_degree is None
+                with pytest.raises(ZeroSBlock):
+                    alignment_ratios(ch)
+                continue
+            deg = minpoly_degree(ratio)
+            assert verdict.hop2_degree == deg
+            assert hop2_reasons == ([] if deg == 2 else [
+                f"second-hop ratio has minimal polynomial degree {deg} < 2"])
+            assert alignment_ratios(ch)[1] == ratio
+
+    def test_zero_first_hop_raises_first(self):
+        # q11 = 0 fails before anything about the second hop is checked
+        for hop2 in itertools.product(list(F4.elements()), repeat=4):
+            ch = TwoHopChannel(F4, (F4.zero, F4.one, F4.one, ALPHA), hop2)
+            with pytest.raises(ZeroDivisionError):
+                alignment_ratios(ch)
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
+    def test_one_scan_serves_both_hops(self, p, m):
+        spec = make_field(p, m)
+        want1, want2 = [], []
+        for t in itertools.product(list(spec.nonzero_elements()), repeat=4):
+            ch = TwoHopChannel(spec, t, t)
+            if not ch.hop_det(1):
+                continue
+            q11, q12, q21, q22 = t
+            if minpoly_degree(q11.inv() * q12 * q22.inv() * q21) == m:
+                want1.append(t)
+            if minpoly_degree(s_block_ratio(ch)) == m:
+                want2.append(t)
+        assert _scan_hop(spec).feasible_tuples == want1 == want2
+
+    def test_relay_sums_match_pattern(self):
+        for spec in (F4, make_field(3, 2), make_field(2, 3), make_field(5, 1)):
+            for msg in all_messages(spec):
+                assert _relay_sums(spec, msg) == expected_relay_sums(spec, msg)
 
 
 class TestInfeasibilityWitness:
