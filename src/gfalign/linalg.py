@@ -13,8 +13,10 @@ The transform layer provides:
   F_{p^r} as an n x r ground-field matrix of coefficient rows and back;
 * ``char_poly`` and eigen-decomposition over the splitting-field extension.
 
-Everything is exact; algorithms are straightforward Gauss-Jordan and minor
-expansion, which is plenty at the matrix sizes involved.
+Everything is exact; algorithms are Gauss-Jordan (on integer codes mod p
+for prime-field determinants) and memoized minor expansion, which is plenty
+at the matrix sizes involved.  Roots in F_{p^L} are searched only in its
+subfields F_{p^d}, d | L, d <= deg f (see ``roots_in_field``).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from typing import Sequence
 
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
-from .gf import FieldElem, FieldSpec, make_field, prime_field
-from .polys import Poly, factor_poly, squarefree
+from .gf import (FieldElem, FieldSpec, make_field, prime_field,
+                 primitive_element)
+from .polys import Poly, divisors, factor_poly, squarefree
 
 
 class Mat:
@@ -217,8 +220,10 @@ class Mat:
         n = self.nrows
         if n != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        work = [list(r) for r in self.rows]
         spec = self.spec
+        if spec.m == 1:
+            return spec.from_code(_det_mod_p(self.to_code_rows(), spec.p))
+        work = [list(r) for r in self.rows]
         acc = spec.one
         for c in range(n):
             pr = next((i for i in range(c, n) if work[i][c].code), None)
@@ -254,6 +259,28 @@ class Mat:
         if len(pivots) < n:
             raise Singular(f"coefficient matrix has rank {len(pivots)} < {n}")
         return Mat(self.spec, tuple(tuple(row[n:]) for row in work))
+
+
+def _det_mod_p(work: list[list[int]], p: int) -> int:
+    """Determinant of a square matrix of integer codes over F_p, by
+    elimination modulo p; ``work`` is overwritten."""
+    n = len(work)
+    acc = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if work[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            acc = -acc
+        pivot_row = work[c]
+        acc = acc * pivot_row[c] % p
+        inv = pow(pivot_row[c], -1, p)
+        for i in range(c + 1, n):
+            if work[i][c]:
+                f = work[i][c] * inv % p
+                work[i] = [(v - f * w) % p for v, w in zip(work[i], pivot_row)]
+    return acc
 
 
 def solve_exact(a: Mat, b: Mat) -> Mat:
@@ -494,9 +521,41 @@ def char_poly(a: Mat) -> Poly:
     return minor((1 << n) - 1)
 
 
+def _subfield_unit_codes(ext: FieldSpec, d: int) -> list[int]:
+    """Codes of the nonzero elements of the subfield F_{p^d} of ext, d | m:
+    the powers of g^s for the generator g and s = (p^m - 1) / (p^d - 1)."""
+    step = (ext.order - 1) // (ext.p ** d - 1)
+    if ext._exp is not None:
+        return ext._exp[::step]
+    h = primitive_element(ext) ** step
+    x, out = h, [1]
+    while x.code != 1:
+        out.append(x.code)
+        x = x * h
+    return out
+
+
 def roots_in_field(f: Poly, ext: FieldSpec) -> list[FieldElem]:
-    """All roots of f in the given field, ascending by element code."""
-    return [e for e in ext.elements() if not f(e).code]
+    """All roots in ext of a nonzero polynomial f over the ground field of
+    ext, ascending by element code.
+
+    A root of an irreducible factor of degree d lies in F_{p^d}, which is a
+    subfield of ext exactly when d divides ext.m, and d <= deg f.  So only
+    zero and those subfields are searched, never all of ext (Lidl &
+    Niederreiter, *Finite Fields*, Thm. 2.14): 76 candidates instead of
+    4096 for a sextic in F_{2^12}.  Raises ValueError for the zero
+    polynomial and FieldMismatch for coefficients outside the ground field.
+    """
+    if not f.coeffs:
+        raise ValueError("the zero polynomial vanishes at every element")
+    if f.spec.m != 1 or f.spec.p != ext.p:
+        raise FieldMismatch("roots are searched for a polynomial over the "
+                            "ground field of the target field")
+    codes = {0}
+    for d in divisors(ext.m):
+        if d <= f.degree:
+            codes.update(_subfield_unit_codes(ext, d))
+    return [x for x in map(ext.from_code, sorted(codes)) if not f(x).code]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from gfalign import (DegenerateSpectrum, DimensionMismatch, InconsistentSystem,
-                     Mat, NotInImage, Poly, Singular, block2x2, char_poly,
+from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
+                     InconsistentSystem, Mat, NotInImage, Poly, Singular,
+                     block2x2, char_poly,
                      coeff_rows, coeff_vector, companion_matrix,
                      eigen_over_extension, elem_from_coeff_vector,
                      elem_from_matrix_rep, lift_matrix,
@@ -12,6 +13,9 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, InconsistentSystem,
                      minimal_polynomial, null_space_vector,
                      prime_field, primitive_element, roots_in_field,
                      solve_exact, split_blocks, vector_from_coeff_rows)
+from gfalign.linalg import _subfield_unit_codes
+from gfalign.polys import all_monic
+from oracles import roots_by_enumeration
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -377,3 +381,93 @@ class TestEigen:
         roots = roots_in_field(f, f8)
         assert len(roots) == 3
         assert all(minimal_polynomial(r) == f for r in roots)
+
+
+class TestPrimeFieldDet:
+    """Prime-field determinants eliminate on integer codes; the FieldElem
+    elimination of the same matrix lifted into F_{p^2} is the reference."""
+
+    @staticmethod
+    def _check(a):
+        assert a.det() == a.spec.from_code(
+            lift_matrix(a, make_field(a.spec.p, 2)).det().code)
+
+    @pytest.mark.parametrize("spec,n", [(GF2, 2), (GF2, 3), (GF3, 2), (GF5, 2)])
+    def test_exhaustive(self, spec, n):
+        for codes in itertools.product(range(spec.p), repeat=n * n):
+            self._check(Mat.build(spec, [codes[i * n:(i + 1) * n]
+                                         for i in range(n)]))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_4_to_6(self, p):
+        rng = random.Random(f"det:{p}")
+        spec = prime_field(p)
+        for n in (4, 5, 6):
+            for _ in range(40):
+                self._check(random_mat(spec, n, rng))
+                self._check(random_nonsingular(spec, n, rng))
+
+
+class TestSubfieldRoots:
+    """roots_in_field searches only the subfields F_{p^d}, d | L, d <= deg f;
+    the whole-field scan in tests/oracles.py is the reference."""
+
+    @pytest.mark.parametrize("p,max_degree,exts", [
+        (2, 4, (2, 3, 4, 6)), (3, 3, (2, 3))])
+    def test_every_small_monic(self, p, max_degree, exts):
+        ground = prime_field(p)
+        for m in exts:
+            ext = make_field(p, m)
+            for d in range(max_degree + 1):
+                for f in all_monic(ground, d):
+                    assert roots_in_field(f, ext) == roots_by_enumeration(f, ext)
+
+    @pytest.mark.parametrize("p,m", [(2, 12), (3, 6)])
+    def test_random_degree_5_and_6(self, p, m):
+        # half uniform, half products of low-degree factors, which have
+        # roots in the proper subfields far more often
+        rng = random.Random(f"roots:{p}:{m}")
+        ground = prime_field(p)
+        ext = make_field(p, m)
+        found = 0
+        for k in range(16):
+            degree = 5 + k % 2
+            if k < 8:
+                f = Poly(ground, [rng.randrange(p) for _ in range(degree)] + [1])
+            else:
+                f = Poly.one(ground)
+                while f.degree < degree:
+                    d = rng.randint(1, min(3, degree - f.degree))
+                    f = f * Poly(ground, [rng.randrange(p) for _ in range(d)] + [1])
+            roots = roots_in_field(f, ext)
+            assert roots == roots_by_enumeration(f, ext)
+            found += len(roots)
+        assert found > 0
+
+    def test_subfield_units_without_log_tables(self):
+        ext = make_field(2, 18)     # above the log-table limit
+        assert ext._exp is None
+        for d in (1, 2, 3, 6, 9):
+            units = [ext.from_code(c) for c in _subfield_unit_codes(ext, d)]
+            assert len(set(units)) == 2 ** d - 1
+            assert all(x.code and x ** (2 ** d) == x for x in units)
+        f = (Poly(GF2, [0, 1]) * Poly(GF2, [1, 1, 1])
+             * Poly(GF2, [1, 1, 0, 1]))
+        roots = roots_in_field(f, ext)
+        assert len(roots) == 6
+        assert [r.code for r in roots] == sorted(r.code for r in roots)
+        assert all(not f(r).code for r in roots)
+
+    def test_constant_has_no_roots(self):
+        assert roots_in_field(Poly.one(GF3), make_field(3, 2)) == []
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError):
+            roots_in_field(Poly.zero(GF2), make_field(2, 3))
+
+    def test_coefficients_outside_ground_field_raise(self):
+        f4 = make_field(2, 2)
+        with pytest.raises(FieldMismatch):
+            roots_in_field(Poly(f4, [primitive_element(f4), 1]), make_field(2, 4))
+        with pytest.raises(FieldMismatch):
+            roots_in_field(Poly(GF3, [1, 1]), make_field(2, 2))

@@ -8,9 +8,10 @@ from gfalign import (DegenerateSpectrum, Mat, MimoChannel, MimoPipeline,
                      char_poly, lift_matrix, make_field,
                      mimo_channel_from_dict, mimo_channel_to_dict,
                      plan_extension, prime_field, random_mimo_channel,
-                     roots_in_field, simulate_symbol_ext, split_blocks,
+                     simulate_symbol_ext, split_blocks,
                      vandermonde_det)
 from gfalign.mimo import random_message
+from oracles import roots_by_enumeration
 
 
 def brute_distinct_roots(product, max_degree=6):
@@ -19,7 +20,7 @@ def brute_distinct_roots(product, max_degree=6):
     shape (degree lcm(1..m) suffices for m <= 3)."""
     cp = char_poly(product)
     big = make_field(product.spec.p, max_degree)
-    return len(roots_in_field(cp, big)) == product.nrows
+    return len(roots_by_enumeration(cp, big)) == product.nrows
 
 
 def hop_products(ch):
