@@ -1,7 +1,7 @@
 """Exact finite-field arithmetic, companion-matrix representation maps, and
 end-to-end simulators for aligned diagonalization of two-hop 2x2x2
 interference channels over F_{p^m} (scalar model) and over F_p with m x m
-matrix channels (slotted symbol-extension model)."""
+matrix channels (symbol-extension model), both run by one F_p pipeline."""
 
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      GFAlignError, InconsistentSystem, NotInImage, NotPrime,
@@ -29,13 +29,14 @@ from .mimo import (ExtensionPlan, MimoChannel, MimoPipeline, MimoPrecoders,
 from .polys import (Poly, count_irreducible, divisors, enumerate_irreducible,
                     factor_poly, format_poly, gcd, is_irreducible,
                     minimal_polynomial, mobius, parse_poly, squarefree)
-from .scheme import (FeasibilityVerdict, MessagePair, PrecoderSet, ScanReport,
-                     SimulationReport, TwoHopChannel, all_messages,
-                     alignment_ratios, apply_hop, build_precoders,
-                     channel_from_dict, channel_to_dict, check_feasible,
-                     destination_decode, draw_channel, draw_valid_channel,
-                     exhaustive_scan, power_basis_matrix, random_message,
-                     relay_decode, relay_encode, second_hop_inverse, simulate,
+from .scheme import (FeasibilityVerdict, LinearPipeline, MessagePair,
+                     PrecoderSet, ScanReport, SimulationReport, TwoHopChannel,
+                     all_messages, alignment_ratios, apply_hop,
+                     build_precoders, channel_from_dict, channel_to_dict,
+                     check_feasible, destination_decode, draw_channel,
+                     draw_valid_channel, exhaustive_scan, power_basis_matrix,
+                     random_message, relay_decode, relay_encode,
+                     scalar_pipeline, second_hop_inverse, simulate,
                      source_encode)
 
 __version__ = "0.1.0"

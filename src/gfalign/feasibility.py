@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLarge
-from .gf import make_field
+from .gf import check_field_params, make_field
 from .polys import count_irreducible, divisors
 from .scheme import TwoHopChannel, check_feasible
 
@@ -32,6 +32,7 @@ def exact_fraction(p: int, m: int) -> Fraction:
     minimal polynomial; the counting formula would also charge the zero
     element to the polynomial x).
     """
+    check_field_params(p, m)
     if m == 1:
         return Fraction(1)
     return Fraction(m * count_irreducible(p, m), p ** m - 1)
@@ -42,6 +43,7 @@ def lower_bound(p: int, m: int) -> Fraction:
 
     Exact as a rational; can be negative for tiny p^m and is returned as-is.
     """
+    check_field_params(p, m)
     total = Fraction(0)
     for d in divisors(m):
         if d > 1:
@@ -59,8 +61,7 @@ class NormalizedRates:
 
 
 def normalized_rates(p: int, m: int) -> NormalizedRates:
-    if p < 2 or m < 1:
-        raise ValueError("need p >= 2 and m >= 1")
+    check_field_params(p, m)
     return NormalizedRates(Fraction(2 * m - 1, m), Fraction(2), Fraction(2 * m - 1, m))
 
 

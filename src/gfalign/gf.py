@@ -445,10 +445,9 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         pi = (0,)
     else:
         pi = None
-        for code in range(p ** m):
+        # below p^(m-1) the constant term is 0: x divides, so x is no unit
+        for code in range(p ** (m - 1), p ** m):
             cand = tuple(reversed(_code_to_coeffs(code, p, m)))
-            if cand[0] == 0:
-                continue  # x divides, so the class of x can never be a unit
             if _passes_order_test(p, m, cand):
                 pi = cand
                 break
@@ -473,6 +472,14 @@ def _normalize_modulus(p: int, m: int, pi) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def check_field_params(p: int, m: int) -> None:
+    """Raise NotPrime unless p is a prime, ValueError unless m >= 1."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("extension degree must be a positive integer")
+
+
 def make_field(p: int, m: int, pi=None) -> FieldSpec:
     """Build (or fetch from cache) the field F_{p^m}.
 
@@ -481,10 +488,7 @@ def make_field(p: int, m: int, pi=None) -> FieldSpec:
     m (leading 1 implicit) or m+1 (explicit leading 1), or as any object with
     a ``coeffs`` attribute.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("extension degree must be a positive integer")
+    check_field_params(p, m)
     if pi is None:
         pi_t = _default_modulus(p, m)
     else:

@@ -3,12 +3,14 @@ ground-field matrices, handled by coding across time slots.
 
 Unlike the scalar extension-field case, the channel matrices here do not
 commute and are not powers of one companion matrix, so the power-basis
-precoders must be built from eigen-decompositions.  Some eigenvalues only
-exist in an extension of F_p: the pipeline therefore works over the
-splitting field F_{p^L} of both hop products (L is the lcm of the
-irreducible-factor degrees across the two hops) and transports each
-extension symbol as L ground-field column slots.  Per slot the scheme still
-delivers 2m-1 ground-field symbols.
+precoders are built from eigen-decompositions.  Some eigenvalues only exist
+in the splitting field F_{p^L} of both hop products (L is the lcm of the
+irreducible-factor degrees across the two hops), but the eigenvector sum
+that leads each precoder is fixed by Frobenius, so the precoders are F_p
+matrices.  Message symbols live in F_{p^L}; each travels as L ground-field
+lanes through the F_p core shared with the scalar model
+(scheme.LinearPipeline).  Per slot the scheme still delivers 2m-1
+ground-field symbols.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InconsistentSystem, SingularChannel
+from .errors import SingularChannel
 from .gf import FieldElem, FieldSpec, make_field, prime_field
-from .linalg import (Mat, block2x2, eigenvectors_in, lift_matrix,
-                     roots_in_field, split_blocks, splitting_data,
-                     vandermonde_det)
+from .linalg import (Mat, block2x2, eigenvectors_in, roots_in_field,
+                     split_blocks, splitting_data, vandermonde_det)
 from .polys import Poly
+from .scheme import LinearPipeline, check_alignment
 
 _MATRIX_KEYS = ("Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")
 
@@ -158,12 +160,14 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
 
 @dataclass(frozen=True)
 class MimoPrecoders:
-    """Precoding matrices over the extension field.
+    """Precoding matrices over the ground field F_p.
 
     v1 columns are product^l applied to the eigenvector sum (the all-ones
     combination in the eigenbasis), which a Vandermonde argument keeps full
     rank; v2 repeats the pattern through Q22^-1 Q21 to align the hops.  v3
-    and v4 mirror the construction for the inverted second hop.
+    and v4 mirror the construction for the inverted second hop.  The
+    eigenvector sum is fixed by Frobenius, so it lies in F_p^m and every
+    precoder is a ground-field matrix, whatever the extension degree.
     """
 
     plan: ExtensionPlan
@@ -174,148 +178,67 @@ class MimoPrecoders:
 
 
 def _hop_precoders(plan: ExtensionPlan, hop: HopPlan, cross: Mat) -> tuple[Mat, Mat]:
-    ext = plan.ext
-    m = plan.channel.m
-    product = lift_matrix(hop.product, ext)
+    ext, ground, m = plan.ext, plan.channel.ground, plan.channel.m
     lead = hop.eigenvectors @ Mat.build(ext, [[1]] * m)
-    cols = [lead]
+    codes = [row[0].code for row in lead.rows]
+    assert all(c < ground.p for c in codes), \
+        "the eigenvector sum must be fixed by Frobenius"
+    cols = [Mat.column(ground, codes)]
     for _ in range(m - 1):
-        cols.append(product @ cols[-1])
-    v_main = Mat.from_columns(ext, cols)
-    det = v_main.det()
+        cols.append(hop.product @ cols[-1])
+    v_main = Mat.from_columns(ground, cols)
+    det = v_main.det().lift(ext)
     expected = hop.eigenvectors.det() * vandermonde_det(hop.eigenvalues)
     assert det == expected and det.code, \
         "power-basis determinant must equal the eigenvector-Vandermonde product"
-    shift = lift_matrix(cross, ext)
-    v_side = Mat.from_columns(ext, [shift @ cols[l] for l in range(m - 1)],
+    v_side = Mat.from_columns(ground, [cross @ cols[l] for l in range(m - 1)],
                               nrows=m)
     return v_main, v_side
 
 
 def build_mimo_precoders(plan: ExtensionPlan) -> MimoPrecoders:
     ch = plan.channel
-    ext = plan.ext
     q11, q12, q21, q22 = ch.hop1
     s11, s12, s21, s22 = plan.s_blocks
     v1, v2 = _hop_precoders(plan, plan.hop1, q22.inv() @ q21)
     v3, v4 = _hop_precoders(plan, plan.hop2, s22.inv() @ s21)
-    for a, b, left, right, offset in ((q11, q12, v1, v2, 1), (q21, q22, v1, v2, 0),
-                                      (s11, s12, v3, v4, 1), (s21, s22, v3, v4, 0)):
-        am, bm = lift_matrix(a, ext), lift_matrix(b, ext)
-        for l in range(ch.m - 1):
-            assert am @ left.col(l + offset) == bm @ right.col(l), \
-                "alignment identity failed"
+    check_alignment(ch.hop1 + plan.s_blocks, v1, v2, v3, v4)
     return MimoPrecoders(plan, v1, v2, v3, v4)
-
-
-def _matvec(rows, vec):
-    out = []
-    for row in rows:
-        acc = row[0] * vec[0]
-        for a, b in zip(row[1:], vec[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return tuple(out)
-
-
-def _slot_transport(qa: list[list[int]], qb: list[list[int]],
-                    xa: tuple[FieldElem, ...], xb: tuple[FieldElem, ...],
-                    p: int, ext: FieldSpec) -> tuple[FieldElem, ...]:
-    """Apply y = Qa xa + Qb xb by transmitting one ground-field coefficient
-    column per slot, then reassemble the extension-field observation.
-
-    A ground-field matrix acts on each coefficient slot independently, which
-    is exactly why per-slot transmission carries extension symbols
-    faithfully.  Works on integer coefficient rows to keep message sweeps
-    cheap.
-    """
-    ca = [e.coeffs for e in xa]
-    cb = [e.coeffs for e in xb]
-    n = len(ca)
-    rng_n = range(n)
-    out = []
-    for i in rng_n:
-        qai = qa[i]
-        qbi = qb[i]
-        coeffs = []
-        for t in range(ext.m):
-            acc = 0
-            for k in rng_n:
-                acc += qai[k] * ca[k][t] + qbi[k] * cb[k][t]
-            coeffs.append(acc % p)
-        out.append(ext._from_coeffs(tuple(coeffs)))
-    return tuple(out)
 
 
 class MimoPipeline:
     """Reusable end-to-end runner for one planned channel.
 
-    Precomputes the lifted decode systems (including the Gauss-Jordan
-    elimination transform for the tall destination-2 system, so inconsistent
-    observations are still detected exactly) and keeps channel matrices as
-    integer rows; every run still transports each hop slot by slot over the
-    ground field.
+    Message symbols live in the plan's extension field F_{p^L}.  Each run
+    splits them into their L coefficient lanes, sends the lanes through the
+    shared F_p core (scheme.LinearPipeline) and reassembles the outputs, so
+    the extension field only matters where symbols are packed and unpacked.
     """
 
     def __init__(self, precoders: MimoPrecoders):
         plan = precoders.plan
         ch = plan.channel
-        ext = plan.ext
+        s11, _, s21, _ = plan.s_blocks
         self.plan = plan
         self.pre = precoders
-        self.ext = ext
-        self.m = ch.m
-        self.p = ch.ground.p
-        self._codes = [mat.to_code_rows() for mat in ch.matrices]
-        q11, _, q21, _ = ch.hop1
-        s11, _, s21, _ = plan.s_blocks
-        self._relay1_dec = (lift_matrix(q11, ext) @ precoders.v1).inv().rows
-        self._relay2_dec = (lift_matrix(q21, ext) @ precoders.v1).inv().rows
-        self._relay1_enc = (lift_matrix(s11, ext) @ precoders.v3).rows
-        self._relay2_enc = (lift_matrix(s21, ext) @ precoders.v3).rows
-        self._v3_inv = precoders.v3.inv().rows
-        if self.m > 1:
-            # T with T @ v4 = [I; 0]: applying T to an observation yields the
-            # solution in the first m-1 entries and consistency residuals in
-            # the rest.
-            work, pivots = precoders.v4._rref(Mat.identity(ext, self.m))
-            assert len(pivots) == self.m - 1, "side precoder lost column rank"
-            self._v4_elim = tuple(tuple(row[self.m - 1:]) for row in work)
-        else:
-            self._v4_elim = None
-
-    def encode(self, w1: Sequence[FieldElem],
-               w2: Sequence[FieldElem]) -> tuple[tuple[FieldElem, ...], tuple[FieldElem, ...]]:
-        x1 = _matvec(self.pre.v1.rows, tuple(w1))
-        if self.m == 1:
-            x2 = (self.ext.zero,)
-        else:
-            x2 = _matvec(self.pre.v2.rows, tuple(w2))
-        return x1, x2
+        self.ext = plan.ext
+        self.core = LinearPipeline(ch.ground.p, block2x2(*ch.hop1),
+                                   block2x2(*ch.hop2), s11, s21,
+                                   precoders.v1, precoders.v2, precoders.v3,
+                                   precoders.v4)
 
     def run(self, w1: Sequence[FieldElem], w2: Sequence[FieldElem]):
         """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2)."""
-        m, p, ext = self.m, self.p, self.ext
-        q11, q12, q21, q22, q33, q34, q43, q44 = self._codes
-        x1, x2 = self.encode(w1, w2)
-        y1 = _slot_transport(q11, q12, x1, x2, p, ext)
-        y2 = _slot_transport(q21, q22, x1, x2, p, ext)
-        u1 = _matvec(self._relay1_dec, y1)
-        u2 = _matvec(self._relay2_dec, y2)
-        x3 = _matvec(self._relay1_enc, u1)
-        x4 = _matvec(self._relay2_enc, u2)
-        y3 = _slot_transport(q33, q34, x3, x4, p, ext)
-        y4 = _slot_transport(q43, q44, x3, x4, p, ext)
-        got1 = _matvec(self._v3_inv, y3)
-        if m == 1:
-            got2: tuple[FieldElem, ...] = ()
-        else:
-            z = _matvec(self._v4_elim, y4)
-            if any(v.code for v in z[m - 1:]):
-                raise InconsistentSystem(
-                    "destination-2 observation left the side-precoder column space")
-            got2 = z[: m - 1]
-        return got1, got2, u1, u2
+        m, ext = self.core.m, self.ext
+        if len(w1) != m or len(w2) != m - 1:
+            raise ValueError(f"expected message lengths {m} and {m - 1}")
+        element, pack = ext.element, ext._from_coeffs
+        lanes1 = list(zip(*[element(v).coeffs for v in w1]))
+        lanes2 = list(zip(*[element(v).coeffs for v in w2])) or [()] * ext.m
+        u1, u2 = self.core.relay_half(lanes1, lanes2)
+        got1, got2 = self.core.destination_half(u1, u2)
+        return tuple(tuple([pack(c) for c in zip(*lanes)])
+                     for lanes in (got1, got2, u1, u2))
 
 
 @dataclass(frozen=True)
@@ -372,8 +295,6 @@ def simulate_symbol_ext(ch: MimoChannel, w1: Sequence[FieldElem],
         pipeline = MimoPipeline(build_mimo_precoders(plan_extension(ch)))
     w1 = tuple(pipeline.ext.element(v) for v in w1)
     w2 = tuple(pipeline.ext.element(v) for v in w2)
-    if len(w1) != ch.m or len(w2) != ch.m - 1:
-        raise ValueError(f"expected message lengths {ch.m} and {ch.m - 1}")
     got1, got2, u1, u2 = pipeline.run(w1, w2)
     return MimoSimulationReport(ch, pipeline.plan, w1, w2, u1, u2, got1, got2,
                                 got1 == w1 and got2 == w2)

@@ -18,6 +18,10 @@ same expression in the blocks of the inverted second-hop matrix, but the
 determinant cancels, so that ratio is the second hop's own.  The scheme works
 exactly when both ratios have minimal polynomials of full degree m, which
 makes the power-basis precoders full rank.
+
+simulate and exhaustive_scan run LinearPipeline, the F_p core shared with
+the matrix-channel model; the stage functions source_encode ..
+destination_decode compute the same pipeline one stage at a time.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import TooLarge, ZeroSBlock
+from .errors import InconsistentSystem, TooLarge, ZeroSBlock
 from .gf import (FieldElem, FieldSpec, format_element, make_field,
                  minpoly_degree, parse_element, prime_field)
-from .linalg import (Mat, coeff_vector, elem_from_coeff_vector, matrix_rep,
-                     solve_exact)
+from .linalg import (Mat, block2x2, coeff_vector, elem_from_coeff_vector,
+                     matrix_rep, solve_exact, split_blocks)
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
@@ -211,15 +216,21 @@ def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     v4 = _shifted_columns(s22.inv() * s21, r2, m - 1)
     assert v1.rank() == m and v3.rank() == m, \
         "full-degree ratio must give a full-rank power basis"
+    check_alignment([matrix_rep(q) for q in (q11, q12, q21, q22, s11, s12, s21, s22)],
+                    v1, v2, v3, v4)
+    return PrecoderSet(spec, v1, v2, v3, v4, r1, r2, s11, s12, s21, s22)
 
+
+def check_alignment(blocks: Sequence[Mat], v1: Mat, v2: Mat, v3: Mat,
+                    v4: Mat) -> None:
+    """Assert Q11 v1[l+1] = Q12 v2[l], Q21 v1[l] = Q22 v2[l] and the same
+    for v3, v4 with blocks = (Q11, Q12, Q21, Q22, S11, S12, S21, S22)."""
+    q11, q12, q21, q22, s11, s12, s21, s22 = blocks
     for a, b, left, right, offset in ((q11, q12, v1, v2, 1), (q21, q22, v1, v2, 0),
                                       (s11, s12, v3, v4, 1), (s21, s22, v3, v4, 0)):
-        am, bm = matrix_rep(a), matrix_rep(b)
-        for l in range(m - 1):
-            lhs = am @ left.col(l + offset)
-            rhs = bm @ right.col(l)
-            assert lhs == rhs, "alignment identity failed"
-    return PrecoderSet(spec, v1, v2, v3, v4, r1, r2, s11, s12, s21, s22)
+        for l in range(right.ncols):
+            assert a @ left.col(l + offset) == b @ right.col(l), \
+                "alignment identity failed"
 
 
 @dataclass(frozen=True)
@@ -321,6 +332,76 @@ def destination_decode(pre: PrecoderSet, y3: FieldElem,
     return MessagePair(w1, w2)
 
 
+class LinearPipeline:
+    """The scheme as fixed F_p matrices, shared by both channel models.
+
+    Built from p, the compound 2m x 2m hop matrices, the blocks S11 and S21
+    of the inverted second hop and the precoders v1..v4, all over F_p.  Each
+    stage is precomputed as integer code rows and acts on lanes: a lane is
+    one message block as a tuple of F_p codes.  The scalar model sends one
+    lane per message, the matrix model the L coefficient lanes of its
+    F_{p^L} symbols.
+    """
+
+    def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
+                 v1: Mat, v2: Mat, v3: Mat, v4: Mat):
+        m = v1.nrows
+        q11, _, q21, _ = split_blocks(hop1, m)
+        # T @ v4 = [I; 0]: the first m-1 entries of T y are the solution,
+        # the rest are consistency residuals
+        work, pivots = v4._rref(Mat.identity(v4.spec, m))
+        assert len(pivots) == m - 1, "side precoder lost column rank"
+        self.p, self.m = p, m
+        self._source = (v1.to_code_rows(), v2.to_code_rows())
+        self._hop1, self._hop2 = [(rows[:m], rows[m:]) for rows in
+                                  (hop1.to_code_rows(), hop2.to_code_rows())]
+        self._relay_dec = ((q11 @ v1).inv().to_code_rows(),
+                           (q21 @ v1).inv().to_code_rows())
+        self._relay_enc = ((s11 @ v3).to_code_rows(), (s21 @ v3).to_code_rows())
+        self._dest_dec = (v3.inv().to_code_rows(),
+                          [[e.code for e in row[m - 1:]] for row in work])
+
+    def _hop_step(self, lanes_a, lanes_b, encoders, hop, receivers):
+        """Two encoders, one compound hop, one receiver per output half."""
+        p = self.p
+        enc_a, enc_b = encoders
+        hop_a, hop_b = hop
+        rec_a, rec_b = receivers
+        out_a, out_b = [], []
+        for a, b in zip(lanes_a, lanes_b):
+            x = ([sum(map(mul, row, a)) % p for row in enc_a]
+                 + [sum(map(mul, row, b)) % p for row in enc_b])
+            ya = [sum(map(mul, row, x)) % p for row in hop_a]
+            yb = [sum(map(mul, row, x)) % p for row in hop_b]
+            out_a.append(tuple([sum(map(mul, row, ya)) % p for row in rec_a]))
+            out_b.append(tuple([sum(map(mul, row, yb)) % p for row in rec_b]))
+        return out_a, out_b
+
+    def relay_half(self, w1, w2):
+        """Lanes (u1, u2) of the symbol sums both relays decode."""
+        return self._hop_step(w1, w2, self._source, self._hop1, self._relay_dec)
+
+    def destination_half(self, u1, u2):
+        """Lanes (w1, w2) decoded from the relay sums; InconsistentSystem
+        when a destination-2 observation leaves the column space of v4."""
+        got1, z = self._hop_step(u1, u2, self._relay_enc, self._hop2,
+                                 self._dest_dec)
+        k = self.m - 1
+        if any(any(lane[k:]) for lane in z):
+            raise InconsistentSystem(
+                "destination-2 observation left the side-precoder column space")
+        return got1, [lane[:k] for lane in z]
+
+
+def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:
+    """The F_p core of a scalar channel: each coefficient becomes its
+    multiplication matrix."""
+    reps = [matrix_rep(q) for q in ch.hop1 + ch.hop2]
+    return LinearPipeline(ch.spec.p, block2x2(*reps[:4]), block2x2(*reps[4:]),
+                          matrix_rep(pre.s11), matrix_rep(pre.s21),
+                          pre.v1, pre.v2, pre.v3, pre.v4)
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Record of one end-to-end run (or of a feasibility rejection)."""
@@ -379,18 +460,9 @@ def _relay_sums(spec: FieldSpec,
             tuple((a + b) % p for a, b in zip(msg.w1, msg.w2 + (0,))))
 
 
-def _relay_half(pre: PrecoderSet, ch: TwoHopChannel,
-                msg: MessagePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Encode, send over hop 1 and decode the sums at both relays."""
-    y1, y2 = apply_hop(ch, 1, *source_encode(pre, msg))
-    return relay_decode(pre, ch, y1, 1), relay_decode(pre, ch, y2, 2)
-
-
-def _destination_half(pre: PrecoderSet, ch: TwoHopChannel, u1: Sequence[int],
-                      u2: Sequence[int]) -> MessagePair:
-    """Re-encode the relay sums, send over hop 2 and decode both messages."""
-    y3, y4 = apply_hop(ch, 2, relay_encode(pre, u1, 1), relay_encode(pre, u2, 2))
-    return destination_decode(pre, y3, y4)
+def _mismatches(got, want) -> int:
+    """Messages whose lanes differ between two (lanes_1, lanes_2) pairs."""
+    return sum(g != w for g, w in zip(zip(*got), zip(*want)))
 
 
 def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
@@ -401,8 +473,10 @@ def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
         return SimulationReport(ch, verdict, None, None, None, None, None,
                                 None, None, False, None)
     pre = build_precoders(ch)
-    u1, u2 = _relay_half(pre, ch, msg)
-    decoded = _destination_half(pre, ch, u1, u2)
+    core = scalar_pipeline(ch, pre)
+    (u1,), (u2,) = core.relay_half([msg.w1], [msg.w2])
+    (got1,), (got2,) = core.destination_half([u1], [u2])
+    decoded = MessagePair(got1, got2)
     success = decoded == msg
     rate = (2 * ch.spec.m - 1) * math.log2(ch.spec.p) if success else None
     return SimulationReport(ch, verdict, pre.hop1_ratio, pre.hop2_ratio, pre,
@@ -556,31 +630,25 @@ def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
     valid_channels = scan.valid ** 2
     feasible_channels = scan.feasible ** 2
     messages = list(all_messages(spec))
-    round_trips = 0
+    sent = ([msg.w1 for msg in messages], [msg.w2 for msg in messages])
+    sums = tuple(zip(*(_relay_sums(spec, msg) for msg in messages)))
+    paired = valid_channels <= pair_limit
+    channels = (list(itertools.product(scan.feasible_tuples, repeat=2)) if paired
+                else [(t, t) for t in scan.feasible_tuples])
     failures = 0
-    if valid_channels <= pair_limit:
-        mode = "paired"
-        for t1, t2 in itertools.product(scan.feasible_tuples, repeat=2):
-            ch = TwoHopChannel(spec, t1, t2)
-            pre = build_precoders(ch)
-            for msg in messages:
-                round_trips += 1
-                u1, u2 = _relay_half(pre, ch, msg)
-                failures += _destination_half(pre, ch, u1, u2) != msg
-    else:
-        mode = "factored"
-        for t in scan.feasible_tuples:
-            ch = TwoHopChannel(spec, t, t)
-            pre = build_precoders(ch)
-            for msg in messages:
-                sums = _relay_sums(spec, msg)
-                round_trips += 2
-                failures += _relay_half(pre, ch, msg) != sums
-                failures += _destination_half(pre, ch, *sums) != msg
+    for t1, t2 in channels:
+        ch = TwoHopChannel(spec, t1, t2)
+        core = scalar_pipeline(ch, build_precoders(ch))
+        relayed = core.relay_half(*sent)
+        if not paired:
+            failures += _mismatches(relayed, sums)
+            relayed = sums
+        failures += _mismatches(core.destination_half(*relayed), sent)
+    round_trips = len(channels) * len(messages) * (1 if paired else 2)
     counts = (scan.tuples, scan.valid, scan.feasible)
     return ScanReport(
-        p, m, list(spec.modulus_coeffs), mode, counts, counts,
-        valid_channels, feasible_channels,
+        p, m, list(spec.modulus_coeffs), "paired" if paired else "factored",
+        counts, counts, valid_channels, feasible_channels,
         feasible_channels / valid_channels if valid_channels else None,
         feasible_channels / scan.tuples ** 2,
         len(messages), round_trips, failures)

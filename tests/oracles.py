@@ -6,3 +6,80 @@ def roots_by_enumeration(f, ext):
     """All roots of f in ext, ascending by code, by evaluating f at every
     element of ext."""
     return [e for e in ext.elements() if not f(e).code]
+
+
+def default_modulus_by_scan(p, m):
+    """Lexicographically smallest primitive monic modulus of degree m,
+    comparing coefficients low-degree-first, by testing every monic
+    polynomial in code order (dead candidates with a zero constant term
+    included)."""
+    from gfalign.gf import _code_to_coeffs, _passes_order_test
+    if m == 1:
+        return (0,)
+    for code in range(p ** m):
+        cand = tuple(reversed(_code_to_coeffs(code, p, m)))
+        if cand[0] == 0:
+            continue
+        if _passes_order_test(p, m, cand):
+            return cand
+    raise AssertionError("a primitive polynomial always exists")
+
+
+class ExtensionFieldPipeline:
+    """The matrix-channel scheme computed in the extension field F_{p^L}.
+
+    The precoders are built from lifted matrices, every stage is an
+    extension-field matrix product or solve, and each hop acts on the
+    coefficient rows of its inputs one slot at a time.  Shares no code with
+    the library's F_p core beyond Mat arithmetic."""
+
+    def __init__(self, plan):
+        from gfalign.linalg import Mat, lift_matrix
+        ext = self.ext = plan.ext
+        ch = self.channel = plan.channel
+        m = self.m = ch.m
+        q11, q12, q21, q22 = ch.hop1
+        s11, s12, s21, s22 = plan.s_blocks
+
+        def lift(a):
+            return lift_matrix(a, ext)
+
+        def precoders(hop, cross):
+            product = lift(hop.product)
+            cols = [hop.eigenvectors @ Mat.build(ext, [[1]] * m)]
+            for _ in range(m - 1):
+                cols.append(product @ cols[-1])
+            side = [lift(cross) @ cols[l] for l in range(m - 1)]
+            return (Mat.from_columns(ext, cols),
+                    Mat.from_columns(ext, side, nrows=m))
+
+        self.v1, self.v2 = precoders(plan.hop1, q22.inv() @ q21)
+        self.v3, self.v4 = precoders(plan.hop2, s22.inv() @ s21)
+        self.relay1 = lift(q11) @ self.v1
+        self.relay2 = lift(q21) @ self.v1
+        self.enc1 = lift(s11) @ self.v3
+        self.enc2 = lift(s21) @ self.v3
+
+    def _transport(self, qa, qb, xa, xb):
+        from gfalign.linalg import coeff_rows, vector_from_coeff_rows
+        slots = qa @ coeff_rows(xa) + qb @ coeff_rows(xb)
+        return vector_from_coeff_rows(slots, self.ext)
+
+    def run(self, w1, w2):
+        """(decoded_w1, decoded_w2, u1, u2) as tuples of ext symbols."""
+        from gfalign.linalg import Mat, solve_exact
+        ext, m, ch = self.ext, self.m, self.channel
+        q11, q12, q21, q22 = ch.hop1
+        q33, q34, q43, q44 = ch.hop2
+        x1 = self.v1 @ Mat.column(ext, list(w1))
+        x2 = (self.v2 @ Mat.column(ext, list(w2)) if m > 1
+              else Mat.zeros(ext, 1, 1))
+        u1 = self.relay1.solve(self._transport(q11, q12, x1, x2))
+        u2 = self.relay2.solve(self._transport(q21, q22, x1, x2))
+        x3 = self.enc1 @ u1
+        x4 = self.enc2 @ u2
+        got1 = self.v3.solve(self._transport(q33, q34, x3, x4))
+        y4 = self._transport(q43, q44, x3, x4)
+        got2 = solve_exact(self.v4, y4).col_entries(0) if m > 1 else ()
+        return (got1.col_entries(0), got2, u1.col_entries(0),
+                u2.col_entries(0))

@@ -44,6 +44,11 @@ class TestFieldInfo:
         assert code == 2
         assert "prime" in err
 
+    def test_large_binary_field_answers(self, capsys):
+        code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "24")
+        assert code == 0
+        assert payload["order"] == 2 ** 24
+
     def test_bad_modulus_exits_2(self, capsys):
         code, _, err = run(capsys, "field-info", "--p", "2", "--m", "2",
                            "--pi", "x^2+1")
@@ -65,6 +70,15 @@ class TestBoundsAndMc:
         lines = out.strip().splitlines()
         assert lines[0].startswith("p,m,exact_fraction")
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("p,m,needle", [("1", "2", "prime"),
+                                            ("4", "2", "prime"),
+                                            ("2", "0", "degree"),
+                                            ("2", "-1", "degree")])
+    def test_bounds_bad_field_exits_2(self, capsys, p, m, needle):
+        code, out, err = run(capsys, "bounds", "--p", p, "--m", m)
+        assert code == 2 and out == ""
+        assert needle in err and "Traceback" not in err
 
     def test_mc_deterministic(self, capsys):
         args = ("mc", "--p", "2", "--m", "2", "--trials", "300",
@@ -167,6 +181,13 @@ class TestSymbolExt:
         assert code == 0
         assert payload["success"] is True
         assert payload["plan"]["extension_degree"] == 2
+
+    def test_thirty_slot_channel(self, capsys):
+        # hop splitting degrees 6 and 5 need F_{2^30}
+        code, payload = run_json(capsys, "symbol-ext", "--p", "2", "--m", "5",
+                                 "--seed", "0")
+        assert code == 0
+        assert payload["success"] is True and payload["slots"] == 30
 
     def test_channel_file_with_message(self, capsys, tmp_path):
         path = tmp_path / "mimo.json"

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from gfalign import (TooLarge, diag_exhaustive, diag_symbol_ext_feasibility,
-                     exact_fraction, feasibility_stats, lower_bound,
-                     make_field, mc_feasibility, minimal_polynomial,
-                     normalized_rates)
+from gfalign import (NotPrime, TooLarge, diag_exhaustive,
+                     diag_symbol_ext_feasibility, exact_fraction,
+                     feasibility_stats, lower_bound, make_field,
+                     mc_feasibility, minimal_polynomial, normalized_rates)
 from gfalign.feasibility import CSV_COLUMNS, stats_csv_row
 
 
@@ -54,6 +54,17 @@ class TestNormalizedRates:
         big = normalized_rates(2, 64)
         assert big.d_finite == Fraction(127, 64)
         assert abs(big.d_finite - 2) <= Fraction(1, 64)
+
+
+
+@pytest.mark.parametrize("fn", [exact_fraction, lower_bound, normalized_rates])
+def test_field_parameters_checked(fn):
+    for p in (1, 4, 9):
+        with pytest.raises(NotPrime):
+            fn(p, 2)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="degree"):
+            fn(2, m)
 
 
 class TestMonteCarlo:

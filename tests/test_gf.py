@@ -5,6 +5,8 @@ import pytest
 from gfalign import (FieldMismatch, NotPrime, NotPrimitive, conjugates,
                      format_element, make_field, minpoly_degree,
                      parse_element, prime_field, primitive_element)
+from gfalign.gf import _DEFAULT_MODULUS_CACHE, _default_modulus
+from oracles import default_modulus_by_scan
 
 
 def brute_order(e):
@@ -76,6 +78,14 @@ class TestConstruction:
                     seen.append(cand)
                     break
             assert seen[0] == spec.pi
+
+    def test_default_modulus_skips_only_dead_codes(self):
+        # the search starts at the first code with a nonzero constant term;
+        # compare it, uncached, with a scan over every code
+        for p, top in ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)):
+            for m in range(1, top + 1):
+                _DEFAULT_MODULUS_CACHE.pop((p, m), None)
+                assert _default_modulus(p, m) == default_modulus_by_scan(p, m)
 
     def test_spec_caching_and_equality(self):
         assert make_field(2, 3) is make_field(2, 3)
