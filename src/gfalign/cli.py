@@ -67,6 +67,8 @@ def cmd_field_info(args) -> int:
 def _sweep_pairs(args) -> list[tuple[int, int]]:
     ps = _parse_int_list(args.p)
     ms = _parse_int_list(args.m)
+    if not ps or not ms:
+        raise ValueError("--p and --m each need at least one value")
     return [(p, m) for p in ps for m in ms]
 
 

@@ -12,8 +12,10 @@ Construction goes through :func:`make_field`, which validates primality and
 primitivity, picks the lexicographically smallest primitive modulus when none
 is given, and caches specs so repeated lookups share arithmetic tables.
 
-Small fields (order up to ``2**16``) intern all their elements and keep
-log/antilog tables; the smallest ones additionally keep dense add/mul tables.
+Fields of order up to ``2**16`` intern all their elements and run on one
+set of tables indexed by the exponent of a generator g: log, antilog and the
+Zech logarithm ``zech[k] = log(1 + g^k)`` (Lidl & Niederreiter, *Finite
+Fields*), which turns addition into ``g^a + g^b = g^(a + zech[b - a])``.
 Larger fields fall back to plain polynomial arithmetic.
 """
 
@@ -23,8 +25,7 @@ from typing import Iterator, Sequence
 
 from .errors import FieldMismatch, NotPrime, NotPrimitive
 
-_INTERN_LIMIT = 1 << 16  # intern elements and build log/antilog up to this order
-_LOOKUP_LIMIT = 512      # dense add/mul tables up to this order
+_INTERN_LIMIT = 1 << 16  # intern elements and build log/antilog/Zech up to this order
 
 
 def is_prime(n: int) -> bool:
@@ -107,6 +108,12 @@ def _pow_coeffs(a, e, p, m, x_pow_m):
     return result
 
 
+def _is_primitive_root(g: int, p: int) -> bool:
+    """True iff g generates the multiplicative group of F_p."""
+    n = p - 1
+    return g % p != 0 and all(pow(g, n // q, p) != 1 for q in prime_factors(n))
+
+
 def _passes_order_test(p: int, m: int, pi: tuple[int, ...]) -> bool:
     """True iff the class of x modulo the monic polynomial pi + x^m has
     multiplicative order exactly p^m - 1.
@@ -153,9 +160,19 @@ class FieldElem:
         if other is None:
             return NotImplemented
         spec = self.spec
-        t = spec._add_t
-        if t is not None:
-            return spec._elems[t[self.code][other.code]]
+        log = spec._log
+        if log is not None:
+            a, b = self.code, other.code
+            if a == 0:
+                return spec._elems[b]
+            if b == 0:
+                return self
+            n = spec.order - 1
+            la = log[a]
+            z = spec._zech[(log[b] - la) % n]
+            if z < 0:
+                return spec._elems[0]
+            return spec._elems[spec._exp[(la + z) % n]]
         p = spec.p
         coeffs = tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
         return spec._from_coeffs(coeffs)
@@ -176,8 +193,14 @@ class FieldElem:
 
     def __neg__(self):
         spec = self.spec
-        if spec.p == 2:
+        code = self.code
+        if spec.p == 2 or code == 0:
             return self
+        log = spec._log
+        if log is not None:
+            # -1 = g^(n/2), the one element of order 2
+            n = spec.order - 1
+            return spec._elems[spec._exp[(log[code] + n // 2) % n]]
         p = spec.p
         return spec._from_coeffs(tuple((-x) % p for x in self.coeffs))
 
@@ -186,9 +209,6 @@ class FieldElem:
         if other is None:
             return NotImplemented
         spec = self.spec
-        t = spec._mul_t
-        if t is not None:
-            return spec._elems[t[self.code][other.code]]
         log = spec._log
         if log is not None:
             a, b = self.code, other.code
@@ -272,7 +292,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "m", "pi", "order", "_hash", "_x_pow_m", "_gen_code",
-                 "_elems", "_log", "_exp", "_add_t", "_mul_t", "_cache",
+                 "_elems", "_log", "_exp", "_zech", "_cache",
                  "__weakref__")
 
     def __init__(self, p: int, m: int, pi: tuple[int, ...]):
@@ -297,28 +317,20 @@ class FieldSpec:
         if self.order <= _INTERN_LIMIT:
             self._elems = [FieldElem(self, _code_to_coeffs(c, p, m), c)
                            for c in range(self.order)]
-            self._log, self._exp = self._build_log_tables()
+            self._log, self._exp = log, exp = self._build_log_tables()
+            # 1 + g^k only moves the constant coefficient, the lowest base-p
+            # digit of the code; log[0] = -1 marks 1 + g^k = 0
+            self._zech = [log[c - c % p + (c + 1) % p] for c in exp]
         else:
             self._elems = None
-            self._log = self._exp = None
-        if self.order <= _LOOKUP_LIMIT:
-            self._add_t, self._mul_t = self._build_dense_tables()
-        else:
-            self._add_t = self._mul_t = None
+            self._log = self._exp = self._zech = None
 
     # -- construction helpers -------------------------------------------------
 
     def _find_generator_code(self) -> int:
         if self.m >= 2:
             return self.p  # the class of x; full order by the modulus check
-        p = self.p
-        if p == 2:
-            return 1
-        n = p - 1
-        for g in range(2, p):
-            if all(pow(g, n // q, p) != 1 for q in prime_factors(n)):
-                return g
-        raise AssertionError("no generator found; p is not prime?")
+        return next(g for g in range(1, self.p) if _is_primitive_root(g, self.p))
 
     def _build_log_tables(self):
         n = self.order - 1
@@ -333,21 +345,6 @@ class FieldSpec:
             acc = _mul_coeffs(acc, gen, self.p, self.m, self._x_pow_m)
         assert _coeffs_to_code(acc, self.p) == 1, "generator does not have full order"
         return log, exp
-
-    def _build_dense_tables(self):
-        p, m, order = self.p, self.m, self.order
-        coeffs = [_code_to_coeffs(c, p, m) for c in range(order)]
-        add_t = []
-        mul_t = []
-        for a in range(order):
-            ca = coeffs[a]
-            add_t.append([_coeffs_to_code(
-                tuple((x + y) % p for x, y in zip(ca, coeffs[b])), p)
-                for b in range(order)])
-            mul_t.append([_coeffs_to_code(
-                _mul_coeffs(ca, coeffs[b], p, m, self._x_pow_m), p)
-                for b in range(order)])
-        return add_t, mul_t
 
     # -- element factories ----------------------------------------------------
 
@@ -444,14 +441,13 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         pi = (0,)
     else:
-        pi = None
-        # below p^(m-1) the constant term is 0: x divides, so x is no unit
-        for code in range(p ** (m - 1), p ** m):
-            cand = tuple(reversed(_code_to_coeffs(code, p, m)))
-            if _passes_order_test(p, m, cand):
-                pi = cand
-                break
-        assert pi is not None, "a primitive polynomial always exists"
+        # the constant term a0 is the top base-p digit of the code; it equals
+        # (-1)^m N(x), and the norm of a generator generates F_p*
+        block = p ** (m - 1)
+        codes = (code for a0 in range(1, p) if _is_primitive_root((-1) ** m * a0, p)
+                 for code in range(a0 * block, (a0 + 1) * block))
+        cands = (tuple(reversed(_code_to_coeffs(code, p, m))) for code in codes)
+        pi = next(c for c in cands if _passes_order_test(p, m, c))
     _DEFAULT_MODULUS_CACHE[key] = pi
     return pi
 

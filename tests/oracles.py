@@ -25,6 +25,53 @@ def default_modulus_by_scan(p, m):
     raise AssertionError("a primitive polynomial always exists")
 
 
+def add_code(spec, a, b):
+    """Code of the sum of the elements with codes a and b, by adding
+    coefficient tuples."""
+    from gfalign.gf import _code_to_coeffs, _coeffs_to_code
+    p, m = spec.p, spec.m
+    return _coeffs_to_code(tuple(
+        (x + y) % p for x, y in zip(_code_to_coeffs(a, p, m),
+                                    _code_to_coeffs(b, p, m))), p)
+
+
+def neg_code(spec, a):
+    """Code of the additive inverse of the element with code a, by negating
+    its coefficients."""
+    from gfalign.gf import _code_to_coeffs, _coeffs_to_code
+    p = spec.p
+    return _coeffs_to_code(
+        tuple((-x) % p for x in _code_to_coeffs(a, p, spec.m)), p)
+
+
+def mul_code(spec, a, b):
+    """Code of the product of the elements with codes a and b, by polynomial
+    multiplication modulo the field modulus."""
+    from gfalign.gf import _code_to_coeffs, _coeffs_to_code, _mul_coeffs
+    p, m = spec.p, spec.m
+    return _coeffs_to_code(_mul_coeffs(
+        _code_to_coeffs(a, p, m), _code_to_coeffs(b, p, m), p, m,
+        spec._x_pow_m), p)
+
+
+def pow_code(spec, a, e):
+    """Code of a^e for a nonzero code a, by square-and-multiply on
+    coefficient tuples."""
+    from gfalign.gf import _code_to_coeffs, _coeffs_to_code, _pow_coeffs
+    p, m = spec.p, spec.m
+    return _coeffs_to_code(_pow_coeffs(
+        _code_to_coeffs(a, p, m), e % (spec.order - 1), p, m,
+        spec._x_pow_m), p)
+
+
+def dense_tables(spec):
+    """Addition and multiplication tables indexed by code, built from
+    add_code and mul_code without the library's log tables."""
+    codes = range(spec.order)
+    return ([[add_code(spec, a, b) for b in codes] for a in codes],
+            [[mul_code(spec, a, b) for b in codes] for a in codes])
+
+
 class ExtensionFieldPipeline:
     """The matrix-channel scheme computed in the extension field F_{p^L}.
 

@@ -49,6 +49,16 @@ class TestFieldInfo:
         assert code == 0
         assert payload["order"] == 2 ** 24
 
+    @pytest.mark.parametrize("p,m,pi", [
+        (3, 12, [2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1]),
+        (5, 8, [2, 0, 0, 0, 0, 0, 2, 1, 1]),
+        (7, 6, [3, 0, 0, 0, 1, 1, 1])])
+    def test_default_modulus_pinned(self, capsys, p, m, pi):
+        code, payload = run_json(capsys, "field-info", "--p", str(p),
+                                 "--m", str(m))
+        assert code == 0
+        assert payload["pi"] == pi
+
     def test_bad_modulus_exits_2(self, capsys):
         code, _, err = run(capsys, "field-info", "--p", "2", "--m", "2",
                            "--pi", "x^2+1")
@@ -74,11 +84,20 @@ class TestBoundsAndMc:
     @pytest.mark.parametrize("p,m,needle", [("1", "2", "prime"),
                                             ("4", "2", "prime"),
                                             ("2", "0", "degree"),
-                                            ("2", "-1", "degree")])
+                                            ("2", "-1", "degree"),
+                                            (",", "2", "at least one"),
+                                            ("2", "", "at least one")])
     def test_bounds_bad_field_exits_2(self, capsys, p, m, needle):
         code, out, err = run(capsys, "bounds", "--p", p, "--m", m)
         assert code == 2 and out == ""
         assert needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("p,m", [(",", "2"), ("2", "")])
+    def test_mc_empty_sweep_exits_2(self, capsys, p, m):
+        code, out, err = run(capsys, "mc", "--p", p, "--m", m, "--trials",
+                             "10", "--seed", "1", "--format", "csv")
+        assert code == 2 and out == ""
+        assert "at least one" in err
 
     def test_mc_deterministic(self, capsys):
         args = ("mc", "--p", "2", "--m", "2", "--trials", "300",

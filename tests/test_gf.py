@@ -6,7 +6,8 @@ from gfalign import (FieldMismatch, NotPrime, NotPrimitive, conjugates,
                      format_element, make_field, minpoly_degree,
                      parse_element, prime_field, primitive_element)
 from gfalign.gf import _DEFAULT_MODULUS_CACHE, _default_modulus
-from oracles import default_modulus_by_scan
+from oracles import (add_code, default_modulus_by_scan, dense_tables,
+                     mul_code, neg_code, pow_code)
 
 
 def brute_order(e):
@@ -125,10 +126,10 @@ class TestArithmetic:
                     assert a * (b + c) == a * b + a * c
 
     def test_generic_path_matches_tables(self):
-        # orders above the dense-table limit exercise log/antilog and, above
-        # the interning limit, raw polynomial arithmetic
-        big = make_field(3, 7)       # 2187 elements: log path
-        assert big._mul_t is None and big._log is not None
+        # interned orders run on the log/antilog/Zech tables and, above the
+        # interning limit, on raw polynomial arithmetic
+        big = make_field(3, 7)       # 2187 elements: table path
+        assert big._log is not None and len(big._zech) == big.order - 1
         huge = make_field(2, 17)     # 131072: generic path
         assert huge._log is None
         import random
@@ -173,6 +174,56 @@ class TestArithmetic:
         assert a * 1 == a
         assert 2 * a == a + a
         assert (a + 3) == a          # constants reduce mod p
+
+
+SMALL_FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 9)
+                if p ** m <= 256]
+SEEDED_FIELDS = [(7, 3), (2, 9), (3, 6), (2, 12), (3, 7), (2, 16)]
+EXPONENTS = (0, 1, 2, 3, 5, -1, -2, 1000)
+
+
+class TestTablesAgainstOracle:
+    """Log, antilog and Zech tables against coefficient arithmetic."""
+
+    def check_unary(self, spec, x):
+        a = x.code
+        assert (-x).code == neg_code(spec, a)
+        if a:
+            assert x.inv().code == pow_code(spec, a, -1)
+            for e in EXPONENTS:
+                assert (x ** e).code == pow_code(spec, a, e)
+
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    def test_exhaustive(self, p, m):
+        spec = make_field(p, m)
+        add_t, mul_t = dense_tables(spec)
+        neg = [neg_code(spec, c) for c in range(spec.order)]
+        elems = list(spec.elements())
+        for x in elems:
+            self.check_unary(spec, x)
+            row_add, row_mul = add_t[x.code], mul_t[x.code]
+            for y in elems:
+                b = y.code
+                assert (x + y).code == row_add[b]
+                assert (x - y).code == row_add[neg[b]]
+                assert (x * y).code == row_mul[b]
+
+    @pytest.mark.parametrize("p,m", SEEDED_FIELDS)
+    def test_seeded_pairs(self, p, m):
+        import random
+        spec = make_field(p, m)
+        rng = random.Random(p * 100 + m)
+        pairs = [(spec.random_element(rng), spec.random_element(rng))
+                 for _ in range(300)]
+        x = spec.random_element(rng, nonzero=True)
+        pairs += [(spec.zero, x), (x, spec.zero), (spec.zero, spec.zero),
+                  (x, x), (x, -x), (spec.one, -spec.one)]
+        for x, y in pairs:
+            self.check_unary(spec, x)
+            a, b = x.code, y.code
+            assert (x + y).code == add_code(spec, a, b)
+            assert (x - y).code == add_code(spec, a, neg_code(spec, b))
+            assert (x * y).code == mul_code(spec, a, b)
 
 
 class TestPrimitiveElement:
