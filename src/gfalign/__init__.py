@@ -15,9 +15,8 @@ from .feasibility import (DiagFeasibility, FeasibilityStats, McFeasibility,
 from .gf import (FieldElem, FieldSpec, conjugates, format_element, make_field,
                  minpoly_degree, parse_element, prime_field,
                  primitive_element)
-from .linalg import (EigenDecomposition, Mat, block2x2, char_poly,
-                     coeff_rows, coeff_vector, companion_matrix,
-                     eigen_over_extension, elem_from_coeff_vector,
+from .linalg import (Mat, block2x2, char_poly, coeff_rows, coeff_vector,
+                     companion_matrix, elem_from_coeff_vector,
                      elem_from_matrix_rep, lift_matrix,
                      linear_combination_image, matrix_rep, null_space_vector,
                      roots_in_field, solve_exact, split_blocks,

@@ -315,9 +315,8 @@ class FieldSpec:
         self._cache: dict = {}
         self._gen_code = self._find_generator_code()
         if self.order <= _INTERN_LIMIT:
-            self._elems = [FieldElem(self, _code_to_coeffs(c, p, m), c)
-                           for c in range(self.order)]
-            self._log, self._exp = log, exp = self._build_log_tables()
+            self._elems, log, exp = self._build_tables()
+            self._log, self._exp = log, exp
             # 1 + g^k only moves the constant coefficient, the lowest base-p
             # digit of the code; log[0] = -1 marks 1 + g^k = 0
             self._zech = [log[c - c % p + (c + 1) % p] for c in exp]
@@ -332,19 +331,25 @@ class FieldSpec:
             return self.p  # the class of x; full order by the modulus check
         return next(g for g in range(1, self.p) if _is_primitive_root(g, self.p))
 
-    def _build_log_tables(self):
-        n = self.order - 1
-        exp = [0] * n
-        log = [-1] * self.order
-        gen = _code_to_coeffs(self._gen_code, self.p, self.m)
-        acc = tuple([1] + [0] * (self.m - 1))
+    def _build_tables(self):
+        # interned elements, log and antilog tables in one walk over the
+        # powers of the generator, x for m >= 2: a shift of the coefficients
+        # plus a fold of x^m as x_pow_m (for m = 1 the fold multiplies by g)
+        p, m, n = self.p, self.m, self.order - 1
+        red = self._x_pow_m if m > 1 else (self._gen_code,)
+        elems = [FieldElem(self, (0,) * m, 0)] * self.order
+        exp, log = [0] * n, [-1] * self.order
+        acc = (1,) + (0,) * (m - 1)
         for k in range(n):
-            code = _coeffs_to_code(acc, self.p)
-            exp[k] = code
-            log[code] = k
-            acc = _mul_coeffs(acc, gen, self.p, self.m, self._x_pow_m)
-        assert _coeffs_to_code(acc, self.p) == 1, "generator does not have full order"
-        return log, exp
+            code = _coeffs_to_code(acc, p)
+            exp[k], log[code] = code, k
+            elems[code] = FieldElem(self, acc, code)
+            top = acc[-1]
+            acc = (0,) + acc[:-1]
+            if top:
+                acc = tuple([(a + top * r) % p for a, r in zip(acc, red)])
+        assert _coeffs_to_code(acc, p) == 1, "generator does not have full order"
+        return elems, log, exp
 
     # -- element factories ----------------------------------------------------
 

@@ -14,21 +14,20 @@ The transform layer provides:
 * ``char_poly`` and eigen-decomposition over the splitting-field extension.
 
 Everything is exact; algorithms are Gauss-Jordan (on integer codes mod p
-for prime-field determinants) and memoized minor expansion, which is plenty
-at the matrix sizes involved.  Roots in F_{p^L} are searched only in its
+for prime-field determinants and ranks) and memoized minor expansion, which
+is plenty at the matrix sizes involved.  Roots in F_{p^L} are searched only in its
 subfields F_{p^d}, d | L, d <= deg f (see ``roots_in_field``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
-from .gf import (FieldElem, FieldSpec, make_field, prime_field,
-                 primitive_element)
+from .gf import FieldElem, FieldSpec, prime_field, primitive_element
 from .polys import Poly, divisors, factor_poly, squarefree
 
 
@@ -222,7 +221,7 @@ class Mat:
             raise DimensionMismatch("determinant of a non-square matrix")
         spec = self.spec
         if spec.m == 1:
-            return spec.from_code(_det_mod_p(self.to_code_rows(), spec.p))
+            return spec.from_code(_eliminate_mod_p(self.to_code_rows(), spec.p)[1])
         work = [list(r) for r in self.rows]
         acc = spec.one
         for c in range(n):
@@ -261,26 +260,41 @@ class Mat:
         return Mat(self.spec, tuple(tuple(row[n:]) for row in work))
 
 
-def _det_mod_p(work: list[list[int]], p: int) -> int:
-    """Determinant of a square matrix of integer codes over F_p, by
-    elimination modulo p; ``work`` is overwritten."""
-    n = len(work)
-    acc = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if work[i][c]), None)
+def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
+    """Rank and, if square, determinant of a matrix of integer codes over
+    F_p, by forward elimination modulo p; ``work`` is overwritten."""
+    rank, det = 0, 1
+    for c in range(len(work[0])):
+        pr = next((i for i in range(rank, len(work)) if work[i][c]), None)
         if pr is None:
-            return 0
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            acc = -acc
-        pivot_row = work[c]
-        acc = acc * pivot_row[c] % p
+            det = 0
+            continue
+        if pr != rank:
+            work[rank], work[pr] = work[pr], work[rank]
+            det = -det
+        pivot_row = work[rank]
+        det = det * pivot_row[c] % p
         inv = pow(pivot_row[c], -1, p)
-        for i in range(c + 1, n):
+        for i in range(rank + 1, len(work)):
             if work[i][c]:
                 f = work[i][c] * inv % p
                 work[i] = [(v - f * w) % p for v, w in zip(work[i], pivot_row)]
-    return acc
+        rank += 1
+    return rank, det
+
+
+def _block_diag(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """[[a, 0], [0, b]] for matrices of integer codes; b may be empty-width."""
+    return [r + [0] * len(b[0]) for r in a] + [[0] * len(a[0]) + r for r in b]
+
+
+def _matmul_mod_p(p: int, *mats: list[list[int]]) -> list[list[int]]:
+    """Product, left to right, of matrices of integer codes over F_p."""
+    out = mats[0]
+    for b in mats[1:]:
+        cols = list(zip(*b))
+        out = [[sum(map(mul, row, col)) % p for col in cols] for row in out]
+    return out
 
 
 def solve_exact(a: Mat, b: Mat) -> Mat:
@@ -558,18 +572,6 @@ def roots_in_field(f: Poly, ext: FieldSpec) -> list[FieldElem]:
     return [x for x in map(ext.from_code, sorted(codes)) if not f(x).code]
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Distinct eigenvalues of a ground-field matrix over the splitting field
-    of its characteristic polynomial, with one normalized eigenvector each."""
-    degree: int               # extension degree of the splitting field
-    ext: FieldSpec            # the splitting field itself
-    char: Poly                # characteristic polynomial over F_p
-    factor_degrees: tuple[int, ...]   # degrees of irreducible factors, descending
-    values: tuple[FieldElem, ...]     # eigenvalues in ext, ascending by code
-    vectors: Mat              # eigenvector columns over ext, same order
-
-
 def splitting_data(a: Mat) -> tuple[Poly, tuple[int, ...], int]:
     """Characteristic polynomial, factor degrees (descending) and splitting
     degree of a square ground-field matrix with squarefree spectrum.
@@ -597,20 +599,6 @@ def eigenvectors_in(a: Mat, ext: FieldSpec,
         shifted = lifted - ident.scale(lam)
         cols.append(null_space_vector(shifted))
     return Mat.from_columns(ext, cols)
-
-
-def eigen_over_extension(a: Mat) -> EigenDecomposition:
-    """Distinct eigenvalues and eigenvectors of a square matrix over F_p,
-    computed over the splitting field of its characteristic polynomial."""
-    if a.spec.m != 1:
-        raise FieldMismatch("eigen-decomposition expects a ground-field matrix")
-    cp, degrees, deg = splitting_data(a)
-    ext = make_field(a.spec.p, deg)
-    values = tuple(roots_in_field(cp, ext))
-    if len(values) != a.nrows:
-        raise AssertionError("splitting field does not contain all roots")
-    vectors = eigenvectors_in(a, ext, values)
-    return EigenDecomposition(deg, ext, cp, degrees, values, vectors)
 
 
 def vandermonde_det(values: Sequence[FieldElem]) -> FieldElem:

@@ -25,7 +25,7 @@ from .gf import FieldElem, FieldSpec, make_field, prime_field
 from .linalg import (Mat, block2x2, eigenvectors_in, roots_in_field,
                      split_blocks, splitting_data, vandermonde_det)
 from .polys import Poly
-from .scheme import LinearPipeline, check_alignment
+from .scheme import LinearPipeline, _json_fields, check_alignment
 
 _MATRIX_KEYS = ("Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")
 
@@ -338,5 +338,12 @@ def mimo_channel_to_dict(ch: MimoChannel) -> dict:
 
 
 def mimo_channel_from_dict(obj: dict) -> MimoChannel:
-    p, m = int(obj["p"]), int(obj["m"])
-    return MimoChannel.create(p, m, [obj[k] for k in _MATRIX_KEYS])
+    """Parse the matrix-channel JSON shape (p, m, Q11..Q44 as code rows);
+    ValueError names a missing key or a misshapen value."""
+    p, m, *mats = _json_fields(obj, ("p", "m") + _MATRIX_KEYS, "channel")
+    for key, rows in zip(_MATRIX_KEYS, mats):
+        if not isinstance(rows, list) or not all(
+                isinstance(r, list) and all(isinstance(v, int) for v in r)
+                for r in rows):
+            raise ValueError(f"{key} must be a list of integer rows")
+    return MimoChannel.create(int(p), int(m), mats)

@@ -19,9 +19,10 @@ determinant cancels, so that ratio is the second hop's own.  The scheme works
 exactly when both ratios have minimal polynomials of full degree m, which
 makes the power-basis precoders full rank.
 
-simulate and exhaustive_scan run LinearPipeline, the F_p core shared with
-the matrix-channel model; the stage functions source_encode ..
-destination_decode compute the same pipeline one stage at a time.
+simulate runs LinearPipeline, the F_p core shared with the matrix-channel
+model, which holds each half of the pipeline as one F_p matrix;
+exhaustive_scan reads its failure counts off those matrices by rank.  The
+stage functions source_encode .. destination_decode are the reference.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from typing import Iterator, Sequence
 from .errors import InconsistentSystem, TooLarge, ZeroSBlock
 from .gf import (FieldElem, FieldSpec, format_element, make_field,
                  minpoly_degree, parse_element, prime_field)
-from .linalg import (Mat, block2x2, coeff_vector, elem_from_coeff_vector,
-                     matrix_rep, solve_exact, split_blocks)
+from .linalg import (Mat, _block_diag, _eliminate_mod_p, _matmul_mod_p,
+                     block2x2, coeff_vector, elem_from_coeff_vector, matrix_rep,
+                     solve_exact, split_blocks)
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
@@ -121,18 +123,14 @@ def check_feasible(ch: TwoHopChannel) -> FeasibilityVerdict:
     channel tuples can be classified uniformly.
     """
     m = ch.spec.m
-    reasons: list[str] = []
-    model_ok = True
-    for name, value in zip(_HOP1_KEYS + _HOP2_KEYS, ch.hop1 + ch.hop2):
-        if not value:
-            reasons.append(f"zero channel coefficient {name}")
-            model_ok = False
+    reasons = [f"zero channel coefficient {name}"
+               for name, value in zip(_HOP1_KEYS + _HOP2_KEYS, ch.hop1 + ch.hop2)
+               if not value]
     if not ch.hop_det(1):
         reasons.append("first-hop matrix is singular")
-        model_ok = False
     if not ch.hop_det(2):
         reasons.append("second-hop matrix is singular")
-        model_ok = False
+    model_ok = not reasons
 
     deg1 = deg2 = None
     q11, _, _, q22 = ch.hop1
@@ -185,11 +183,6 @@ def power_basis_matrix(ratio: FieldElem, width: int) -> Mat:
     return Mat.from_columns(prime_field(ratio.spec), cols, nrows=ratio.spec.m)
 
 
-def _shifted_columns(scalar: FieldElem, ratio: FieldElem, count: int) -> Mat:
-    cols = [coeff_vector(scalar * ratio ** k) for k in range(count)]
-    return Mat.from_columns(prime_field(scalar.spec), cols, nrows=scalar.spec.m)
-
-
 def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     """Construct and verify the four precoding matrices of a feasible channel.
 
@@ -211,9 +204,9 @@ def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     q11, q12, q21, q22 = ch.hop1
 
     v1 = power_basis_matrix(r1, m)
-    v2 = _shifted_columns(q22.inv() * q21, r1, m - 1)
+    v2 = matrix_rep(q22.inv() * q21) @ power_basis_matrix(r1, m - 1)
     v3 = power_basis_matrix(r2, m)
-    v4 = _shifted_columns(s22.inv() * s21, r2, m - 1)
+    v4 = matrix_rep(s22.inv() * s21) @ power_basis_matrix(r2, m - 1)
     assert v1.rank() == m and v3.rank() == m, \
         "full-degree ratio must give a full-rank power basis"
     check_alignment([matrix_rep(q) for q in (q11, q12, q21, q22, s11, s12, s21, s22)],
@@ -333,64 +326,57 @@ def destination_decode(pre: PrecoderSet, y3: FieldElem,
 
 
 class LinearPipeline:
-    """The scheme as fixed F_p matrices, shared by both channel models.
+    """The scheme as two F_p matrices of integer codes, composed once from
+    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4.
 
-    Built from p, the compound 2m x 2m hop matrices, the blocks S11 and S21
-    of the inverted second hop and the precoders v1..v4, all over F_p.  Each
-    stage is precomputed as integer code rows and acts on lanes: a lane is
-    one message block as a tuple of F_p codes.  The scalar model sends one
-    lane per message, the matrix model the L coefficient lanes of its
-    F_{p^L} symbols.
+    relay_map (2m x 2m-1) takes (w1; w2) to the relay sums (u1; u2), and
+    destination_map (2m x 2m) takes (u1; u2) to (w1; w2; r), where the
+    destination-2 residual r is zero iff y4 lies in the column space of v4.
+    Both act on lanes of F_p codes: one per message in the scalar model,
+    the L coefficient lanes of the F_{p^L} symbols in the matrix model.
     """
 
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
                  v1: Mat, v2: Mat, v3: Mat, v4: Mat):
         m = v1.nrows
-        q11, _, q21, _ = split_blocks(hop1, m)
         # T @ v4 = [I; 0]: the first m-1 entries of T y are the solution,
-        # the rest are consistency residuals
+        # the last one is the consistency residual
         work, pivots = v4._rref(Mat.identity(v4.spec, m))
         assert len(pivots) == m - 1, "side precoder lost column rank"
         self.p, self.m = p, m
-        self._source = (v1.to_code_rows(), v2.to_code_rows())
-        self._hop1, self._hop2 = [(rows[:m], rows[m:]) for rows in
-                                  (hop1.to_code_rows(), hop2.to_code_rows())]
-        self._relay_dec = ((q11 @ v1).inv().to_code_rows(),
-                           (q21 @ v1).inv().to_code_rows())
-        self._relay_enc = ((s11 @ v3).to_code_rows(), (s21 @ v3).to_code_rows())
-        self._dest_dec = (v3.inv().to_code_rows(),
-                          [[e.code for e in row[m - 1:]] for row in work])
+        ground, code = v1.spec, Mat.to_code_rows
+        q11, _, q21, _ = map(code, split_blocks(hop1, m))
+        v1, v2, v3, s11, s21 = map(code, (v1, v2, v3, s11, s21))
 
-    def _hop_step(self, lanes_a, lanes_b, encoders, hop, receivers):
-        """Two encoders, one compound hop, one receiver per output half."""
+        def inverse(a):
+            return code(Mat.build(ground, a).inv())
+
+        relays = _block_diag(inverse(_matmul_mod_p(p, q11, v1)),
+                             inverse(_matmul_mod_p(p, q21, v1)))
+        self.relay_map = _matmul_mod_p(p, relays, code(hop1), _block_diag(v1, v2))
+        t = [[e.code for e in row[m - 1:]] for row in work]
+        encoders = _block_diag(_matmul_mod_p(p, s11, v3), _matmul_mod_p(p, s21, v3))
+        self.destination_map = _matmul_mod_p(p, _block_diag(inverse(v3), t),
+                                             code(hop2), encoders)
+
+    def _apply(self, rows, lanes_a, lanes_b):
         p = self.p
-        enc_a, enc_b = encoders
-        hop_a, hop_b = hop
-        rec_a, rec_b = receivers
-        out_a, out_b = [], []
-        for a, b in zip(lanes_a, lanes_b):
-            x = ([sum(map(mul, row, a)) % p for row in enc_a]
-                 + [sum(map(mul, row, b)) % p for row in enc_b])
-            ya = [sum(map(mul, row, x)) % p for row in hop_a]
-            yb = [sum(map(mul, row, x)) % p for row in hop_b]
-            out_a.append(tuple([sum(map(mul, row, ya)) % p for row in rec_a]))
-            out_b.append(tuple([sum(map(mul, row, yb)) % p for row in rec_b]))
-        return out_a, out_b
+        return [tuple([sum(map(mul, row, x)) % p for row in rows])
+                for x in ([*a, *b] for a, b in zip(lanes_a, lanes_b))]
 
     def relay_half(self, w1, w2):
         """Lanes (u1, u2) of the symbol sums both relays decode."""
-        return self._hop_step(w1, w2, self._source, self._hop1, self._relay_dec)
+        u, m = self._apply(self.relay_map, w1, w2), self.m
+        return [lane[:m] for lane in u], [lane[m:] for lane in u]
 
     def destination_half(self, u1, u2):
         """Lanes (w1, w2) decoded from the relay sums; InconsistentSystem
         when a destination-2 observation leaves the column space of v4."""
-        got1, z = self._hop_step(u1, u2, self._relay_enc, self._hop2,
-                                 self._dest_dec)
-        k = self.m - 1
-        if any(any(lane[k:]) for lane in z):
+        w, m = self._apply(self.destination_map, u1, u2), self.m
+        if any(lane[-1] for lane in w):
             raise InconsistentSystem(
                 "destination-2 observation left the side-precoder column space")
-        return got1, [lane[:k] for lane in z]
+        return [lane[:m] for lane in w], [lane[m:-1] for lane in w]
 
 
 def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:
@@ -430,17 +416,9 @@ class SimulationReport:
             "hop2_ratio": None if self.hop2_ratio is None else list(self.hop2_ratio.coeffs),
             "hop2_ratio_degree": self.verdict.hop2_degree,
             "precoders": None if pre is None else {
-                "v1": pre.v1.to_lists(),
-                "v2": pre.v2.to_lists(),
-                "v3": pre.v3.to_lists(),
-                "v4": pre.v4.to_lists(),
-            },
+                k: getattr(pre, k).to_lists() for k in ("v1", "v2", "v3", "v4")},
             "s_blocks": None if pre is None else {
-                "s11": list(pre.s11.coeffs),
-                "s12": list(pre.s12.coeffs),
-                "s21": list(pre.s21.coeffs),
-                "s22": list(pre.s22.coeffs),
-            },
+                k: list(getattr(pre, k).coeffs) for k in ("s11", "s12", "s21", "s22")},
             "relay_equations": None if self.u1 is None else {
                 "u1": list(self.u1), "u2": list(self.u2)},
             "message": None if self.message is None else {
@@ -450,19 +428,6 @@ class SimulationReport:
             "success": self.success,
             "sum_rate_bits": self.sum_rate_bits,
         }
-
-
-def _relay_sums(spec: FieldSpec,
-                msg: MessagePair) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The symbol sums relays 1 and 2 decode (see relay_decode)."""
-    p = spec.p
-    return (tuple((a + b) % p for a, b in zip(msg.w1, (0,) + msg.w2)),
-            tuple((a + b) % p for a, b in zip(msg.w1, msg.w2 + (0,))))
-
-
-def _mismatches(got, want) -> int:
-    """Messages whose lanes differ between two (lanes_1, lanes_2) pairs."""
-    return sum(g != w for g, w in zip(zip(*got), zip(*want)))
 
 
 def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
@@ -497,12 +462,23 @@ def channel_to_dict(ch: TwoHopChannel, style: str = "coeffs") -> dict:
     }
 
 
+def _json_fields(obj, keys: Sequence[str], name: str) -> list:
+    """obj[k] for each key; ValueError unless obj is an object with them."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object, not {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{name} lacks the key {missing[0]!r}")
+    return [obj[k] for k in keys]
+
+
 def channel_from_dict(obj: dict) -> TwoHopChannel:
-    """Parse the channel JSON shape; elements accept coefficient lists,
-    'a^k' exponent strings, or ints (constants mod p)."""
-    spec = make_field(int(obj["p"]), int(obj["m"]), obj.get("pi"))
-    hop1 = tuple(parse_element(spec, obj["hop1"][k]) for k in _HOP1_KEYS)
-    hop2 = tuple(parse_element(spec, obj["hop2"][k]) for k in _HOP2_KEYS)
+    """Parse the channel JSON shape (ValueError when it has another shape);
+    elements accept coefficient lists, 'a^k' strings, or ints mod p."""
+    p, m, hop1, hop2 = _json_fields(obj, ("p", "m", "hop1", "hop2"), "channel")
+    spec = make_field(int(p), int(m), obj.get("pi"))
+    hop1 = tuple(parse_element(spec, v) for v in _json_fields(hop1, _HOP1_KEYS, "hop1"))
+    hop2 = tuple(parse_element(spec, v) for v in _json_fields(hop2, _HOP2_KEYS, "hop2"))
     return TwoHopChannel(spec, hop1, hop2)
 
 
@@ -543,19 +519,17 @@ class HopScan:
 
 
 def _scan_hop(spec: FieldSpec) -> HopScan:
-    m = spec.m
-    total = valid = feasible = 0
+    elems = list(spec.nonzero_elements())
+    valid = 0
     keep = []
-    for t in itertools.product(list(spec.nonzero_elements()), repeat=4):
-        total += 1
+    for t in itertools.product(elems, repeat=4):
         a, b, c, d = t
         if not a * d - b * c:
             continue
         valid += 1
-        if minpoly_degree(_cross_ratio(*t)) == m:
-            feasible += 1
+        if minpoly_degree(_cross_ratio(*t)) == spec.m:
             keep.append(t)
-    return HopScan(total, valid, feasible, keep)
+    return HopScan(len(elems) ** 4, valid, len(keep), keep)
 
 
 @dataclass(frozen=True)
@@ -569,7 +543,8 @@ class ScanReport:
     only involves hop 2, so the joint statements follow exactly.  Factored
     mode runs each feasible tuple t as the channel (t, t): the relay half
     must decode the symbol sums, and the destination half, fed those sums,
-    must return the message.  Each half counts as one round trip.
+    must return the message.  Each half counts as one round trip.  Both
+    counts are certified by rank, equal to sending every message.
     """
 
     p: int
@@ -610,17 +585,48 @@ class ScanReport:
         }
 
 
+def _relay_sum_rows(m: int) -> list[list[int]]:
+    """S with (u1; u2) = S (w1; w2), the sums of relay_decode."""
+    return [[int(j == i) for j in range(m)]
+            + [int(k == i - shift) for k in range(m - 1)]
+            for shift in (1, 0) for i in range(m)]
+
+
+def _certify(core: LinearPipeline, factored: bool) -> int:
+    """Failing messages of one channel among all p^n, n = 2m-1: a map M
+    misses its target T on p^n - p^(n - rank(M - T)) of them.  Paired,
+    destination_map relay_map must be I; factored, relay_map must be S and
+    destination_map S must be I.  Raises InconsistentSystem iff a relayed
+    message leaves a nonzero residual."""
+    p, n = core.p, 2 * core.m - 1
+
+    def failing(got, want):
+        diff = [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(got, want)]
+        return p ** n - p ** (n - _eliminate_mod_p(diff, p)[0])
+
+    sums = _relay_sum_rows(core.m)
+    relayed, failures = core.relay_map, 0
+    if factored:
+        relayed, failures = sums, failing(relayed, sums)
+    *decoded, residual = _matmul_mod_p(p, core.destination_map, relayed)
+    if any(residual):
+        raise InconsistentSystem(
+            "destination-2 observation left the side-precoder column space")
+    return failures + failing(decoded, [[int(i == j) for j in range(n)]
+                                        for i in range(n)])
+
+
 def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
                     pair_limit: int = 20000) -> ScanReport:
     """Classify every all-nonzero channel tuple and verify decoding.
 
     Guard: refuses when the raw tuple count (p^m - 1)^8 exceeds tuple_limit.
-    Up to pair_limit valid channels, every feasible pair is driven end to end
-    over every message (paired mode).  Beyond that, each feasible hop tuple t
-    is run as the channel (t, t), with the relay half and the destination
-    half checked separately (factored mode).  This covers the same ground,
-    because the halves interact only through the decoded sums.
-    """
+    Up to pair_limit valid channels, every feasible pair is verified end to
+    end (paired mode).  Beyond that, each feasible hop tuple t is run as the
+    channel (t, t), with the relay half and the destination half checked
+    separately (factored mode).  This covers the same ground, because the
+    halves interact only through the decoded sums.  No message is sent (see
+    _certify)."""
     spec = make_field(p, m, pi)
     q1 = spec.order - 1
     if q1 ** 8 > tuple_limit:
@@ -629,26 +635,19 @@ def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
     scan = _scan_hop(spec)
     valid_channels = scan.valid ** 2
     feasible_channels = scan.feasible ** 2
-    messages = list(all_messages(spec))
-    sent = ([msg.w1 for msg in messages], [msg.w2 for msg in messages])
-    sums = tuple(zip(*(_relay_sums(spec, msg) for msg in messages)))
     paired = valid_channels <= pair_limit
     channels = (list(itertools.product(scan.feasible_tuples, repeat=2)) if paired
                 else [(t, t) for t in scan.feasible_tuples])
     failures = 0
     for t1, t2 in channels:
         ch = TwoHopChannel(spec, t1, t2)
-        core = scalar_pipeline(ch, build_precoders(ch))
-        relayed = core.relay_half(*sent)
-        if not paired:
-            failures += _mismatches(relayed, sums)
-            relayed = sums
-        failures += _mismatches(core.destination_half(*relayed), sent)
-    round_trips = len(channels) * len(messages) * (1 if paired else 2)
+        failures += _certify(scalar_pipeline(ch, build_precoders(ch)), not paired)
+    messages = p ** (2 * m - 1)
+    round_trips = len(channels) * messages * (1 if paired else 2)
     counts = (scan.tuples, scan.valid, scan.feasible)
     return ScanReport(
         p, m, list(spec.modulus_coeffs), "paired" if paired else "factored",
         counts, counts, valid_channels, feasible_channels,
         feasible_channels / valid_channels if valid_channels else None,
         feasible_channels / scan.tuples ** 2,
-        len(messages), round_trips, failures)
+        messages, round_trips, failures)

@@ -64,6 +64,22 @@ def pow_code(spec, a, e):
         spec._x_pow_m), p)
 
 
+def log_walk(spec):
+    """Log and antilog tables of an interned field, by multiplying by the
+    generator with a full polynomial product at every step."""
+    from gfalign.gf import _code_to_coeffs, _coeffs_to_code, _mul_coeffs
+    p, m = spec.p, spec.m
+    log, exp = [-1] * spec.order, []
+    gen = _code_to_coeffs(spec._gen_code, p, m)
+    acc = (1,) + (0,) * (m - 1)
+    for k in range(spec.order - 1):
+        code = _coeffs_to_code(acc, p)
+        exp.append(code)
+        log[code] = k
+        acc = _mul_coeffs(acc, gen, p, m, spec._x_pow_m)
+    return log, exp
+
+
 def dense_tables(spec):
     """Addition and multiplication tables indexed by code, built from
     add_code and mul_code without the library's log tables."""
@@ -130,3 +146,70 @@ class ExtensionFieldPipeline:
         got2 = solve_exact(self.v4, y4).col_entries(0) if m > 1 else ()
         return (got1.col_entries(0), got2, u1.col_entries(0),
                 u2.col_entries(0))
+
+
+def relay_sums(p, msg):
+    """The symbol sums relays 1 and 2 decode: w1_i + w2_{i-1} and
+    w1_i + w2_i."""
+    return (tuple((a + b) % p for a, b in zip(msg.w1, (0,) + msg.w2)),
+            tuple((a + b) % p for a, b in zip(msg.w1, msg.w2 + (0,))))
+
+
+def mismatches(got, want):
+    """Messages whose lanes differ between two (lanes_1, lanes_2) pairs."""
+    return sum(g != w for g, w in zip(zip(*got), zip(*want)))
+
+
+def sweep_failures(core, factored):
+    """Failing messages of one LinearPipeline, by sending every one of the
+    p^(2m-1) messages through relay_half and destination_half.  Factored,
+    the relay half must return the sums, and the destination half is fed
+    the true sums instead of the relayed ones."""
+    import itertools
+    from gfalign.scheme import MessagePair
+    p, m = core.p, core.m
+    messages = [MessagePair(w1, w2)
+                for w1 in itertools.product(range(p), repeat=m)
+                for w2 in itertools.product(range(p), repeat=m - 1)]
+    sent = ([msg.w1 for msg in messages], [msg.w2 for msg in messages])
+    sums = tuple(zip(*(relay_sums(p, msg) for msg in messages)))
+    failures = 0
+    relayed = core.relay_half(*sent)
+    if factored:
+        failures += mismatches(relayed, sums)
+        relayed = sums
+    return failures + mismatches(core.destination_half(*relayed), sent)
+
+
+def scan_by_sweep(p, m, pi=None, *, tuple_limit=10 ** 7, pair_limit=20000):
+    """exhaustive_scan computed by sending every message through every
+    channel's pipeline instead of certifying the two maps."""
+    import itertools
+    from gfalign.errors import TooLarge
+    from gfalign.gf import make_field
+    from gfalign.scheme import (ScanReport, TwoHopChannel, _scan_hop,
+                                build_precoders, scalar_pipeline)
+    spec = make_field(p, m, pi)
+    q1 = spec.order - 1
+    if q1 ** 8 > tuple_limit:
+        raise TooLarge(f"({q1})^8 channel tuples exceed the guard")
+    scan = _scan_hop(spec)
+    valid_channels = scan.valid ** 2
+    feasible_channels = scan.feasible ** 2
+    paired = valid_channels <= pair_limit
+    channels = (list(itertools.product(scan.feasible_tuples, repeat=2)) if paired
+                else [(t, t) for t in scan.feasible_tuples])
+    failures = 0
+    for t1, t2 in channels:
+        ch = TwoHopChannel(spec, t1, t2)
+        core = scalar_pipeline(ch, build_precoders(ch))
+        failures += sweep_failures(core, not paired)
+    messages = spec.order * spec.order // p
+    round_trips = len(channels) * messages * (1 if paired else 2)
+    counts = (scan.tuples, scan.valid, scan.feasible)
+    return ScanReport(
+        p, m, list(spec.modulus_coeffs), "paired" if paired else "factored",
+        counts, counts, valid_channels, feasible_channels,
+        feasible_channels / valid_channels if valid_channels else None,
+        feasible_channels / scan.tuples ** 2,
+        messages, round_trips, failures)

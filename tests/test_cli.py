@@ -171,6 +171,20 @@ class TestSimulate:
                            "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("channel,message", [
+        ({"p": 2, "m": 2, "hop1": {"q11": 1}, "hop2": {}}, "hop1 lacks the key 'q12'"),
+        ({"p": 2, "m": 2, "hop2": {}}, "channel lacks the key 'hop1'"),
+        ({"p": 2, "m": 2, "hop1": [1, 1, 1, 1], "hop2": {}},
+         "hop1 must be a JSON object, not list"),
+        ([1, 2], "channel must be a JSON object, not list")])
+    def test_malformed_channel_exits_2(self, capsys, tmp_path, channel, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(channel))
+        code, out, err = run(capsys, "simulate", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, stdout, _ = run(capsys, "simulate", "--channel",
@@ -233,6 +247,20 @@ class TestSymbolExt:
                                  "--seed", "1")
         assert code == 1
         assert "singular" in payload["error"]
+
+    @pytest.mark.parametrize("channel,message", [
+        ({"p": 2, "m": 1}, "channel lacks the key 'Q11'"),
+        ({"p": 2, "m": 1, "Q11": [[1]], "Q12": 5, "Q21": [[1]], "Q22": [[1]],
+          "Q33": [[1]], "Q34": [[1]], "Q43": [[1]], "Q44": [[1]]},
+         "Q12 must be a list of integer rows"),
+        ("Q11", "channel must be a JSON object, not str")])
+    def test_malformed_channel_exits_2(self, capsys, tmp_path, channel, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(channel))
+        code, out, err = run(capsys, "symbol-ext", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_needs_channel_or_params(self, capsys):
         code, _, err = run(capsys, "symbol-ext", "--seed", "1")

@@ -5,9 +5,10 @@ import pytest
 from gfalign import (FieldMismatch, NotPrime, NotPrimitive, conjugates,
                      format_element, make_field, minpoly_degree,
                      parse_element, prime_field, primitive_element)
-from gfalign.gf import _DEFAULT_MODULUS_CACHE, _default_modulus
+from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _code_to_coeffs,
+                        _default_modulus, is_prime)
 from oracles import (add_code, default_modulus_by_scan, dense_tables,
-                     mul_code, neg_code, pow_code)
+                     log_walk, mul_code, neg_code, pow_code)
 
 
 def brute_order(e):
@@ -182,8 +183,19 @@ SEEDED_FIELDS = [(7, 3), (2, 9), (3, 6), (2, 12), (3, 7), (2, 16)]
 EXPONENTS = (0, 1, 2, 3, 5, -1, -2, 1000)
 
 
+ALL_FIELDS_TO_256 = [(p, m) for p in range(2, 257) if is_prime(p)
+                     for m in range(1, 9) if p ** m <= 256]
+
+
 class TestTablesAgainstOracle:
     """Log, antilog and Zech tables against coefficient arithmetic."""
+
+    @pytest.mark.parametrize("p,m", ALL_FIELDS_TO_256 + [(2, 16)])
+    def test_log_tables_match_product_walk(self, p, m):
+        spec = make_field(p, m)
+        assert (spec._log, spec._exp) == log_walk(spec)
+        assert [e.coeffs for e in spec.elements()] == [
+            _code_to_coeffs(c, p, m) for c in range(spec.order)]
 
     def check_unary(self, spec, x):
         a = x.code

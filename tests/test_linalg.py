@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,13 +8,14 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, Mat, NotInImage, Poly, Singular,
                      block2x2, char_poly,
                      coeff_rows, coeff_vector, companion_matrix,
-                     eigen_over_extension, elem_from_coeff_vector,
-                     elem_from_matrix_rep, lift_matrix,
+                     elem_from_coeff_vector, elem_from_matrix_rep,
+                     lift_matrix,
                      linear_combination_image, make_field, matrix_rep,
                      minimal_polynomial, null_space_vector,
                      prime_field, primitive_element, roots_in_field,
                      solve_exact, split_blocks, vector_from_coeff_rows)
-from gfalign.linalg import _subfield_unit_codes
+from gfalign.linalg import (_eliminate_mod_p, _subfield_unit_codes,
+                            eigenvectors_in, splitting_data)
 from gfalign.polys import all_monic
 from oracles import roots_by_enumeration
 
@@ -323,10 +325,22 @@ class TestCharPoly:
             assert lifted.coeff_codes() == char_poly(a).coeff_codes()
 
 
+def eigen(a):
+    """Eigen data of a ground-field matrix the way plan_extension computes
+    it: splitting data, then roots and eigenvectors in the splitting field."""
+    cp, degrees, deg = splitting_data(a)
+    ext = make_field(a.spec.p, deg)
+    values = tuple(roots_in_field(cp, ext))
+    assert len(values) == a.nrows
+    return SimpleNamespace(degree=deg, ext=ext, factor_degrees=degrees,
+                           values=values,
+                           vectors=eigenvectors_in(a, ext, values))
+
+
 class TestEigen:
     def test_irreducible_quadratic(self):
         a = Mat.build(GF2, [[0, 1], [1, 1]])
-        dec = eigen_over_extension(a)
+        dec = eigen(a)
         assert dec.degree == 2 and dec.ext == make_field(2, 2)
         f4 = dec.ext
         gen = primitive_element(f4)
@@ -337,28 +351,28 @@ class TestEigen:
 
     def test_split_spectrum(self):
         a = Mat.build(GF2, [[1, 0], [0, 0]])
-        dec = eigen_over_extension(a)
+        dec = eigen(a)
         assert dec.degree == 1
         assert [v.code for v in dec.values] == [0, 1]
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
-            eigen_over_extension(Mat.build(GF2, [[1, 1], [0, 1]]))
+            splitting_data(Mat.build(GF2, [[1, 1], [0, 1]]))
         with pytest.raises(DegenerateSpectrum):
-            eigen_over_extension(Mat.identity(GF3, 2))
+            splitting_data(Mat.identity(GF3, 2))
 
     def test_mixed_factor_degrees_use_lcm(self):
         # block diagonal from an irreducible quadratic and a fixed point:
         # factors of degree 2 and 1
         a = Mat.build(GF2, [[0, 1, 0], [1, 1, 0], [0, 0, 1]])
-        dec = eigen_over_extension(a)
+        dec = eigen(a)
         assert sorted(dec.factor_degrees, reverse=True) == [2, 1]
         assert dec.degree == 2
 
     def test_degree_three_and_six(self):
         # x^3+x+1 companion: irreducible cubic, splitting degree 3
         a = Mat.build(GF2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
-        dec = eigen_over_extension(a)
+        dec = eigen(a)
         assert dec.degree == 3 and len(set(dec.values)) == 3
         for k, lam in enumerate(dec.values):
             vec = dec.vectors.col(k)
@@ -370,7 +384,7 @@ class TestEigen:
             [0, 0, 0, 0, 1],
             [0, 0, 1, 0, 1],
             [0, 0, 0, 1, 0]])
-        dec6 = eigen_over_extension(b)
+        dec6 = eigen(b)
         assert sorted(dec6.factor_degrees, reverse=True) == [3, 2]
         assert dec6.degree == 6
         assert len(set(dec6.values)) == 5
@@ -406,6 +420,18 @@ class TestPrimeFieldDet:
             for _ in range(40):
                 self._check(random_mat(spec, n, rng))
                 self._check(random_nonsingular(spec, n, rng))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rank_of_rectangular(self, p):
+        # the same integer elimination ranks the certificates of scans;
+        # FieldElem Gauss-Jordan is the reference
+        rng = random.Random(f"rank:{p}")
+        spec = prime_field(p)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = Mat.build(spec, [[rng.randrange(p) if rng.random() < 0.6 else 0
+                                  for _ in range(cols)] for _ in range(rows)])
+            assert _eliminate_mod_p(a.to_code_rows(), p)[0] == a.rank()
 
 
 class TestSubfieldRoots:

@@ -1,7 +1,9 @@
 """Cross-checks of the shared F_p core (scheme.LinearPipeline) against the
 stage-by-stage scalar functions and against an extension-field computation
-of the matrix-channel scheme."""
+of the matrix-channel scheme, and of the scan's rank certificate against
+sending every message."""
 
+import copy
 import itertools
 import random
 
@@ -11,11 +13,12 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, InconsistentSystem,
                      MessagePair, MimoPipeline, TwoHopChannel, all_messages,
                      apply_hop, build_mimo_precoders, build_precoders,
                      check_feasible, destination_decode, draw_valid_channel,
-                     make_field, plan_extension, random_mimo_channel,
+                     exhaustive_scan, make_field, plan_extension, random_mimo_channel,
                      relay_decode, relay_encode, source_encode)
 from gfalign.mimo import random_message
-from gfalign.scheme import _relay_sums, _scan_hop, scalar_pipeline
-from oracles import ExtensionFieldPipeline
+from gfalign.scheme import _certify, _scan_hop, scalar_pipeline
+from oracles import (ExtensionFieldPipeline, relay_sums, scan_by_sweep,
+                     sweep_failures)
 from test_mimo import f4_fixture_channel
 
 
@@ -66,7 +69,7 @@ class TestScalarCore:
         tuples = _scan_hop(f4).feasible_tuples
         ch = TwoHopChannel(f4, tuples[0], tuples[-1])
         core = scalar_pipeline(ch, build_precoders(ch))
-        valid = {_relay_sums(f4, msg) for msg in all_messages(f4)}
+        valid = {relay_sums(2, msg) for msg in all_messages(f4)}
         lanes = list(itertools.product(range(2), repeat=2))
         raised = 0
         for u1, u2 in itertools.product(lanes, repeat=2):
@@ -168,3 +171,85 @@ class TestMatrixCore:
                     core.destination_half([u1], [u2])
                 raised += 1
         assert len(valid) == 8 and raised == 8
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("p,m,kwargs", [
+        (2, 1, {}), (3, 1, {}), (5, 1, {}), (7, 1, {}), (2, 2, {}),
+        (2, 2, {"pair_limit": 10}), (2, 3, {}),
+        (3, 2, {"tuple_limit": 10 ** 8})])
+    def test_scan_equals_sweep(self, p, m, kwargs):
+        assert (exhaustive_scan(p, m, **kwargs).to_dict()
+                == scan_by_sweep(p, m, **kwargs).to_dict())
+
+    @staticmethod
+    def cores():
+        """Seeded feasible scalar channels over GF(4), GF(8), GF(9) and
+        planned (3,2) matrix channels."""
+        out = []
+        for p, m in ((2, 2), (2, 3), (3, 2)):
+            spec = make_field(p, m)
+            rng = random.Random(83 + p * m)
+            done = 0
+            while done < 4:
+                ch = draw_valid_channel(spec, rng)
+                if check_feasible(ch).feasible:
+                    out.append(scalar_pipeline(ch, build_precoders(ch)))
+                    done += 1
+        plans, _ = planned_channels(3, 2, 4, 89)
+        out += [MimoPipeline(build_mimo_precoders(plan)).core for plan in plans]
+        return out
+
+    @staticmethod
+    def corrupt(core, name, i, j):
+        bad = copy.copy(core)
+        rows = [list(row) for row in getattr(core, name)]
+        rows[i][j] = (rows[i][j] + 1) % core.p
+        setattr(bad, name, rows)
+        return bad
+
+    @staticmethod
+    def outcome(count, core, factored):
+        try:
+            return count(core, factored)
+        except InconsistentSystem:
+            return "inconsistent"
+
+    def test_intact_cores_decode(self):
+        for core in self.cores():
+            for factored in (False, True):
+                assert _certify(core, factored) == 0
+                assert sweep_failures(core, factored) == 0
+
+    def test_corrupted_relay_entry(self):
+        rng = random.Random(97)
+        for core in self.cores():
+            n = 2 * core.m - 1
+            bad = self.corrupt(core, "relay_map", rng.randrange(2 * core.m),
+                               rng.randrange(n))
+            # factored: the relay half is checked against the sums alone
+            got = _certify(bad, True)
+            assert got == sweep_failures(bad, True) > 0
+            assert (self.outcome(_certify, bad, False)
+                    == self.outcome(sweep_failures, bad, False) != 0)
+
+    def test_corrupted_decode_row(self):
+        rng = random.Random(101)
+        for core in self.cores():
+            n = 2 * core.m - 1
+            bad = self.corrupt(core, "destination_map", rng.randrange(n),
+                               rng.randrange(2 * core.m))
+            for factored in (False, True):
+                got = _certify(bad, factored)
+                assert got == sweep_failures(bad, factored) > 0
+
+    def test_corrupted_residual_row(self):
+        rng = random.Random(103)
+        for core in self.cores():
+            bad = self.corrupt(core, "destination_map", 2 * core.m - 1,
+                               rng.randrange(2 * core.m))
+            for factored in (False, True):
+                with pytest.raises(InconsistentSystem):
+                    _certify(bad, factored)
+                with pytest.raises(InconsistentSystem):
+                    sweep_failures(bad, factored)

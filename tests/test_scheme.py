@@ -14,7 +14,7 @@ from gfalign import (InconsistentSystem, Mat, MessagePair, TwoHopChannel,
                      prime_field, primitive_element, relay_decode,
                      relay_encode, second_hop_inverse, simulate,
                      source_encode)
-from gfalign.scheme import _relay_sums, _scan_hop
+from gfalign.scheme import _relay_sum_rows, _scan_hop
 
 F4 = make_field(2, 2)
 ALPHA = primitive_element(F4)
@@ -402,8 +402,13 @@ class TestSecondHopIdentity:
 
     def test_relay_sums_match_pattern(self):
         for spec in (F4, make_field(3, 2), make_field(2, 3), make_field(5, 1)):
+            m = spec.m
+            rows = _relay_sum_rows(m)
             for msg in all_messages(spec):
-                assert _relay_sums(spec, msg) == expected_relay_sums(spec, msg)
+                x = msg.w1 + msg.w2
+                u = tuple(sum(a * b for a, b in zip(row, x)) % spec.p
+                          for row in rows)
+                assert (u[:m], u[m:]) == expected_relay_sums(spec, msg)
 
 
 class TestInfeasibilityWitness:
