@@ -7,9 +7,10 @@ precoders are built from eigen-decompositions.  Some eigenvalues only exist
 in the splitting field F_{p^L} of both hop products (L is the lcm of the
 irreducible-factor degrees across the two hops), but the eigenvector sum
 that leads each precoder is fixed by Frobenius, so the precoders are F_p
-matrices.  Message symbols live in F_{p^L}; each travels as L ground-field
-lanes through the F_p core shared with the scalar model
-(scheme.LinearPipeline).  Per slot the scheme still delivers 2m-1
+matrices.  Message symbols live in F_{p^L}, which is F_p^L as a vector
+space, so the F_p core shared with the scalar model (scheme.LinearPipeline)
+acts on their base-p codes directly: XOR for p = 2, packed digit
+arithmetic for odd p.  Per slot the scheme still delivers 2m-1
 ground-field symbols.
 """
 
@@ -25,7 +26,8 @@ from .gf import FieldElem, FieldSpec, make_field, prime_field
 from .linalg import (Mat, block2x2, eigenvectors_in, roots_in_field,
                      split_blocks, splitting_data, vandermonde_det)
 from .polys import Poly
-from .scheme import LinearPipeline, _json_fields, check_alignment
+from .scheme import (LinearPipeline, _is_json_ints, _json_fields, _json_int,
+                     check_alignment)
 
 _MATRIX_KEYS = ("Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")
 
@@ -210,9 +212,9 @@ class MimoPipeline:
     """Reusable end-to-end runner for one planned channel.
 
     Message symbols live in the plan's extension field F_{p^L}.  Each run
-    splits them into their L coefficient lanes, sends the lanes through the
-    shared F_p core (scheme.LinearPipeline) and reassembles the outputs, so
-    the extension field only matters where symbols are packed and unpacked.
+    sends their codes through the shared F_p core (scheme.LinearPipeline),
+    whose maps act on all L coefficients of a code at once, and returns
+    the output codes as elements of F_{p^L}.
     """
 
     def __init__(self, precoders: MimoPrecoders):
@@ -232,13 +234,13 @@ class MimoPipeline:
         m, ext = self.core.m, self.ext
         if len(w1) != m or len(w2) != m - 1:
             raise ValueError(f"expected message lengths {m} and {m - 1}")
-        element, pack = ext.element, ext._from_coeffs
-        lanes1 = list(zip(*[element(v).coeffs for v in w1]))
-        lanes2 = list(zip(*[element(v).coeffs for v in w2])) or [()] * ext.m
-        u1, u2 = self.core.relay_half(lanes1, lanes2)
-        got1, got2 = self.core.destination_half(u1, u2)
-        return tuple(tuple([pack(c) for c in zip(*lanes)])
-                     for lanes in (got1, got2, u1, u2))
+        element = ext.element
+        (u1,), (u2,) = self.core.relay_half([[element(v).code for v in w1]],
+                                            [[element(v).code for v in w2]])
+        (got1,), (got2,) = self.core.destination_half([u1], [u2])
+        symbol = ext.from_code if ext._elems is None else ext._elems.__getitem__
+        return (tuple(map(symbol, got1)), tuple(map(symbol, got2)),
+                tuple(map(symbol, u1)), tuple(map(symbol, u2)))
 
 
 @dataclass(frozen=True)
@@ -342,8 +344,6 @@ def mimo_channel_from_dict(obj: dict) -> MimoChannel:
     ValueError names a missing key or a misshapen value."""
     p, m, *mats = _json_fields(obj, ("p", "m") + _MATRIX_KEYS, "channel")
     for key, rows in zip(_MATRIX_KEYS, mats):
-        if not isinstance(rows, list) or not all(
-                isinstance(r, list) and all(isinstance(v, int) for v in r)
-                for r in rows):
+        if not isinstance(rows, list) or not all(map(_is_json_ints, rows)):
             raise ValueError(f"{key} must be a list of integer rows")
-    return MimoChannel.create(int(p), int(m), mats)
+    return MimoChannel.create(_json_int(p, "p"), _json_int(m, "m"), mats)

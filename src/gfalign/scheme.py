@@ -20,14 +20,17 @@ exactly when both ratios have minimal polynomials of full degree m, which
 makes the power-basis precoders full rank.
 
 simulate runs LinearPipeline, the F_p core shared with the matrix-channel
-model, which holds each half of the pipeline as one F_p matrix;
-exhaustive_scan reads its failure counts off those matrices by rank.  The
-stage functions source_encode .. destination_decode are the reference.
+model, which holds each half of the pipeline as one F_p matrix and applies
+it to symbol codes; exhaustive_scan reads its failure counts off those
+matrices by rank.  The stage functions source_encode .. destination_decode
+are the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -325,6 +328,102 @@ def destination_decode(pre: PrecoderSet, y3: FieldElem,
     return MessagePair(w1, w2)
 
 
+_TABLE_BITS = 12        # a digit table has at most 2^12 entries
+
+
+class _Residues:
+    """v -> v % p, for fields too wide to tabulate."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, v: int) -> int:
+        return v % self.p
+
+
+@functools.cache
+def _digit_codec(p: int, b: int):
+    """(spread, reduce) for an odd p and b-bit fields.
+
+    spread takes a base-p code to its digits, one per b-bit field; reduce
+    takes fields (each below 2^b) back to the base-p code of their residues
+    mod p.  Up to b = 12 both read tables of at most 2^12 entries, spread
+    for the largest block of digits that fits and reduce for 12 // b fields
+    at a time.  Wider fields go one digit at a time, reduced with % p.
+    """
+    if b <= _TABLE_BITS:
+        ks, kr, field = 1, _TABLE_BITS // b, (1 << b) - 1
+        while p ** (ks + 1) <= 1 << _TABLE_BITS:
+            ks += 1
+        spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
+                   for c in range(p ** ks)]
+        residues = [sum(((v >> (b * i)) & field) % p * p ** i for i in range(kr))
+                    for v in range(1 << (kr * b))]
+    else:
+        ks = kr = 1
+        spreads, residues = range(p), _Residues(p)
+    s_base, s_width = p ** ks, ks * b
+    r_base, r_width = p ** kr, kr * b
+    r_mask = (1 << r_width) - 1
+
+    def spread(c):
+        if c < s_base:
+            return spreads[c]
+        x = shift = 0
+        while c:
+            c, d = divmod(c, s_base)
+            x |= spreads[d] << shift
+            shift += s_width
+        return x
+
+    def reduce(s):
+        if s <= r_mask:
+            return residues[s]
+        code, scale = 0, 1
+        while s:
+            code += residues[s & r_mask] * scale
+            s >>= r_width
+            scale *= r_base
+        return code
+
+    return spread, reduce
+
+
+class _CodeMap:
+    """An F_p matrix (rows of integer codes) acting on vectors of symbol
+    codes: each symbol is a vector of F_p^L packed as base-p digits, and
+    the map acts on all L digit positions at once.
+
+    For p = 2 the digits are bits, so an output is the XOR of the input
+    codes its row selects.  For odd p each input's digits are spread into
+    b-bit fields, b the bit length of n (p-1)^2 for n columns, so a row's
+    dot product sums every digit position at once without a carry between
+    fields; reduce takes the sum back to a base-p code.
+    """
+
+    def __init__(self, p: int, rows: list[list[int]]):
+        self.rows = rows
+        if p == 2:
+            picks = [[j for j, a in enumerate(row) if a] for row in rows]
+
+            def apply(x):
+                out = []
+                for pick in picks:
+                    acc = 0
+                    for j in pick:
+                        acc ^= x[j]
+                    out.append(acc)
+                return out
+        else:
+            spread, reduce = _digit_codec(
+                p, (len(rows[0]) * (p - 1) ** 2).bit_length())
+
+            def apply(x):
+                fields = [spread(c) for c in x]
+                return [reduce(sum(map(mul, row, fields))) for row in rows]
+        self.apply = apply
+
+
 class LinearPipeline:
     """The scheme as two F_p matrices of integer codes, composed once from
     p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4.
@@ -332,8 +431,8 @@ class LinearPipeline:
     relay_map (2m x 2m-1) takes (w1; w2) to the relay sums (u1; u2), and
     destination_map (2m x 2m) takes (u1; u2) to (w1; w2; r), where the
     destination-2 residual r is zero iff y4 lies in the column space of v4.
-    Both act on lanes of F_p codes: one per message in the scalar model,
-    the L coefficient lanes of the F_{p^L} symbols in the matrix model.
+    Both act on vectors of symbol codes, base-p packed elements of F_p^L:
+    L = 1 in the scalar model, the extension degree in the matrix model.
     """
 
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
@@ -359,24 +458,47 @@ class LinearPipeline:
         self.destination_map = _matmul_mod_p(p, _block_diag(inverse(v3), t),
                                              code(hop2), encoders)
 
-    def _apply(self, rows, lanes_a, lanes_b):
-        p = self.p
-        return [tuple([sum(map(mul, row, x)) % p for row in rows])
-                for x in ([*a, *b] for a, b in zip(lanes_a, lanes_b))]
+    @property
+    def relay_map(self) -> list[list[int]]:
+        return self._relay.rows
+
+    @relay_map.setter
+    def relay_map(self, rows: list[list[int]]) -> None:
+        self._relay = _CodeMap(self.p, rows)
+
+    @property
+    def destination_map(self) -> list[list[int]]:
+        return self._destination.rows
+
+    @destination_map.setter
+    def destination_map(self, rows: list[list[int]]) -> None:
+        self._destination = _CodeMap(self.p, rows)
 
     def relay_half(self, w1, w2):
-        """Lanes (u1, u2) of the symbol sums both relays decode."""
-        u, m = self._apply(self.relay_map, w1, w2), self.m
-        return [lane[:m] for lane in u], [lane[m:] for lane in u]
+        """Symbol-code vectors (u1, u2) of the sums both relays decode, for
+        a batch of messages."""
+        apply, m = self._relay.apply, self.m
+        u1, u2 = [], []
+        for a, b in zip(w1, w2):
+            u = apply([*a, *b])
+            u1.append(tuple(u[:m]))
+            u2.append(tuple(u[m:]))
+        return u1, u2
 
     def destination_half(self, u1, u2):
-        """Lanes (w1, w2) decoded from the relay sums; InconsistentSystem
-        when a destination-2 observation leaves the column space of v4."""
-        w, m = self._apply(self.destination_map, u1, u2), self.m
-        if any(lane[-1] for lane in w):
-            raise InconsistentSystem(
-                "destination-2 observation left the side-precoder column space")
-        return [lane[:m] for lane in w], [lane[m:-1] for lane in w]
+        """Symbol-code vectors (w1, w2) decoded from a batch of relay sums;
+        InconsistentSystem when a destination-2 observation leaves the
+        column space of v4."""
+        apply, m = self._destination.apply, self.m
+        w1, w2 = [], []
+        for a, b in zip(u1, u2):
+            w = apply([*a, *b])
+            if w[-1]:
+                raise InconsistentSystem(
+                    "destination-2 observation left the side-precoder column space")
+            w1.append(tuple(w[:m]))
+            w2.append(tuple(w[m:-1]))
+        return w1, w2
 
 
 def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:
@@ -472,13 +594,44 @@ def _json_fields(obj, keys: Sequence[str], name: str) -> list:
     return [obj[k] for k in keys]
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer: an int, but not a bool."""
+    return type(value) is int
+
+
+def _is_json_ints(value) -> bool:
+    """True for a JSON list of integers."""
+    return isinstance(value, list) and all(map(_is_json_int, value))
+
+
+def _json_int(value, name: str) -> int:
+    if not _is_json_int(value):
+        raise ValueError(f"{name} must be an integer, not {json.dumps(value)}")
+    return value
+
+
+def _json_element(spec: FieldSpec, value, name: str) -> FieldElem:
+    """parse_element for the shapes the JSON format allows: an int, a list
+    of ints or an 'a^k' string."""
+    if not (isinstance(value, str) or _is_json_int(value) or _is_json_ints(value)):
+        raise ValueError(f"{name} must be an integer, a list of integers or an "
+                         f"'a^k' string, not {json.dumps(value)}")
+    return parse_element(spec, value)
+
+
 def channel_from_dict(obj: dict) -> TwoHopChannel:
-    """Parse the channel JSON shape (ValueError when it has another shape);
-    elements accept coefficient lists, 'a^k' strings, or ints mod p."""
+    """Parse the channel JSON shape (ValueError when it has another shape):
+    integers p and m, an optional list of integers pi, and elements given
+    as coefficient lists, 'a^k' strings, or ints mod p."""
     p, m, hop1, hop2 = _json_fields(obj, ("p", "m", "hop1", "hop2"), "channel")
-    spec = make_field(int(p), int(m), obj.get("pi"))
-    hop1 = tuple(parse_element(spec, v) for v in _json_fields(hop1, _HOP1_KEYS, "hop1"))
-    hop2 = tuple(parse_element(spec, v) for v in _json_fields(hop2, _HOP2_KEYS, "hop2"))
+    pi = obj.get("pi")
+    if pi is not None and not _is_json_ints(pi):
+        raise ValueError(f"pi must be a list of integers, not {json.dumps(pi)}")
+    spec = make_field(_json_int(p, "p"), _json_int(m, "m"), pi)
+    hop1 = tuple(_json_element(spec, v, k) for k, v in
+                 zip(_HOP1_KEYS, _json_fields(hop1, _HOP1_KEYS, "hop1")))
+    hop2 = tuple(_json_element(spec, v, k) for k, v in
+                 zip(_HOP2_KEYS, _json_fields(hop2, _HOP2_KEYS, "hop2")))
     return TwoHopChannel(spec, hop1, hop2)
 
 

@@ -148,6 +148,53 @@ class ExtensionFieldPipeline:
                 u2.col_entries(0))
 
 
+def lane_apply(p, rows, vectors, digits):
+    """rows applied to vectors of symbol codes, each code a base-p packed
+    element of F_p^digits, one digit lane at a time: every code is split
+    into its digits, each lane is a separate F_p matrix-vector product, and
+    the outputs are packed again."""
+    from operator import mul
+    from gfalign.gf import _code_to_coeffs, _coeffs_to_code
+    out = []
+    for x in vectors:
+        lanes = zip(*[_code_to_coeffs(c, p, digits) for c in x])
+        outputs = [[sum(map(mul, row, lane)) % p for row in rows]
+                   for lane in lanes]
+        out.append(tuple(_coeffs_to_code(d, p) for d in zip(*outputs)))
+    return out
+
+
+def lane_relay_half(core, w1, w2, digits):
+    """LinearPipeline.relay_half computed lane by lane."""
+    m = core.m
+    u = lane_apply(core.p, core.relay_map,
+                   [[*a, *b] for a, b in zip(w1, w2)], digits)
+    return [v[:m] for v in u], [v[m:] for v in u]
+
+
+def lane_destination_half(core, u1, u2, digits):
+    """LinearPipeline.destination_half computed lane by lane."""
+    from gfalign.errors import InconsistentSystem
+    m = core.m
+    w = lane_apply(core.p, core.destination_map,
+                   [[*a, *b] for a, b in zip(u1, u2)], digits)
+    if any(v[-1] for v in w):
+        raise InconsistentSystem("residual is nonzero")
+    return [v[:m] for v in w], [v[m:-1] for v in w]
+
+
+def lane_run(pipe, w1, w2):
+    """MimoPipeline.run computed lane by lane, with symbols built by
+    from_code."""
+    ext, core = pipe.ext, pipe.core
+    x1 = [ext.element(v).code for v in w1]
+    x2 = [ext.element(v).code for v in w2]
+    (u1,), (u2,) = lane_relay_half(core, [x1], [x2], ext.m)
+    (got1,), (got2,) = lane_destination_half(core, [u1], [u2], ext.m)
+    return tuple(tuple(ext.from_code(c) for c in codes)
+                 for codes in (got1, got2, u1, u2))
+
+
 def relay_sums(p, msg):
     """The symbol sums relays 1 and 2 decode: w1_i + w2_{i-1} and
     w1_i + w2_i."""

@@ -185,6 +185,39 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("p", [2], "p must be an integer, not [2]"),
+        ("p", 2.9, "p must be an integer, not 2.9"),
+        ("m", True, "m must be an integer, not true"),
+        ("pi", "x^2+x+1", 'pi must be a list of integers, not "x^2+x+1"'),
+        ("q11", None, "q11 must be an integer, a list of integers or an "
+                      "'a^k' string, not null"),
+        ("q34", [0, 1.5], "q34 must be an integer, a list of integers or an "
+                          "'a^k' string, not [0, 1.5]"),
+        ("q44", False, "q44 must be an integer, a list of integers or an "
+                       "'a^k' string, not false")])
+    def test_wrongly_typed_channel_exits_2(self, capsys, tmp_path, key, value,
+                                           message):
+        channel = json.loads(open(self.feasible_channel(tmp_path)).read())
+        for part in (channel, channel["hop1"], channel["hop2"]):
+            if key in part:
+                part[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(channel))
+        code, out, err = run(capsys, "simulate", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_element_notations_still_parse(self, capsys, tmp_path):
+        channel = json.loads(open(self.feasible_channel(tmp_path)).read())
+        channel["hop1"].update(q11=1, q12="a^0")
+        path = tmp_path / "notations.json"
+        path.write_text(json.dumps(channel))
+        code, payload = run_json(capsys, "simulate", "--channel", str(path),
+                                 "--seed", "1")
+        assert code == 0 and payload["success"] is True
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, stdout, _ = run(capsys, "simulate", "--channel",
@@ -256,6 +289,25 @@ class TestSymbolExt:
         ("Q11", "channel must be a JSON object, not str")])
     def test_malformed_channel_exits_2(self, capsys, tmp_path, channel, message):
         path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(channel))
+        code, out, err = run(capsys, "symbol-ext", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("p", [2], "p must be an integer, not [2]"),
+        ("p", True, "p must be an integer, not true"),
+        ("m", 2.0, "m must be an integer, not 2.0"),
+        ("Q21", [[1, 0], [0, True]], "Q21 must be a list of integer rows"),
+        ("Q43", [[1, 0], [0.5, 1]], "Q43 must be a list of integer rows")])
+    def test_wrongly_typed_channel_exits_2(self, capsys, tmp_path, key, value,
+                                           message):
+        ident = [[1, 0], [0, 1]]
+        channel = {"p": 2, "m": 2, **{k: ident for k in (
+            "Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")}}
+        channel[key] = value
+        path = tmp_path / "typed.json"
         path.write_text(json.dumps(channel))
         code, out, err = run(capsys, "symbol-ext", "--channel", str(path),
                              "--seed", "1")

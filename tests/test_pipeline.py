@@ -1,7 +1,8 @@
 """Cross-checks of the shared F_p core (scheme.LinearPipeline) against the
-stage-by-stage scalar functions and against an extension-field computation
-of the matrix-channel scheme, and of the scan's rank certificate against
-sending every message."""
+stage-by-stage scalar functions, against an extension-field computation
+of the matrix-channel scheme and against lane-by-lane matrix products on
+symbol codes, and of the scan's rank certificate against sending every
+message."""
 
 import copy
 import itertools
@@ -16,8 +17,9 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, InconsistentSystem,
                      exhaustive_scan, make_field, plan_extension, random_mimo_channel,
                      relay_decode, relay_encode, source_encode)
 from gfalign.mimo import random_message
-from gfalign.scheme import _certify, _scan_hop, scalar_pipeline
-from oracles import (ExtensionFieldPipeline, relay_sums, scan_by_sweep,
+from gfalign.scheme import _certify, _digit_codec, _scan_hop, scalar_pipeline
+from oracles import (ExtensionFieldPipeline, lane_destination_half,
+                     lane_relay_half, lane_run, relay_sums, scan_by_sweep,
                      sweep_failures)
 from test_mimo import f4_fixture_channel
 
@@ -253,3 +255,151 @@ class TestCertificate:
                     _certify(bad, factored)
                 with pytest.raises(InconsistentSystem):
                     sweep_failures(bad, factored)
+
+
+def every_message(ext, m):
+    return [(w1, w2) for w1 in itertools.product(ext.elements(), repeat=m)
+            for w2 in itertools.product(ext.elements(), repeat=m - 1)]
+
+
+def destination_outcome(half, core, u1, u2, *digits):
+    try:
+        return half(core, [u1], [u2], *digits)
+    except InconsistentSystem:
+        return "inconsistent"
+
+
+class TestCodeKernels:
+    """relay_half, destination_half and MimoPipeline.run act on symbol codes
+    (XOR for p = 2, packed digit fields for odd p); the lane oracle applies
+    the same maps to one base-p digit lane at a time."""
+
+    @staticmethod
+    def assert_matches_lanes(pipe, messages):
+        core, ext = pipe.core, pipe.ext
+        w1s = [tuple(v.code for v in w1) for w1, _ in messages]
+        w2s = [tuple(v.code for v in w2) for _, w2 in messages]
+        u1s, u2s = core.relay_half(w1s, w2s)
+        assert (u1s, u2s) == lane_relay_half(core, w1s, w2s, ext.m)
+        decoded = core.destination_half(u1s, u2s)
+        assert decoded == lane_destination_half(core, u1s, u2s, ext.m)
+        assert decoded == (w1s, w2s)
+        for w1, w2 in messages:
+            assert pipe.run(w1, w2) == lane_run(pipe, w1, w2)
+
+    @staticmethod
+    def assert_destination_matches_lanes(core, inputs, digits):
+        """Outputs, or InconsistentSystem, equal the oracle's on each
+        (u1, u2); returns how many raised."""
+        raised = 0
+        for u1, u2 in inputs:
+            got = destination_outcome(type(core).destination_half, core, u1, u2)
+            assert got == destination_outcome(lane_destination_half, core, u1,
+                                              u2, digits)
+            raised += got == "inconsistent"
+        return raised
+
+    @pytest.mark.parametrize("p,m,degree,count", [
+        (2, 2, 2, 3), (3, 2, 2, 3), (2, 3, 3, 2)])
+    def test_every_message_small_fields(self, p, m, degree, count):
+        # GF(4), GF(9) and GF(8) message symbols
+        plans, _ = planned_channels(p, m, count, 107 + p * m, degree)
+        for plan in plans:
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            self.assert_matches_lanes(pipe, every_message(plan.ext, m))
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (3, 1), (5, 1)])
+    def test_every_relay_output(self, p, m):
+        # all (u1, u2) in F_{p^L}^2m: the consistent ones decode, the rest
+        # leave a nonzero residual and raise, exactly as lane by lane
+        plans, _ = planned_channels(p, m, 2, 109 + p * m)
+        for plan in plans:
+            core = MimoPipeline(build_mimo_precoders(plan)).core
+            codes = list(itertools.product(range(plan.ext.order), repeat=m))
+            raised = self.assert_destination_matches_lanes(
+                core, itertools.product(codes, repeat=2), plan.ext.m)
+            assert raised == len(codes) ** 2 - plan.ext.order ** (2 * m - 1)
+
+    @pytest.mark.parametrize("p,m,degree,seed", [
+        (3, 3, 6, 113), (2, 6, 12, None)])
+    def test_seeded_wide_symbols(self, p, m, degree, seed):
+        if seed is None:
+            # a (2,6) channel whose hop products split over F_{2^12}
+            plans = [plan_extension(random_mimo_channel(2, 6, random.Random(782739422)))]
+            rng = random.Random(127)
+        else:
+            plans, rng = planned_channels(p, m, 2, seed, degree)
+        for plan in plans:
+            assert plan.degree == degree
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            self.assert_matches_lanes(
+                pipe, [random_message(plan.ext, m, rng) for _ in range(150)])
+            order = plan.ext.order
+            self.assert_destination_matches_lanes(
+                pipe.core, [([rng.randrange(order) for _ in range(m)],
+                             [rng.randrange(order) for _ in range(m)])
+                            for _ in range(100)], degree)
+
+    def test_thirty_slot_channel_without_tables(self):
+        plan = plan_extension(random_mimo_channel(2, 5, random.Random(0)))
+        assert plan.degree == 30 and plan.ext._elems is None
+        rng = random.Random(131)
+        self.assert_matches_lanes(MimoPipeline(build_mimo_precoders(plan)),
+                                  [random_message(plan.ext, 5, rng) for _ in range(40)])
+
+    def test_large_p_without_reduction_table(self):
+        # rows of n >= 3 entries need more than 12 bits per digit, so the
+        # kernel reduces with % p: p = 41 plans over F_{41^2}, p = 1009 over
+        # F_1009, and the p = 1009 maps are also fed codes of two and three
+        # digits
+        plans, rng = planned_channels(41, 2, 2, 137, 2)
+        wide = plan_extension(random_mimo_channel(1009, 2, random.Random(17)))
+        for plan in plans + [wide]:
+            assert (3 * (plan.channel.ground.p - 1) ** 2).bit_length() > 12
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            self.assert_matches_lanes(
+                pipe, [random_message(plan.ext, 2, rng) for _ in range(300)])
+        core = pipe.core
+        for digits in (2, 3):
+            order = 1009 ** digits
+            w1s = [tuple(rng.randrange(order) for _ in range(2)) for _ in range(300)]
+            w2s = [(rng.randrange(order),) for _ in range(300)]
+            u = core.relay_half(w1s, w2s)
+            assert u == lane_relay_half(core, w1s, w2s, digits)
+            decoded = core.destination_half(*u)
+            assert decoded == lane_destination_half(core, *u, digits) == (w1s, w2s)
+            self.assert_destination_matches_lanes(
+                core, [((rng.randrange(order), rng.randrange(order)),
+                        (rng.randrange(order), rng.randrange(order)))
+                       for _ in range(100)], digits)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_single_slot_channels(self, p):
+        # m = 1: w2 is empty and the destination map is w1 plus the residual
+        plans, _ = planned_channels(p, 1, 3, 139 + p)
+        for plan in plans:
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            messages = every_message(plan.ext, 1)
+            assert all(w2 == () for _, w2 in messages)
+            self.assert_matches_lanes(pipe, messages)
+            one = plan.ext.one
+            for w1, w2 in (((one,), (one,)), ((), ()), ((one, one), ())):
+                with pytest.raises(ValueError, match="message lengths"):
+                    pipe.run(w1, w2)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 41])
+    def test_digit_codec(self, p):
+        # spread puts one digit per field; reduce takes any fields below
+        # 2^b to the code of their residues, for every b a row can need
+        rng = random.Random(151 + p)
+        for n in range(1, 9):
+            b = (n * (p - 1) ** 2).bit_length()
+            spread, reduce = _digit_codec(p, b)
+            for digits in (1, 2, 3, 7):
+                for _ in range(50):
+                    d = [rng.randrange(p) for _ in range(digits)]
+                    f = [rng.randrange(1 << b) for _ in range(digits)]
+                    code = sum(x * p ** i for i, x in enumerate(d))
+                    assert spread(code) == sum(x << b * i for i, x in enumerate(d))
+                    assert reduce(sum(x << b * i for i, x in enumerate(f))) == \
+                        sum(x % p * p ** i for i, x in enumerate(f))
