@@ -5,8 +5,7 @@ matrix channels (symbol-extension model), both run by one F_p pipeline."""
 
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      GFAlignError, InconsistentSystem, NotInImage, NotPrime,
-                     NotPrimitive, Singular, SingularChannel, TooLarge,
-                     ZeroSBlock)
+                     NotPrimitive, Singular, SingularChannel, TooLarge)
 from .feasibility import (DiagFeasibility, FeasibilityStats, McFeasibility,
                           NormalizedRates, diag_exhaustive,
                           diag_symbol_ext_feasibility, exact_fraction,
@@ -17,7 +16,7 @@ from .gf import (FieldElem, FieldSpec, conjugates, format_element, make_field,
                  primitive_element)
 from .linalg import (Mat, block2x2, char_poly, coeff_rows, coeff_vector,
                      companion_matrix, elem_from_coeff_vector,
-                     elem_from_matrix_rep, lift_matrix,
+                     elem_from_matrix_rep, krylov_precoders, lift_matrix,
                      linear_combination_image, matrix_rep, null_space_vector,
                      roots_in_field, solve_exact, split_blocks,
                      vandermonde_det, vector_from_coeff_rows)
@@ -30,12 +29,11 @@ from .polys import (Poly, count_irreducible, divisors, enumerate_irreducible,
                     minimal_polynomial, mobius, parse_poly, squarefree)
 from .scheme import (FeasibilityVerdict, LinearPipeline, MessagePair,
                      PrecoderSet, ScanReport, SimulationReport, TwoHopChannel,
-                     all_messages, alignment_ratios, apply_hop,
-                     build_precoders, channel_from_dict, channel_to_dict,
-                     check_feasible, destination_decode, draw_channel,
-                     draw_valid_channel, exhaustive_scan, power_basis_matrix,
-                     random_message, relay_decode, relay_encode,
-                     scalar_pipeline, second_hop_inverse, simulate,
-                     source_encode)
+                     all_messages, apply_hop, build_precoders,
+                     channel_from_dict, channel_to_dict, check_feasible,
+                     destination_decode, draw_channel, draw_valid_channel,
+                     exhaustive_scan, random_message, relay_decode,
+                     relay_encode, scalar_pipeline, second_hop_inverse,
+                     simulate, source_encode)
 
 __version__ = "0.1.0"

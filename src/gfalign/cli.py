@@ -141,6 +141,15 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _symbols(ext, text: str) -> list:
+    """';'-separated coefficient lists as elements of ext; ValueError
+    unless every coefficient lies in [0, p)."""
+    parts = [_parse_int_list(part) for part in text.split(";")]
+    if any(not 0 <= c < ext.p for part in parts for c in part):
+        raise ValueError(f"message coefficients must lie in [0, {ext.p})")
+    return [ext.element(part) for part in parts]
+
+
 def cmd_symbol_ext(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else None
     if args.channel:
@@ -157,10 +166,8 @@ def cmd_symbol_ext(args) -> int:
         return 1
     pipeline = mimo.MimoPipeline(mimo.build_mimo_precoders(plan))
     if _explicit_message(args, ch.m):
-        w1 = [plan.ext.element(_parse_int_list(part))
-              for part in args.w1.split(";")]
-        w2 = [plan.ext.element(_parse_int_list(part))
-              for part in args.w2.split(";")] if args.w2 else []
+        w1 = _symbols(plan.ext, args.w1)
+        w2 = _symbols(plan.ext, args.w2) if args.w2 else []
     else:
         w1, w2 = mimo.random_message(plan.ext, ch.m, rng)
     report = mimo.simulate_symbol_ext(ch, w1, w2, pipeline)

@@ -37,11 +37,6 @@ class DegenerateSpectrum(GFAlignError, ValueError):
     """A matrix has repeated eigenvalues (characteristic polynomial not squarefree)."""
 
 
-class ZeroSBlock(GFAlignError, ValueError):
-    """The inverse of the second-hop matrix has a zero block, so the
-    second-hop cross ratio does not exist."""
-
-
 class SingularChannel(GFAlignError, ValueError):
     """A channel matrix (or a compound hop matrix, or an inverse block)
     required to be invertible is singular."""

@@ -269,12 +269,6 @@ class FieldElem:
         return self.code == other.code and (
             other.spec is self.spec or other.spec == self.spec)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __hash__(self):
         return hash((self.spec._hash, self.code))
 
@@ -416,12 +410,6 @@ class FieldSpec:
             return NotImplemented
         return self.p == other.p and self.m == other.m and self.pi == other.pi
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __hash__(self):
         return self._hash
 
@@ -459,6 +447,8 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 def _normalize_modulus(p: int, m: int, pi) -> tuple[int, ...]:
     coeffs = getattr(pi, "coeffs", pi)
+    if coeffs is not pi and len(coeffs) != m + 1:
+        raise ValueError(f"modulus must have degree {m}, not {len(coeffs) - 1}")
     vals = []
     for c in coeffs:
         code = getattr(c, "code", c)
@@ -486,8 +476,8 @@ def make_field(p: int, m: int, pi=None) -> FieldSpec:
 
     ``pi`` may be omitted (lexicographically smallest primitive modulus is
     selected), or given as a low-degree-first coefficient sequence of length
-    m (leading 1 implicit) or m+1 (explicit leading 1), or as any object with
-    a ``coeffs`` attribute.
+    m (leading 1 implicit) or m+1 (explicit leading 1), or as a polynomial
+    (any object with a ``coeffs`` attribute) of degree exactly m.
     """
     check_field_params(p, m)
     if pi is None:

@@ -99,14 +99,6 @@ class Mat:
     def col_entries(self, j: int) -> tuple[FieldElem, ...]:
         return tuple(row[j] for row in self.rows)
 
-    def columns(self) -> list["Mat"]:
-        return [self.col(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "Mat":
-        if self.ncols == 0:
-            raise DimensionMismatch("cannot transpose an empty-width matrix")
-        return Mat(self.spec, tuple(zip(*self.rows)))
-
     def _check(self, other: "Mat") -> None:
         if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("matrices over different fields")
@@ -157,10 +149,6 @@ class Mat:
         if not isinstance(other, Mat):
             return NotImplemented
         return self.spec == other.spec and self.rows == other.rows
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.spec, self.rows))
@@ -331,6 +319,21 @@ def null_space_vector(a: Mat) -> Mat:
     low = next(x for x in v if x.code)
     inv = low.inv()
     return Mat.column(spec, [x * inv for x in v])
+
+
+def krylov_precoders(product: Mat, lead: Mat, cross: Mat) -> tuple[Mat, Mat]:
+    """Main (n x n) and side (n x n-1) precoders of one hop.
+
+    The main precoder has columns product^l lead for l < n, a Krylov basis
+    that has full rank iff lead is a cyclic vector of product; the side
+    precoder is cross times its first n-1 columns.
+    """
+    cols = [lead]
+    for _ in range(product.nrows - 1):
+        cols.append(product @ cols[-1])
+    return (Mat.from_columns(product.spec, cols),
+            Mat.from_columns(product.spec, [cross @ col for col in cols[:-1]],
+                             nrows=product.nrows))
 
 
 def block2x2(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:

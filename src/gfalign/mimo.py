@@ -23,8 +23,9 @@ from typing import Sequence
 
 from .errors import SingularChannel
 from .gf import FieldElem, FieldSpec, make_field, prime_field
-from .linalg import (Mat, block2x2, eigenvectors_in, roots_in_field,
-                     split_blocks, splitting_data, vandermonde_det)
+from .linalg import (Mat, block2x2, eigenvectors_in, krylov_precoders,
+                     roots_in_field, split_blocks, splitting_data,
+                     vandermonde_det)
 from .polys import Poly
 from .scheme import (LinearPipeline, _is_json_ints, _json_fields, _json_int,
                      check_alignment)
@@ -164,12 +165,13 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
 class MimoPrecoders:
     """Precoding matrices over the ground field F_p.
 
-    v1 columns are product^l applied to the eigenvector sum (the all-ones
-    combination in the eigenbasis), which a Vandermonde argument keeps full
-    rank; v2 repeats the pattern through Q22^-1 Q21 to align the hops.  v3
-    and v4 mirror the construction for the inverted second hop.  The
-    eigenvector sum is fixed by Frobenius, so it lies in F_p^m and every
-    precoder is a ground-field matrix, whatever the extension degree.
+    v1 and v2 are krylov_precoders of the hop-1 product, led by the
+    eigenvector sum (the all-ones combination in the eigenbasis, which a
+    Vandermonde argument keeps full rank), with cross Q22^-1 Q21 to align
+    the hops.  v3 and v4 mirror the construction for the inverted second
+    hop.  The eigenvector sum is fixed by Frobenius, so it lies in F_p^m and
+    every precoder is a ground-field matrix, whatever the extension degree.
+    The scalar model's PrecoderSet is the same construction.
     """
 
     plan: ExtensionPlan
@@ -185,16 +187,12 @@ def _hop_precoders(plan: ExtensionPlan, hop: HopPlan, cross: Mat) -> tuple[Mat, 
     codes = [row[0].code for row in lead.rows]
     assert all(c < ground.p for c in codes), \
         "the eigenvector sum must be fixed by Frobenius"
-    cols = [Mat.column(ground, codes)]
-    for _ in range(m - 1):
-        cols.append(hop.product @ cols[-1])
-    v_main = Mat.from_columns(ground, cols)
+    v_main, v_side = krylov_precoders(hop.product, Mat.column(ground, codes),
+                                      cross)
     det = v_main.det().lift(ext)
     expected = hop.eigenvectors.det() * vandermonde_det(hop.eigenvalues)
     assert det == expected and det.code, \
         "power-basis determinant must equal the eigenvector-Vandermonde product"
-    v_side = Mat.from_columns(ground, [cross @ cols[l] for l in range(m - 1)],
-                              nrows=m)
     return v_main, v_side
 
 

@@ -150,10 +150,6 @@ class Poly:
             return NotImplemented
         return self.spec == other.spec and self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.spec, self.coeffs))
 

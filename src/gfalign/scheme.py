@@ -37,12 +37,12 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import InconsistentSystem, TooLarge, ZeroSBlock
+from .errors import InconsistentSystem, TooLarge
 from .gf import (FieldElem, FieldSpec, format_element, make_field,
                  minpoly_degree, parse_element, prime_field)
 from .linalg import (Mat, _block_diag, _eliminate_mod_p, _matmul_mod_p,
-                     block2x2, coeff_vector, elem_from_coeff_vector, matrix_rep,
-                     solve_exact, split_blocks)
+                     block2x2, coeff_vector, elem_from_coeff_vector,
+                     krylov_precoders, matrix_rep, solve_exact, split_blocks)
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
@@ -87,24 +87,6 @@ def _cross_ratio(a: FieldElem, b: FieldElem, c: FieldElem,
                  d: FieldElem) -> FieldElem:
     """a^-1 b d^-1 c for the hop matrix [[a, b], [c, d]]."""
     return a.inv() * b * d.inv() * c
-
-
-def alignment_ratios(ch: TwoHopChannel) -> tuple[FieldElem, FieldElem]:
-    """The two cross ratios driving feasibility and precoder construction.
-
-    The first is q11^-1 q12 q22^-1 q21.  The second is the same expression in
-    the blocks of the inverted second-hop matrix, which equals the second
-    hop's own ratio q33^-1 q34 q44^-1 q43 because the determinant cancels.
-    Raises ZeroDivisionError when q11, q22 or the second-hop determinant is
-    zero, and ZeroSBlock when the second hop is invertible but has a zero
-    coefficient (e.g. a diagonal second hop): an inverse block then
-    vanishes, so the ratio of the inverted hop does not exist.
-    """
-    r1 = _cross_ratio(*ch.hop1)
-    ch.hop_det(2).inv()             # ZeroDivisionError on a singular second hop
-    if not all(ch.hop2):
-        raise ZeroSBlock("inverted second hop has a zero block")
-    return r1, _cross_ratio(*ch.hop2)
 
 
 @dataclass(frozen=True)
@@ -175,41 +157,29 @@ class PrecoderSet:
     s22: FieldElem
 
 
-def power_basis_matrix(ratio: FieldElem, width: int) -> Mat:
-    """Columns are the coefficient vectors of ratio^0, ..., ratio^(width-1).
-
-    Its rank equals the minimal-polynomial degree of the ratio (the columns
-    span the subfield generated by it), which is the full-rank argument
-    behind the feasibility condition.
-    """
-    cols = [coeff_vector(ratio ** k) for k in range(width)]
-    return Mat.from_columns(prime_field(ratio.spec), cols, nrows=ratio.spec.m)
-
-
 def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     """Construct and verify the four precoding matrices of a feasible channel.
 
-    Column l+1 of v1 is the image of the first column under the l-th power
-    of the hop-1 ratio, with the first column fixed to the unit element's
-    coefficient vector; v2 repeats the pattern scaled by q22^-1 q21, which is
-    exactly what makes both relays observe aligned sums.  v3 and v4 mirror
-    the construction with the second-hop ratio and inverse blocks.  Ranks and
-    alignment identities are asserted; a failure would contradict the
-    feasibility condition, not user input.
+    A scalar hop is the F_p matrix channel with blocks matrix_rep(q), so v1
+    and v2 are its Krylov precoders: product matrix_rep(r1) for the hop-1
+    ratio r1, lead the unit element's coefficient vector (column l of v1 is
+    that of r1^l), and cross matrix_rep(q22^-1 q21), which makes both relays
+    observe aligned sums.  v3 and v4 mirror this for the second hop.  An
+    infeasible channel raises ValueError; ranks and alignment identities are
+    asserted, since a failure would contradict feasibility, not user input.
     """
     verdict = check_feasible(ch)
     if not verdict.feasible:
         raise ValueError("channel is infeasible: " + "; ".join(verdict.reasons))
     spec = ch.spec
     m = spec.m
-    r1, r2 = alignment_ratios(ch)
+    r1, r2 = _cross_ratio(*ch.hop1), _cross_ratio(*ch.hop2)
     s11, s12, s21, s22 = second_hop_inverse(ch)
     q11, q12, q21, q22 = ch.hop1
 
-    v1 = power_basis_matrix(r1, m)
-    v2 = matrix_rep(q22.inv() * q21) @ power_basis_matrix(r1, m - 1)
-    v3 = power_basis_matrix(r2, m)
-    v4 = matrix_rep(s22.inv() * s21) @ power_basis_matrix(r2, m - 1)
+    unit = coeff_vector(spec.one)
+    v1, v2 = krylov_precoders(matrix_rep(r1), unit, matrix_rep(q22.inv() * q21))
+    v3, v4 = krylov_precoders(matrix_rep(r2), unit, matrix_rep(s22.inv() * s21))
     assert v1.rank() == m and v3.rank() == m, \
         "full-degree ratio must give a full-rank power basis"
     check_alignment([matrix_rep(q) for q in (q11, q12, q21, q22, s11, s12, s21, s22)],
@@ -745,23 +715,26 @@ def _relay_sum_rows(m: int) -> list[list[int]]:
             for shift in (1, 0) for i in range(m)]
 
 
-def _certify(core: LinearPipeline, factored: bool) -> int:
-    """Failing messages of one channel among all p^n, n = 2m-1: a map M
-    misses its target T on p^n - p^(n - rank(M - T)) of them.  Paired,
-    destination_map relay_map must be I; factored, relay_map must be S and
-    destination_map S must be I.  Raises InconsistentSystem iff a relayed
-    message leaves a nonzero residual."""
-    p, n = core.p, 2 * core.m - 1
+def _certify(relay: LinearPipeline, destination: LinearPipeline,
+             factored: bool) -> int:
+    """Failing messages among all p^n, n = 2m-1, of the channel with the
+    first hop of relay and the second hop of destination: relay_map reads
+    only hop 1, v1 and v2, and destination_map only hop 2, v3, v4, S11 and
+    S21.  A map M misses its target T on p^n - p^(n - rank(M - T)) messages.
+    Paired, destination_map relay_map must be I; factored, relay_map must be
+    S and destination_map S must be I.  Raises InconsistentSystem iff a
+    relayed message leaves a nonzero residual."""
+    p, n = relay.p, 2 * relay.m - 1
 
     def failing(got, want):
         diff = [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(got, want)]
         return p ** n - p ** (n - _eliminate_mod_p(diff, p)[0])
 
-    sums = _relay_sum_rows(core.m)
-    relayed, failures = core.relay_map, 0
+    sums = _relay_sum_rows(relay.m)
+    relayed, failures = relay.relay_map, 0
     if factored:
         relayed, failures = sums, failing(relayed, sums)
-    *decoded, residual = _matmul_mod_p(p, core.destination_map, relayed)
+    *decoded, residual = _matmul_mod_p(p, destination.destination_map, relayed)
     if any(residual):
         raise InconsistentSystem(
             "destination-2 observation left the side-precoder column space")
@@ -774,9 +747,10 @@ def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
     """Classify every all-nonzero channel tuple and verify decoding.
 
     Guard: refuses when the raw tuple count (p^m - 1)^8 exceeds tuple_limit.
-    Up to pair_limit valid channels, every feasible pair is verified end to
-    end (paired mode).  Beyond that, each feasible hop tuple t is run as the
-    channel (t, t), with the relay half and the destination half checked
+    One core is built per feasible hop tuple t, as the channel (t, t).  Up to
+    pair_limit valid channels, every feasible pair (t1, t2) is verified end
+    to end from t1's relay_map and t2's destination_map (paired mode).
+    Beyond that, each core's relay half and destination half are checked
     separately (factored mode).  This covers the same ground, because the
     halves interact only through the decoded sums.  No message is sent (see
     _certify)."""
@@ -789,12 +763,15 @@ def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
     valid_channels = scan.valid ** 2
     feasible_channels = scan.feasible ** 2
     paired = valid_channels <= pair_limit
-    channels = (list(itertools.product(scan.feasible_tuples, repeat=2)) if paired
-                else [(t, t) for t in scan.feasible_tuples])
+    cores = []
+    for t in scan.feasible_tuples:
+        ch = TwoHopChannel(spec, t, t)
+        cores.append(scalar_pipeline(ch, build_precoders(ch)))
+    channels = (list(itertools.product(cores, repeat=2)) if paired
+                else list(zip(cores, cores)))
     failures = 0
-    for t1, t2 in channels:
-        ch = TwoHopChannel(spec, t1, t2)
-        failures += _certify(scalar_pipeline(ch, build_precoders(ch)), not paired)
+    for relay, destination in channels:
+        failures += _certify(relay, destination, not paired)
     messages = p ** (2 * m - 1)
     round_trips = len(channels) * messages * (1 if paired else 2)
     counts = (scan.tuples, scan.valid, scan.feasible)

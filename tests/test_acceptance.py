@@ -15,12 +15,11 @@ from gfalign import (DegenerateSpectrum, Mat, MimoPipeline, all_messages,
                      check_feasible, coeff_rows, coeff_vector,
                      count_irreducible, diag_symbol_ext_feasibility,
                      draw_valid_channel, enumerate_irreducible,
-                     exact_fraction, exhaustive_scan, lift_matrix,
-                     linear_combination_image, lower_bound, make_field,
-                     mc_feasibility, minpoly_degree, normalized_rates,
-                     plan_extension, power_basis_matrix, prime_field,
-                     random_mimo_channel, simulate,
-                     vandermonde_det)
+                     exact_fraction, exhaustive_scan, krylov_precoders,
+                     lift_matrix, linear_combination_image, lower_bound,
+                     make_field, matrix_rep, mc_feasibility, minpoly_degree,
+                     normalized_rates, plan_extension, prime_field,
+                     random_mimo_channel, simulate, vandermonde_det)
 from gfalign.mimo import random_message as random_ext_message
 from oracles import roots_by_enumeration
 
@@ -135,12 +134,13 @@ def test_c04_end_to_end_delivery(f4_scan):
 
 def test_c05_infeasibility_witness():
     f4 = make_field(2, 2)
+    unit, eye = coeff_vector(f4.one), Mat.identity(prime_field(f4), 2)
     elems = list(f4.nonzero_elements())
     degree_one = 0
     for t in itertools.product(elems, repeat=4):
         q11, q12, q21, q22 = t
         ratio = q11.inv() * q12 * q22.inv() * q21
-        rank = power_basis_matrix(ratio, 2).rank()
+        rank = krylov_precoders(matrix_rep(ratio), unit, eye)[0].rank()
         deg = minpoly_degree(ratio)
         assert rank == deg
         if deg == 1:

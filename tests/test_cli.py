@@ -65,6 +65,15 @@ class TestFieldInfo:
         assert code == 2
         assert "primitive" in err
 
+    @pytest.mark.parametrize("command", ["field-info", "scan"])
+    @pytest.mark.parametrize("pi,degree", [
+        ("x+1", 1), ("[1,1,0]", 1), ("2x^2+x+1", 1), ("x^3+x+1", 3)])
+    def test_modulus_of_wrong_degree_exits_2(self, capsys, command, pi, degree):
+        # these used to be read as the low coefficients of 1 + x + x^2
+        code, out, err = run(capsys, command, "--p", "2", "--m", "2", "--pi", pi)
+        assert code == 2 and out == ""
+        assert err == f"error: modulus must have degree 2, not {degree}\n"
+
 
 class TestBoundsAndMc:
     def test_bounds_json(self, capsys):
@@ -317,6 +326,15 @@ class TestSymbolExt:
     def test_needs_channel_or_params(self, capsys):
         code, _, err = run(capsys, "symbol-ext", "--seed", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("w1,w2", [
+        ("5,0;1,1", "1,0"), ("1,0;1,1", "0,2"), ("-1,0;1,1", "1,0")])
+    def test_out_of_range_coefficient_exits_2(self, capsys, w1, w2):
+        # refused as simulate refuses it, not reduced mod p
+        code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",
+                             "--seed", "1", f"--w1={w1}", f"--w2={w2}")
+        assert code == 2 and out == ""
+        assert err == "error: message coefficients must lie in [0, 2)\n"
 
     def test_w2_without_w1_exits_2(self, capsys):
         code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from gfalign import (FieldMismatch, NotPrime, NotPrimitive, conjugates,
-                     format_element, make_field, minpoly_degree,
-                     parse_element, prime_field, primitive_element)
+from gfalign import (FieldMismatch, Mat, NotPrime, NotPrimitive, Poly,
+                     conjugates, format_element, make_field, minpoly_degree,
+                     parse_element, parse_poly, prime_field,
+                     primitive_element)
 from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _code_to_coeffs,
                         _default_modulus, is_prime)
 from oracles import (add_code, default_modulus_by_scan, dense_tables,
@@ -64,6 +65,24 @@ class TestConstruction:
     def test_nonmonic_rejected(self):
         with pytest.raises(ValueError):
             make_field(3, 2, [1, 1, 2])
+        with pytest.raises(ValueError, match="monic"):
+            make_field(3, 2, parse_poly(3, "2x^2+x+1"))
+
+    @pytest.mark.parametrize("p,m,text", [
+        (3, 2, "x+2"), (2, 2, "x+1"), (2, 2, "[1,1,0]"), (2, 2, "2x^2+x+1"),
+        (2, 3, "x^2+x+1"), (2, 2, "x^3+x+1"), (2, 2, "0")])
+    def test_polynomial_of_wrong_degree_rejected(self, p, m, text):
+        # a polynomial is never read as the m low coefficients: x+2 is not
+        # x^2 + x + 2, and 2x^2 + x + 1 over GF(2) has degree 1
+        with pytest.raises(ValueError, match=f"modulus must have degree {m}"):
+            make_field(p, m, parse_poly(p, text))
+
+    def test_polynomial_of_degree_m_accepted(self):
+        assert make_field(3, 2, parse_poly(3, "x^2+x+2")).modulus_coeffs == (2, 1, 1)
+        assert make_field(2, 2, Poly(prime_field(2), [1, 1, 1])).modulus_coeffs \
+            == (1, 1, 1)
+        # a plain list of length m stays the low-coefficient form
+        assert make_field(3, 2, [2, 1]).modulus_coeffs == (2, 1, 1)
 
     def test_default_moduli_are_lex_smallest(self):
         # oracle: first candidate (low-degree-first lexicographic order)
@@ -97,6 +116,19 @@ class TestConstruction:
 
 
 class TestArithmetic:
+    def test_inequality_inverts_equality(self):
+        # Python's default __ne__ negates __eq__ and falls back to identity
+        # when __eq__ returns NotImplemented
+        f4, f8 = make_field(2, 2), make_field(2, 3)
+        one = Poly(prime_field(2), [1])
+        pairs = [(f4.one, f4.element(1), f4.zero), (f4, make_field(2, 2), f8),
+                 (Mat.identity(f4, 2), Mat.identity(f4, 2), Mat.zeros(f4, 2, 2)),
+                 (one, Poly(prime_field(2), [1, 0]), Poly(prime_field(2), [0, 1]))]
+        for value, equal, other in pairs:
+            assert (value != equal) is False and (value != other) is True
+            assert (value != "x") is True and (value != None) is True  # noqa: E711
+        assert (f4.one != f8.one) is True
+
     def test_f4_table(self):
         f4 = make_field(2, 2)
         a = primitive_element(f4)

@@ -217,10 +217,37 @@ class TestCertificate:
         except InconsistentSystem:
             return "inconsistent"
 
+    @staticmethod
+    def certify(core, factored):
+        """_certify of the core's own channel."""
+        return _certify(core, core, factored)
+
+    @pytest.mark.parametrize("p,m,pairs", [(2, 2, None), (2, 3, 60), (3, 2, 60)])
+    def test_halves_read_only_their_hop(self, p, m, pairs):
+        # the channel (t1, t2) has the relay map of (t1, t1) and the
+        # destination map of (t2, t2), so a scan needs one core per tuple
+        spec = make_field(p, m)
+        tuples = _scan_hop(spec).feasible_tuples
+        if pairs is None:
+            chosen = list(itertools.product(tuples, repeat=2))
+        else:
+            rng = random.Random(107 + p * m)
+            chosen = [(rng.choice(tuples), rng.choice(tuples)) for _ in range(pairs)]
+
+        def core(t1, t2):
+            ch = TwoHopChannel(spec, t1, t2)
+            return scalar_pipeline(ch, build_precoders(ch))
+
+        for t1, t2 in chosen:
+            joint, first, second = core(t1, t2), core(t1, t1), core(t2, t2)
+            assert joint.relay_map == first.relay_map
+            assert joint.destination_map == second.destination_map
+            assert _certify(first, second, False) == self.certify(joint, False) == 0
+
     def test_intact_cores_decode(self):
         for core in self.cores():
             for factored in (False, True):
-                assert _certify(core, factored) == 0
+                assert self.certify(core, factored) == 0
                 assert sweep_failures(core, factored) == 0
 
     def test_corrupted_relay_entry(self):
@@ -230,9 +257,9 @@ class TestCertificate:
             bad = self.corrupt(core, "relay_map", rng.randrange(2 * core.m),
                                rng.randrange(n))
             # factored: the relay half is checked against the sums alone
-            got = _certify(bad, True)
+            got = self.certify(bad, True)
             assert got == sweep_failures(bad, True) > 0
-            assert (self.outcome(_certify, bad, False)
+            assert (self.outcome(self.certify, bad, False)
                     == self.outcome(sweep_failures, bad, False) != 0)
 
     def test_corrupted_decode_row(self):
@@ -242,8 +269,28 @@ class TestCertificate:
             bad = self.corrupt(core, "destination_map", rng.randrange(n),
                                rng.randrange(2 * core.m))
             for factored in (False, True):
-                got = _certify(bad, factored)
+                got = self.certify(bad, factored)
                 assert got == sweep_failures(bad, factored) > 0
+
+    def test_pair_reads_destination_of_second_core(self):
+        # a pair is certified from the first core's relay map and the second
+        # core's destination map; the reference is one core holding both
+        rng = random.Random(109)
+        cores = self.cores()
+        checked = 0
+        for good, other in zip(cores, cores[1:]):
+            if (good.p, good.m) != (other.p, other.m):
+                continue
+            bad = self.corrupt(other, "destination_map",
+                               rng.randrange(2 * other.m - 1),
+                               rng.randrange(2 * other.m))
+            pair = copy.copy(good)
+            pair.destination_map = bad.destination_map
+            for factored in (False, True):
+                got = _certify(good, bad, factored)
+                assert got == sweep_failures(pair, factored) > 0
+            checked += 1
+        assert checked >= 9
 
     def test_corrupted_residual_row(self):
         rng = random.Random(103)
@@ -252,7 +299,7 @@ class TestCertificate:
                                rng.randrange(2 * core.m))
             for factored in (False, True):
                 with pytest.raises(InconsistentSystem):
-                    _certify(bad, factored)
+                    self.certify(bad, factored)
                 with pytest.raises(InconsistentSystem):
                     sweep_failures(bad, factored)
 

@@ -5,16 +5,14 @@ import random
 import pytest
 
 from gfalign import (InconsistentSystem, Mat, MessagePair, TwoHopChannel,
-                     ZeroSBlock, all_messages, alignment_ratios, apply_hop,
-                     block2x2, build_precoders, channel_from_dict,
-                     channel_to_dict, check_feasible, coeff_vector,
-                     destination_decode, draw_valid_channel,
-                     elem_from_coeff_vector, exhaustive_scan, make_field,
-                     matrix_rep, minpoly_degree, power_basis_matrix,
-                     prime_field, primitive_element, relay_decode,
-                     relay_encode, second_hop_inverse, simulate,
-                     source_encode)
-from gfalign.scheme import _relay_sum_rows, _scan_hop
+                     all_messages, apply_hop, block2x2, build_precoders,
+                     channel_from_dict, channel_to_dict, check_feasible,
+                     coeff_vector, destination_decode, draw_valid_channel,
+                     elem_from_coeff_vector, exhaustive_scan, krylov_precoders,
+                     make_field, matrix_rep, minpoly_degree, prime_field,
+                     primitive_element, relay_decode, relay_encode,
+                     second_hop_inverse, scheme, simulate, source_encode)
+from gfalign.scheme import _cross_ratio, _relay_sum_rows, _scan_hop
 
 F4 = make_field(2, 2)
 ALPHA = primitive_element(F4)
@@ -23,6 +21,16 @@ ALPHA = primitive_element(F4)
 def f4_fixture():
     """Feasible channel: hop-1 ratio a^2, hop-2 ratio a (derived by hand)."""
     return TwoHopChannel.create(F4, [1, 1, 1, ALPHA], [1, ALPHA, 1, 1])
+
+
+def power_basis(e):
+    """The scalar precoder basis of e: the Krylov basis of matrix_rep(e)
+    from the unit element's coefficient vector."""
+    spec = e.spec
+    ground = prime_field(spec)
+    basis, _ = krylov_precoders(matrix_rep(e), coeff_vector(spec.one),
+                                Mat.identity(ground, spec.m))
+    return basis
 
 
 def expected_relay_sums(spec, msg):
@@ -36,14 +44,15 @@ def expected_relay_sums(spec, msg):
 class TestRatios:
     def test_all_ones_first_hop(self):
         ch = TwoHopChannel.create(F4, [1, 1, 1, 1], [1, ALPHA, 1, 1])
-        r1, _ = alignment_ratios(ch)
-        assert r1 == F4.one
+        assert _cross_ratio(*ch.hop1) == F4.one
 
     def test_frozen_inverse_ratio(self):
         ch = TwoHopChannel.create(F4, [1, 1, 1, ALPHA], [1, ALPHA, 1, 1])
-        r1, r2 = alignment_ratios(ch)
+        r1, r2 = _cross_ratio(*ch.hop1), _cross_ratio(*ch.hop2)
         assert r1 == ALPHA.inv() == ALPHA ** 2
         assert r2 == ALPHA
+        pre = build_precoders(ch)
+        assert (pre.hop1_ratio, pre.hop2_ratio) == (r1, r2)
 
     def test_inverse_blocks_reinvert(self):
         rng = random.Random(3)
@@ -57,10 +66,14 @@ class TestRatios:
                 assert hop @ inv == Mat.identity(prime_field(spec), 2 * spec.m)
 
     def test_zero_block_raises(self):
-        # diagonal second hop: both off-diagonal inverse blocks vanish
+        # diagonal second hop: both off-diagonal inverse blocks vanish, which
+        # check_feasible reports and build_precoders refuses
         ch = TwoHopChannel.create(F4, [1, 1, 1, ALPHA], [1, 0, 0, ALPHA])
-        with pytest.raises(ZeroSBlock):
-            alignment_ratios(ch)
+        verdict = check_feasible(ch)
+        assert "inverted second hop has a zero block" in verdict.reasons
+        assert verdict.hop2_degree is None
+        with pytest.raises(ValueError, match="zero block"):
+            build_precoders(ch)
 
 
 class TestFeasibility:
@@ -105,7 +118,41 @@ class TestPrecoders:
     def test_power_basis_rank_equals_minpoly_degree(self):
         for spec in (F4, make_field(2, 3), make_field(2, 4), make_field(3, 2)):
             for e in spec.nonzero_elements():
-                assert power_basis_matrix(e, spec.m).rank() == minpoly_degree(e)
+                assert power_basis(e).rank() == minpoly_degree(e)
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_krylov_basis_is_power_basis(self, p, m):
+        # matrix_rep(e) multiplies coefficient vectors by e, so the Krylov
+        # basis from the unit vector is the power basis of e
+        spec = make_field(p, m)
+        for e in spec.elements():
+            basis = power_basis(e)
+            assert [basis.col(k) for k in range(m)] == [
+                coeff_vector(e ** k) for k in range(m)]
+
+    def test_precoders_are_power_bases(self):
+        # the construction before the shared Krylov builder: v1 and v3 have
+        # columns coeff_vector(r^k), v2 and v4 the first m-1 of them scaled by
+        # q22^-1 q21 and s22^-1 s21
+        rng = random.Random(13)
+        for spec in (F4, make_field(3, 2), make_field(2, 3), make_field(5, 1)):
+            ground, m = prime_field(spec), spec.m
+
+            def basis(r, width):
+                return Mat.from_columns(ground, [coeff_vector(r ** k)
+                                                 for k in range(width)], nrows=m)
+
+            for _ in range(20):
+                ch = draw_valid_channel(spec, rng)
+                if not check_feasible(ch).feasible:
+                    continue
+                pre = build_precoders(ch)
+                _, _, q21, q22 = ch.hop1
+                _, _, s21, s22 = second_hop_inverse(ch)
+                r1, r2 = pre.hop1_ratio, pre.hop2_ratio
+                assert pre.v1 == basis(r1, m) and pre.v3 == basis(r2, m)
+                assert pre.v2 == matrix_rep(q22.inv() * q21) @ basis(r1, m - 1)
+                assert pre.v4 == matrix_rep(s22.inv() * s21) @ basis(r2, m - 1)
 
     def test_m1_shapes(self):
         gf3 = make_field(3, 1)
@@ -340,6 +387,26 @@ class TestExhaustiveScan:
         assert rep.decode_failures == 0
         assert rep.feasible_channels == 2916
 
+    @pytest.mark.parametrize("p,m,pair_limit,mode,tuples", [
+        (2, 2, 20000, "paired", 54), (2, 2, 10, "factored", 54),
+        (3, 1, 20000, "paired", 8), (2, 3, 20000, "factored", 2058)])
+    def test_one_core_per_feasible_tuple(self, monkeypatch, p, m, pair_limit,
+                                         mode, tuples):
+        # both modes set up each feasible hop tuple once, not once per pair
+        # (54 builds instead of 2916 for the paired GF(4) scan)
+        built = []
+
+        def counting(ch):
+            built.append((ch.hop1, ch.hop2))
+            return build_precoders(ch)
+
+        monkeypatch.setattr(scheme, "build_precoders", counting)
+        rep = exhaustive_scan(p, m, pair_limit=pair_limit)
+        assert rep.mode == mode and rep.hop1[2] == tuples
+        assert len(built) == tuples
+        assert all(t1 == t2 for t1, t2 in built)
+        assert len(set(built)) == tuples
+
 
 def s_block_ratio(ch):
     """Oracle: the cross ratio of the inverted second hop's blocks, or None
@@ -362,28 +429,33 @@ class TestSecondHopIdentity:
             if not ch.hop_det(2):
                 assert hop2_reasons == ["second-hop matrix is singular"]
                 assert verdict.hop2_degree is None
-                with pytest.raises(ZeroDivisionError):
-                    alignment_ratios(ch)
+                with pytest.raises(ValueError, match="second-hop matrix is singular"):
+                    build_precoders(ch)
                 continue
             ratio = s_block_ratio(ch)
             if ratio is None:
                 assert hop2_reasons == ["inverted second hop has a zero block"]
                 assert verdict.hop2_degree is None
-                with pytest.raises(ZeroSBlock):
-                    alignment_ratios(ch)
+                with pytest.raises(ValueError, match="zero block"):
+                    build_precoders(ch)
                 continue
             deg = minpoly_degree(ratio)
             assert verdict.hop2_degree == deg
             assert hop2_reasons == ([] if deg == 2 else [
                 f"second-hop ratio has minimal polynomial degree {deg} < 2"])
-            assert alignment_ratios(ch)[1] == ratio
+            assert _cross_ratio(*ch.hop2) == ratio
 
     def test_zero_first_hop_raises_first(self):
-        # q11 = 0 fails before anything about the second hop is checked
+        # q11 = 0: the hop-1 ratio does not exist, whatever the second hop
         for hop2 in itertools.product(list(F4.elements()), repeat=4):
             ch = TwoHopChannel(F4, (F4.zero, F4.one, F4.one, ALPHA), hop2)
             with pytest.raises(ZeroDivisionError):
-                alignment_ratios(ch)
+                _cross_ratio(*ch.hop1)
+            verdict = check_feasible(ch)
+            assert "zero channel coefficient q11" in verdict.reasons
+            assert verdict.hop1_degree is None
+            with pytest.raises(ValueError, match="zero channel coefficient q11"):
+                build_precoders(ch)
 
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
     def test_one_scan_serves_both_hops(self, p, m):
@@ -421,7 +493,7 @@ class TestInfeasibilityWitness:
             q11, q12, q21, q22 = t
             ratio = q11.inv() * q12 * q22.inv() * q21
             deg = minpoly_degree(ratio)
-            rank = power_basis_matrix(ratio, 2).rank()
+            rank = power_basis(ratio).rank()
             assert rank == deg
             if deg < 2:
                 count_deg1 += 1
