@@ -1,5 +1,7 @@
-"""Byte-for-byte golden outputs of the scalar pipeline: `gfalign simulate`,
-`gfalign scan` and the factored scan report.
+"""Byte-for-byte golden outputs of the CLI: the scalar pipeline (`simulate`,
+`scan` and the factored scan report), the bounds and Monte Carlo sweeps
+(`bounds`, `mc`, `compare-ext`), `field-info` and the matrix model
+(`symbol-ext`).
 
 Each case renders its exit code and output text; the test checks the code
 and compares the text byte for byte with tests/golden/<case>.json.  The
@@ -69,6 +71,19 @@ CLI_CASES = {
     "scan_p3_m1": (["scan", "--p", "3", "--m", "1"], 0),
     "scan_p5_m1": (["scan", "--p", "5", "--m", "1"], 0),
     "scan_p2_m2": (["scan", "--p", "2", "--m", "2"], 0),
+    "bounds_p23_m24": (["bounds", "--p", "2,3", "--m", "2,4"], 0),
+    "bounds_p23_m24_csv": (["bounds", "--p", "2,3", "--m", "2,4",
+                            "--format", "csv"], 0),
+    "mc_p2_m3": (["mc", "--p", "2", "--m", "3", "--trials", "2000",
+                  "--seed", "7"], 0),
+    "compare_ext_p5_m2": (["compare-ext", "--p", "5", "--m", "2",
+                           "--trials", "500", "--seed", "7"], 0),
+    "field_info_p3_m2": (["field-info", "--p", "3", "--m", "2"], 0),
+    "symbol_ext_p2_m3": (["symbol-ext", "--p", "2", "--m", "3",
+                          "--seed", "11"], 0),
+    # the hop product's characteristic polynomial has a repeated factor
+    "symbol_ext_p3_m2_degenerate": (["symbol-ext", "--p", "3", "--m", "2",
+                                     "--seed", "2"], 1),
 }
 
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]
@@ -97,11 +112,12 @@ def render(case: str) -> tuple[int, str]:
 def test_golden(case):
     code, text = render(case)
     assert code == CLI_CASES.get(case, (None, 0))[1]
-    assert text == (GOLDEN / f"{case}.json").read_text()
+    # bytes, not text: the CSV rows end in \r\n
+    assert text == (GOLDEN / f"{case}.json").read_bytes().decode()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
-        (GOLDEN / f"{case}.json").write_text(render(case)[1])
+        (GOLDEN / f"{case}.json").write_bytes(render(case)[1].encode())
         print("wrote", case, file=sys.stderr)
