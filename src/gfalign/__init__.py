@@ -25,8 +25,8 @@ from .mimo import (ExtensionPlan, MimoChannel, MimoPipeline, MimoPrecoders,
                    mimo_channel_from_dict, mimo_channel_to_dict,
                    plan_extension, random_mimo_channel, simulate_symbol_ext)
 from .polys import (Poly, count_irreducible, divisors, enumerate_irreducible,
-                    factor_poly, format_poly, gcd, is_irreducible,
-                    minimal_polynomial, mobius, parse_poly, squarefree)
+                    factor_poly, format_poly, is_irreducible,
+                    minimal_polynomial, mobius, parse_poly)
 from .scheme import (FeasibilityVerdict, LinearPipeline, MessagePair,
                      PrecoderSet, ScanReport, SimulationReport, TwoHopChannel,
                      all_messages, apply_hop, build_precoders,

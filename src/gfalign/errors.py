@@ -38,8 +38,8 @@ class DegenerateSpectrum(GFAlignError, ValueError):
 
 
 class SingularChannel(GFAlignError, ValueError):
-    """A channel matrix (or a compound hop matrix, or an inverse block)
-    required to be invertible is singular."""
+    """A channel matrix (or a compound hop matrix) required to be invertible
+    is singular."""
 
 
 class TooLarge(GFAlignError, ValueError):

@@ -175,30 +175,21 @@ class DiagFeasibility:
         }
 
 
-def _diag_slot_ratio1(p, q11, q12, q21, q22):
-    return q12 * q21 * pow(q11 * q22, p - 2, p) % p
-
-
-def _diag_slot_ratio2(p, q33, q34, q43, q44):
-    """Second-hop per-slot cross ratio, or None when the slot is singular."""
-    if (q33 * q44 - q34 * q43) % p == 0:
-        return None
-    # s11 = q44/det, s12 = -q34/det, s21 = -q43/det, s22 = q33/det; the
-    # determinants cancel in the cross ratio, leaving the hop's own ratio.
-    return _diag_slot_ratio1(p, q33, q34, q43, q44)
-
-
-def _diag_feasible(p, m, slots1, slots2) -> tuple[bool, bool]:
-    """(feasible, product_defined) for one diagonal draw."""
-    g1 = {_diag_slot_ratio1(p, *s) for s in slots1}
-    ratios2 = [_diag_slot_ratio2(p, *s) for s in slots2]
-    if any(r is None for r in ratios2):
-        return False, False
-    return len(g1) == m and len(set(ratios2)) == m, True
+def _diag_hop(p: int, slots) -> tuple[int, bool]:
+    """(distinct ratios, invertible) for one hop of nonzero diagonal slots
+    (q11, q12, q21, q22): the number of distinct per-slot cross ratios
+    q12 q21 / (q11 q22), and whether every slot is invertible, i.e. no
+    ratio is 1.  The inverted second hop has its own hop's ratios: in
+    s11 = q44/det, s12 = -q34/det, s21 = -q43/det, s22 = q33/det the
+    determinants cancel."""
+    ratios = {q12 * q21 * pow(q11 * q22, p - 2, p) % p
+              for q11, q12, q21, q22 in slots}
+    return len(ratios), 1 not in ratios
 
 
 def diag_symbol_ext_feasibility(p: int, m: int, trials: int,
                                 seed: int) -> DiagFeasibility:
+    check_field_params(p, m)
     if trials < 1:
         raise ValueError("need at least one trial")
     feasible = defined = 0
@@ -206,9 +197,10 @@ def diag_symbol_ext_feasibility(p: int, m: int, trials: int,
         rng = _trial_rng(seed, i)
         slots1 = [tuple(rng.randrange(1, p) for _ in range(4)) for _ in range(m)]
         slots2 = [tuple(rng.randrange(1, p) for _ in range(4)) for _ in range(m)]
-        ok, has_product = _diag_feasible(p, m, slots1, slots2)
-        feasible += ok
-        defined += has_product
+        distinct1, _ = _diag_hop(p, slots1)
+        distinct2, invertible = _diag_hop(p, slots2)
+        feasible += invertible and distinct1 == distinct2 == m
+        defined += invertible
     return DiagFeasibility(p, m, trials, seed, feasible, defined)
 
 
@@ -216,21 +208,16 @@ def diag_exhaustive(p: int, m: int, limit: int = 10 ** 6) -> Fraction:
     """Exact diagonal-model feasibility by enumerating each hop's slot
     tuples (the hops are independent, so the joint fraction is the product
     of the per-hop fractions)."""
+    check_field_params(p, m)
     per_hop = (p - 1) ** (4 * m)
     if per_hop > limit:
         raise TooLarge(f"({p - 1})^{4 * m} = {per_hop} exceeds the guard of {limit}")
     nonzero = range(1, p)
-    hop1_ok = 0
-    hop2_ok = hop2_defined = 0
+    hop1_ok = hop2_ok = 0
     for slots in itertools.product(itertools.product(nonzero, repeat=4), repeat=m):
-        g1 = {_diag_slot_ratio1(p, *s) for s in slots}
-        if len(g1) == m:
-            hop1_ok += 1
-        ratios2 = [_diag_slot_ratio2(p, *s) for s in slots]
-        if all(r is not None for r in ratios2):
-            hop2_defined += 1
-            if len(set(ratios2)) == m:
-                hop2_ok += 1
+        distinct, invertible = _diag_hop(p, slots)
+        hop1_ok += distinct == m
+        hop2_ok += invertible and distinct == m
     return Fraction(hop1_ok, per_hop) * Fraction(hop2_ok, per_hop)
 
 

@@ -449,10 +449,9 @@ def _normalize_modulus(p: int, m: int, pi) -> tuple[int, ...]:
     coeffs = getattr(pi, "coeffs", pi)
     if coeffs is not pi and len(coeffs) != m + 1:
         raise ValueError(f"modulus must have degree {m}, not {len(coeffs) - 1}")
-    vals = []
-    for c in coeffs:
-        code = getattr(c, "code", c)
-        vals.append(int(code) % p)
+    vals = [int(getattr(c, "code", c)) for c in coeffs]
+    if any(not 0 <= v < p for v in vals):
+        raise ValueError(f"modulus coefficients must lie in [0, {p})")
     if len(vals) == m + 1:
         if vals[-1] != 1:
             raise ValueError("modulus must be monic")
@@ -477,7 +476,8 @@ def make_field(p: int, m: int, pi=None) -> FieldSpec:
     ``pi`` may be omitted (lexicographically smallest primitive modulus is
     selected), or given as a low-degree-first coefficient sequence of length
     m (leading 1 implicit) or m+1 (explicit leading 1), or as a polynomial
-    (any object with a ``coeffs`` attribute) of degree exactly m.
+    (any object with a ``coeffs`` attribute) of degree exactly m.  Every
+    coefficient must lie in [0, p), else ValueError.
     """
     check_field_params(p, m)
     if pi is None:
@@ -514,13 +514,7 @@ def minpoly_degree(e: FieldElem) -> int:
     Computed as the size of the orbit of e under the p-power map; always a
     divisor of m.  The zero element has degree 1 (annihilated by x).
     """
-    p = e.spec.p
-    y = e ** p
-    d = 1
-    while y != e:
-        y = y ** p
-        d += 1
-    return d
+    return len(conjugates(e))
 
 
 def conjugates(e: FieldElem) -> list[FieldElem]:
@@ -537,30 +531,10 @@ def conjugates(e: FieldElem) -> list[FieldElem]:
 # -- element notation ---------------------------------------------------------
 
 
-def element_exponent(e: FieldElem) -> int | None:
-    """k such that e = a^k for the canonical generator a, or None for zero."""
-    if e.code == 0:
-        return None
-    spec = e.spec
-    if spec._log is not None:
-        return spec._log[e.code]
-    acc = spec.one
-    gen = spec.from_code(spec._gen_code)
-    for k in range(spec.order - 1):
-        if acc == e:
-            return k
-        acc = acc * gen
-    raise AssertionError("generator does not reach the element")
-
-
-def format_element(e: FieldElem, style: str = "coeffs"):
-    """Serialize an element as a coefficient list or as 'a^k' ('a^inf' = 0)."""
-    if style == "coeffs":
-        return list(e.coeffs)
-    if style == "power":
-        k = element_exponent(e)
-        return "a^inf" if k is None else f"a^{k}"
-    raise ValueError(f"unknown element style {style!r}")
+def format_element(e: FieldElem) -> list[int]:
+    """Serialize an element as its coefficient list, low degree first, the
+    one output notation (parse_element reads it back)."""
+    return list(e.coeffs)
 
 
 def parse_element(spec: FieldSpec, value) -> FieldElem:

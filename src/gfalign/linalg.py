@@ -28,7 +28,7 @@ from typing import Sequence
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
 from .gf import FieldElem, FieldSpec, prime_field, primitive_element
-from .polys import Poly, divisors, factor_poly, squarefree
+from .polys import Poly, divisors, factor_poly
 
 
 class Mat:
@@ -111,16 +111,11 @@ class Mat:
             tuple(a + b for a, b in zip(ra, rb))
             for ra, rb in zip(self.rows, other.rows)))
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix difference needs equal shapes")
-        return Mat(self.spec, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "Mat":
         return Mat(self.spec, tuple(tuple(-a for a in row) for row in self.rows))
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self + (-other)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -199,8 +194,6 @@ class Mat:
         return work, pivots
 
     def rank(self) -> int:
-        if self.ncols == 0:
-            return 0
         return len(self._rref()[1])
 
     def det(self) -> FieldElem:
@@ -584,10 +577,11 @@ def splitting_data(a: Mat) -> tuple[Poly, tuple[int, ...], int]:
     characteristic polynomial has a repeated factor.
     """
     cp = char_poly(a)
-    if not squarefree(cp):
+    factors = factor_poly(cp)
+    if any(mult > 1 for _, mult in factors):
         raise DegenerateSpectrum(
             "characteristic polynomial has a repeated irreducible factor")
-    degrees = tuple(f.degree for f, _ in factor_poly(cp))
+    degrees = tuple(f.degree for f, _ in factors)
     return cp, degrees, math.lcm(*degrees)
 
 

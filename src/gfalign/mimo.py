@@ -27,8 +27,8 @@ from .linalg import (Mat, block2x2, eigenvectors_in, krylov_precoders,
                      roots_in_field, split_blocks, splitting_data,
                      vandermonde_det)
 from .polys import Poly
-from .scheme import (LinearPipeline, _is_json_ints, _json_fields, _json_int,
-                     check_alignment)
+from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
+                     _json_int, check_alignment)
 
 _MATRIX_KEYS = ("Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")
 
@@ -120,9 +120,12 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     """Validate the channel, factor both hop products' characteristic
     polynomials, and eigen-decompose them over the common splitting field.
 
-    Raises SingularChannel when a channel matrix, a compound hop matrix or
-    an inverse block is singular, and DegenerateSpectrum when either product
-    has a repeated eigenvalue.
+    Raises SingularChannel when a channel matrix or a compound hop matrix is
+    singular, and DegenerateSpectrum when either product has a repeated
+    eigenvalue.  The inverse blocks need no check: with Q33..Q44 and the
+    compound invertible, S11 = (Q33 - Q34 Q44^-1 Q43)^-1 and
+    S22 = (Q44 - Q43 Q33^-1 Q34)^-1 are inverses, and S12 = -Q33^-1 Q34 S22
+    and S21 = -Q44^-1 Q43 S11 are products of invertible matrices.
     """
     for name, mat in zip(_MATRIX_KEYS, ch.matrices):
         if not _invertible(mat):
@@ -136,9 +139,6 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     if not _invertible(compound2):
         raise SingularChannel("compound second-hop matrix is singular")
     s11, s12, s21, s22 = split_blocks(compound2.inv(), ch.m)
-    for name, block in zip(("s11", "s12", "s21", "s22"), (s11, s12, s21, s22)):
-        if not _invertible(block):
-            raise SingularChannel(f"second-hop inverse block {name} is singular")
 
     product1 = q11.inv() @ q12 @ q22.inv() @ q21
     product2 = s11.inv() @ s12 @ s22.inv() @ s21
@@ -233,9 +233,9 @@ class MimoPipeline:
         if len(w1) != m or len(w2) != m - 1:
             raise ValueError(f"expected message lengths {m} and {m - 1}")
         element = ext.element
-        (u1,), (u2,) = self.core.relay_half([[element(v).code for v in w1]],
-                                            [[element(v).code for v in w2]])
-        (got1,), (got2,) = self.core.destination_half([u1], [u2])
+        u1, u2 = self.core.relay_half([element(v).code for v in w1],
+                                      [element(v).code for v in w2])
+        got1, got2 = self.core.destination_half(u1, u2)
         symbol = ext.from_code if ext._elems is None else ext._elems.__getitem__
         return (tuple(map(symbol, got1)), tuple(map(symbol, got2)),
                 tuple(map(symbol, u1)), tuple(map(symbol, u2)))
@@ -285,14 +285,11 @@ class MimoSimulationReport:
 
 def simulate_symbol_ext(ch: MimoChannel, w1: Sequence[FieldElem],
                         w2: Sequence[FieldElem],
-                        pipeline: MimoPipeline | None = None) -> MimoSimulationReport:
-    """Plan, precode and run one message through the slotted pipeline.
-
-    Pass a prebuilt pipeline when sweeping messages over one channel.
+                        pipeline: MimoPipeline) -> MimoSimulationReport:
+    """Run one message through the slotted pipeline of channel ch, built
+    once per channel as MimoPipeline(build_mimo_precoders(plan_extension(ch))).
     Message symbols live in the plan's extension field.
     """
-    if pipeline is None:
-        pipeline = MimoPipeline(build_mimo_precoders(plan_extension(ch)))
     w1 = tuple(pipeline.ext.element(v) for v in w1)
     w2 = tuple(pipeline.ext.element(v) for v in w2)
     got1, got2, u1, u2 = pipeline.run(w1, w2)
@@ -306,10 +303,9 @@ def random_message(ext: FieldSpec, m: int, rng: random.Random):
     return w1, w2
 
 
-def random_mimo_channel(p: int, m: int, rng: random.Random,
-                        max_tries: int = 10000) -> MimoChannel:
+def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     """Random channel satisfying the invertibility model (all eight matrices
-    plus both compounds), by rejection."""
+    plus both compounds), by rejection of up to _MAX_DRAWS draws."""
     ground = prime_field(p)
 
     def random_invertible() -> Mat:
@@ -319,12 +315,12 @@ def random_mimo_channel(p: int, m: int, rng: random.Random,
             if mat.det():
                 return mat
 
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         mats = tuple(random_invertible() for _ in range(8))
         ch = MimoChannel(ground, m, mats)
         if _invertible(block2x2(*ch.hop1)) and _invertible(block2x2(*ch.hop2)):
             return ch
-    raise SingularChannel(f"no valid channel found in {max_tries} draws")
+    raise SingularChannel(f"no valid channel found in {_MAX_DRAWS} draws")
 
 
 # -- serialization --------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Univariate polynomials over a field, irreducibility and factoring.
 
-Everything here is desk-scale by design: irreducibility is decided by trial
-division, enumeration walks all monic polynomials of a degree, and factoring
-divides by enumerated irreducibles.  That is exact, simple, and fast enough
-for the field sizes this package targets.
+Everything here is desk-scale by design: factoring divides by the monic
+polynomials of each degree in turn, irreducibility and squarefreeness are
+read off that factorization, and enumeration walks all monic polynomials of
+a degree.  That is exact, simple, and fast enough for the field sizes this
+package targets.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
 
 from .errors import FieldMismatch
-from .gf import FieldElem, FieldSpec, conjugates, prime_field
+from .gf import FieldElem, FieldSpec, conjugates, prime_factors, prime_field
 
 
 class Poly:
@@ -87,10 +89,6 @@ class Poly:
                     out[i + j] = out[i + j] + a * b
         return Poly(self.spec, out)
 
-    def scale(self, c) -> "Poly":
-        c = self.spec.element(c)
-        return Poly(self.spec, [a * c for a in self.coeffs])
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if not other.coeffs:
@@ -116,18 +114,6 @@ class Poly:
 
     def divides(self, other: "Poly") -> bool:
         return not (other % self).coeffs
-
-    def monic(self) -> "Poly":
-        if not self.coeffs:
-            return self
-        return self.scale(self.coeffs[-1].inv())
-
-    def derivative(self) -> "Poly":
-        spec = self.spec
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(c * spec.element(i % spec.p))
-        return Poly(spec, out)
 
     def __call__(self, point: FieldElem) -> FieldElem:
         """Evaluate at a point, lifting ground-field coefficients if the
@@ -160,13 +146,6 @@ class Poly:
         return f"Poly({self.spec!r}, {format_poly(self)!r})"
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(f, 0) is monic f."""
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small, large = [], []
@@ -185,18 +164,10 @@ def mobius(d: int) -> int:
     factors, 0 otherwise."""
     if d < 1:
         raise ValueError("argument must be a positive integer")
-    r = 0
-    q = 2
-    while q * q <= d:
-        if d % q == 0:
-            d //= q
-            if d % q == 0:
-                return 0
-            r += 1
-        q += 1 if q == 2 else 2
-    if d > 1:
-        r += 1
-    return -1 if r % 2 else 1
+    primes = prime_factors(d)
+    if math.prod(primes) != d:
+        return 0
+    return -1 if len(primes) % 2 else 1
 
 
 def count_irreducible(p: int, m: int) -> int:
@@ -215,14 +186,10 @@ def all_monic(spec: FieldSpec, degree: int):
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Trial division against all monic polynomials of degree <= deg(f)/2."""
+    """True iff f is its own factorization (see factor_poly)."""
     if not f.is_monic or f.degree < 1:
         raise ValueError("irreducibility is defined for monic polynomials of degree >= 1")
-    for d in range(1, f.degree // 2 + 1):
-        for g in all_monic(f.spec, d):
-            if g.divides(f):
-                return False
-    return True
+    return factor_poly(f) == [(f, 1)]
 
 
 def enumerate_irreducible(p: int, d: int) -> list[Poly]:
@@ -262,13 +229,6 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
         d += 1
     out.sort(key=lambda fm: (-fm[0].degree, fm[0].coeff_codes()))
     return out
-
-
-def squarefree(f: Poly) -> bool:
-    """True iff f has no repeated irreducible factor (gcd with the formal
-    derivative is constant; a vanishing derivative means a p-th power)."""
-    g = gcd(f, f.derivative())
-    return g.degree <= 0
 
 
 def minimal_polynomial(e: FieldElem) -> Poly:
@@ -317,7 +277,8 @@ def _coeff_text(c: FieldElem) -> str:
 
 
 def parse_poly(p: int, text: str) -> Poly:
-    """Parse '[a0,a1,...,1]' or 'a0 + a1*x + ... + x^m' over F_p."""
+    """Parse '[a0,a1,...,1]' (each a_i in [0, p)) or 'a0 + a1*x + ... + x^m'
+    (signed coefficients, read mod p) over F_p."""
     spec = prime_field(p)
     text = text.strip()
     if text.startswith("["):
@@ -325,6 +286,8 @@ def parse_poly(p: int, text: str) -> Poly:
             raise ValueError(f"unterminated coefficient list: {text!r}")
         inner = text[1:-1].strip()
         vals = [int(v) for v in inner.split(",")] if inner else []
+        if any(not 0 <= v < p for v in vals):
+            raise ValueError(f"list coefficients must lie in [0, {p})")
         return Poly(spec, vals)
     coeffs: dict[int, int] = {}
     for term in text.replace("-", "+-").split("+"):

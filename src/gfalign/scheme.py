@@ -46,6 +46,7 @@ from .linalg import (Mat, _block_diag, _eliminate_mod_p, _matmul_mod_p,
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
+_MAX_DRAWS = 10000      # rejection-sampling budget of the random channel draws
 
 
 @dataclass(frozen=True)
@@ -445,30 +446,20 @@ class LinearPipeline:
         self._destination = _CodeMap(self.p, rows)
 
     def relay_half(self, w1, w2):
-        """Symbol-code vectors (u1, u2) of the sums both relays decode, for
-        a batch of messages."""
-        apply, m = self._relay.apply, self.m
-        u1, u2 = [], []
-        for a, b in zip(w1, w2):
-            u = apply([*a, *b])
-            u1.append(tuple(u[:m]))
-            u2.append(tuple(u[m:]))
-        return u1, u2
+        """Symbol-code tuples (u1, u2) of the sums both relays decode from
+        the message (w1, w2), itself m and m-1 symbol codes."""
+        u = self._relay.apply([*w1, *w2])
+        return tuple(u[:self.m]), tuple(u[self.m:])
 
     def destination_half(self, u1, u2):
-        """Symbol-code vectors (w1, w2) decoded from a batch of relay sums;
-        InconsistentSystem when a destination-2 observation leaves the
+        """Symbol-code tuples (w1, w2) decoded from the relay sums (u1, u2);
+        InconsistentSystem when the destination-2 observation leaves the
         column space of v4."""
-        apply, m = self._destination.apply, self.m
-        w1, w2 = [], []
-        for a, b in zip(u1, u2):
-            w = apply([*a, *b])
-            if w[-1]:
-                raise InconsistentSystem(
-                    "destination-2 observation left the side-precoder column space")
-            w1.append(tuple(w[:m]))
-            w2.append(tuple(w[m:-1]))
-        return w1, w2
+        w = self._destination.apply([*u1, *u2])
+        if w[-1]:
+            raise InconsistentSystem(
+                "destination-2 observation left the side-precoder column space")
+        return tuple(w[:self.m]), tuple(w[self.m:-1])
 
 
 def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:
@@ -531,9 +522,8 @@ def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
                                 None, None, False, None)
     pre = build_precoders(ch)
     core = scalar_pipeline(ch, pre)
-    (u1,), (u2,) = core.relay_half([msg.w1], [msg.w2])
-    (got1,), (got2,) = core.destination_half([u1], [u2])
-    decoded = MessagePair(got1, got2)
+    u1, u2 = core.relay_half(msg.w1, msg.w2)
+    decoded = MessagePair(*core.destination_half(u1, u2))
     success = decoded == msg
     rate = (2 * ch.spec.m - 1) * math.log2(ch.spec.p) if success else None
     return SimulationReport(ch, verdict, pre.hop1_ratio, pre.hop2_ratio, pre,
@@ -543,14 +533,14 @@ def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
 # -- channel serialization ------------------------------------------------------
 
 
-def channel_to_dict(ch: TwoHopChannel, style: str = "coeffs") -> dict:
+def channel_to_dict(ch: TwoHopChannel) -> dict:
     spec = ch.spec
     return {
         "p": spec.p,
         "m": spec.m,
         "pi": list(spec.modulus_coeffs),
-        "hop1": {k: format_element(v, style) for k, v in zip(_HOP1_KEYS, ch.hop1)},
-        "hop2": {k: format_element(v, style) for k, v in zip(_HOP2_KEYS, ch.hop2)},
+        "hop1": {k: format_element(v) for k, v in zip(_HOP1_KEYS, ch.hop1)},
+        "hop2": {k: format_element(v) for k, v in zip(_HOP2_KEYS, ch.hop2)},
     }
 
 
@@ -614,14 +604,14 @@ def draw_channel(spec: FieldSpec, rng: random.Random) -> TwoHopChannel:
         tuple(spec.random_element(rng, nonzero=True) for _ in range(4)))
 
 
-def draw_valid_channel(spec: FieldSpec, rng: random.Random,
-                       max_tries: int = 10000) -> TwoHopChannel:
-    """Rejection-sample a channel whose hop matrices are both full rank."""
-    for _ in range(max_tries):
+def draw_valid_channel(spec: FieldSpec, rng: random.Random) -> TwoHopChannel:
+    """Rejection-sample, in up to _MAX_DRAWS draws, a channel whose hop
+    matrices are both full rank."""
+    for _ in range(_MAX_DRAWS):
         ch = draw_channel(spec, rng)
         if ch.hop_det(1) and ch.hop_det(2):
             return ch
-    raise TooLarge(f"no full-rank channel found in {max_tries} draws over {spec!r}")
+    raise TooLarge(f"no full-rank channel found in {_MAX_DRAWS} draws over {spec!r}")
 
 
 # -- exhaustive scanning --------------------------------------------------------

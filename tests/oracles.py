@@ -167,20 +167,26 @@ def lane_apply(p, rows, vectors, digits):
 def lane_relay_half(core, w1, w2, digits):
     """LinearPipeline.relay_half computed lane by lane."""
     m = core.m
-    u = lane_apply(core.p, core.relay_map,
-                   [[*a, *b] for a, b in zip(w1, w2)], digits)
-    return [v[:m] for v in u], [v[m:] for v in u]
+    (u,) = lane_apply(core.p, core.relay_map, [[*w1, *w2]], digits)
+    return u[:m], u[m:]
 
 
 def lane_destination_half(core, u1, u2, digits):
     """LinearPipeline.destination_half computed lane by lane."""
     from gfalign.errors import InconsistentSystem
     m = core.m
-    w = lane_apply(core.p, core.destination_map,
-                   [[*a, *b] for a, b in zip(u1, u2)], digits)
-    if any(v[-1] for v in w):
+    (w,) = lane_apply(core.p, core.destination_map, [[*u1, *u2]], digits)
+    if w[-1]:
         raise InconsistentSystem("residual is nonzero")
-    return [v[:m] for v in w], [v[m:-1] for v in w]
+    return w[:m], w[m:-1]
+
+
+def batch(half, xs, ys):
+    """A one-message half (relay_half or destination_half) applied to each
+    pair of xs and ys, as the list of first and the list of second
+    outputs."""
+    outs = [half(x, y) for x, y in zip(xs, ys)]
+    return [a for a, _ in outs], [b for _, b in outs]
 
 
 def lane_run(pipe, w1, w2):
@@ -189,8 +195,8 @@ def lane_run(pipe, w1, w2):
     ext, core = pipe.ext, pipe.core
     x1 = [ext.element(v).code for v in w1]
     x2 = [ext.element(v).code for v in w2]
-    (u1,), (u2,) = lane_relay_half(core, [x1], [x2], ext.m)
-    (got1,), (got2,) = lane_destination_half(core, [u1], [u2], ext.m)
+    u1, u2 = lane_relay_half(core, x1, x2, ext.m)
+    got1, got2 = lane_destination_half(core, u1, u2, ext.m)
     return tuple(tuple(ext.from_code(c) for c in codes)
                  for codes in (got1, got2, u1, u2))
 
@@ -221,11 +227,11 @@ def sweep_failures(core, factored):
     sent = ([msg.w1 for msg in messages], [msg.w2 for msg in messages])
     sums = tuple(zip(*(relay_sums(p, msg) for msg in messages)))
     failures = 0
-    relayed = core.relay_half(*sent)
+    relayed = batch(core.relay_half, *sent)
     if factored:
         failures += mismatches(relayed, sums)
         relayed = sums
-    return failures + mismatches(core.destination_half(*relayed), sent)
+    return failures + mismatches(batch(core.destination_half, *relayed), sent)
 
 
 def scan_by_sweep(p, m, pi=None, *, tuple_limit=10 ** 7, pair_limit=20000):

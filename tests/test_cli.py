@@ -75,6 +75,20 @@ class TestFieldInfo:
         assert err == f"error: modulus must have degree 2, not {degree}\n"
 
 
+    @pytest.mark.parametrize("command", ["field-info", "scan"])
+    @pytest.mark.parametrize("pi", ["[3,1,1]", "[1,1,3]", "[1,-1,1]"])
+    def test_list_modulus_outside_field_exits_2(self, capsys, command, pi):
+        # [3,1,1] used to be read as 1 + x + x^2
+        code, out, err = run(capsys, command, "--p", "2", "--m", "2", "--pi", pi)
+        assert code == 2 and out == ""
+        assert err == "error: list coefficients must lie in [0, 2)\n"
+
+    def test_text_modulus_reads_signed_coefficients(self, capsys):
+        code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "2",
+                                 "--pi", "x^2 - x - 1")
+        assert code == 0 and payload["pi"] == [1, 1, 1]
+
+
 class TestBoundsAndMc:
     def test_bounds_json(self, capsys):
         code, payload = run_json(capsys, "bounds", "--p", "2", "--m", "4")
@@ -217,6 +231,18 @@ class TestSimulate:
                              "--seed", "1")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("pi", [[3, 5, 1], [1, 1, 3], [1, 1, 1, 0, 2]])
+    def test_channel_modulus_outside_field_exits_2(self, capsys, tmp_path, pi):
+        # [3, 5, 1] at p = 2 used to run over the modulus [1, 1, 1]
+        channel = json.loads(open(self.feasible_channel(tmp_path)).read())
+        channel["pi"] = pi
+        path = tmp_path / "modulus.json"
+        path.write_text(json.dumps(channel))
+        code, out, err = run(capsys, "simulate", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: modulus coefficients must lie in [0, 2)\n"
 
     def test_element_notations_still_parse(self, capsys, tmp_path):
         channel = json.loads(open(self.feasible_channel(tmp_path)).read())

@@ -67,6 +67,19 @@ def test_field_parameters_checked(fn):
             fn(2, m)
 
 
+@pytest.mark.parametrize("fn", [diag_exhaustive,
+                                lambda p, m: diag_symbol_ext_feasibility(p, m, 200, 1)])
+def test_diagonal_field_parameters_checked(fn):
+    # Z/4 is not a field (and m = 0 has no slots): these used to report
+    # 32 of 200 draws, or every draw, feasible
+    for p in (1, 4, 9):
+        with pytest.raises(NotPrime):
+            fn(p, 2)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="degree"):
+            fn(5, m)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         a = mc_feasibility(2, 2, 500, seed=99)

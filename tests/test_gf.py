@@ -77,6 +77,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"modulus must have degree {m}"):
             make_field(p, m, parse_poly(p, text))
 
+    @pytest.mark.parametrize("p,m,pi", [
+        (2, 2, [3, 1, 1]), (2, 2, [1, 1, 3]), (3, 2, [5, 1]), (3, 2, [-1, 1]),
+        (5, 1, [5])])
+    def test_list_modulus_outside_field_rejected(self, p, m, pi):
+        # a list entry is a coefficient in [0, p), never reduced mod p: at
+        # p = 2, [3, 1, 1] is not 1 + x + x^2 and [1, 1, 3] is not monic
+        with pytest.raises(ValueError, match=r"must lie in \[0, "):
+            make_field(p, m, pi)
+        with pytest.raises(ValueError, match=r"must lie in \[0, "):
+            parse_poly(p, str(pi))
+
+    def test_text_modulus_reads_signed_coefficients(self):
+        assert make_field(2, 2, parse_poly(2, "x^2 - x - 1")).modulus_coeffs \
+            == (1, 1, 1)
+        assert make_field(3, 2, parse_poly(3, "x^2 - x - 1")).modulus_coeffs \
+            == (2, 2, 1)
+
     def test_polynomial_of_degree_m_accepted(self):
         assert make_field(3, 2, parse_poly(3, "x^2+x+2")).modulus_coeffs == (2, 1, 1)
         assert make_field(2, 2, Poly(prime_field(2), [1, 1, 1])).modulus_coeffs \
@@ -309,11 +326,15 @@ class TestMinpolyDegree:
 
 class TestNotation:
     def test_power_roundtrip(self):
+        # 'a^k' is an input notation: a^0 .. a^6 and a^inf name every
+        # element of GF(8) once, and a^k equals the k-th generator power
         f8 = make_field(2, 3)
-        for e in f8.elements():
-            text = format_element(e, "power")
-            assert parse_element(f8, text) == e
-        assert format_element(f8.zero, "power") == "a^inf"
+        a = primitive_element(f8)
+        named = [parse_element(f8, f"a^{k}") for k in range(7)]
+        assert named == [a ** k for k in range(7)]
+        assert parse_element(f8, "a^inf") == f8.zero
+        assert set(named) | {f8.zero} == set(f8.elements())
+        assert parse_element(f8, "a^7") == f8.one
 
     def test_coeff_roundtrip(self):
         f9 = make_field(3, 2)

@@ -88,6 +88,22 @@ class TestPlanExtension:
         with pytest.raises(SingularChannel, match="compound"):
             plan_extension(ch)
 
+    @pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+    def test_inverse_blocks_always_invertible(self, p, m):
+        # why plan_extension checks no inverse block: with Q33..Q44 and the
+        # compound invertible, S11 and S22 invert Schur complements, and S12
+        # and S21 are products of invertible matrices (over GF(2) no m = 1
+        # channel is valid: every block is [1], so the compound is singular)
+        rng = random.Random(157 + p * m)
+        for _ in range(150):
+            q33, q34, q43, q44 = random_mimo_channel(p, m, rng).hop2
+            s11, s12, s21, s22 = split_blocks(block2x2(q33, q34, q43, q44).inv(), m)
+            assert all(block.det() for block in (s11, s12, s21, s22))
+            assert s11 == (q33 - q34 @ q44.inv() @ q43).inv()
+            assert s22 == (q44 - q43 @ q33.inv() @ q34).inv()
+            assert s12 == -(q33.inv() @ q34 @ s22)
+            assert s21 == -(q44.inv() @ q43 @ s11)
+
     def test_fixture_plan(self):
         plan = plan_extension(f4_fixture_channel())
         assert plan.degree == 2
@@ -210,7 +226,8 @@ class TestPipeline:
 
     def test_throughput_accounting(self):
         ch = f4_fixture_channel()
-        rep = simulate_symbol_ext(ch, [[0, 1], [1, 0]], [[1, 1]])
+        pipe = MimoPipeline(build_mimo_precoders(plan_extension(ch)))
+        rep = simulate_symbol_ext(ch, [[0, 1], [1, 0]], [[1, 1]], pipe)
         assert rep.slots == 2
         assert rep.sum_rate_bits_per_slot == 3.0
         assert rep.ground_symbols_delivered == 6
@@ -287,7 +304,8 @@ class TestSerialization:
 
     def test_report_shape(self):
         ch = f4_fixture_channel()
-        rep = simulate_symbol_ext(ch, [[0, 1], [1, 0]], [[1, 1]])
+        pipe = MimoPipeline(build_mimo_precoders(plan_extension(ch)))
+        rep = simulate_symbol_ext(ch, [[0, 1], [1, 0]], [[1, 1]], pipe)
         d = rep.to_dict()
         assert d["plan"]["extension_degree"] == 2
         assert d["plan"]["hop1"]["factor_degrees"] == [2]

@@ -18,7 +18,7 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, InconsistentSystem,
                      relay_decode, relay_encode, source_encode)
 from gfalign.mimo import random_message
 from gfalign.scheme import _certify, _digit_codec, _scan_hop, scalar_pipeline
-from oracles import (ExtensionFieldPipeline, lane_destination_half,
+from oracles import (ExtensionFieldPipeline, batch, lane_destination_half,
                      lane_relay_half, lane_run, relay_sums, scan_by_sweep,
                      sweep_failures)
 from test_mimo import f4_fixture_channel
@@ -35,9 +35,9 @@ def stagewise(pre, ch, msg):
 def assert_core_matches_stages(ch, messages):
     pre = build_precoders(ch)
     core = scalar_pipeline(ch, pre)
-    u1s, u2s = core.relay_half([msg.w1 for msg in messages],
-                               [msg.w2 for msg in messages])
-    got1s, got2s = core.destination_half(u1s, u2s)
+    u1s, u2s = batch(core.relay_half, [msg.w1 for msg in messages],
+                     [msg.w2 for msg in messages])
+    got1s, got2s = batch(core.destination_half, u1s, u2s)
     for msg, u1, u2, got1, got2 in zip(messages, u1s, u2s, got1s, got2s):
         assert stagewise(pre, ch, msg) == (u1, u2, MessagePair(got1, got2))
         assert MessagePair(got1, got2) == msg
@@ -76,10 +76,10 @@ class TestScalarCore:
         raised = 0
         for u1, u2 in itertools.product(lanes, repeat=2):
             if (u1, u2) in valid:
-                core.destination_half([u1], [u2])
+                core.destination_half(u1, u2)
             else:
                 with pytest.raises(InconsistentSystem):
-                    core.destination_half([u1], [u2])
+                    core.destination_half(u1, u2)
                 raised += 1
         assert len(valid) == 8 and raised == 8
 
@@ -163,14 +163,14 @@ class TestMatrixCore:
         plan = plan_extension(f4_fixture_channel())
         core = MimoPipeline(build_mimo_precoders(plan)).core
         lanes = list(itertools.product(range(2), repeat=2))
-        u1s, u2s = core.relay_half([w1 for w1 in lanes for _ in range(2)],
-                                   [(w2,) for _ in lanes for w2 in range(2)])
+        u1s, u2s = batch(core.relay_half, [w1 for w1 in lanes for _ in range(2)],
+                         [(w2,) for _ in lanes for w2 in range(2)])
         valid = set(zip(u1s, u2s))
         raised = 0
         for u1, u2 in itertools.product(lanes, repeat=2):
             if (u1, u2) not in valid:
                 with pytest.raises(InconsistentSystem):
-                    core.destination_half([u1], [u2])
+                    core.destination_half(u1, u2)
                 raised += 1
         assert len(valid) == 8 and raised == 8
 
@@ -311,7 +311,7 @@ def every_message(ext, m):
 
 def destination_outcome(half, core, u1, u2, *digits):
     try:
-        return half(core, [u1], [u2], *digits)
+        return half(core, u1, u2, *digits)
     except InconsistentSystem:
         return "inconsistent"
 
@@ -326,13 +326,19 @@ class TestCodeKernels:
         core, ext = pipe.core, pipe.ext
         w1s = [tuple(v.code for v in w1) for w1, _ in messages]
         w2s = [tuple(v.code for v in w2) for _, w2 in messages]
-        u1s, u2s = core.relay_half(w1s, w2s)
-        assert (u1s, u2s) == lane_relay_half(core, w1s, w2s, ext.m)
-        decoded = core.destination_half(u1s, u2s)
-        assert decoded == lane_destination_half(core, u1s, u2s, ext.m)
-        assert decoded == (w1s, w2s)
+        TestCodeKernels.assert_halves_match_lanes(core, w1s, w2s, ext.m)
         for w1, w2 in messages:
             assert pipe.run(w1, w2) == lane_run(pipe, w1, w2)
+
+    @staticmethod
+    def assert_halves_match_lanes(core, w1s, w2s, digits):
+        """Both halves equal the lane oracle on each message, and the
+        destination half returns it."""
+        for w1, w2 in zip(w1s, w2s):
+            u = core.relay_half(w1, w2)
+            assert u == lane_relay_half(core, w1, w2, digits)
+            decoded = core.destination_half(*u)
+            assert decoded == lane_destination_half(core, *u, digits) == (w1, w2)
 
     @staticmethod
     def assert_destination_matches_lanes(core, inputs, digits):
@@ -411,10 +417,7 @@ class TestCodeKernels:
             order = 1009 ** digits
             w1s = [tuple(rng.randrange(order) for _ in range(2)) for _ in range(300)]
             w2s = [(rng.randrange(order),) for _ in range(300)]
-            u = core.relay_half(w1s, w2s)
-            assert u == lane_relay_half(core, w1s, w2s, digits)
-            decoded = core.destination_half(*u)
-            assert decoded == lane_destination_half(core, *u, digits) == (w1s, w2s)
+            self.assert_halves_match_lanes(core, w1s, w2s, digits)
             self.assert_destination_matches_lanes(
                 core, [((rng.randrange(order), rng.randrange(order)),
                         (rng.randrange(order), rng.randrange(order)))

@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from gfalign import (Poly, count_irreducible, divisors, enumerate_irreducible,
-                     factor_poly, format_poly, gcd, is_irreducible, make_field,
+                     factor_poly, format_poly, is_irreducible, make_field,
                      minimal_polynomial, mobius, parse_poly, prime_field,
-                     primitive_element, squarefree)
+                     primitive_element)
+from gfalign.polys import all_monic
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -49,24 +50,23 @@ class TestPolyArithmetic:
         assert f(a).code == 0             # a^2 + a + 1 = 0
         assert f(f4.one) == f4.one
 
-    def test_gcd(self):
-        f = Poly(GF2, [1, 0, 1])          # (x+1)^2
-        g = Poly(GF2, [1, 1])
-        assert gcd(f, g) == g
-        assert gcd(f, Poly.zero(GF2)) == f
-        assert gcd(Poly(GF2, [1, 1, 1]), Poly(GF2, [1, 1])).degree == 0
-
-    def test_derivative_char_p(self):
-        # d/dx of x^2+1 vanishes over GF(2)
-        assert not Poly(GF2, [1, 0, 1]).derivative()
-        assert Poly(GF3, [0, 0, 1]).derivative() == Poly(GF3, [0, 2])
-
 
 class TestMobiusAndCounting:
     @pytest.mark.parametrize("d,val", [(1, 1), (2, -1), (3, -1), (4, 0),
                                        (6, 1), (12, 0), (30, -1), (9, 0)])
     def test_mobius(self, d, val):
         assert mobius(d) == val
+
+    def test_mobius_matches_definition(self):
+        # oracle: 0 when a square q^2 > 1 divides d, else (-1)^(prime count)
+        for d in range(1, 400):
+            if any(d % (q * q) == 0 for q in range(2, d + 1)):
+                expected = 0
+            else:
+                primes = [q for q in range(2, d + 1) if d % q == 0
+                          and all(q % r for r in range(2, q))]
+                expected = (-1) ** len(primes)
+            assert mobius(d) == expected
 
     def test_mobius_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -101,6 +101,16 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible(Poly(GF3, [1, 2]))
 
+    @pytest.mark.parametrize("spec", [GF2, GF3])
+    def test_matches_trial_division(self, spec):
+        # oracle: no monic polynomial of degree 1..deg/2 divides f
+        for d in range(1, 6 if spec.p == 2 else 5):
+            for low in itertools.product(range(spec.p), repeat=d):
+                f = Poly(spec, list(low) + [1])
+                divisible = any(g.divides(f) for k in range(1, d // 2 + 1)
+                                for g in all_monic(spec, k))
+                assert is_irreducible(f) == (not divisible)
+
 
 class TestFactoring:
     def test_frozen(self):
@@ -128,9 +138,15 @@ class TestFactoring:
                 assert prod == f
 
     def test_squarefree(self):
-        assert squarefree(Poly(GF2, [1, 1, 1]))
-        assert not squarefree(Poly(GF2, [1, 0, 1]))       # (x+1)^2, derivative 0
-        assert not squarefree(Poly(GF3, [0, 0, 1]))       # x^2
+        # a repeated factor shows as a multiplicity above 1, also for a
+        # p-th power, whose formal derivative vanishes
+        def multiplicities(codes, spec):
+            return [mult for _, mult in factor_poly(Poly(spec, codes))]
+        assert multiplicities([1, 1, 1], GF2) == [1]
+        assert multiplicities([1, 0, 1], GF2) == [2]      # (x+1)^2
+        assert multiplicities([0, 0, 1], GF3) == [2]      # x^2
+        assert multiplicities([1, 0, 0, 1], GF3) == [3]   # (x+1)^3
+        assert multiplicities([0, 1, 1, 1], GF2) == [1, 1]
 
 
 class TestMinimalPolynomial:

@@ -325,9 +325,13 @@ class TestSerialization:
         assert again == ch
 
     def test_channel_roundtrip_power_notation(self):
+        # every element written as 'a^k' (a^inf for zero) parses back
         ch = f4_fixture()
-        again = channel_from_dict(channel_to_dict(ch, style="power"))
-        assert again == ch
+        power = {ALPHA ** k: f"a^{k}" for k in range(3)}
+        obj = channel_to_dict(ch)
+        for hop, values in (("hop1", ch.hop1), ("hop2", ch.hop2)):
+            obj[hop] = {k: power.get(v, "a^inf") for k, v in zip(obj[hop], values)}
+        assert channel_from_dict(obj) == ch
 
     def test_documented_channel_shape(self):
         obj = {"p": 2, "m": 2, "pi": [1, 1, 1],
