@@ -29,19 +29,8 @@ _INTERN_LIMIT = 1 << 16  # intern elements and build log/antilog/Zech up to this
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate at the scales used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """True iff n is a prime: its one prime factor is n itself."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -280,23 +269,21 @@ class FieldSpec:
     """Descriptor of F_{p^m} plus its arithmetic tables.
 
     ``pi`` holds the low coefficients (a_0, ..., a_{m-1}) of the monic
-    modulus a_0 + a_1 x + ... + x^m.  Two specs with equal (p, m, pi) define
-    identical arithmetic.  Instances are immutable after construction and
-    safe to share across threads; prefer :func:`make_field`, which caches.
+    modulus a_0 + a_1 x + ... + x^m.  The constructor validates p, m and pi
+    exactly as :func:`make_field` does (NotPrime, ValueError for a bad
+    degree or a coefficient outside [0, p), NotPrimitive).  Two specs with
+    equal (p, m, pi) define identical arithmetic.  Instances are immutable
+    after construction and safe to share across threads; prefer
+    :func:`make_field`, which caches.
     """
 
     __slots__ = ("p", "m", "pi", "order", "_hash", "_x_pow_m", "_gen_code",
                  "_elems", "_log", "_exp", "_zech", "_cache",
                  "__weakref__")
 
-    def __init__(self, p: int, m: int, pi: tuple[int, ...]):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if m < 1:
-            raise ValueError("extension degree must be >= 1")
-        pi = tuple(int(a) % p for a in pi)
-        if len(pi) != m:
-            raise ValueError("modulus must have degree exactly m")
+    def __init__(self, p: int, m: int, pi):
+        check_field_params(p, m)
+        pi = _normalize_modulus(p, m, pi)
         if m >= 2 and not _passes_order_test(p, m, pi):
             raise NotPrimitive(
                 f"modulus {list(pi) + [1]} is not primitive over GF({p})")

@@ -13,9 +13,11 @@ The transform layer provides:
   F_{p^r} as an n x r ground-field matrix of coefficient rows and back;
 * ``char_poly`` and eigen-decomposition over the splitting-field extension.
 
-Everything is exact; algorithms are Gauss-Jordan (on integer codes mod p
-for prime-field determinants and ranks) and memoized minor expansion, which
-is plenty at the matrix sizes involved.  Roots in F_{p^L} are searched only in its
+Everything is exact.  ``Mat.solve`` is the one solver (full column rank,
+square or tall; ``inv`` solves against I), and its Gauss-Jordan pass also
+yields extension-field determinants; prime-field determinants and ranks
+eliminate on integer codes mod p.  ``char_poly`` is Berkowitz's
+division-free algorithm.  Roots in F_{p^L} are searched only in its
 subfields F_{p^d}, d | L, d <= deg f (see ``roots_in_field``).
 """
 
@@ -165,7 +167,10 @@ class Mat:
     # -- elimination-based operations -------------------------------------------
 
     def _rref(self, aug: "Mat | None" = None):
-        """Reduced row echelon form of [self | aug]; returns (rows, pivot_cols)."""
+        """Gauss-Jordan on [self | aug], pivoting on the columns of self.
+        Returns (rows, pivot_cols, det); det is the pivot product with the
+        sign flipped at each row swap (zero once a column has no pivot), the
+        determinant of a square self."""
         width = self.ncols
         if aug is not None:
             self._check(aug)
@@ -175,12 +180,17 @@ class Mat:
         else:
             work = [list(r) for r in self.rows]
         pivots = []
+        det = self.spec.one
         r = 0
         for c in range(width):
             pr = next((i for i in range(r, len(work)) if work[i][c].code), None)
             if pr is None:
+                det = self.spec.zero
                 continue
-            work[r], work[pr] = work[pr], work[r]
+            if pr != r:
+                work[r], work[pr] = work[pr], work[r]
+                det = -det
+            det = det * work[r][c]
             inv = work[r][c].inv()
             work[r] = [v * inv for v in work[r]]
             for i in range(len(work)):
@@ -191,54 +201,39 @@ class Mat:
             r += 1
             if r == len(work):
                 break
-        return work, pivots
+        return work, pivots, det
 
     def rank(self) -> int:
         return len(self._rref()[1])
 
     def det(self) -> FieldElem:
-        n = self.nrows
-        if n != self.ncols:
+        """Determinant: elimination on integer codes mod p over a prime
+        field, otherwise the pivot product of ``_rref``."""
+        if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
         spec = self.spec
         if spec.m == 1:
             return spec.from_code(_eliminate_mod_p(self.to_code_rows(), spec.p)[1])
-        work = [list(r) for r in self.rows]
-        acc = spec.one
-        for c in range(n):
-            pr = next((i for i in range(c, n) if work[i][c].code), None)
-            if pr is None:
-                return spec.zero
-            if pr != c:
-                work[c], work[pr] = work[pr], work[c]
-                acc = -acc
-            pivot = work[c][c]
-            acc = acc * pivot
-            inv = pivot.inv()
-            for i in range(c + 1, n):
-                if work[i][c].code:
-                    f = work[i][c] * inv
-                    work[i] = [v - f * w for v, w in zip(work[i], work[c])]
-        return acc
+        return self._rref()[2]
 
     def inv(self) -> "Mat":
-        n = self.nrows
-        if n != self.ncols:
+        """Inverse of a square matrix, as the solution of self @ x = I."""
+        if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        work, pivots = self._rref(Mat.identity(self.spec, n))
-        if len(pivots) < n:
-            raise Singular(f"matrix of rank {len(pivots)} < {n} has no inverse")
-        return Mat(self.spec, tuple(tuple(row[n:]) for row in work))
+        return self.solve(Mat.identity(self.spec, self.nrows))
 
     def solve(self, b: "Mat") -> "Mat":
-        """Unique solution of self @ x = b for square nonsingular self."""
-        n = self.nrows
-        if n != self.ncols:
-            raise DimensionMismatch("solve expects a square matrix")
-        work, pivots = self._rref(b)
-        if len(pivots) < n:
-            raise Singular(f"coefficient matrix has rank {len(pivots)} < {n}")
-        return Mat(self.spec, tuple(tuple(row[n:]) for row in work))
+        """The unique x with self @ x = b for self of full column rank, square
+        or tall: Singular when its columns are dependent, InconsistentSystem
+        when a column of b lies outside their span."""
+        k = self.ncols
+        work, pivots, _ = self._rref(b)
+        if len(pivots) < k:
+            raise Singular(f"coefficient matrix has rank {len(pivots)} < {k} columns")
+        for row in work[k:]:
+            if any(v.code for v in row[k:]):
+                raise InconsistentSystem("right-hand side is outside the column space")
+        return Mat(self.spec, tuple(tuple(row[k:]) for row in work[:k]))
 
 
 def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
@@ -278,28 +273,10 @@ def _matmul_mod_p(p: int, *mats: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def solve_exact(a: Mat, b: Mat) -> Mat:
-    """Exact solution of a @ x = b where a has full column rank.
-
-    Raises InconsistentSystem when b is outside the column space and Singular
-    when the columns of a are dependent (solution not unique).
-    """
-    k = a.ncols
-    if b.nrows != a.nrows:
-        raise DimensionMismatch("right-hand side has a different row count")
-    work, pivots = a._rref(b)
-    if len(pivots) < k:
-        raise Singular("coefficient matrix does not have full column rank")
-    for row in work[k:]:
-        if any(v.code for v in row[k:]):
-            raise InconsistentSystem("right-hand side is outside the column space")
-    return Mat(a.spec, tuple(tuple(row[k:]) for row in work[:k]))
-
-
 def null_space_vector(a: Mat) -> Mat:
     """Nonzero kernel vector of a singular square matrix: the basis vector of
     the first free column, scaled so its lowest nonzero entry is 1."""
-    work, pivots = a._rref()
+    work, pivots, _ = a._rref()
     n = a.ncols
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
@@ -493,42 +470,29 @@ def lift_matrix(a: Mat, ext: FieldSpec) -> Mat:
 
 
 def char_poly(a: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - a), exact.
-
-    Uses Laplace expansion over the polynomial ring with minors memoized per
-    column subset, which stays exact in any characteristic (coefficient-field
-    division tricks are unsound when p divides the small factorials involved).
-    """
+    """Monic characteristic polynomial det(xI - a), by Berkowitz's algorithm:
+    step k extends the leading block B (k x k) to [[B, c], [r, d]] by
+    multiplying its coefficient vector, highest degree first, by the
+    lower-triangular Toeplitz matrix with first column
+    (1, -d, -r c, -r B c, ..., -r B^(k-1) c).  It never divides, so it is
+    exact in every characteristic, and it costs O(n^4) field operations."""
     n = a.nrows
     if n != a.ncols:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    spec = a.spec
-    one = spec.one
-    entries = [[Poly(spec, (-a.rows[i][j],) if i != j else (-a.rows[i][j], one))
-                for j in range(n)] for i in range(n)]
-    memo: dict[int, Poly] = {}
-
-    def minor(mask: int) -> Poly:
-        if mask == 0:
-            return Poly.one(spec)
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        row = n - bin(mask).count("1")
-        total = Poly.zero(spec)
-        idx = 0
-        rest = mask
-        while rest:
-            col_bit = rest & -rest
-            col = col_bit.bit_length() - 1
-            term = entries[row][col] * minor(mask ^ col_bit)
-            total = total - term if idx % 2 else total + term
-            rest ^= col_bit
-            idx += 1
-        memo[mask] = total
-        return total
-
-    return minor((1 << n) - 1)
+    spec, rows = a.spec, a.rows
+    zero = spec.zero
+    coeffs = [spec.one]
+    for k in range(n):
+        r = rows[k][:k]
+        v = [row[k] for row in rows[:k]]
+        toeplitz = [spec.one, -rows[k][k]]
+        for power in range(k):
+            if power:
+                v = [sum(map(mul, row[:k], v), zero) for row in rows[:k]]
+            toeplitz.append(-sum(map(mul, r, v), zero))
+        coeffs = [sum((toeplitz[i - j] * c for j, c in enumerate(coeffs) if j <= i),
+                      zero) for i in range(k + 2)]
+    return Poly(spec, coeffs[::-1])
 
 
 def _subfield_unit_codes(ext: FieldSpec, d: int) -> list[int]:

@@ -112,10 +112,6 @@ class ExtensionPlan:
         }
 
 
-def _invertible(mat: Mat) -> bool:
-    return bool(mat.det())
-
-
 def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     """Validate the channel, factor both hop products' characteristic
     polynomials, and eigen-decompose them over the common splitting field.
@@ -128,15 +124,15 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     and S21 = -Q44^-1 Q43 S11 are products of invertible matrices.
     """
     for name, mat in zip(_MATRIX_KEYS, ch.matrices):
-        if not _invertible(mat):
+        if not mat.det():
             raise SingularChannel(f"channel matrix {name} is singular")
     q11, q12, q21, q22 = ch.hop1
     q33, q34, q43, q44 = ch.hop2
     compound1 = block2x2(q11, q12, q21, q22)
-    if not _invertible(compound1):
+    if not compound1.det():
         raise SingularChannel("compound first-hop matrix is singular")
     compound2 = block2x2(q33, q34, q43, q44)
-    if not _invertible(compound2):
+    if not compound2.det():
         raise SingularChannel("compound second-hop matrix is singular")
     s11, s12, s21, s22 = split_blocks(compound2.inv(), ch.m)
 
@@ -305,8 +301,12 @@ def random_message(ext: FieldSpec, m: int, rng: random.Random):
 
 def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     """Random channel satisfying the invertibility model (all eight matrices
-    plus both compounds), by rejection of up to _MAX_DRAWS draws."""
+    plus both compounds), by rejection of up to _MAX_DRAWS draws.  Over
+    GF(2) with m = 1 no channel qualifies: SingularChannel before any draw."""
     ground = prime_field(p)
+    if (p, m) == (2, 1):
+        raise SingularChannel("no valid channel over GF(2) with m = 1: [1] is the only "
+                              "invertible block, so both compound hops are singular")
 
     def random_invertible() -> Mat:
         while True:
@@ -318,7 +318,7 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     for _ in range(_MAX_DRAWS):
         mats = tuple(random_invertible() for _ in range(8))
         ch = MimoChannel(ground, m, mats)
-        if _invertible(block2x2(*ch.hop1)) and _invertible(block2x2(*ch.hop2)):
+        if block2x2(*ch.hop1).det() and block2x2(*ch.hop2).det():
             return ch
     raise SingularChannel(f"no valid channel found in {_MAX_DRAWS} draws")
 

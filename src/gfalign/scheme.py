@@ -42,7 +42,7 @@ from .gf import (FieldElem, FieldSpec, format_element, make_field,
                  minpoly_degree, parse_element, prime_field)
 from .linalg import (Mat, _block_diag, _eliminate_mod_p, _matmul_mod_p,
                      block2x2, coeff_vector, elem_from_coeff_vector,
-                     krylov_precoders, matrix_rep, solve_exact, split_blocks)
+                     krylov_precoders, matrix_rep, split_blocks)
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
@@ -286,15 +286,15 @@ def relay_encode(pre: PrecoderSet, u: Sequence[int], relay: int) -> FieldElem:
 
 def destination_decode(pre: PrecoderSet, y3: FieldElem,
                        y4: FieldElem) -> MessagePair:
-    """Invert v3 at destination 1; solve the tall consistent v4 system at
-    destination 2 (full Gauss-Jordan, so an inconsistent right-hand side is
-    detected instead of silently dropping rows)."""
+    """Invert v3 at destination 1; solve the tall v4 system at destination 2
+    (Mat.solve reduces every row, so an inconsistent right-hand side raises
+    InconsistentSystem instead of silently dropping rows)."""
     spec = pre.spec
     w1 = tuple(row[0].code for row in pre.v3.solve(coeff_vector(y3)).rows)
     if spec.m == 1:
         w2: tuple[int, ...] = ()
     else:
-        sol = solve_exact(pre.v4, coeff_vector(y4))
+        sol = pre.v4.solve(coeff_vector(y4))
         w2 = tuple(row[0].code for row in sol.rows)
     return MessagePair(w1, w2)
 
@@ -411,7 +411,7 @@ class LinearPipeline:
         m = v1.nrows
         # T @ v4 = [I; 0]: the first m-1 entries of T y are the solution,
         # the last one is the consistency residual
-        work, pivots = v4._rref(Mat.identity(v4.spec, m))
+        work, pivots, _ = v4._rref(Mat.identity(v4.spec, m))
         assert len(pivots) == m - 1, "side precoder lost column rank"
         self.p, self.m = p, m
         ground, code = v1.spec, Mat.to_code_rows

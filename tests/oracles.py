@@ -130,7 +130,7 @@ class ExtensionFieldPipeline:
 
     def run(self, w1, w2):
         """(decoded_w1, decoded_w2, u1, u2) as tuples of ext symbols."""
-        from gfalign.linalg import Mat, solve_exact
+        from gfalign.linalg import Mat
         ext, m, ch = self.ext, self.m, self.channel
         q11, q12, q21, q22 = ch.hop1
         q33, q34, q43, q44 = ch.hop2
@@ -143,7 +143,7 @@ class ExtensionFieldPipeline:
         x4 = self.enc2 @ u2
         got1 = self.v3.solve(self._transport(q33, q34, x3, x4))
         y4 = self._transport(q43, q44, x3, x4)
-        got2 = solve_exact(self.v4, y4).col_entries(0) if m > 1 else ()
+        got2 = self.v4.solve(y4).col_entries(0) if m > 1 else ()
         return (got1.col_entries(0), got2, u1.col_entries(0),
                 u2.col_entries(0))
 

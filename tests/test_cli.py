@@ -362,6 +362,13 @@ class TestSymbolExt:
         assert code == 2 and out == ""
         assert err == "error: message coefficients must lie in [0, 2)\n"
 
+    def test_gf2_m1_exits_2_at_once(self, capsys):
+        code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "1",
+                             "--seed", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "GF(2)" in err
+
     def test_w2_without_w1_exits_2(self, capsys):
         code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",
                              "--seed", "5", "--w2", "1,1")

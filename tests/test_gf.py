@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import pytest
 
-from gfalign import (FieldMismatch, Mat, NotPrime, NotPrimitive, Poly,
+from gfalign import (FieldMismatch, FieldSpec, Mat, NotPrime, NotPrimitive, Poly,
                      conjugates, format_element, make_field, minpoly_degree,
                      parse_element, parse_poly, prime_field,
                      primitive_element)
@@ -124,6 +125,26 @@ class TestConstruction:
             for m in range(1, top + 1):
                 _DEFAULT_MODULUS_CACHE.pop((p, m), None)
                 assert _default_modulus(p, m) == default_modulus_by_scan(p, m)
+
+    def test_constructor_validates_like_make_field(self):
+        # a coefficient outside [0, p) is refused, never reduced mod p
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            FieldSpec(2, 2, (3, 1))
+        with pytest.raises(NotPrime):
+            FieldSpec(4, 1, (0,))
+        with pytest.raises(ValueError):
+            FieldSpec(2, 0, ())
+        with pytest.raises(ValueError, match="monic"):
+            FieldSpec(3, 2, (1, 1, 2))
+        assert FieldSpec(2, 2, (1, 1)) == make_field(2, 2)
+        assert FieldSpec(2, 2, (1, 1, 1)).pi == (1, 1)
+
+    def test_is_prime_matches_trial_division(self):
+        def plain(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        for n in list(range(-50, 20001)) + [1000003, 999983 * 1000003]:
+            assert is_prime(n) == plain(n), n
+        assert is_prime(1000003) and not is_prime(999983 * 1000003)
 
     def test_spec_caching_and_equality(self):
         assert make_field(2, 3) is make_field(2, 3)

@@ -13,7 +13,7 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      linear_combination_image, make_field, matrix_rep,
                      minimal_polynomial, null_space_vector,
                      prime_field, primitive_element, roots_in_field,
-                     solve_exact, split_blocks, vector_from_coeff_rows)
+                     split_blocks, vector_from_coeff_rows)
 from gfalign.linalg import (_eliminate_mod_p, _subfield_unit_codes,
                             eigenvectors_in, splitting_data)
 from gfalign.polys import all_monic
@@ -101,6 +101,8 @@ class TestMatBasics:
             a + Mat.build(GF2, [[1], [0]])
         with pytest.raises(DimensionMismatch):
             a.det()
+        with pytest.raises(DimensionMismatch):
+            a.inv()
 
     def test_empty_width(self):
         v = Mat.from_columns(GF2, [], nrows=3)
@@ -119,8 +121,9 @@ class TestMatBasics:
 
     def test_det_matches_permutation_sum(self):
         rng = random.Random(1)
-        for spec in (GF2, GF3, GF5, make_field(2, 2)):
-            for n in (2, 3, 4):
+        for spec in (GF2, GF3, GF5, make_field(2, 2), make_field(2, 3),
+                     make_field(3, 2)):
+            for n in (2, 3, 4, 5):
                 for _ in range(25):
                     a = random_mat(spec, n, rng)
                     assert a.det() == perm_det(a)
@@ -140,15 +143,40 @@ class TestMatBasics:
                 x = Mat.build(spec, [[rng.randrange(spec.order)] for _ in range(4)])
                 assert a.solve(a @ x) == x
 
-    def test_solve_exact_tall(self):
-        a = Mat.build(GF3, [[1, 0], [0, 1], [1, 1]])
-        x = Mat.build(GF3, [[2], [1]])
-        assert solve_exact(a, a @ x) == x
+    @pytest.mark.parametrize("spec", [GF3, make_field(2, 3)], ids=["GF3", "GF8"])
+    def test_solve_full_column_rank(self, spec):
+        # the one solver: square and tall systems of full column rank solve
+        # exactly; dependent columns (a wide or singular matrix) raise
+        # Singular, a right-hand side outside the column space
+        # InconsistentSystem
+        a = Mat.build(spec, [[1, 0], [0, 1], [1, 1]])
+        x = Mat.build(spec, [[2], [1]])
+        assert a.solve(a @ x) == x
         with pytest.raises(InconsistentSystem):
-            solve_exact(a, Mat.build(GF3, [[0], [0], [1]]))
-        wide = Mat.build(GF3, [[1, 1], [2, 2]])
+            a.solve(Mat.build(spec, [[0], [0], [1]]))
         with pytest.raises(Singular):
-            solve_exact(wide, Mat.build(GF3, [[1], [2]]))
+            Mat.build(spec, [[1, 1], [2, 2]]).solve(Mat.build(spec, [[1], [2]]))
+        with pytest.raises(Singular):
+            Mat.build(spec, [[1, 0, 1], [0, 1, 1]]).solve(Mat.build(spec, [[1], [1]]))
+        rng = random.Random(21)
+        for nrows, ncols in ((3, 3), (4, 2), (5, 3), (4, 1)):
+            done = 0
+            while done < 15:
+                a = random_mat(spec, nrows, rng, ncols)
+                b = random_mat(spec, nrows, rng, 2)
+                aug = Mat(spec, tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
+                if a.rank() < ncols:
+                    with pytest.raises(Singular):
+                        a.solve(b)
+                    continue
+                x = random_mat(spec, ncols, rng, 2)
+                assert a.solve(a @ x) == x
+                if aug.rank() > ncols:
+                    with pytest.raises(InconsistentSystem):
+                        a.solve(b)
+                else:
+                    assert a @ a.solve(b) == b
+                done += 1
 
     def test_null_space_vector(self):
         a = Mat.build(GF3, [[1, 2], [2, 4]])
@@ -310,11 +338,29 @@ class TestCharPoly:
 
     def test_matches_permutation_sum(self):
         rng = random.Random(13)
-        for spec in (GF2, GF3, GF5):
-            for n in (2, 3, 4):
-                for _ in range(20):
+        for spec in (GF2, GF3, GF5, make_field(2, 2), make_field(3, 2)):
+            for n, count in ((2, 20), (3, 20), (4, 20), (5, 10), (6, 5)):
+                for _ in range(count):
                     a = random_mat(spec, n, rng)
                     assert char_poly(a) == perm_char_poly(a)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_invariants_at_larger_sizes(self, p, n):
+        # beyond the permutation sum: Cayley-Hamilton p(A) = 0, the trace
+        # is -c_(n-1) and the determinant is (-1)^n c_0
+        spec = prime_field(p)
+        a = random_mat(spec, n, random.Random(1000 * p + n))
+        cp = char_poly(a)
+        assert cp.degree == n and cp.is_monic
+        ident = Mat.identity(spec, n)
+        acc = Mat.zeros(spec, n, n)
+        for c in reversed(cp.coeffs):
+            acc = acc @ a + ident.scale(c)
+        assert acc == Mat.zeros(spec, n, n)
+        trace = sum((a.entry(i, i) for i in range(n)), spec.zero)
+        assert trace == -cp.coeffs[n - 1]
+        assert a.det() == (cp.coeffs[0] if n % 2 == 0 else -cp.coeffs[0])
 
     def test_lift_preserves_char_poly(self):
         rng = random.Random(17)

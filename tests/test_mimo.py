@@ -50,6 +50,15 @@ class TestPlanExtension:
         assert plan.ext == make_field(3, 1)
         assert plan.hop1.factor_degrees == (1,)
 
+    def test_gf2_m1_fails_before_drawing(self):
+        # over GF(2) every invertible 1x1 block is [1], so both compound
+        # hops are [[1, 1], [1, 1]]: no draw can succeed, none is made
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(SingularChannel, match=r"GF\(2\)"):
+            random_mimo_channel(2, 1, rng)
+        assert rng.getstate() == state
+
     def test_identity_product_unreachable(self):
         # an identity hop product forces a singular compound (1 would be an
         # eigenvalue), so the planner rejects the channel before eigen work
