@@ -21,6 +21,7 @@ Larger fields fall back to plain polynomial arithmetic.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 from .errors import FieldMismatch, NotPrime, NotPrimitive
@@ -29,8 +30,11 @@ _INTERN_LIMIT = 1 << 16  # intern elements and build log/antilog/Zech up to this
 
 
 def is_prime(n: int) -> bool:
-    """True iff n is a prime: its one prime factor is n itself."""
-    return n >= 2 and prime_factors(n) == [n]
+    """True iff n is a prime, by trial division that stops at the first
+    divisor up to isqrt(n)."""
+    if n < 4:
+        return n >= 2
+    return n % 2 != 0 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def prime_factors(n: int) -> list[int]:

@@ -15,10 +15,11 @@ The transform layer provides:
 
 Everything is exact.  ``Mat.solve`` is the one solver (full column rank,
 square or tall; ``inv`` solves against I), and its Gauss-Jordan pass also
-yields extension-field determinants; prime-field determinants and ranks
-eliminate on integer codes mod p.  ``char_poly`` is Berkowitz's
-division-free algorithm.  Roots in F_{p^L} are searched only in its
-subfields F_{p^d}, d | L, d <= deg f (see ``roots_in_field``).
+yields extension-field determinants.  Over a prime field, products, solves,
+inverses, ranks and determinants run on integer codes mod p, as does
+``char_poly``, Berkowitz's division-free algorithm.  Roots in F_{p^L} are
+searched only in its subfields F_{p^d}, d | L, d <= deg f (see
+``roots_in_field``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
 from .gf import FieldElem, FieldSpec, prime_field, primitive_element
 from .polys import Poly, divisors, factor_poly
+
+
+
+def _element_of_code(spec: FieldSpec):
+    """code -> element of spec, by table lookup when its elements are
+    interned."""
+    return spec.from_code if spec._elems is None else spec._elems.__getitem__
 
 
 class Mat:
@@ -55,6 +63,13 @@ class Mat:
         if any(len(row) != width for row in converted):
             raise DimensionMismatch("rows have unequal lengths")
         return cls(spec, converted)
+
+    @classmethod
+    def from_code_rows(cls, spec: FieldSpec, rows) -> "Mat":
+        """Matrix of the elements with the given codes, each in [0, p^m);
+        the inverse of ``to_code_rows``, without its checks."""
+        elem = _element_of_code(spec)
+        return cls(spec, tuple(tuple(map(elem, row)) for row in rows))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Mat":
@@ -126,6 +141,13 @@ class Mat:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         if self.ncols == 0:
             raise DimensionMismatch("cannot multiply through an empty inner dimension")
+        spec = self.spec
+        if spec.m == 1:
+            p, elem = spec.p, _element_of_code(spec)
+            cols = list(zip(*other.to_code_rows()))
+            return Mat(spec, tuple(tuple([elem(sum(map(mul, row, col)) % p)
+                                          for col in cols])
+                                   for row in self.to_code_rows()))
         bcols = list(zip(*other.rows)) if other.ncols else []
         out = []
         for row in self.rows:
@@ -136,7 +158,7 @@ class Mat:
                     acc = acc + a * b
                 out_row.append(acc)
             out.append(tuple(out_row))
-        return Mat(self.spec, tuple(out))
+        return Mat(spec, tuple(out))
 
     def scale(self, c) -> "Mat":
         c = self.spec.element(c)
@@ -167,15 +189,12 @@ class Mat:
     # -- elimination-based operations -------------------------------------------
 
     def _rref(self, aug: "Mat | None" = None):
-        """Gauss-Jordan on [self | aug], pivoting on the columns of self.
-        Returns (rows, pivot_cols, det); det is the pivot product with the
-        sign flipped at each row swap (zero once a column has no pivot), the
-        determinant of a square self."""
+        """Gauss-Jordan on [self | aug] over field elements, pivoting on the
+        columns of self.  Returns (rows, pivot_cols, det); det is the pivot
+        product with the sign flipped at each row swap (zero once a column
+        has no pivot), the determinant of a square self."""
         width = self.ncols
         if aug is not None:
-            self._check(aug)
-            if aug.nrows != self.nrows:
-                raise DimensionMismatch("augmented block has a different row count")
             work = [list(r) + list(a) for r, a in zip(self.rows, aug.rows)]
         else:
             work = [list(r) for r in self.rows]
@@ -204,6 +223,8 @@ class Mat:
         return work, pivots, det
 
     def rank(self) -> int:
+        if self.spec.m == 1:
+            return _eliminate_mod_p(self.to_code_rows(), self.spec.p)[0]
         return len(self._rref()[1])
 
     def det(self) -> FieldElem:
@@ -220,20 +241,81 @@ class Mat:
         """Inverse of a square matrix, as the solution of self @ x = I."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        return self.solve(Mat.identity(self.spec, self.nrows))
+        spec = self.spec
+        if spec.m == 1:
+            return Mat.from_code_rows(spec, _inv_mod_p(self.to_code_rows(), spec.p))
+        return self.solve(Mat.identity(spec, self.nrows))
 
     def solve(self, b: "Mat") -> "Mat":
         """The unique x with self @ x = b for self of full column rank, square
         or tall: Singular when its columns are dependent, InconsistentSystem
-        when a column of b lies outside their span."""
-        k = self.ncols
+        when a column of b lies outside their span.  Over a prime field the
+        Gauss-Jordan pass runs on integer codes mod p (``_solve_mod_p``)."""
+        self._check(b)
+        if b.nrows != self.nrows:
+            raise DimensionMismatch("augmented block has a different row count")
+        spec = self.spec
+        if spec.m == 1:
+            return Mat.from_code_rows(spec, _solve_mod_p(
+                self.to_code_rows(), b.to_code_rows(), spec.p))
         work, pivots, _ = self._rref(b)
-        if len(pivots) < k:
-            raise Singular(f"coefficient matrix has rank {len(pivots)} < {k} columns")
-        for row in work[k:]:
-            if any(v.code for v in row[k:]):
-                raise InconsistentSystem("right-hand side is outside the column space")
-        return Mat(self.spec, tuple(tuple(row[k:]) for row in work[:k]))
+        return Mat(spec, tuple(map(tuple, _solution(work, pivots, self.ncols))))
+
+
+def _solution(work: list, pivots: list[int], k: int) -> list:
+    """Rows of x from the reduced rows of [a | b], a with k columns:
+    Singular unless a has full column rank, InconsistentSystem when a row
+    that is zero in a is not zero in b."""
+    if len(pivots) < k:
+        raise Singular(f"coefficient matrix has rank {len(pivots)} < {k} columns")
+    if any(any(row[k:]) for row in work[k:]):
+        raise InconsistentSystem("right-hand side is outside the column space")
+    return [row[k:] for row in work[:k]]
+
+
+def _gauss_jordan_mod_p(work: list[list[int]], width: int, p: int) -> list[int]:
+    """Gauss-Jordan on rows of integer codes over F_p, pivoting on their
+    first ``width`` columns: ``work`` becomes its reduced row echelon form.
+    Returns the pivot columns."""
+    pivots: list[int] = []
+    n = len(work)
+    for c in range(width):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if work[i][c]), None)
+        if pr is None:
+            continue
+        row = work[pr]
+        work[pr] = work[r]
+        if row[c] != 1:
+            inv = pow(row[c], -1, p)
+            row = [v * inv % p for v in row]
+        work[r] = row
+        for i in range(n):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = [(v - f * w) % p for v, w in zip(work[i], row)]
+        pivots.append(c)
+        if r + 1 == n:
+            break
+    return pivots
+
+
+def _solve_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
+    """x with a x = b over F_p, on integer codes, by the contract of
+    ``Mat.solve``."""
+    work = [ra + rb for ra, rb in zip(a, b)]
+    k = len(a[0])
+    return _solution(work, _gauss_jordan_mod_p(work, k, p), k)
+
+
+def _identity_codes(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _inv_mod_p(a: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse over F_p of a square matrix of integer codes; Singular when
+    it has none."""
+    return _solve_mod_p(a, _identity_codes(len(a)), p)
 
 
 def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
@@ -257,6 +339,27 @@ def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
                 work[i] = [(v - f * w) % p for v, w in zip(work[i], pivot_row)]
         rank += 1
     return rank, det
+
+
+def _full_rank(p: int, rows: list[list[int]]) -> bool:
+    """True iff a square matrix of integer codes over F_p is invertible.
+    Over F_2 each row is a bitmask, reduced by XOR against the rows kept so
+    far: each kept row has its own leading bit, and min(x, x ^ b) clears
+    that bit of x when it is set, so a row is dependent iff it reduces to
+    0."""
+    if p != 2:
+        return _eliminate_mod_p(list(rows), p)[0] == len(rows)
+    basis: list[int] = []
+    for row in rows:
+        x = 0
+        for bit in row:
+            x = x << 1 | bit
+        for b in basis:
+            x = min(x, x ^ b)
+        if not x:
+            return False
+        basis.append(x)
+    return True
 
 
 def _block_diag(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -292,18 +395,23 @@ def null_space_vector(a: Mat) -> Mat:
 
 
 def krylov_precoders(product: Mat, lead: Mat, cross: Mat) -> tuple[Mat, Mat]:
-    """Main (n x n) and side (n x n-1) precoders of one hop.
+    """Main (n x n) and side (n x n-1) precoders of one hop, over a prime
+    field, computed on integer codes.
 
     The main precoder has columns product^l lead for l < n, a Krylov basis
     that has full rank iff lead is a cyclic vector of product; the side
     precoder is cross times its first n-1 columns.
     """
-    cols = [lead]
-    for _ in range(product.nrows - 1):
-        cols.append(product @ cols[-1])
-    return (Mat.from_columns(product.spec, cols),
-            Mat.from_columns(product.spec, [cross @ col for col in cols[:-1]],
-                             nrows=product.nrows))
+    spec = product.spec
+    if spec.m != 1:
+        raise FieldMismatch("precoders are built over a prime field")
+    p, a = spec.p, product.to_code_rows()
+    cols = [[row[0] for row in lead.to_code_rows()]]
+    for _ in range(len(a) - 1):
+        cols.append([sum(map(mul, row, cols[-1])) % p for row in a])
+    main = [list(row) for row in zip(*cols)]
+    side = _matmul_mod_p(p, cross.to_code_rows(), [row[:-1] for row in main])
+    return Mat.from_code_rows(spec, main), Mat.from_code_rows(spec, side)
 
 
 def block2x2(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
@@ -470,28 +578,33 @@ def lift_matrix(a: Mat, ext: FieldSpec) -> Mat:
 
 
 def char_poly(a: Mat) -> Poly:
-    """Monic characteristic polynomial det(xI - a), by Berkowitz's algorithm:
-    step k extends the leading block B (k x k) to [[B, c], [r, d]] by
-    multiplying its coefficient vector, highest degree first, by the
-    lower-triangular Toeplitz matrix with first column
-    (1, -d, -r c, -r B c, ..., -r B^(k-1) c).  It never divides, so it is
-    exact in every characteristic, and it costs O(n^4) field operations."""
+    """Monic characteristic polynomial det(xI - a) of a matrix over a prime
+    field, by Berkowitz's algorithm on integer codes mod p: step k extends
+    the leading block B (k x k) to [[B, c], [r, d]] by multiplying its
+    coefficient vector, highest degree first, by the lower-triangular
+    Toeplitz matrix with first column (1, -d, -r c, -r B c, ...,
+    -r B^(k-1) c).  It never divides, so it is exact in every
+    characteristic, and it costs O(n^4) operations mod p.  Raises
+    FieldMismatch for a matrix over an extension field."""
     n = a.nrows
     if n != a.ncols:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    spec, rows = a.spec, a.rows
-    zero = spec.zero
-    coeffs = [spec.one]
+    spec = a.spec
+    if spec.m != 1:
+        raise FieldMismatch("characteristic polynomials are computed over a "
+                            "prime field")
+    p, rows = spec.p, a.to_code_rows()
+    coeffs = [1]
     for k in range(n):
+        block = [row[:k] for row in rows[:k]]
         r = rows[k][:k]
         v = [row[k] for row in rows[:k]]
-        toeplitz = [spec.one, -rows[k][k]]
+        toeplitz = [1, -rows[k][k] % p]
         for power in range(k):
             if power:
-                v = [sum(map(mul, row[:k], v), zero) for row in rows[:k]]
-            toeplitz.append(-sum(map(mul, r, v), zero))
-        coeffs = [sum((toeplitz[i - j] * c for j, c in enumerate(coeffs) if j <= i),
-                      zero) for i in range(k + 2)]
+                v = [sum(map(mul, row, v)) % p for row in block]
+            toeplitz.append(-sum(map(mul, r, v)) % p)
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) % p for i in range(k + 2)]
     return Poly(spec, coeffs[::-1])
 
 

@@ -21,11 +21,11 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import SingularChannel
+from .errors import Singular, SingularChannel
 from .gf import FieldElem, FieldSpec, make_field, prime_field
-from .linalg import (Mat, block2x2, eigenvectors_in, krylov_precoders,
-                     roots_in_field, split_blocks, splitting_data,
-                     vandermonde_det)
+from .linalg import (Mat, _full_rank, _inv_mod_p, _matmul_mod_p, _solve_mod_p,
+                     block2x2, eigenvectors_in, krylov_precoders,
+                     roots_in_field, splitting_data, vandermonde_det)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int, check_alignment)
@@ -66,9 +66,12 @@ class MimoChannel:
 
 @dataclass(frozen=True)
 class HopPlan:
-    """Eigen data of one hop's cross-ratio product."""
+    """Eigen data of one hop's cross-ratio product A^-1 B cross, where
+    (A, B, cross) is (Q11, Q12, Q22^-1 Q21) for the first hop and
+    (S11, S12, S22^-1 S21) for the second."""
 
     product: Mat                      # over F_p
+    cross: Mat                        # over F_p
     char: Poly
     factor_degrees: tuple[int, ...]   # descending
     max_factor_degree: int            # extension order claimed by the largest factor
@@ -112,9 +115,17 @@ class ExtensionPlan:
         }
 
 
+def _compound(a: list[list[int]], b: list[list[int]], c: list[list[int]],
+              d: list[list[int]]) -> list[list[int]]:
+    """[[a, b], [c, d]] for blocks of integer codes."""
+    return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
+
+
 def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     """Validate the channel, factor both hop products' characteristic
     polynomials, and eigen-decompose them over the common splitting field.
+    The F_p steps (rank checks, inverse blocks, hop products) run on
+    integer codes mod p.
 
     Raises SingularChannel when a channel matrix or a compound hop matrix is
     singular, and DegenerateSpectrum when either product has a repeated
@@ -123,38 +134,46 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     S22 = (Q44 - Q43 Q33^-1 Q34)^-1 are inverses, and S12 = -Q33^-1 Q34 S22
     and S21 = -Q44^-1 Q43 S11 are products of invertible matrices.
     """
-    for name, mat in zip(_MATRIX_KEYS, ch.matrices):
-        if not mat.det():
+    ground, p, m = ch.ground, ch.ground.p, ch.m
+    codes = [mat.to_code_rows() for mat in ch.matrices]
+    for name, rows in zip(_MATRIX_KEYS, codes):
+        if not _full_rank(p, rows):
             raise SingularChannel(f"channel matrix {name} is singular")
-    q11, q12, q21, q22 = ch.hop1
-    q33, q34, q43, q44 = ch.hop2
-    compound1 = block2x2(q11, q12, q21, q22)
-    if not compound1.det():
+    q11, q12, q21, q22, q33, q34, q43, q44 = codes
+    if not _full_rank(p, _compound(q11, q12, q21, q22)):
         raise SingularChannel("compound first-hop matrix is singular")
-    compound2 = block2x2(q33, q34, q43, q44)
-    if not compound2.det():
-        raise SingularChannel("compound second-hop matrix is singular")
-    s11, s12, s21, s22 = split_blocks(compound2.inv(), ch.m)
+    try:
+        s = _inv_mod_p(_compound(q33, q34, q43, q44), p)
+    except Singular:
+        raise SingularChannel("compound second-hop matrix is singular") from None
+    s11, s12 = [row[:m] for row in s[:m]], [row[m:] for row in s[:m]]
+    s21, s22 = [row[:m] for row in s[m:]], [row[m:] for row in s[m:]]
 
-    product1 = q11.inv() @ q12 @ q22.inv() @ q21
-    product2 = s11.inv() @ s12 @ s22.inv() @ s21
+    def product_and_cross(a, b, c, d):
+        cross = _solve_mod_p(d, c, p)
+        return (Mat.from_code_rows(ground, _matmul_mod_p(p, _solve_mod_p(a, b, p), cross)),
+                Mat.from_code_rows(ground, cross))
+
+    product1, cross1 = product_and_cross(q11, q12, q21, q22)
+    product2, cross2 = product_and_cross(s11, s12, s21, s22)
     cp1, degrees1, deg1 = splitting_data(product1)
     cp2, degrees2, deg2 = splitting_data(product2)
     degree = math.lcm(deg1, deg2)
-    ext = make_field(ch.ground.p, degree)
+    ext = make_field(p, degree)
 
-    def hop_plan(product, cp, degrees, own_degree):
+    def hop_plan(product, cross, cp, degrees, own_degree):
         values = tuple(roots_in_field(cp, ext))
-        if len(values) != ch.m:
+        if len(values) != m:
             raise AssertionError("common extension does not split a hop product")
         vectors = eigenvectors_in(product, ext, values)
-        return HopPlan(product, cp, degrees, degrees[0], own_degree,
+        return HopPlan(product, cross, cp, degrees, degrees[0], own_degree,
                        values, vectors)
 
     return ExtensionPlan(ch, ext, degree,
-                         hop_plan(product1, cp1, degrees1, deg1),
-                         hop_plan(product2, cp2, degrees2, deg2),
-                         (s11, s12, s21, s22))
+                         hop_plan(product1, cross1, cp1, degrees1, deg1),
+                         hop_plan(product2, cross2, cp2, degrees2, deg2),
+                         tuple(Mat.from_code_rows(ground, blk)
+                               for blk in (s11, s12, s21, s22)))
 
 
 @dataclass(frozen=True)
@@ -177,14 +196,14 @@ class MimoPrecoders:
     v4: Mat
 
 
-def _hop_precoders(plan: ExtensionPlan, hop: HopPlan, cross: Mat) -> tuple[Mat, Mat]:
+def _hop_precoders(plan: ExtensionPlan, hop: HopPlan) -> tuple[Mat, Mat]:
     ext, ground, m = plan.ext, plan.channel.ground, plan.channel.m
     lead = hop.eigenvectors @ Mat.build(ext, [[1]] * m)
     codes = [row[0].code for row in lead.rows]
     assert all(c < ground.p for c in codes), \
         "the eigenvector sum must be fixed by Frobenius"
     v_main, v_side = krylov_precoders(hop.product, Mat.column(ground, codes),
-                                      cross)
+                                      hop.cross)
     det = v_main.det().lift(ext)
     expected = hop.eigenvectors.det() * vandermonde_det(hop.eigenvalues)
     assert det == expected and det.code, \
@@ -193,12 +212,9 @@ def _hop_precoders(plan: ExtensionPlan, hop: HopPlan, cross: Mat) -> tuple[Mat, 
 
 
 def build_mimo_precoders(plan: ExtensionPlan) -> MimoPrecoders:
-    ch = plan.channel
-    q11, q12, q21, q22 = ch.hop1
-    s11, s12, s21, s22 = plan.s_blocks
-    v1, v2 = _hop_precoders(plan, plan.hop1, q22.inv() @ q21)
-    v3, v4 = _hop_precoders(plan, plan.hop2, s22.inv() @ s21)
-    check_alignment(ch.hop1 + plan.s_blocks, v1, v2, v3, v4)
+    v1, v2 = _hop_precoders(plan, plan.hop1)
+    v3, v4 = _hop_precoders(plan, plan.hop2)
+    check_alignment(plan.channel.hop1 + plan.s_blocks, v1, v2, v3, v4)
     return MimoPrecoders(plan, v1, v2, v3, v4)
 
 
@@ -302,24 +318,25 @@ def random_message(ext: FieldSpec, m: int, rng: random.Random):
 def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     """Random channel satisfying the invertibility model (all eight matrices
     plus both compounds), by rejection of up to _MAX_DRAWS draws.  Over
-    GF(2) with m = 1 no channel qualifies: SingularChannel before any draw."""
+    GF(2) with m = 1 no channel qualifies: SingularChannel before any draw.
+    Draws are integer code rows, ranked mod p; only the accepted channel
+    becomes matrices."""
     ground = prime_field(p)
     if (p, m) == (2, 1):
         raise SingularChannel("no valid channel over GF(2) with m = 1: [1] is the only "
                               "invertible block, so both compound hops are singular")
 
-    def random_invertible() -> Mat:
+    def random_invertible() -> list[list[int]]:
         while True:
-            mat = Mat.build(ground, [[rng.randrange(p) for _ in range(m)]
-                                     for _ in range(m)])
-            if mat.det():
-                return mat
+            rows = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
+            if _full_rank(p, rows):
+                return rows
 
     for _ in range(_MAX_DRAWS):
-        mats = tuple(random_invertible() for _ in range(8))
-        ch = MimoChannel(ground, m, mats)
-        if block2x2(*ch.hop1).det() and block2x2(*ch.hop2).det():
-            return ch
+        q = [random_invertible() for _ in range(8)]
+        if _full_rank(p, _compound(*q[:4])) and _full_rank(p, _compound(*q[4:])):
+            return MimoChannel(ground, m, tuple(Mat.from_code_rows(ground, rows)
+                                                for rows in q))
     raise SingularChannel(f"no valid channel found in {_MAX_DRAWS} draws")
 
 

@@ -40,9 +40,10 @@ from typing import Iterator, Sequence
 from .errors import InconsistentSystem, TooLarge
 from .gf import (FieldElem, FieldSpec, format_element, make_field,
                  minpoly_degree, parse_element, prime_field)
-from .linalg import (Mat, _block_diag, _eliminate_mod_p, _matmul_mod_p,
-                     block2x2, coeff_vector, elem_from_coeff_vector,
-                     krylov_precoders, matrix_rep, split_blocks)
+from .linalg import (Mat, _block_diag, _eliminate_mod_p, _gauss_jordan_mod_p,
+                     _identity_codes, _inv_mod_p, _matmul_mod_p, block2x2,
+                     coeff_vector, elem_from_coeff_vector, krylov_precoders,
+                     matrix_rep)
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
@@ -191,13 +192,16 @@ def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
 def check_alignment(blocks: Sequence[Mat], v1: Mat, v2: Mat, v3: Mat,
                     v4: Mat) -> None:
     """Assert Q11 v1[l+1] = Q12 v2[l], Q21 v1[l] = Q22 v2[l] and the same
-    for v3, v4 with blocks = (Q11, Q12, Q21, Q22, S11, S12, S21, S22)."""
-    q11, q12, q21, q22, s11, s12, s21, s22 = blocks
+    for v3, v4 with blocks = (Q11, Q12, Q21, Q22, S11, S12, S21, S22), all
+    over F_p, on integer codes."""
+    p = v1.spec.p
+    q11, q12, q21, q22, s11, s12, s21, s22 = map(Mat.to_code_rows, blocks)
+    v1, v2, v3, v4 = map(Mat.to_code_rows, (v1, v2, v3, v4))
     for a, b, left, right, offset in ((q11, q12, v1, v2, 1), (q21, q22, v1, v2, 0),
                                       (s11, s12, v3, v4, 1), (s21, s22, v3, v4, 0)):
-        for l in range(right.ncols):
-            assert a @ left.col(l + offset) == b @ right.col(l), \
-                "alignment identity failed"
+        n = len(right[0])
+        assert [row[offset:offset + n] for row in _matmul_mod_p(p, a, left)] \
+            == _matmul_mod_p(p, b, right), "alignment identity failed"
 
 
 @dataclass(frozen=True)
@@ -409,25 +413,22 @@ class LinearPipeline:
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
                  v1: Mat, v2: Mat, v3: Mat, v4: Mat):
         m = v1.nrows
+        self.p, self.m = p, m
+        hop1, hop2, v1, v2, v3, v4, s11, s21 = map(
+            Mat.to_code_rows, (hop1, hop2, v1, v2, v3, v4, s11, s21))
         # T @ v4 = [I; 0]: the first m-1 entries of T y are the solution,
         # the last one is the consistency residual
-        work, pivots, _ = v4._rref(Mat.identity(v4.spec, m))
-        assert len(pivots) == m - 1, "side precoder lost column rank"
-        self.p, self.m = p, m
-        ground, code = v1.spec, Mat.to_code_rows
-        q11, _, q21, _ = map(code, split_blocks(hop1, m))
-        v1, v2, v3, s11, s21 = map(code, (v1, v2, v3, s11, s21))
-
-        def inverse(a):
-            return code(Mat.build(ground, a).inv())
-
-        relays = _block_diag(inverse(_matmul_mod_p(p, q11, v1)),
-                             inverse(_matmul_mod_p(p, q21, v1)))
-        self.relay_map = _matmul_mod_p(p, relays, code(hop1), _block_diag(v1, v2))
-        t = [[e.code for e in row[m - 1:]] for row in work]
+        work = [r + e for r, e in zip(v4, _identity_codes(m))]
+        assert len(_gauss_jordan_mod_p(work, m - 1, p)) == m - 1, \
+            "side precoder lost column rank"
+        t = [row[m - 1:] for row in work]
+        q11, q21 = [row[:m] for row in hop1[:m]], [row[:m] for row in hop1[m:]]
+        relays = _block_diag(_inv_mod_p(_matmul_mod_p(p, q11, v1), p),
+                             _inv_mod_p(_matmul_mod_p(p, q21, v1), p))
+        self.relay_map = _matmul_mod_p(p, relays, hop1, _block_diag(v1, v2))
         encoders = _block_diag(_matmul_mod_p(p, s11, v3), _matmul_mod_p(p, s21, v3))
-        self.destination_map = _matmul_mod_p(p, _block_diag(inverse(v3), t),
-                                             code(hop2), encoders)
+        self.destination_map = _matmul_mod_p(p, _block_diag(_inv_mod_p(v3, p), t),
+                                             hop2, encoders)
 
     @property
     def relay_map(self) -> list[list[int]]:

@@ -8,6 +8,56 @@ def roots_by_enumeration(f, ext):
     return [e for e in ext.elements() if not f(e).code]
 
 
+def berkowitz_char_poly(a):
+    """Monic characteristic polynomial det(xI - a) of a square matrix over
+    any field, by Berkowitz's algorithm on field elements: step k extends
+    the leading block B (k x k) to [[B, c], [r, d]] by multiplying its
+    coefficient vector, highest degree first, by the lower-triangular
+    Toeplitz matrix with first column (1, -d, -r c, -r B c, ...,
+    -r B^(k-1) c)."""
+    from operator import mul
+    from gfalign.polys import Poly
+    spec, rows = a.spec, a.rows
+    zero = spec.zero
+    coeffs = [spec.one]
+    for k in range(a.nrows):
+        r = rows[k][:k]
+        v = [row[k] for row in rows[:k]]
+        toeplitz = [spec.one, -rows[k][k]]
+        for power in range(k):
+            if power:
+                v = [sum(map(mul, row[:k], v), zero) for row in rows[:k]]
+            toeplitz.append(-sum(map(mul, r, v), zero))
+        coeffs = [sum((toeplitz[i - j] * c for j, c in enumerate(coeffs) if j <= i),
+                      zero) for i in range(k + 2)]
+    return Poly(spec, coeffs[::-1])
+
+
+def random_mimo_channel_by_det(p, m, rng):
+    """The channel stream of random_mimo_channel, drawn as Mat objects and
+    tested by Mat.det: every block until one is nonsingular, eight blocks
+    per draw, and the draw kept when both compound hops are nonsingular
+    too."""
+    from gfalign.gf import prime_field
+    from gfalign.linalg import Mat, block2x2
+    from gfalign.mimo import MimoChannel
+    from gfalign.scheme import _MAX_DRAWS
+    ground = prime_field(p)
+
+    def random_invertible():
+        while True:
+            mat = Mat.build(ground, [[rng.randrange(p) for _ in range(m)]
+                                     for _ in range(m)])
+            if mat.det():
+                return mat
+
+    for _ in range(_MAX_DRAWS):
+        mats = tuple(random_invertible() for _ in range(8))
+        if block2x2(*mats[:4]).det() and block2x2(*mats[4:]).det():
+            return MimoChannel(ground, m, mats)
+    raise AssertionError(f"no valid channel found in {_MAX_DRAWS} draws")
+
+
 def default_modulus_by_scan(p, m):
     """Lexicographically smallest primitive monic modulus of degree m,
     comparing coefficients low-degree-first, by testing every monic

@@ -142,7 +142,9 @@ class TestConstruction:
     def test_is_prime_matches_trial_division(self):
         def plain(n):
             return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-        for n in list(range(-50, 20001)) + [1000003, 999983 * 1000003]:
+        # an even n with a large cofactor must stop at its divisor 2
+        for n in list(range(-50, 20001)) + [1000003, 999983 * 1000003,
+                                             2 * 1000000000039]:
             assert is_prime(n) == plain(n), n
         assert is_prime(1000003) and not is_prime(999983 * 1000003)
 

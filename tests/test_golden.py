@@ -84,6 +84,13 @@ CLI_CASES = {
     # the hop product's characteristic polynomial has a repeated factor
     "symbol_ext_p3_m2_degenerate": (["symbol-ext", "--p", "3", "--m", "2",
                                      "--seed", "2"], 1),
+    # plans at L = 12: hop factor degrees whose lcm exceeds the largest
+    "symbol_ext_p2_m6_L12": (["symbol-ext", "--p", "2", "--m", "6",
+                              "--seed", "3"], 0),
+    "symbol_ext_p3_m3_L6": (["symbol-ext", "--p", "3", "--m", "3",
+                             "--seed", "4"], 0),
+    "symbol_ext_p5_m2": (["symbol-ext", "--p", "5", "--m", "2",
+                          "--seed", "2"], 0),
 }
 
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]

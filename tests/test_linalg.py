@@ -14,10 +14,10 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      minimal_polynomial, null_space_vector,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
-from gfalign.linalg import (_eliminate_mod_p, _subfield_unit_codes,
+from gfalign.linalg import (_eliminate_mod_p, _full_rank, _subfield_unit_codes,
                             eigenvectors_in, splitting_data)
 from gfalign.polys import all_monic
-from oracles import roots_by_enumeration
+from oracles import berkowitz_char_poly, roots_by_enumeration
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -337,12 +337,19 @@ class TestCharPoly:
         assert char_poly(Mat.zeros(GF2, 3, 3)).coeff_codes() == (0, 0, 0, 1)
 
     def test_matches_permutation_sum(self):
+        # char_poly over the prime fields; over the extension fields the
+        # field-element Berkowitz oracle, which checks char_poly below
         rng = random.Random(13)
         for spec in (GF2, GF3, GF5, make_field(2, 2), make_field(3, 2)):
+            berkowitz = char_poly if spec.m == 1 else berkowitz_char_poly
             for n, count in ((2, 20), (3, 20), (4, 20), (5, 10), (6, 5)):
                 for _ in range(count):
                     a = random_mat(spec, n, rng)
-                    assert char_poly(a) == perm_char_poly(a)
+                    assert berkowitz(a) == perm_char_poly(a)
+
+    def test_extension_field_raises(self):
+        with pytest.raises(FieldMismatch):
+            char_poly(Mat.identity(make_field(2, 2), 2))
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("n", [8, 10, 12])
@@ -367,7 +374,7 @@ class TestCharPoly:
         ext = make_field(2, 4)
         for _ in range(20):
             a = random_mat(GF2, 3, rng)
-            lifted = char_poly(lift_matrix(a, ext))
+            lifted = berkowitz_char_poly(lift_matrix(a, ext))
             assert lifted.coeff_codes() == char_poly(a).coeff_codes()
 
 
@@ -470,14 +477,90 @@ class TestPrimeFieldDet:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_rank_of_rectangular(self, p):
         # the same integer elimination ranks the certificates of scans;
-        # FieldElem Gauss-Jordan is the reference
+        # FieldElem Gauss-Jordan on the lifted matrix is the reference
         rng = random.Random(f"rank:{p}")
-        spec = prime_field(p)
+        spec, ext = prime_field(p), make_field(p, 2)
         for _ in range(300):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             a = Mat.build(spec, [[rng.randrange(p) if rng.random() < 0.6 else 0
                                   for _ in range(cols)] for _ in range(rows)])
-            assert _eliminate_mod_p(a.to_code_rows(), p)[0] == a.rank()
+            want = lift_matrix(a, ext).rank()
+            assert _eliminate_mod_p(a.to_code_rows(), p)[0] == a.rank() == want
+
+
+class TestPrimeFieldCodes:
+    """Over a prime field, @, solve, inv, char_poly and the rank test of the
+    channel draws run on integer codes mod p; the field-element elimination
+    and Berkowitz of the same matrices lifted into F_{p^2} are the
+    reference.  A failed solve must raise the same exception with the same
+    message."""
+
+    @staticmethod
+    def _outcome(fn, ext=None):
+        try:
+            x = fn()
+        except (Singular, InconsistentSystem) as exc:
+            return type(exc), str(exc)
+        return x if ext is None else lift_matrix(x, ext)
+
+    @classmethod
+    def _check(cls, a, rhs, right):
+        """Compare a @ right and a.solve(rhs), and for a square a also
+        a.inv(), char_poly(a) and the rank test, with the lifted versions."""
+        p = a.spec.p
+        ext = make_field(p, 2)
+        la = lift_matrix(a, ext)
+        assert lift_matrix(a @ right, ext) == la @ lift_matrix(right, ext)
+        got = cls._outcome(lambda: a.solve(rhs), ext)
+        assert got == cls._outcome(lambda: la.solve(lift_matrix(rhs, ext)))
+        if a.nrows == a.ncols:
+            assert cls._outcome(a.inv, ext) == cls._outcome(la.inv)
+            assert (char_poly(a).coeff_codes()
+                    == berkowitz_char_poly(la).coeff_codes())
+            assert _full_rank(p, a.to_code_rows()) == bool(la.det())
+        return got
+
+    @pytest.mark.parametrize("spec,n", [(GF2, 2), (GF2, 3), (GF3, 2)])
+    def test_exhaustive(self, spec, n):
+        rng = random.Random(f"codes:{spec.p}:{n}")
+        for codes in itertools.product(range(spec.p), repeat=n * n):
+            a = Mat.build(spec, [codes[i * n:(i + 1) * n] for i in range(n)])
+            self._check(a, random_mat(spec, n, rng, 2), random_mat(spec, n, rng))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 1009])
+    def test_random_4_to_8(self, p):
+        rng = random.Random(f"codes:{p}")
+        spec = prime_field(p)
+        for n in range(4, 9):
+            for _ in range(6):
+                a = random_mat(spec, n, rng)
+                self._check(a, random_mat(spec, n, rng, 3), random_mat(spec, n, rng))
+                a = random_nonsingular(spec, n, rng)
+                self._check(a, random_mat(spec, n, rng, 1), random_mat(spec, n, rng))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_tall_wide_singular_inconsistent(self, p):
+        # sparse entries make dependent columns common; half the right-hand
+        # sides lie in the column space, so every outcome occurs
+        rng = random.Random(f"systems:{p}")
+        spec = prime_field(p)
+        seen = set()
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = Mat.build(spec, [[rng.randrange(p) if rng.random() < 0.5 else 0
+                                  for _ in range(cols)] for _ in range(rows)])
+            rhs = (a @ random_mat(spec, cols, rng, 2) if rng.random() < 0.5
+                   else random_mat(spec, rows, rng, 2))
+            got = self._check(a, rhs, random_mat(spec, cols, rng, 3))
+            seen.add(got[0] if isinstance(got, tuple) else Mat)
+        assert seen == {Mat, Singular, InconsistentSystem}
+
+    def test_messages(self):
+        with pytest.raises(Singular, match=r"^coefficient matrix has rank 1 < 2 columns$"):
+            Mat.build(GF3, [[1, 2], [2, 1], [0, 0]]).solve(Mat.build(GF3, [[1], [2], [0]]))
+        with pytest.raises(InconsistentSystem,
+                           match=r"^right-hand side is outside the column space$"):
+            Mat.build(GF3, [[1, 0], [0, 1], [1, 1]]).solve(Mat.build(GF3, [[0], [0], [1]]))
 
 
 class TestSubfieldRoots:

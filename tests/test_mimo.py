@@ -11,7 +11,7 @@ from gfalign import (DegenerateSpectrum, Mat, MimoChannel, MimoPipeline,
                      simulate_symbol_ext, split_blocks,
                      vandermonde_det)
 from gfalign.mimo import random_message
-from oracles import roots_by_enumeration
+from oracles import random_mimo_channel_by_det, roots_by_enumeration
 
 
 def brute_distinct_roots(product, max_degree=6):
@@ -325,3 +325,19 @@ class TestSerialization:
         a = random_mimo_channel(2, 3, random.Random(11))
         b = random_mimo_channel(2, 3, random.Random(11))
         assert a == b
+
+
+class TestChannelStream:
+    """random_mimo_channel ranks integer rows (XOR bitmasks over GF(2)); the
+    draw loop over Mat objects tested by Mat.det is the reference.  Both
+    must return equal channels and leave the rng in the same state."""
+
+    @pytest.mark.parametrize("p,m,seeds", [
+        (2, 2, 200), (3, 2, 200), (2, 3, 200), (3, 3, 200), (2, 4, 200),
+        (2, 6, 200), (5, 2, 200), (1009, 2, 20)])
+    def test_matches_det_draws(self, p, m, seeds):
+        for seed in range(seeds):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_mimo_channel(p, m, rng) == \
+                random_mimo_channel_by_det(p, m, ref), seed
+            assert rng.getstate() == ref.getstate(), seed
