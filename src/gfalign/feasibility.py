@@ -2,7 +2,8 @@
 
 Exact machinery: the fraction of nonzero elements whose minimal polynomial
 has full degree (feasible cross ratios are uniform on the nonzero elements),
-an analytic lower bound on that fraction, and normalized sum-rates.
+an analytic lower bound on that fraction, normalized sum-rates, and the
+diagonal model's joint feasibility in closed form.
 
 Monte Carlo machinery: estimators for the joint two-hop feasibility event
 under the scalar extension-field model and under the diagonal (time-varying
@@ -12,15 +13,14 @@ are reproducible and order-independent.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge
 from .gf import check_field_params, make_field
 from .polys import count_irreducible, divisors
-from .scheme import TwoHopChannel, check_feasible
+from .scheme import check_feasible, draw_channel
 
 
 def exact_fraction(p: int, m: int) -> Fraction:
@@ -121,15 +121,9 @@ def mc_feasibility(p: int, m: int, trials: int, seed: int) -> McFeasibility:
     if trials < 1:
         raise ValueError("need at least one trial")
     spec = make_field(p, m)
-    order = spec.order
     feasible = rejected = 0
     for i in range(trials):
-        rng = _trial_rng(seed, i)
-        codes = [rng.randrange(1, order) for _ in range(8)]
-        ch = TwoHopChannel(spec,
-                           tuple(spec.from_code(c) for c in codes[:4]),
-                           tuple(spec.from_code(c) for c in codes[4:]))
-        verdict = check_feasible(ch)
+        verdict = check_feasible(draw_channel(spec, _trial_rng(seed, i)))
         if not verdict.model_ok:
             rejected += 1
         elif verdict.feasible:
@@ -204,21 +198,18 @@ def diag_symbol_ext_feasibility(p: int, m: int, trials: int,
     return DiagFeasibility(p, m, trials, seed, feasible, defined)
 
 
-def diag_exhaustive(p: int, m: int, limit: int = 10 ** 6) -> Fraction:
-    """Exact diagonal-model feasibility by enumerating each hop's slot
-    tuples (the hops are independent, so the joint fraction is the product
-    of the per-hop fractions)."""
+def diag_exhaustive(p: int, m: int) -> Fraction:
+    """Exact diagonal-model feasibility, in closed form.
+
+    Each slot's cross ratio q12 q21 / (q11 q22) is uniform on F_p^*: every
+    value is hit by (p-1)^3 slot 4-tuples, and the slots are independent.
+    Hop 1 is feasible when its m ratios are distinct, with probability
+    perm(p-1, m) / (p-1)^m; the inverted hop 2 also needs every slot
+    invertible, i.e. no ratio equal to 1, so perm(p-2, m) / (p-1)^m.  The
+    hops are independent, so the joint fraction is the product."""
     check_field_params(p, m)
-    per_hop = (p - 1) ** (4 * m)
-    if per_hop > limit:
-        raise TooLarge(f"({p - 1})^{4 * m} = {per_hop} exceeds the guard of {limit}")
-    nonzero = range(1, p)
-    hop1_ok = hop2_ok = 0
-    for slots in itertools.product(itertools.product(nonzero, repeat=4), repeat=m):
-        distinct, invertible = _diag_hop(p, slots)
-        hop1_ok += distinct == m
-        hop2_ok += invertible and distinct == m
-    return Fraction(hop1_ok, per_hop) * Fraction(hop2_ok, per_hop)
+    slots = (p - 1) ** m
+    return Fraction(math.perm(p - 1, m), slots) * Fraction(math.perm(p - 2, m), slots)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@ between an extension field and matrices/vectors over its ground field.
 
 The transform layer provides:
 
-* ``companion_matrix`` -- the m x m ground-field matrix whose characteristic
-  polynomial is the field modulus (multiplication-by-x in the power basis);
 * ``coeff_vector`` / ``elem_from_coeff_vector`` -- an extension element as an
   m x 1 coefficient column and back;
-* ``matrix_rep`` / ``elem_from_matrix_rep`` -- an extension element as the
-  m x m ground-field matrix of multiplication by it, and back;
+* ``matrix_rep`` / ``elem_from_matrix_rep`` -- an extension element e as the
+  m x m ground-field matrix of multiplication by it, and back; column j is
+  the coefficient vector of the field product e x^j;
+* ``companion_matrix`` -- matrix_rep of x, whose characteristic polynomial
+  is the field modulus;
 * ``coeff_rows`` / ``vector_from_coeff_rows`` -- a column vector over
   F_{p^r} as an n x r ground-field matrix of coefficient rows and back;
 * ``char_poly`` and eigen-decomposition over the splitting-field extension.
@@ -414,11 +415,14 @@ def krylov_precoders(product: Mat, lead: Mat, cross: Mat) -> tuple[Mat, Mat]:
     return Mat.from_code_rows(spec, main), Mat.from_code_rows(spec, side)
 
 
+def _compound(a: list, b: list, c: list, d: list) -> list:
+    """Rows of [[a, b], [c, d]] from the rows of conformable blocks."""
+    return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
+
+
 def block2x2(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
     """Assemble [[a, b], [c, d]] from conformable blocks."""
-    top = tuple(ra + rb for ra, rb in zip(a.rows, b.rows))
-    bottom = tuple(rc + rd for rc, rd in zip(c.rows, d.rows))
-    return Mat(a.spec, top + bottom)
+    return Mat(a.spec, tuple(_compound(a.rows, b.rows, c.rows, d.rows)))
 
 
 def split_blocks(m2: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
@@ -435,36 +439,11 @@ def split_blocks(m2: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
 
 def companion_matrix(spec: FieldSpec) -> Mat:
     """m x m ground-field matrix with subdiagonal ones and last column the
-    negated modulus coefficients; its characteristic polynomial is the field
-    modulus, and it acts on coefficient columns as multiplication by x."""
-    hit = spec._cache.get("companion")
-    if hit is not None:
-        return hit
-    ground = prime_field(spec)
-    p, m = spec.p, spec.m
-    rows = []
-    for i in range(m):
-        row = [0] * m
-        if i >= 1:
-            row[i - 1] = 1
-        row[m - 1] = (row[m - 1] + (-spec.pi[i]) % p) % p
-        rows.append(row)
-    mat = Mat.build(ground, rows)
-    spec._cache["companion"] = mat
-    return mat
-
-
-def _companion_powers(spec: FieldSpec) -> list[Mat]:
-    hit = spec._cache.get("companion_powers")
-    if hit is not None:
-        return hit
-    ground = prime_field(spec)
-    c = companion_matrix(spec)
-    powers = [Mat.identity(ground, spec.m)]
-    for _ in range(spec.m - 1):
-        powers.append(powers[-1] @ c)
-    spec._cache["companion_powers"] = powers
-    return powers
+    negated modulus coefficients: matrix_rep of the class of x, whose code
+    is p for m >= 2 and -pi_0 mod p for m = 1.  Its characteristic
+    polynomial is the field modulus."""
+    p = spec.p
+    return matrix_rep(spec.from_code(p if spec.m > 1 else -spec.pi[0] % p))
 
 
 def coeff_vector(e: FieldElem) -> Mat:
@@ -482,31 +461,20 @@ def elem_from_coeff_vector(v: Mat, spec: FieldSpec) -> FieldElem:
 def matrix_rep(e: FieldElem) -> Mat:
     """The m x m ground-field matrix of multiplication by e.
 
-    Computed by linearity from the companion-matrix powers: an element with
-    coefficients b_i maps to sum_i b_i C^i.  This is a field isomorphism onto
-    {0, I, C, C^2, ...}; in particular the image of any nonzero element is
-    full rank.
+    Column j is the coefficient vector of e x^j, so the matrix takes m - 1
+    field products; x is the element with code p.  This is a field
+    isomorphism onto the polynomials in the companion matrix; in particular
+    the image of any nonzero element is full rank.
     """
     spec = e.spec
     memo = spec._cache.setdefault("matrix_rep", {})
     hit = memo.get(e.code)
     if hit is not None:
         return hit
-    ground = prime_field(spec)
-    p, m = spec.p, spec.m
-    powers = _companion_powers(spec)
-    pow_rows = [mat.to_code_rows() for mat in powers]
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = 0
-            for b, pw in zip(e.coeffs, pow_rows):
-                if b:
-                    acc += b * pw[i][j]
-            row.append(ground.from_code(acc % p))
-        rows.append(tuple(row))
-    mat = Mat(ground, tuple(rows))
+    cols = [e]
+    for _ in range(spec.m - 1):
+        cols.append(cols[-1] * spec.from_code(spec.p))
+    mat = Mat.from_code_rows(prime_field(spec), zip(*(c.coeffs for c in cols)))
     if spec.order <= 1 << 16:
         memo[e.code] = mat
     return mat

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import Singular, SingularChannel
-from .gf import FieldElem, FieldSpec, make_field, prime_field
-from .linalg import (Mat, _full_rank, _inv_mod_p, _matmul_mod_p, _solve_mod_p,
-                     block2x2, eigenvectors_in, krylov_precoders,
-                     roots_in_field, splitting_data, vandermonde_det)
+from .gf import (FieldElem, FieldSpec, check_field_params, make_field,
+                 prime_field)
+from .linalg import (Mat, _compound, _element_of_code, _full_rank, _inv_mod_p,
+                     _matmul_mod_p, _solve_mod_p, block2x2, eigenvectors_in,
+                     krylov_precoders, roots_in_field, splitting_data,
+                     vandermonde_det)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int, check_alignment)
@@ -113,12 +115,6 @@ class ExtensionPlan:
             "hop1": self.hop1.summary(),
             "hop2": self.hop2.summary(),
         }
-
-
-def _compound(a: list[list[int]], b: list[list[int]], c: list[list[int]],
-              d: list[list[int]]) -> list[list[int]]:
-    """[[a, b], [c, d]] for blocks of integer codes."""
-    return [ra + rb for ra, rb in zip(a, b)] + [rc + rd for rc, rd in zip(c, d)]
 
 
 def plan_extension(ch: MimoChannel) -> ExtensionPlan:
@@ -234,6 +230,7 @@ class MimoPipeline:
         self.plan = plan
         self.pre = precoders
         self.ext = plan.ext
+        self._symbol = _element_of_code(plan.ext)
         self.core = LinearPipeline(ch.ground.p, block2x2(*ch.hop1),
                                    block2x2(*ch.hop2), s11, s21,
                                    precoders.v1, precoders.v2, precoders.v3,
@@ -241,14 +238,12 @@ class MimoPipeline:
 
     def run(self, w1: Sequence[FieldElem], w2: Sequence[FieldElem]):
         """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2)."""
-        m, ext = self.core.m, self.ext
+        m, element, symbol = self.core.m, self.ext.element, self._symbol
         if len(w1) != m or len(w2) != m - 1:
             raise ValueError(f"expected message lengths {m} and {m - 1}")
-        element = ext.element
         u1, u2 = self.core.relay_half([element(v).code for v in w1],
                                       [element(v).code for v in w2])
         got1, got2 = self.core.destination_half(u1, u2)
-        symbol = ext.from_code if ext._elems is None else ext._elems.__getitem__
         return (tuple(map(symbol, got1)), tuple(map(symbol, got2)),
                 tuple(map(symbol, u1)), tuple(map(symbol, u2)))
 
@@ -320,7 +315,9 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     plus both compounds), by rejection of up to _MAX_DRAWS draws.  Over
     GF(2) with m = 1 no channel qualifies: SingularChannel before any draw.
     Draws are integer code rows, ranked mod p; only the accepted channel
-    becomes matrices."""
+    becomes matrices.  NotPrime or ValueError for a bad p or m, before any
+    draw."""
+    check_field_params(p, m)
     ground = prime_field(p)
     if (p, m) == (2, 1):
         raise SingularChannel("no valid channel over GF(2) with m = 1: [1] is the only "

@@ -303,10 +303,12 @@ def parse_poly(p: int, text: str) -> Poly:
                 coeff = -1 if head == "-" else 1
             else:
                 coeff = int(head)
-            if tail.startswith("^") or tail.startswith("**"):
-                power = int(tail.lstrip("^*"))
-            elif tail == "":
+            if tail == "":
                 power = 1
+            elif tail[:1] == "^" and tail[1:].isdecimal():
+                power = int(tail[1:])
+            elif tail[:2] == "**" and tail[2:].isdecimal():
+                power = int(tail[2:])
             else:
                 raise ValueError(f"cannot parse term {term!r}")
         coeffs[power] = coeffs.get(power, 0) + coeff

@@ -729,8 +729,7 @@ def _certify(relay: LinearPipeline, destination: LinearPipeline,
     if any(residual):
         raise InconsistentSystem(
             "destination-2 observation left the side-precoder column space")
-    return failures + failing(decoded, [[int(i == j) for j in range(n)]
-                                        for i in range(n)])
+    return failures + failing(decoded, _identity_codes(n))
 
 
 def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,

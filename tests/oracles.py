@@ -1,6 +1,10 @@
 """Slow, independent reference computations that the tests check the
 library against.  Nothing here is imported by the package itself."""
 
+import functools
+import itertools
+from fractions import Fraction
+
 
 def roots_by_enumeration(f, ext):
     """All roots of f in ext, ascending by code, by evaluating f at every
@@ -31,6 +35,52 @@ def berkowitz_char_poly(a):
         coeffs = [sum((toeplitz[i - j] * c for j, c in enumerate(coeffs) if j <= i),
                       zero) for i in range(k + 2)]
     return Poly(spec, coeffs[::-1])
+
+
+@functools.cache
+def _companion_powers(spec):
+    """I, C, ..., C^(m-1) as integer rows mod p, C the companion matrix built
+    row by row from the modulus: subdiagonal ones and last column the
+    negated modulus coefficients."""
+    p, m = spec.p, spec.m
+    c = [[int(j == i - 1) for j in range(m - 1)] + [-spec.pi[i] % p]
+         for i in range(m)]
+    powers = [[[int(i == j) for j in range(m)] for i in range(m)]]
+    for _ in range(m - 1):
+        powers.append([[sum(row[k] * c[k][j] for k in range(m)) % p
+                        for j in range(m)] for row in powers[-1]])
+    return powers
+
+
+def matrix_rep_by_companion_powers(e):
+    """The multiplication matrix of e as sum_i b_i C^i over its coefficients
+    b_i, C the companion matrix."""
+    from gfalign.gf import prime_field
+    from gfalign.linalg import Mat
+    spec = e.spec
+    rows = [[0] * spec.m for _ in range(spec.m)]
+    for b, power in zip(e.coeffs, _companion_powers(spec)):
+        rows = [[(a + b * x) % spec.p for a, x in zip(ra, rx)]
+                for ra, rx in zip(rows, power)]
+    return Mat.from_code_rows(prime_field(spec), rows)
+
+
+def diag_exhaustive_by_enumeration(p, m):
+    """Diagonal-model feasibility by enumerating each hop's (p-1)^(4m) slot
+    tuples (q11, q12, q21, q22) per slot: hop 1 needs m distinct cross
+    ratios q12 q21 / (q11 q22), the inverted hop 2 also needs no ratio
+    equal to 1 (every slot invertible).  The hops are independent, so the
+    joint fraction is the product of the per-hop fractions."""
+    nonzero = range(1, p)
+    hop1 = hop2 = 0
+    for slots in itertools.product(itertools.product(nonzero, repeat=4), repeat=m):
+        ratios = {q12 * q21 * pow(q11 * q22, -1, p) % p
+                  for q11, q12, q21, q22 in slots}
+        if len(ratios) == m:
+            hop1 += 1
+            hop2 += 1 not in ratios
+    per_hop = (p - 1) ** (4 * m)
+    return Fraction(hop1, per_hop) * Fraction(hop2, per_hop)
 
 
 def random_mimo_channel_by_det(p, m, rng):

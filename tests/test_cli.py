@@ -83,6 +83,12 @@ class TestFieldInfo:
         assert code == 2 and out == ""
         assert err == "error: list coefficients must lie in [0, 2)\n"
 
+    def test_malformed_exponent_exits_2(self, capsys):
+        code, out, err = run(capsys, "field-info", "--p", "2", "--m", "2",
+                             "--pi", "x^^2+x+1")
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse term 'x^^2'\n"
+
     def test_text_modulus_reads_signed_coefficients(self, capsys):
         code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "2",
                                  "--pi", "x^2 - x - 1")
@@ -129,6 +135,12 @@ class TestBoundsAndMc:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         assert "1.000000" in out1     # every valid channel over GF(4) is feasible
+
+    def test_mc_zero_trials_exits_2(self, capsys):
+        code, out, err = run(capsys, "mc", "--p", "2", "--m", "2",
+                             "--trials", "0", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: need at least one trial\n"
 
     def test_mc_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -253,6 +265,25 @@ class TestSimulate:
                                  "--seed", "1")
         assert code == 0 and payload["success"] is True
 
+    @pytest.mark.parametrize("w1,w2,message", [
+        ("1,0,1", "1", "expected message lengths 2 and 1"),
+        ("1,2", "1", "message symbols must lie in [0, 2)")])
+    def test_bad_message_exits_2(self, capsys, tmp_path, w1, w2, message):
+        code, out, err = run(capsys, "simulate", "--channel",
+                             self.feasible_channel(tmp_path),
+                             "--w1", w1, "--w2", w2)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, "simulate", "--channel",
+                             self.feasible_channel(tmp_path), "--seed", "3",
+                             "--out", str(missing / "report.json"))
+        assert code == 2 and out == ""
+        assert err == f"error: output directory does not exist: {missing}\n"
+        assert not missing.exists()
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, stdout, _ = run(capsys, "simulate", "--channel",
@@ -368,6 +399,27 @@ class TestSymbolExt:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "GF(2)" in err
+
+    @pytest.mark.parametrize("p,m", [("2", "0"), ("3", "0"), ("3", "-1")])
+    def test_nonpositive_m_exits_2(self, capsys, p, m):
+        # these used to end in an IndexError traceback
+        code, out, err = run(capsys, "symbol-ext", "--p", p, "--m", m,
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "error: extension degree must be a positive integer\n"
+
+    def test_singular_second_hop_compound_exit_1(self, capsys, tmp_path):
+        ident = [[1, 0], [0, 1]]
+        path = tmp_path / "compound.json"
+        path.write_text(json.dumps({
+            "p": 2, "m": 2,
+            "Q11": ident, "Q12": [[0, 1], [1, 1]], "Q21": ident, "Q22": ident,
+            "Q33": ident, "Q34": ident, "Q43": ident, "Q44": ident,
+        }))
+        code, payload = run_json(capsys, "symbol-ext", "--channel", str(path),
+                                 "--seed", "1")
+        assert code == 1 and payload["success"] is False
+        assert payload["error"] == "compound second-hop matrix is singular"
 
     def test_w2_without_w1_exits_2(self, capsys):
         code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from gfalign import (NotPrime, TooLarge, diag_exhaustive,
+from gfalign import (NotPrime, diag_exhaustive,
                      diag_symbol_ext_feasibility, exact_fraction,
                      feasibility_stats, lower_bound, make_field,
                      mc_feasibility, minimal_polynomial, normalized_rates)
 from gfalign.feasibility import CSV_COLUMNS, stats_csv_row
+from oracles import diag_exhaustive_by_enumeration
 
 
 class TestExactFraction:
@@ -78,6 +79,12 @@ def test_diagonal_field_parameters_checked(fn):
     for m in (0, -1):
         with pytest.raises(ValueError, match="degree"):
             fn(5, m)
+
+
+@pytest.mark.parametrize("fn", [mc_feasibility, diag_symbol_ext_feasibility])
+def test_zero_trials_refused(fn):
+    with pytest.raises(ValueError, match="at least one trial"):
+        fn(2, 2, 0, 1)
 
 
 class TestMonteCarlo:
@@ -158,9 +165,17 @@ class TestDiagonal:
     def test_separation_from_field_extension(self):
         assert diag_exhaustive(2, 2) == 0 < exact_fraction(2, 2)
 
-    def test_guard(self):
-        with pytest.raises(TooLarge):
-            diag_exhaustive(11, 3)
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
+                                     (5, 1), (5, 2), (7, 1)])
+    def test_closed_form_matches_enumeration(self, p, m):
+        assert diag_exhaustive(p, m) == diag_exhaustive_by_enumeration(p, m)
+
+    def test_closed_form_beyond_enumeration(self):
+        # (7, 2) has 6^8 slot tuples per hop and (11, 3) has 10^12
+        assert diag_exhaustive(7, 2) == Fraction(25, 54)
+        assert diag_exhaustive(11, 3) == Fraction(10 * 9 * 8, 10 ** 3) \
+            * Fraction(9 * 8 * 7, 10 ** 3)
+        assert diag_exhaustive(5, 4) == diag_exhaustive(5, 5) == 0
 
 
 class TestStatsRows:

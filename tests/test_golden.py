@@ -54,6 +54,15 @@ CHANNELS = {
         "hop1": {"q11": [0, 0], "q12": [1, 0], "q21": [1, 0], "q22": [0, 1]},
         "hop2": {"q33": [1, 0], "q34": [0, 1], "q43": [1, 0], "q44": [1, 0]},
     },
+    # the first feasible draw_valid_channel(make_field(2, 4), random.Random(s)),
+    # s = 0: its precoders come from matrix_rep at m = 4
+    "gf16": {
+        "p": 2, "m": 4, "pi": [1, 0, 0, 1, 1],
+        "hop1": {"q11": [0, 1, 1, 1], "q12": [1, 1, 1, 0], "q21": [1, 0, 1, 1],
+                 "q22": [1, 1, 1, 1]},
+        "hop2": {"q33": [1, 1, 1, 0], "q34": [1, 0, 0, 0], "q43": [1, 0, 1, 0],
+                 "q44": [1, 0, 0, 1]},
+    },
 }
 
 # case -> (CLI arguments, exit code); "@name" stands for a file holding
@@ -64,6 +73,7 @@ CLI_CASES = {
     "simulate_readme": (["simulate", "--channel", "@readme",
                          "--w1", "1,0", "--w2", "1"], 1),
     "simulate_gf9": (["simulate", "--channel", "@gf9", "--seed", "7"], 0),
+    "simulate_gf16": (["simulate", "--channel", "@gf16", "--seed", "7"], 0),
     "simulate_zero_q43": (["simulate", "--channel", "@zero_q43",
                            "--w1", "0,1", "--w2", "1"], 1),
     "simulate_zero_q11": (["simulate", "--channel", "@zero_q11",
@@ -79,6 +89,11 @@ CLI_CASES = {
     "compare_ext_p5_m2": (["compare-ext", "--p", "5", "--m", "2",
                            "--trials", "500", "--seed", "7"], 0),
     "field_info_p3_m2": (["field-info", "--p", "3", "--m", "2"], 0),
+    # the companion of the default modulus at m = 8
+    "field_info_p2_m8": (["field-info", "--p", "2", "--m", "8"], 0),
+    # m = 1: the companion is [[-pi_0 mod p]] = [[2]]
+    "field_info_p5_m1_pi": (["field-info", "--p", "5", "--m", "1",
+                             "--pi", "x+3"], 0),
     "symbol_ext_p2_m3": (["symbol-ext", "--p", "2", "--m", "3",
                           "--seed", "11"], 0),
     # the hop product's characteristic polynomial has a repeated factor

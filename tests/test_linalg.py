@@ -14,10 +14,12 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      minimal_polynomial, null_space_vector,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
+from gfalign.gf import is_prime
 from gfalign.linalg import (_eliminate_mod_p, _full_rank, _subfield_unit_codes,
                             eigenvectors_in, splitting_data)
 from gfalign.polys import all_monic
-from oracles import berkowitz_char_poly, roots_by_enumeration
+from oracles import (berkowitz_char_poly, matrix_rep_by_companion_powers,
+                     roots_by_enumeration)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -259,6 +261,27 @@ class TestMatrixMap:
                 assert matrix_rep(x * y) == rx @ matrix_rep(y)
                 assert matrix_rep(x + y) == rx + matrix_rep(y)
                 assert coeff_vector(x * y) == rx @ coeff_vector(y)
+
+    def test_matches_companion_powers_small_fields(self):
+        """matrix_rep, built from field products, equals sum_i b_i C^i on
+        every element of every field of order <= 256."""
+        for p in filter(is_prime, range(2, 257)):
+            m = 1
+            while p ** m <= 256:
+                spec = make_field(p, m)
+                for e in spec.elements():
+                    assert matrix_rep(e) == matrix_rep_by_companion_powers(e), \
+                        (p, m, e.code)
+                m += 1
+
+    @pytest.mark.parametrize("p,m", [(2, 16), (2, 17), (3, 11), (5, 7), (2, 20),
+                                     (1009, 2)])
+    def test_matches_companion_powers_seeded(self, p, m):
+        spec = make_field(p, m)
+        rng = random.Random(1000 * p + m)
+        for _ in range(35):
+            e = spec.from_code(rng.randrange(spec.order))
+            assert matrix_rep(e) == matrix_rep_by_companion_powers(e), e.code
 
     def test_inverse_map(self):
         f4 = make_field(2, 2)

@@ -59,6 +59,14 @@ class TestPlanExtension:
             random_mimo_channel(2, 1, rng)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("p,m", [(2, 0), (3, 0), (3, -1)])
+    def test_nonpositive_m_fails_before_drawing(self, p, m):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="extension degree"):
+            random_mimo_channel(p, m, rng)
+        assert rng.getstate() == state
+
     def test_identity_product_unreachable(self):
         # an identity hop product forces a singular compound (1 would be an
         # eigenvalue), so the planner rejects the channel before eigen work
@@ -96,6 +104,23 @@ class TestPlanExtension:
                                        ident, ident, ident, ident])
         with pytest.raises(SingularChannel, match="compound"):
             plan_extension(ch)
+
+    def test_singular_second_hop_compound_rejected(self):
+        gf2 = prime_field(2)
+        ident = Mat.identity(gf2, 2)
+        comp = Mat.build(gf2, [[0, 1], [1, 1]])
+        # a nonsingular first hop, then [[I, I], [I, I]]
+        ch = MimoChannel.create(2, 2, [ident, comp, ident, ident] + [ident] * 4)
+        with pytest.raises(SingularChannel,
+                           match="compound second-hop matrix is singular"):
+            plan_extension(ch)
+
+    def test_create_checks_count_and_shape(self):
+        ident = [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="exactly eight"):
+            MimoChannel.create(2, 2, [ident] * 7)
+        with pytest.raises(ValueError, match=r"2 x 2 matrices over GF\(2\)"):
+            MimoChannel.create(2, 2, [ident] * 7 + [[[1, 0, 0], [0, 1, 0]]])
 
     @pytest.mark.parametrize("p,m", [(3, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
     def test_inverse_blocks_always_invertible(self, p, m):

@@ -208,3 +208,7 @@ class TestNotation:
             parse_poly(2, "[1,1")
         with pytest.raises(ValueError):
             parse_poly(2, "")
+        # an exponent is exactly ^k or **k
+        for text in ("x^^2+x+1", "x^*2+x+1", "x***2+x+1", "x**^2+x+1"):
+            with pytest.raises(ValueError, match="cannot parse term"):
+                parse_poly(2, text)
