@@ -144,11 +144,8 @@ class Mat:
             raise DimensionMismatch("cannot multiply through an empty inner dimension")
         spec = self.spec
         if spec.m == 1:
-            p, elem = spec.p, _element_of_code(spec)
-            cols = list(zip(*other.to_code_rows()))
-            return Mat(spec, tuple(tuple([elem(sum(map(mul, row, col)) % p)
-                                          for col in cols])
-                                   for row in self.to_code_rows()))
+            return Mat.from_code_rows(spec, _matmul_mod_p(
+                spec.p, self.to_code_rows(), other.to_code_rows()))
         bcols = list(zip(*other.rows)) if other.ncols else []
         out = []
         for row in self.rows:

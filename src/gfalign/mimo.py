@@ -30,7 +30,7 @@ from .linalg import (Mat, _compound, _element_of_code, _full_rank, _inv_mod_p,
                      vandermonde_det)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
-                     _json_int, check_alignment)
+                     _json_int)
 
 _MATRIX_KEYS = ("Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")
 
@@ -210,7 +210,6 @@ def _hop_precoders(plan: ExtensionPlan, hop: HopPlan) -> tuple[Mat, Mat]:
 def build_mimo_precoders(plan: ExtensionPlan) -> MimoPrecoders:
     v1, v2 = _hop_precoders(plan, plan.hop1)
     v3, v4 = _hop_precoders(plan, plan.hop2)
-    check_alignment(plan.channel.hop1 + plan.s_blocks, v1, v2, v3, v4)
     return MimoPrecoders(plan, v1, v2, v3, v4)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Sequence
 
 from .errors import FieldMismatch
@@ -276,9 +277,15 @@ def _coeff_text(c: FieldElem) -> str:
     return str(list(c.coeffs))
 
 
+# a term: a constant k, or k*x^e, kx^e, x^e or -x^e (e as ^e or **e, or
+# omitted for 1)
+_TERM = re.compile(r"(-?[0-9]+)|(-?)(?:([0-9]+)\*?)?x(?:(?:\^|\*\*)([0-9]+))?")
+
+
 def parse_poly(p: int, text: str) -> Poly:
     """Parse '[a0,a1,...,1]' (each a_i in [0, p)) or 'a0 + a1*x + ... + x^m'
-    (signed coefficients, read mod p) over F_p."""
+    over F_p.  Text terms are read by _TERM, with coefficients mod p; only
+    a leading '-' may stand before the first term."""
     spec = prime_field(p)
     text = text.strip()
     if text.startswith("["):
@@ -290,30 +297,19 @@ def parse_poly(p: int, text: str) -> Poly:
             raise ValueError(f"list coefficients must lie in [0, {p})")
         return Poly(spec, vals)
     coeffs: dict[int, int] = {}
-    for term in text.replace("-", "+-").split("+"):
-        term = term.replace(" ", "")
+    terms = text.replace(" ", "").replace("-", "+-").split("+")
+    if text.startswith("-"):
+        terms = terms[1:]       # the empty term before a leading "-"
+    for term in terms:
         if not term:
-            continue
-        if "x" not in term:
-            coeff, power = int(term), 0
-        else:
-            head, _, tail = term.partition("x")
-            head = head.rstrip("*")
-            if head in ("", "-"):
-                coeff = -1 if head == "-" else 1
-            else:
-                coeff = int(head)
-            if tail == "":
-                power = 1
-            elif tail[:1] == "^" and tail[1:].isdecimal():
-                power = int(tail[1:])
-            elif tail[:2] == "**" and tail[2:].isdecimal():
-                power = int(tail[2:])
-            else:
-                raise ValueError(f"cannot parse term {term!r}")
+            raise ValueError(f"empty term in polynomial text {text!r}")
+        match = _TERM.fullmatch(term)
+        if not match:
+            raise ValueError(f"cannot parse term {term!r}")
+        const, sign, k, e = match.groups()
+        coeff, power = ((int(const), 0) if const
+                        else (int(sign + (k or "1")), int(e or 1)))
         coeffs[power] = coeffs.get(power, 0) + coeff
-    if not coeffs:
-        raise ValueError(f"empty polynomial text: {text!r}")
     out = [0] * (max(coeffs) + 1)
     for power, coeff in coeffs.items():
         out[power] = coeff % p

@@ -38,16 +38,19 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InconsistentSystem, TooLarge
-from .gf import (FieldElem, FieldSpec, format_element, make_field,
-                 minpoly_degree, parse_element, prime_field)
+from .gf import (FieldElem, FieldSpec, check_field_params, format_element,
+                 make_field, minpoly_degree, parse_element, prime_field)
 from .linalg import (Mat, _block_diag, _eliminate_mod_p, _gauss_jordan_mod_p,
                      _identity_codes, _inv_mod_p, _matmul_mod_p, block2x2,
                      coeff_vector, elem_from_coeff_vector, krylov_precoders,
                      matrix_rep)
+from .polys import count_irreducible
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
 _MAX_DRAWS = 10000      # rejection-sampling budget of the random channel draws
+_CORE_LIMIT = 50000     # scan set-ups: GF(16) needs 40 500, GF(17) 61 440
+_PAIR_LIMIT = 20000     # valid channels up to which a scan runs every pair
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,10 @@ def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     ratio r1, lead the unit element's coefficient vector (column l of v1 is
     that of r1^l), and cross matrix_rep(q22^-1 q21), which makes both relays
     observe aligned sums.  v3 and v4 mirror this for the second hop.  An
-    infeasible channel raises ValueError; ranks and alignment identities are
-    asserted, since a failure would contradict feasibility, not user input.
+    infeasible channel raises ValueError.  The ranks of v1 and v3 are
+    asserted here and the alignment identities by LinearPipeline, on the
+    maps they produce, since a failure would contradict feasibility, not
+    user input.
     """
     verdict = check_feasible(ch)
     if not verdict.feasible:
@@ -177,31 +182,14 @@ def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     m = spec.m
     r1, r2 = _cross_ratio(*ch.hop1), _cross_ratio(*ch.hop2)
     s11, s12, s21, s22 = second_hop_inverse(ch)
-    q11, q12, q21, q22 = ch.hop1
+    q21, q22 = ch.hop1[2:]
 
     unit = coeff_vector(spec.one)
     v1, v2 = krylov_precoders(matrix_rep(r1), unit, matrix_rep(q22.inv() * q21))
     v3, v4 = krylov_precoders(matrix_rep(r2), unit, matrix_rep(s22.inv() * s21))
     assert v1.rank() == m and v3.rank() == m, \
         "full-degree ratio must give a full-rank power basis"
-    check_alignment([matrix_rep(q) for q in (q11, q12, q21, q22, s11, s12, s21, s22)],
-                    v1, v2, v3, v4)
     return PrecoderSet(spec, v1, v2, v3, v4, r1, r2, s11, s12, s21, s22)
-
-
-def check_alignment(blocks: Sequence[Mat], v1: Mat, v2: Mat, v3: Mat,
-                    v4: Mat) -> None:
-    """Assert Q11 v1[l+1] = Q12 v2[l], Q21 v1[l] = Q22 v2[l] and the same
-    for v3, v4 with blocks = (Q11, Q12, Q21, Q22, S11, S12, S21, S22), all
-    over F_p, on integer codes."""
-    p = v1.spec.p
-    q11, q12, q21, q22, s11, s12, s21, s22 = map(Mat.to_code_rows, blocks)
-    v1, v2, v3, v4 = map(Mat.to_code_rows, (v1, v2, v3, v4))
-    for a, b, left, right, offset in ((q11, q12, v1, v2, 1), (q21, q22, v1, v2, 0),
-                                      (s11, s12, v3, v4, 1), (s21, s22, v3, v4, 0)):
-        n = len(right[0])
-        assert [row[offset:offset + n] for row in _matmul_mod_p(p, a, left)] \
-            == _matmul_mod_p(p, b, right), "alignment identity failed"
 
 
 @dataclass(frozen=True)
@@ -399,6 +387,13 @@ class _CodeMap:
         self.apply = apply
 
 
+def _relay_sum_rows(m: int) -> list[list[int]]:
+    """S with (u1; u2) = S (w1; w2), the sums of relay_decode."""
+    return [[int(j == i) for j in range(m)]
+            + [int(k == i - shift) for k in range(m - 1)]
+            for shift in (1, 0) for i in range(m)]
+
+
 class LinearPipeline:
     """The scheme as two F_p matrices of integer codes, composed once from
     p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4.
@@ -408,6 +403,11 @@ class LinearPipeline:
     destination-2 residual r is zero iff y4 lies in the column space of v4.
     Both act on vectors of symbol codes, base-p packed elements of F_p^L:
     L = 1 in the scalar model, the extension degree in the matrix model.
+
+    The set-up asserts relay_map = S (_relay_sum_rows) and destination_map
+    S = [I; 0], which hold exactly when the alignment identities Q11 v1[l+1]
+    = Q12 v2[l], Q21 v1[l] = Q22 v2[l] (and their S-block twins for v3, v4)
+    hold and S11, S21 are blocks of the inverse of hop 2.
     """
 
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
@@ -416,11 +416,10 @@ class LinearPipeline:
         self.p, self.m = p, m
         hop1, hop2, v1, v2, v3, v4, s11, s21 = map(
             Mat.to_code_rows, (hop1, hop2, v1, v2, v3, v4, s11, s21))
-        # T @ v4 = [I; 0]: the first m-1 entries of T y are the solution,
-        # the last one is the consistency residual
+        # T @ v4 = [I; 0] when v4 has full column rank (asserted below): the
+        # first m-1 entries of T y are the solution, the last the residual
         work = [r + e for r, e in zip(v4, _identity_codes(m))]
-        assert len(_gauss_jordan_mod_p(work, m - 1, p)) == m - 1, \
-            "side precoder lost column rank"
+        _gauss_jordan_mod_p(work, m - 1, p)
         t = [row[m - 1:] for row in work]
         q11, q21 = [row[:m] for row in hop1[:m]], [row[:m] for row in hop1[m:]]
         relays = _block_diag(_inv_mod_p(_matmul_mod_p(p, q11, v1), p),
@@ -429,6 +428,11 @@ class LinearPipeline:
         encoders = _block_diag(_matmul_mod_p(p, s11, v3), _matmul_mod_p(p, s21, v3))
         self.destination_map = _matmul_mod_p(p, _block_diag(_inv_mod_p(v3, p), t),
                                              hop2, encoders)
+        sums = _relay_sum_rows(m)
+        assert self.relay_map == sums, "relays do not observe the aligned sums"
+        assert _matmul_mod_p(p, self.destination_map, sums) \
+            == _identity_codes(2 * m - 1) + [[0] * (2 * m - 1)], \
+            "destinations do not decode the message from the relayed sums"
 
     @property
     def relay_map(self) -> list[list[int]]:
@@ -699,13 +703,6 @@ class ScanReport:
         }
 
 
-def _relay_sum_rows(m: int) -> list[list[int]]:
-    """S with (u1; u2) = S (w1; w2), the sums of relay_decode."""
-    return [[int(j == i) for j in range(m)]
-            + [int(k == i - shift) for k in range(m - 1)]
-            for shift in (1, 0) for i in range(m)]
-
-
 def _certify(relay: LinearPipeline, destination: LinearPipeline,
              factored: bool) -> int:
     """Failing messages among all p^n, n = 2m-1, of the channel with the
@@ -732,38 +729,48 @@ def _certify(relay: LinearPipeline, destination: LinearPipeline,
     return failures + failing(decoded, _identity_codes(n))
 
 
-def exhaustive_scan(p: int, m: int, pi=None, *, tuple_limit: int = 10 ** 7,
-                    pair_limit: int = 20000) -> ScanReport:
+def _core_count(p: int, m: int) -> int:
+    """Feasible hop tuples over F_{p^m}, without building the field: each
+    cross ratio r is hit by (q-1)^3 all-nonzero tuples (q = p^m), the hop is
+    singular iff r = 1, and r is feasible iff it has full degree: one of
+    m N(p, m) elements for m >= 2, any r other than 0 and 1 for m = 1."""
+    q = p ** m
+    ratios = m * count_irreducible(p, m) if m > 1 else q - 2
+    return (q - 1) ** 3 * ratios
+
+
+def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
     """Classify every all-nonzero channel tuple and verify decoding.
 
-    Guard: refuses when the raw tuple count (p^m - 1)^8 exceeds tuple_limit.
-    One core is built per feasible hop tuple t, as the channel (t, t).  Up to
-    pair_limit valid channels, every feasible pair (t1, t2) is verified end
-    to end from t1's relay_map and t2's destination_map (paired mode).
-    Beyond that, each core's relay half and destination half are checked
-    separately (factored mode).  This covers the same ground, because the
-    halves interact only through the decoded sums.  No message is sent (see
-    _certify)."""
+    Guard: refuses with TooLarge, before building the field, when the scan
+    would set up more than _CORE_LIMIT cores (_core_count); when any of the
+    (p^m - 1)^4 hop tuples is feasible, at least half are, so this bounds
+    their classification too.  One core is built per feasible hop tuple t,
+    as the channel (t, t).  Up to _PAIR_LIMIT valid channels, every
+    feasible pair (t1, t2) is verified end to end from t1's relay_map and
+    t2's destination_map (paired mode).  Beyond that, each core's relay half
+    and destination half are checked separately as it is built (factored
+    mode).  This covers the same ground, because the halves interact only
+    through the decoded sums.  No message is sent (see _certify)."""
+    check_field_params(p, m)
+    count = _core_count(p, m)
+    if count > _CORE_LIMIT:
+        shown = count if count < 10 ** 12 else f"about 2^{count.bit_length() - 1}"
+        raise TooLarge(f"a scan over GF({p}^{m}) sets up {shown} channel cores, "
+                       f"more than the guard of {_CORE_LIMIT}")
     spec = make_field(p, m, pi)
-    q1 = spec.order - 1
-    if q1 ** 8 > tuple_limit:
-        raise TooLarge(
-            f"({q1})^8 = {q1 ** 8} channel tuples exceed the guard of {tuple_limit}")
     scan = _scan_hop(spec)
     valid_channels = scan.valid ** 2
     feasible_channels = scan.feasible ** 2
-    paired = valid_channels <= pair_limit
-    cores = []
-    for t in scan.feasible_tuples:
-        ch = TwoHopChannel(spec, t, t)
-        cores.append(scalar_pipeline(ch, build_precoders(ch)))
-    channels = (list(itertools.product(cores, repeat=2)) if paired
-                else list(zip(cores, cores)))
-    failures = 0
-    for relay, destination in channels:
-        failures += _certify(relay, destination, not paired)
+    paired = valid_channels <= _PAIR_LIMIT
+    channels = (TwoHopChannel(spec, t, t) for t in scan.feasible_tuples)
+    cores = (scalar_pipeline(ch, build_precoders(ch)) for ch in channels)
+    pairs = (itertools.product(cores, repeat=2) if paired
+             else ((c, c) for c in cores))
+    failures = sum(_certify(relay, destination, not paired)
+                   for relay, destination in pairs)
     messages = p ** (2 * m - 1)
-    round_trips = len(channels) * messages * (1 if paired else 2)
+    round_trips = (feasible_channels if paired else 2 * scan.feasible) * messages
     counts = (scan.tuples, scan.valid, scan.feasible)
     return ScanReport(
         p, m, list(spec.modulus_coeffs), "paired" if paired else "factored",

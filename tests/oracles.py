@@ -334,22 +334,20 @@ def sweep_failures(core, factored):
     return failures + mismatches(batch(core.destination_half, *relayed), sent)
 
 
-def scan_by_sweep(p, m, pi=None, *, tuple_limit=10 ** 7, pair_limit=20000):
+def scan_by_sweep(p, m, pi=None):
     """exhaustive_scan computed by sending every message through every
-    channel's pipeline instead of certifying the two maps."""
+    channel's pipeline instead of certifying the two maps; it picks its mode
+    by the scan's own rule, scheme._PAIR_LIMIT."""
     import itertools
-    from gfalign.errors import TooLarge
+    from gfalign import scheme
     from gfalign.gf import make_field
     from gfalign.scheme import (ScanReport, TwoHopChannel, _scan_hop,
                                 build_precoders, scalar_pipeline)
     spec = make_field(p, m, pi)
-    q1 = spec.order - 1
-    if q1 ** 8 > tuple_limit:
-        raise TooLarge(f"({q1})^8 channel tuples exceed the guard")
     scan = _scan_hop(spec)
     valid_channels = scan.valid ** 2
     feasible_channels = scan.feasible ** 2
-    paired = valid_channels <= pair_limit
+    paired = valid_channels <= scheme._PAIR_LIMIT
     channels = (list(itertools.product(scan.feasible_tuples, repeat=2)) if paired
                 else [(t, t) for t in scan.feasible_tuples])
     failures = 0

@@ -89,6 +89,20 @@ class TestFieldInfo:
         assert code == 2 and out == ""
         assert err == "error: cannot parse term 'x^^2'\n"
 
+    @pytest.mark.parametrize("pi,term", [("2**x^2+1", "2**x^2"),
+                                         ("*x^2+1", "*x^2")])
+    def test_malformed_coefficient_exits_2(self, capsys, pi, term):
+        code, out, err = run(capsys, "field-info", "--p", "3", "--m", "2",
+                             "--pi", pi)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse term {term!r}\n"
+
+    def test_empty_term_exits_2(self, capsys):
+        code, out, err = run(capsys, "field-info", "--p", "3", "--m", "2",
+                             "--pi", "x^2++2x+2")
+        assert code == 2 and out == ""
+        assert err == "error: empty term in polynomial text 'x^2++2x+2'\n"
+
     def test_text_modulus_reads_signed_coefficients(self, capsys):
         code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "2",
                                  "--pi", "x^2 - x - 1")
@@ -302,8 +316,11 @@ class TestScan:
         assert payload["decode_success_rate"] == 1.0
 
     def test_too_large_exits_2(self, capsys):
-        code, _, err = run(capsys, "scan", "--p", "2", "--m", "4")
-        assert code == 2 and "guard" in err
+        # GF(25) would set up 276 480 cores; GF(2^61) is refused before its
+        # modulus search
+        for p, m in ((5, 2), (2, 61)):
+            code, out, err = run(capsys, "scan", "--p", str(p), "--m", str(m))
+            assert code == 2 and out == "" and "guard" in err
 
 
 class TestSymbolExt:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from gfalign import exhaustive_scan
+from gfalign import exhaustive_scan, scheme
 from gfalign.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -81,6 +81,8 @@ CLI_CASES = {
     "scan_p3_m1": (["scan", "--p", "3", "--m", "1"], 0),
     "scan_p5_m1": (["scan", "--p", "5", "--m", "1"], 0),
     "scan_p2_m2": (["scan", "--p", "2", "--m", "2"], 0),
+    # factored: 3072 cores, one per feasible hop tuple
+    "scan_p3_m2": (["scan", "--p", "3", "--m", "2"], 0),
     "bounds_p23_m24": (["bounds", "--p", "2,3", "--m", "2,4"], 0),
     "bounds_p23_m24_csv": (["bounds", "--p", "2,3", "--m", "2,4",
                             "--format", "csv"], 0),
@@ -111,19 +113,29 @@ CLI_CASES = {
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]
 
 
+def cli_argv(case: str, tmp: str) -> list[str]:
+    """The CLI arguments of a case, with each "@name" replaced by a file in
+    the directory tmp holding CHANNELS[name]."""
+    argv = []
+    for arg in CLI_CASES[case][0]:
+        if arg.startswith("@"):
+            path = Path(tmp) / f"{arg[1:]}.json"
+            path.write_text(json.dumps(CHANNELS[arg[1:]]))
+            arg = str(path)
+        argv.append(arg)
+    return argv
+
+
 def render(case: str) -> tuple[int, str]:
     """Exit code and output text of one case."""
     if case == "exhaustive_scan_p2_m2_factored":
-        report = exhaustive_scan(2, 2, pair_limit=10)
+        # the GF(4) scan in the mode of the larger fields
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheme, "_PAIR_LIMIT", 10)
+            report = exhaustive_scan(2, 2)
         return 0, json.dumps(report.to_dict(), indent=2) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
-        argv = []
-        for arg in CLI_CASES[case][0]:
-            if arg.startswith("@"):
-                path = Path(tmp) / f"{arg[1:]}.json"
-                path.write_text(json.dumps(CHANNELS[arg[1:]]))
-                arg = str(path)
-            argv.append(arg)
+        argv = cli_argv(case, tmp)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)

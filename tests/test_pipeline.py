@@ -5,17 +5,18 @@ symbol codes, and of the scan's rank certificate against sending every
 message."""
 
 import copy
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from gfalign import (DegenerateSpectrum, FieldMismatch, InconsistentSystem,
-                     MessagePair, MimoPipeline, TwoHopChannel, all_messages,
+                     Mat, MessagePair, MimoPipeline, TwoHopChannel, all_messages,
                      apply_hop, build_mimo_precoders, build_precoders,
                      check_feasible, destination_decode, draw_valid_channel,
                      exhaustive_scan, make_field, plan_extension, random_mimo_channel,
-                     relay_decode, relay_encode, source_encode)
+                     relay_decode, relay_encode, scheme, source_encode)
 from gfalign.mimo import random_message
 from gfalign.scheme import _certify, _digit_codec, _scan_hop, scalar_pipeline
 from oracles import (ExtensionFieldPipeline, batch, lane_destination_half,
@@ -82,6 +83,25 @@ class TestScalarCore:
                     core.destination_half(u1, u2)
                 raised += 1
         assert len(valid) == 8 and raised == 8
+
+    @pytest.mark.parametrize("name,message", [
+        ("v2", "aligned sums"), ("v4", "relayed sums")])
+    def test_misaligned_precoder_fails_set_up(self, name, message):
+        # swapping the two columns of a side precoder over GF(8) keeps its
+        # rank but breaks the alignment identities: the relays no longer
+        # observe the sums (v2), or destination 2 decodes w2 out of order (v4)
+        spec = make_field(2, 3)
+        rng = random.Random(7)
+        ch = draw_valid_channel(spec, rng)
+        while not check_feasible(ch).feasible:
+            ch = draw_valid_channel(spec, rng)
+        pre = build_precoders(ch)
+        side = getattr(pre, name)
+        swapped = Mat(side.spec, tuple(row[::-1] for row in side.rows))
+        assert swapped != side
+        scalar_pipeline(ch, pre)
+        with pytest.raises(AssertionError, match=message):
+            scalar_pipeline(ch, dataclasses.replace(pre, **{name: swapped}))
 
 
 def planned_channels(p, m, count, seed, degree=None):
@@ -176,13 +196,15 @@ class TestMatrixCore:
 
 
 class TestCertificate:
+    # kwargs: scheme settings patched for both scans
     @pytest.mark.parametrize("p,m,kwargs", [
         (2, 1, {}), (3, 1, {}), (5, 1, {}), (7, 1, {}), (2, 2, {}),
-        (2, 2, {"pair_limit": 10}), (2, 3, {}),
-        (3, 2, {"tuple_limit": 10 ** 8})])
-    def test_scan_equals_sweep(self, p, m, kwargs):
-        assert (exhaustive_scan(p, m, **kwargs).to_dict()
-                == scan_by_sweep(p, m, **kwargs).to_dict())
+        (2, 2, {"_PAIR_LIMIT": 10}), (2, 3, {}), (3, 2, {})])
+    def test_scan_equals_sweep(self, monkeypatch, p, m, kwargs):
+        for name, value in kwargs.items():
+            monkeypatch.setattr(scheme, name, value)
+        assert (exhaustive_scan(p, m).to_dict()
+                == scan_by_sweep(p, m).to_dict())
 
     @staticmethod
     def cores():

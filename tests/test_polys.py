@@ -212,3 +212,16 @@ class TestNotation:
         for text in ("x^^2+x+1", "x^*2+x+1", "x***2+x+1", "x**^2+x+1"):
             with pytest.raises(ValueError, match="cannot parse term"):
                 parse_poly(2, text)
+
+    def test_parse_coefficient_forms(self):
+        # a coefficient is written k*x, kx, x or -x, and a term is empty
+        # only before a leading minus
+        assert parse_poly(3, "2x^2 + x + 1") == Poly(GF3, [1, 1, 2])
+        assert parse_poly(3, "-x^2 - 2*x") == Poly(GF3, [0, 1, 2])
+        assert parse_poly(3, "- x + 1") == Poly(GF3, [1, 2])
+        for text in ("2**x+1", "2***x^2+1", "*x+1", "-*x+1", "2*-x+1"):
+            with pytest.raises(ValueError, match="cannot parse term"):
+                parse_poly(3, text)
+        for text in ("x^2++x+1", "1+x+x^2+", "+x+1", "x^2+ +1"):
+            with pytest.raises(ValueError, match="empty term"):
+                parse_poly(3, text)

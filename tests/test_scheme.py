@@ -380,13 +380,30 @@ class TestExhaustiveScan:
         assert rep.feasible_fraction_valid is None
         assert rep.round_trips == 0 and rep.decode_success_rate == 1.0
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # refused from the core count alone, before the field is built
         from gfalign import TooLarge
-        with pytest.raises(TooLarge):
-            exhaustive_scan(2, 4)
 
-    def test_factored_mode_small(self):
-        rep = exhaustive_scan(2, 2, pair_limit=10)
+        def unbuilt(*args):
+            raise AssertionError("make_field ran before the guard")
+
+        monkeypatch.setattr(scheme, "make_field", unbuilt)
+        for p, m in ((5, 2), (3, 3), (2, 5), (17, 1), (2, 61), (10 ** 9 + 7, 3)):
+            with pytest.raises(TooLarge, match="guard"):
+                exhaustive_scan(p, m)
+        # a count too long to print in decimal is shown as a power of two
+        with pytest.raises(TooLarge, match=r"about 2\^79999 channel cores"):
+            exhaustive_scan(2, 20000)
+
+    @pytest.mark.parametrize("p,m", [
+        (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+        (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (2, 5)])
+    def test_core_count_is_the_feasible_tuple_count(self, p, m):
+        assert scheme._core_count(p, m) == _scan_hop(make_field(p, m)).feasible
+
+    def test_factored_mode_small(self, monkeypatch):
+        monkeypatch.setattr(scheme, "_PAIR_LIMIT", 10)
+        rep = exhaustive_scan(2, 2)
         assert rep.mode == "factored"
         assert rep.decode_failures == 0
         assert rep.feasible_channels == 2916
@@ -404,12 +421,39 @@ class TestExhaustiveScan:
             built.append((ch.hop1, ch.hop2))
             return build_precoders(ch)
 
+        monkeypatch.setattr(scheme, "_PAIR_LIMIT", pair_limit)
         monkeypatch.setattr(scheme, "build_precoders", counting)
-        rep = exhaustive_scan(p, m, pair_limit=pair_limit)
+        rep = exhaustive_scan(p, m)
         assert rep.mode == mode and rep.hop1[2] == tuples
         assert len(built) == tuples
         assert all(t1 == t2 for t1, t2 in built)
         assert len(set(built)) == tuples
+
+    @pytest.mark.parametrize("pair_limit,mode", [(20000, "paired"),
+                                                 (10, "factored")])
+    def test_factored_mode_streams_the_cores(self, monkeypatch, pair_limit,
+                                             mode):
+        # factored, each core is certified before the next one is built;
+        # paired, every core is built before the first pair is certified
+        events = []
+
+        def building(ch, pre):
+            events.append("build")
+            return scalar_pipeline(ch, pre)
+
+        def certifying(relay, destination, factored):
+            events.append("certify")
+            return certify(relay, destination, factored)
+
+        certify, scalar_pipeline = scheme._certify, scheme.scalar_pipeline
+        monkeypatch.setattr(scheme, "_PAIR_LIMIT", pair_limit)
+        monkeypatch.setattr(scheme, "scalar_pipeline", building)
+        monkeypatch.setattr(scheme, "_certify", certifying)
+        assert exhaustive_scan(2, 2).mode == mode
+        if mode == "factored":
+            assert events == ["build", "certify"] * 54
+        else:
+            assert events == ["build"] * 54 + ["certify"] * 54 ** 2
 
 
 def s_block_ratio(ch):
