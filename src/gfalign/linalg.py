@@ -610,9 +610,10 @@ def roots_in_field(f: Poly, ext: FieldSpec) -> list[FieldElem]:
     return [x for x in map(ext.from_code, sorted(codes)) if not f(x).code]
 
 
-def splitting_data(a: Mat) -> tuple[Poly, tuple[int, ...], int]:
-    """Characteristic polynomial, factor degrees (descending) and splitting
-    degree of a square ground-field matrix with squarefree spectrum.
+def splitting_data(a: Mat) -> tuple[Poly, tuple[Poly, ...], int]:
+    """Characteristic polynomial, irreducible factors (by degree,
+    descending, as ``factor_poly`` sorts them) and splitting degree of a
+    square ground-field matrix with squarefree spectrum.
 
     The splitting degree is the lcm of the factor degrees: the smallest
     extension containing every root.  Raises DegenerateSpectrum when the
@@ -623,8 +624,130 @@ def splitting_data(a: Mat) -> tuple[Poly, tuple[int, ...], int]:
     if any(mult > 1 for _, mult in factors):
         raise DegenerateSpectrum(
             "characteristic polynomial has a repeated irreducible factor")
-    degrees = tuple(f.degree for f, _ in factors)
-    return cp, degrees, math.lcm(*degrees)
+    return cp, tuple(f for f, _ in factors), math.lcm(*(f.degree for f, _ in factors))
+
+
+# -- eigenvector sums over F_p: arithmetic in R = F_p[x]/(f) ---------------------
+# An element of R is the list of its d = deg f coefficients, low degree
+# first; f is the monic factor's coefficient list, low degree first.
+
+
+def _mul_in_quotient(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    """a b in F_p[x]/(f): the schoolbook product, then x^k for k >= d
+    replaced by x^(k-d) (-f_0 - f_1 x - ... - f_(d-1) x^(d-1)), top down."""
+    d = len(f) - 1
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out[k] % p
+        if c:
+            for i in range(d):
+                out[k - d + i] -= c * f[i]
+    return [v % p for v in out[:d]]
+
+
+def _inv_in_quotient(a: list[int], f: list[int], p: int) -> list[int]:
+    """Inverse of a nonzero a in F_p[x]/(f), f irreducible, by the extended
+    Euclidean algorithm: each remainder r_i of f, a, ... keeps its cofactor
+    s_i with s_i a = r_i mod f, until r_i is a nonzero constant c; the
+    inverse is s_i / c.  Every s_i has degree below d."""
+    d = len(f) - 1
+    r0, r1 = list(f), list(a)
+    while not r1[-1]:
+        r1.pop()
+    s0, s1 = [0] * d, [1] + [0] * (d - 1)
+    while len(r1) > 1:
+        # r0 -= q r1 and s0 -= q s1, one quotient term c x^k at a time
+        inv_lead, shift = pow(r1[-1], -1, p), len(r1) - 1
+        for k in range(len(r0) - len(r1), -1, -1):
+            c = r0[k + shift] * inv_lead % p
+            if c:
+                for i, y in enumerate(r1):
+                    r0[k + i] = (r0[k + i] - c * y) % p
+                for i, y in enumerate(s1):
+                    if y:
+                        s0[k + i] = (s0[k + i] - c * y) % p
+        while r0 and not r0[-1]:
+            r0.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    inv_c = pow(r1[0], -1, p)
+    return [v * inv_c % p for v in s1]
+
+
+def _power_sums(f: list[int], p: int) -> list[int]:
+    """s_k = Tr_{R/F_p}(x^k) for k < d, the k-th power sums of the roots of
+    f, from Newton's identities: s_0 = d and, for 0 < k < d,
+    s_k = -(k f_(d-k) + sum over 0 < i < k of f_(d-i) s_(k-i)), all mod p."""
+    d = len(f) - 1
+    sums = [d % p]
+    for k in range(1, d):
+        acc = k * f[d - k] + sum(f[d - i] * sums[k - i] for i in range(1, k))
+        sums.append(-acc % p)
+    return sums
+
+
+def _eigenvector_in_quotient(rows: list[list[int]], f: list[int],
+                             p: int) -> list[list[int]]:
+    """Eigenvector over R = F_p[x]/(f) of a ground-field matrix of integer
+    codes for its eigenvalue lambda = x mod f (-f_0 when d = 1): the kernel
+    vector of the first free column of rows - lambda I after Gauss-Jordan
+    over R, scaled so its lowest nonzero entry is 1, as
+    ``null_space_vector`` scales it."""
+    d, n = len(f) - 1, len(rows)
+    lam = [-f[0] % p] if d == 1 else [0, 1] + [0] * (d - 2)
+    work = [[[c] + [0] * (d - 1) for c in row] for row in rows]
+    for i in range(n):
+        work[i][i] = [(v - w) % p for v, w in zip(work[i][i], lam)]
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, n) if any(work[i][c])), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = _inv_in_quotient(work[r][c], f, p)
+        work[r] = [_mul_in_quotient(v, inv, f, p) for v in work[r]]
+        for i in range(n):
+            g = work[i][c]
+            if i != r and any(g):
+                work[i] = [[(x - y) % p for x, y in
+                            zip(v, _mul_in_quotient(g, w, f, p))]
+                           for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+    free = next(c for c in range(n) if c not in pivots)
+    v = [[0] * d for _ in range(n)]
+    v[free][0] = 1
+    for r, c in enumerate(pivots):
+        v[c] = [-x % p for x in work[r][free]]
+    inv = _inv_in_quotient(next(x for x in v if any(x)), f, p)
+    return [_mul_in_quotient(x, inv, f, p) for x in v]
+
+
+def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
+    """Codes over F_p of the sum of the eigenvectors of a ground-field
+    matrix whose characteristic polynomial is the product of the distinct
+    irreducible ``factors``, each eigenvector scaled so its lowest nonzero
+    entry is 1.  No extension field is built.
+
+    For a factor f of degree d, R = F_p[x]/(f) is a field and x mod f a
+    root of f, so ``_eigenvector_in_quotient`` finds its eigenvector v over
+    R.  The Frobenius map takes the reduced form of a - lambda I to that of
+    a - lambda^p I, so the eigenvectors of f's d roots are the conjugates
+    of v, and they sum to Tr_{R/F_p}(v), entry by entry, where
+    Tr(sum c_k x^k) = sum c_k s_k (Lidl & Niederreiter, *Finite Fields*,
+    ch. 2).  The eigenvectors ``eigenvectors_in`` finds in the splitting
+    field sum to the same vector."""
+    p, rows = a.spec.p, a.to_code_rows()
+    lead = [0] * len(rows)
+    for factor in factors:
+        f = list(factor.coeff_codes())
+        sums = _power_sums(f, p)
+        for i, x in enumerate(_eigenvector_in_quotient(rows, f, p)):
+            lead[i] += sum(map(mul, x, sums))
+    return tuple(c % p for c in lead)
 
 
 def eigenvectors_in(a: Mat, ext: FieldSpec,
@@ -638,13 +761,3 @@ def eigenvectors_in(a: Mat, ext: FieldSpec,
         shifted = lifted - ident.scale(lam)
         cols.append(null_space_vector(shifted))
     return Mat.from_columns(ext, cols)
-
-
-def vandermonde_det(values: Sequence[FieldElem]) -> FieldElem:
-    """prod over i < j of (values[j] - values[i])."""
-    spec = values[0].spec
-    acc = spec.one
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            acc = acc * (values[j] - values[i])
-    return acc

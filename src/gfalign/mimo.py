@@ -6,12 +6,15 @@ commute and are not powers of one companion matrix, so the power-basis
 precoders are built from eigen-decompositions.  Some eigenvalues only exist
 in the splitting field F_{p^L} of both hop products (L is the lcm of the
 irreducible-factor degrees across the two hops), but the eigenvector sum
-that leads each precoder is fixed by Frobenius, so the precoders are F_p
-matrices.  Message symbols live in F_{p^L}, which is F_p^L as a vector
-space, so the F_p core shared with the scalar model (scheme.LinearPipeline)
-acts on their base-p codes directly: XOR for p = 2, packed digit
-arithmetic for odd p.  Per slot the scheme still delivers 2m-1
-ground-field symbols.
+that leads each precoder is fixed by Frobenius: it is the sum, over the
+irreducible factors f of the characteristic polynomial, of the trace of
+one eigenvector over F_p[x]/(f) (``linalg.eigenvector_sum``).  So planning
+runs over F_p and the precoders are F_p matrices; the eigenvalues and
+eigenvectors in F_{p^L} are computed only when a caller reads them.
+Message symbols live in F_{p^L}, which is F_p^L as a vector space, so the
+F_p core shared with the scalar model (scheme.LinearPipeline) acts on
+their base-p codes directly: XOR for p = 2, packed digit arithmetic for
+odd p.  Per slot the scheme still delivers 2m-1 ground-field symbols.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import Singular, SingularChannel
 from .gf import (FieldElem, FieldSpec, check_field_params, make_field,
                  prime_field)
 from .linalg import (Mat, _compound, _element_of_code, _full_rank, _inv_mod_p,
-                     _matmul_mod_p, _solve_mod_p, block2x2, eigenvectors_in,
-                     krylov_precoders, roots_in_field, splitting_data,
-                     vandermonde_det)
+                     _matmul_mod_p, _solve_mod_p, block2x2, eigenvector_sum,
+                     eigenvectors_in, krylov_precoders, roots_in_field,
+                     splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int)
@@ -68,9 +72,16 @@ class MimoChannel:
 
 @dataclass(frozen=True)
 class HopPlan:
-    """Eigen data of one hop's cross-ratio product A^-1 B cross, where
+    """Plan of one hop's cross-ratio product A^-1 B cross, where
     (A, B, cross) is (Q11, Q12, Q22^-1 Q21) for the first hop and
-    (S11, S12, S22^-1 S21) for the second."""
+    (S11, S12, S22^-1 S21) for the second: its spectrum's shape and the
+    eigenvector sum that leads its precoders, both found over F_p.
+
+    ``eigenvalues`` and ``eigenvectors`` are the eigen data in the common
+    extension ``ext``, searched there (``roots_in_field``,
+    ``eigenvectors_in``) the first time either is read; planning and
+    precoding never read them.  The eigenvectors sum to ``lead``.
+    """
 
     product: Mat                      # over F_p
     cross: Mat                        # over F_p
@@ -78,8 +89,22 @@ class HopPlan:
     factor_degrees: tuple[int, ...]   # descending
     max_factor_degree: int            # extension order claimed by the largest factor
     splitting_degree: int             # lcm of the factor degrees
-    eigenvalues: tuple[FieldElem, ...]  # in the common extension field
-    eigenvectors: Mat                 # columns over the common extension
+    lead: tuple[int, ...]             # codes over F_p of the eigenvector sum
+    ext: FieldSpec                    # the common extension field
+
+    @cached_property
+    def eigenvalues(self) -> tuple[FieldElem, ...]:
+        """The roots of ``char`` in ``ext``, ascending by code."""
+        values = tuple(roots_in_field(self.char, self.ext))
+        if len(values) != self.product.nrows:
+            raise AssertionError("common extension does not split a hop product")
+        return values
+
+    @cached_property
+    def eigenvectors(self) -> Mat:
+        """Columns over ``ext``, one per eigenvalue, each scaled so its
+        lowest nonzero entry is 1."""
+        return eigenvectors_in(self.product, self.ext, self.eigenvalues)
 
     def summary(self) -> dict:
         return {
@@ -119,9 +144,11 @@ class ExtensionPlan:
 
 def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     """Validate the channel, factor both hop products' characteristic
-    polynomials, and eigen-decompose them over the common splitting field.
-    The F_p steps (rank checks, inverse blocks, hop products) run on
-    integer codes mod p.
+    polynomials, and find each product's eigenvector sum over F_p
+    (``eigenvector_sum``, one pass per irreducible factor in
+    F_p[x]/(factor)).  Every step runs on integer codes mod p; the common
+    splitting field F_{p^L} is built for the message symbols, and no
+    eigenvalue or eigenvector is searched in it.
 
     Raises SingularChannel when a channel matrix or a compound hop matrix is
     singular, and DegenerateSpectrum when either product has a repeated
@@ -152,22 +179,19 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
 
     product1, cross1 = product_and_cross(q11, q12, q21, q22)
     product2, cross2 = product_and_cross(s11, s12, s21, s22)
-    cp1, degrees1, deg1 = splitting_data(product1)
-    cp2, degrees2, deg2 = splitting_data(product2)
+    cp1, factors1, deg1 = splitting_data(product1)
+    cp2, factors2, deg2 = splitting_data(product2)
     degree = math.lcm(deg1, deg2)
     ext = make_field(p, degree)
 
-    def hop_plan(product, cross, cp, degrees, own_degree):
-        values = tuple(roots_in_field(cp, ext))
-        if len(values) != m:
-            raise AssertionError("common extension does not split a hop product")
-        vectors = eigenvectors_in(product, ext, values)
+    def hop_plan(product, cross, cp, factors, own_degree):
+        degrees = tuple(f.degree for f in factors)
         return HopPlan(product, cross, cp, degrees, degrees[0], own_degree,
-                       values, vectors)
+                       eigenvector_sum(product, factors), ext)
 
     return ExtensionPlan(ch, ext, degree,
-                         hop_plan(product1, cross1, cp1, degrees1, deg1),
-                         hop_plan(product2, cross2, cp2, degrees2, deg2),
+                         hop_plan(product1, cross1, cp1, factors1, deg1),
+                         hop_plan(product2, cross2, cp2, factors2, deg2),
                          tuple(Mat.from_code_rows(ground, blk)
                                for blk in (s11, s12, s21, s22)))
 
@@ -177,12 +201,15 @@ class MimoPrecoders:
     """Precoding matrices over the ground field F_p.
 
     v1 and v2 are krylov_precoders of the hop-1 product, led by the
-    eigenvector sum (the all-ones combination in the eigenbasis, which a
-    Vandermonde argument keeps full rank), with cross Q22^-1 Q21 to align
-    the hops.  v3 and v4 mirror the construction for the inverted second
-    hop.  The eigenvector sum is fixed by Frobenius, so it lies in F_p^m and
-    every precoder is a ground-field matrix, whatever the extension degree.
-    The scalar model's PrecoderSet is the same construction.
+    eigenvector sum ``HopPlan.lead`` (the all-ones combination in the
+    eigenbasis, which a Vandermonde argument keeps full rank), with cross
+    Q22^-1 Q21 to align the hops.  v3 and v4 mirror the construction for
+    the inverted second hop.  The eigenvector sum is fixed by Frobenius, so
+    it lies in F_p^m and every precoder is a ground-field matrix, whatever
+    the extension degree.  The tests check the determinant identity
+    det v1 = det(eigenvectors) * Vandermonde(eigenvalues) against the eigen
+    data in F_{p^L}; ``MimoPipeline`` raises Singular should v1 or v3 be
+    singular.  The scalar model's PrecoderSet is the same construction.
     """
 
     plan: ExtensionPlan
@@ -192,25 +219,13 @@ class MimoPrecoders:
     v4: Mat
 
 
-def _hop_precoders(plan: ExtensionPlan, hop: HopPlan) -> tuple[Mat, Mat]:
-    ext, ground, m = plan.ext, plan.channel.ground, plan.channel.m
-    lead = hop.eigenvectors @ Mat.build(ext, [[1]] * m)
-    codes = [row[0].code for row in lead.rows]
-    assert all(c < ground.p for c in codes), \
-        "the eigenvector sum must be fixed by Frobenius"
-    v_main, v_side = krylov_precoders(hop.product, Mat.column(ground, codes),
-                                      hop.cross)
-    det = v_main.det().lift(ext)
-    expected = hop.eigenvectors.det() * vandermonde_det(hop.eigenvalues)
-    assert det == expected and det.code, \
-        "power-basis determinant must equal the eigenvector-Vandermonde product"
-    return v_main, v_side
-
-
 def build_mimo_precoders(plan: ExtensionPlan) -> MimoPrecoders:
-    v1, v2 = _hop_precoders(plan, plan.hop1)
-    v3, v4 = _hop_precoders(plan, plan.hop2)
-    return MimoPrecoders(plan, v1, v2, v3, v4)
+    ground = plan.channel.ground
+
+    def hop_precoders(hop: HopPlan) -> tuple[Mat, Mat]:
+        return krylov_precoders(hop.product, Mat.column(ground, hop.lead), hop.cross)
+
+    return MimoPrecoders(plan, *hop_precoders(plan.hop1), *hop_precoders(plan.hop2))
 
 
 class MimoPipeline:

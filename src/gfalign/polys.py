@@ -292,7 +292,13 @@ def parse_poly(p: int, text: str) -> Poly:
         if not text.endswith("]"):
             raise ValueError(f"unterminated coefficient list: {text!r}")
         inner = text[1:-1].strip()
-        vals = [int(v) for v in inner.split(",")] if inner else []
+        vals = []
+        for v in inner.split(",") if inner else []:
+            try:
+                vals.append(int(v))
+            except ValueError:
+                raise ValueError(f"coefficient list {text!r} has an entry that "
+                                 f"is not an integer: {v.strip()!r}") from None
         if any(not 0 <= v < p for v in vals):
             raise ValueError(f"list coefficients must lie in [0, {p})")
         return Poly(spec, vals)

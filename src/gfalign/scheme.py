@@ -387,11 +387,22 @@ class _CodeMap:
         self.apply = apply
 
 
-def _relay_sum_rows(m: int) -> list[list[int]]:
-    """S with (u1; u2) = S (w1; w2), the sums of relay_decode."""
-    return [[int(j == i) for j in range(m)]
-            + [int(k == i - shift) for k in range(m - 1)]
-            for shift in (1, 0) for i in range(m)]
+@functools.cache
+def _relay_sum_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """S with (u1; u2) = S (w1; w2), the sums of relay_decode.  Built once
+    per m and shared by every set-up and certificate, so its rows are
+    tuples."""
+    return tuple(tuple([int(j == i) for j in range(m)]
+                       + [int(k == i - shift) for k in range(m - 1)])
+                 for shift in (1, 0) for i in range(m))
+
+
+@functools.cache
+def _decode_target(m: int) -> tuple[tuple[int, ...], ...]:
+    """[I; 0], the (2m) x (2m-1) value of destination_map S: the message,
+    then a zero residual.  Built once per m, as tuples."""
+    n = 2 * m - 1
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n + 1))
 
 
 class LinearPipeline:
@@ -429,9 +440,10 @@ class LinearPipeline:
         self.destination_map = _matmul_mod_p(p, _block_diag(_inv_mod_p(v3, p), t),
                                              hop2, encoders)
         sums = _relay_sum_rows(m)
-        assert self.relay_map == sums, "relays do not observe the aligned sums"
-        assert _matmul_mod_p(p, self.destination_map, sums) \
-            == _identity_codes(2 * m - 1) + [[0] * (2 * m - 1)], \
+        assert tuple(map(tuple, self.relay_map)) == sums, \
+            "relays do not observe the aligned sums"
+        assert tuple(map(tuple, _matmul_mod_p(p, self.destination_map, sums))) \
+            == _decode_target(m), \
             "destinations do not decode the message from the relayed sums"
 
     @property
@@ -726,7 +738,7 @@ def _certify(relay: LinearPipeline, destination: LinearPipeline,
     if any(residual):
         raise InconsistentSystem(
             "destination-2 observation left the side-precoder column space")
-    return failures + failing(decoded, _identity_codes(n))
+    return failures + failing(decoded, _decode_target(relay.m)[:n])
 
 
 def _core_count(p: int, m: int) -> int:

@@ -12,6 +12,30 @@ def roots_by_enumeration(f, ext):
     return [e for e in ext.elements() if not f(e).code]
 
 
+def vandermonde_det(values):
+    """prod over i < j of (values[j] - values[i])."""
+    spec = values[0].spec
+    acc = spec.one
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            acc = acc * (values[j] - values[i])
+    return acc
+
+
+def eigenvector_sum_in_extension(a, ext):
+    """Codes over F_p of the sum of the eigenvectors of a ground-field matrix
+    a, found in the splitting field ext: every eigenvalue by
+    roots_in_field, every eigenvector by eigenvectors_in, summed there.
+    Fails unless the sum lies in the ground field."""
+    from gfalign.linalg import Mat, char_poly, eigenvectors_in, roots_in_field
+    values = roots_in_field(char_poly(a), ext)
+    assert len(values) == a.nrows, "ext does not split the matrix"
+    total = eigenvectors_in(a, ext, values) @ Mat.build(ext, [[1]] * a.nrows)
+    codes = tuple(row[0].code for row in total.rows)
+    assert all(c < ext.p for c in codes), "the sum is not fixed by Frobenius"
+    return codes
+
+
 def berkowitz_char_poly(a):
     """Monic characteristic polynomial det(xI - a) of a square matrix over
     any field, by Berkowitz's algorithm on field elements: step k extends

@@ -19,9 +19,9 @@ from gfalign import (DegenerateSpectrum, Mat, MimoPipeline, all_messages,
                      lift_matrix, linear_combination_image, lower_bound,
                      make_field, matrix_rep, mc_feasibility, minpoly_degree,
                      normalized_rates, plan_extension, prime_field,
-                     random_mimo_channel, simulate, vandermonde_det)
+                     random_mimo_channel, simulate)
 from gfalign.mimo import random_message as random_ext_message
-from oracles import roots_by_enumeration
+from oracles import roots_by_enumeration, vandermonde_det
 
 SEED = 20260809
 

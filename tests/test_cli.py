@@ -103,6 +103,13 @@ class TestFieldInfo:
         assert code == 2 and out == ""
         assert err == "error: empty term in polynomial text 'x^2++2x+2'\n"
 
+    def test_empty_list_entry_exits_2(self, capsys):
+        code, out, err = run(capsys, "field-info", "--p", "2", "--m", "2",
+                             "--pi", "[1,,1]")
+        assert code == 2 and out == ""
+        assert err == ("error: coefficient list '[1,,1]' has an entry that is "
+                       "not an integer: ''\n")
+
     def test_text_modulus_reads_signed_coefficients(self, capsys):
         code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "2",
                                  "--pi", "x^2 - x - 1")

@@ -108,6 +108,13 @@ CLI_CASES = {
                              "--seed", "4"], 0),
     "symbol_ext_p5_m2": (["symbol-ext", "--p", "5", "--m", "2",
                           "--seed", "2"], 0),
+    # a large prime: both hops split over F_1009 or F_1009^2, whose
+    # eigenvalues planning does not search for
+    "symbol_ext_p1009_m2": (["symbol-ext", "--p", "1009", "--m", "2",
+                             "--seed", "0"], 0),
+    # plans at L = 24 from hop factor degrees (8, 2) and (6, 4)
+    "symbol_ext_p2_m10_L24": (["symbol-ext", "--p", "2", "--m", "10",
+                               "--seed", "1"], 0),
 }
 
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]

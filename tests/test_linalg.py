@@ -15,9 +15,10 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
 from gfalign.gf import is_prime
-from gfalign.linalg import (_eliminate_mod_p, _full_rank, _subfield_unit_codes,
-                            eigenvectors_in, splitting_data)
-from gfalign.polys import all_monic
+from gfalign.linalg import (_eliminate_mod_p, _full_rank, _inv_in_quotient,
+                            _mul_in_quotient, _power_sums, _subfield_unit_codes,
+                            eigenvector_sum, eigenvectors_in, splitting_data)
+from gfalign.polys import all_monic, enumerate_irreducible
 from oracles import (berkowitz_char_poly, matrix_rep_by_companion_powers,
                      roots_by_enumeration)
 
@@ -404,13 +405,61 @@ class TestCharPoly:
 def eigen(a):
     """Eigen data of a ground-field matrix the way plan_extension computes
     it: splitting data, then roots and eigenvectors in the splitting field."""
-    cp, degrees, deg = splitting_data(a)
+    cp, factors, deg = splitting_data(a)
     ext = make_field(a.spec.p, deg)
     values = tuple(roots_in_field(cp, ext))
     assert len(values) == a.nrows
-    return SimpleNamespace(degree=deg, ext=ext, factor_degrees=degrees,
+    return SimpleNamespace(degree=deg, ext=ext,
+                           factor_degrees=tuple(f.degree for f in factors),
                            values=values,
                            vectors=eigenvectors_in(a, ext, values))
+
+
+class TestQuotientField:
+    """R = F_p[x]/(f) on integer coefficient lists, for every irreducible f
+    of degree <= 4 over F_2 and <= 3 over F_3, against make_field(p, d)
+    through the isomorphism x -> a root of f."""
+
+    @pytest.mark.parametrize("p,max_degree", [(2, 4), (3, 3)])
+    def test_against_extension_field(self, p, max_degree):
+        for d in range(1, max_degree + 1):
+            big = make_field(p, d)
+            for f in enumerate_irreducible(p, d):
+                codes = list(f.coeff_codes())
+                root = roots_by_enumeration(f, big)[0]
+                sums = _power_sums(codes, p)
+                nonzero = [list(a) for a in itertools.product(range(p), repeat=d)
+                           if any(a)]
+
+                def embed(a):
+                    return sum((root ** k * c for k, c in enumerate(a)), big.zero)
+
+                def trace(e):
+                    # the sum of the d conjugates e, e^p, ..., e^(p^(d-1))
+                    acc = e
+                    for _ in range(d - 1):
+                        e = e ** p
+                        acc = acc + e
+                    return acc.code
+
+                # s_k is the trace of x^k
+                assert sums == [trace(root ** k) for k in range(d)]
+                for a in nonzero:
+                    assert _mul_in_quotient(a, _inv_in_quotient(a, codes, p),
+                                            codes, p) == [1] + [0] * (d - 1)
+                    assert sum(c * s for c, s in zip(a, sums)) % p == trace(embed(a))
+                    for b in nonzero:
+                        assert embed(_mul_in_quotient(a, b, codes, p)) \
+                            == embed(a) * embed(b)
+
+    def test_eigenvector_sum_of_a_companion(self):
+        # the companion of x^3 + x + 1 over F_2 has the roots a, a^2, a^4 of
+        # its modulus in F_8; its eigenvector sum is the F_8 oracle's
+        a = companion_matrix(make_field(2, 3))
+        f8 = make_field(2, 3)
+        total = eigen(a).vectors @ Mat.build(f8, [[1]] * 3)
+        assert eigenvector_sum(a, splitting_data(a)[1]) \
+            == tuple(row[0].code for row in total.rows)
 
 
 class TestEigen:

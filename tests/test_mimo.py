@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,10 +9,13 @@ from gfalign import (DegenerateSpectrum, Mat, MimoChannel, MimoPipeline,
                      char_poly, lift_matrix, make_field,
                      mimo_channel_from_dict, mimo_channel_to_dict,
                      plan_extension, prime_field, random_mimo_channel,
-                     simulate_symbol_ext, split_blocks,
-                     vandermonde_det)
+                     simulate_symbol_ext, split_blocks)
+from gfalign import linalg, mimo
+from gfalign.linalg import splitting_data
 from gfalign.mimo import random_message
-from oracles import random_mimo_channel_by_det, roots_by_enumeration
+from oracles import (eigenvector_sum_in_extension, random_mimo_channel_by_det,
+                     roots_by_enumeration, vandermonde_det)
+from test_golden import GOLDEN, render
 
 
 def brute_distinct_roots(product, max_degree=6):
@@ -177,7 +181,6 @@ class TestPlanExtension:
                     assert not expect_ok
 
     def test_splitting_degree_is_lcm(self):
-        import math
         rng = random.Random(41)
         seen = set()
         for p, m in ((3, 2), (2, 3), (5, 2)):
@@ -233,6 +236,71 @@ class TestPrecoders:
         pre = build_mimo_precoders(plan_extension(ch))
         assert pre.v1.nrows == 1 and pre.v1.ncols == 1
         assert pre.v2.ncols == 0
+
+
+class TestLead:
+    """HopPlan.lead, the eigenvector sum found over F_p by traces in
+    F_p[x]/(f), against the sum of the eigenvectors found in F_{p^L}."""
+
+    def check_arm(self, p, m, draws, max_degree=None):
+        rng = random.Random(f"lead:{p}:{m}")
+        checked = 0
+        for _ in range(draws):
+            ch = random_mimo_channel(p, m, rng)
+            try:
+                # skip before plan_extension builds a field beyond max_degree
+                if max_degree is not None and math.lcm(*(
+                        splitting_data(prod)[2] for prod in hop_products(ch))) > max_degree:
+                    continue
+                plan = plan_extension(ch)
+            except DegenerateSpectrum:
+                continue
+            for hop in (plan.hop1, plan.hop2):
+                assert hop.lead == eigenvector_sum_in_extension(hop.product,
+                                                                plan.ext)
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2),
+                                     (2, 4)])
+    def test_small_arms(self, p, m):
+        assert self.check_arm(p, m, 200) >= 50
+
+    @pytest.mark.parametrize("p,m,draws", [(2, 5, 24), (3, 4, 24), (2, 8, 16)])
+    def test_larger_arms_up_to_L24(self, p, m, draws):
+        assert self.check_arm(p, m, draws, max_degree=24) >= 3
+
+    def test_lazy_eigen_data_sum_to_lead(self):
+        plan = plan_extension(f4_fixture_channel())
+        for hop in (plan.hop1, plan.hop2):
+            assert "eigenvectors" not in vars(hop)
+            ones = Mat.build(plan.ext, [[1]] * 2)
+            total = hop.eigenvectors @ ones
+            assert tuple(row[0].code for row in total.rows) == hop.lead
+            assert hop.eigenvectors is hop.eigenvectors
+
+    def test_no_extension_eigen_search(self, monkeypatch, tmp_path):
+        # planning, precoding, the pipeline and the CLI never search
+        # F_{p^L} for eigenvalues or eigenvectors
+        def refuse(*args):
+            raise AssertionError("eigen data searched in the extension field")
+        for module in (linalg, mimo):
+            monkeypatch.setattr(module, "roots_in_field", refuse)
+            monkeypatch.setattr(module, "eigenvectors_in", refuse)
+        rng = random.Random(59)
+        for p, m in ((2, 3), (3, 3), (2, 6)):
+            ch = random_mimo_channel(p, m, rng)
+            try:
+                plan = plan_extension(ch)
+            except DegenerateSpectrum:
+                continue
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            w1, w2 = random_message(plan.ext, m, rng)
+            assert simulate_symbol_ext(ch, w1, w2, pipe).success
+        for case in ("symbol_ext_p2_m6_L12", "symbol_ext_p1009_m2"):
+            code, text = render(case)
+            assert code == 0
+            assert text == (GOLDEN / f"{case}.json").read_text()
 
 
 class TestPipeline:

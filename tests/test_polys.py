@@ -225,3 +225,14 @@ class TestNotation:
         for text in ("x^2++x+1", "1+x+x^2+", "+x+1", "x^2+ +1"):
             with pytest.raises(ValueError, match="empty term"):
                 parse_poly(3, text)
+
+    def test_parse_list_entries_must_be_integers(self):
+        # an empty or non-integer entry names the list, not int()'s message
+        for text, entry in (("[1,,1]", "''"), ("[1,1,]", "''"), ("[,1]", "''"),
+                            ("[1, x, 1]", "'x'"), ("[1,1.0,1]", "'1.0'")):
+            with pytest.raises(ValueError) as info:
+                parse_poly(2, text)
+            assert str(info.value) == (f"coefficient list {text!r} has an entry "
+                                       f"that is not an integer: {entry}")
+        assert parse_poly(2, "[ 1 , 1 ]") == Poly(GF2, [1, 1])
+        assert parse_poly(2, "[]") == Poly.zero(GF2)

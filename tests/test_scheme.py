@@ -12,7 +12,8 @@ from gfalign import (InconsistentSystem, Mat, MessagePair, TwoHopChannel,
                      make_field, matrix_rep, minpoly_degree, prime_field,
                      primitive_element, relay_decode, relay_encode,
                      second_hop_inverse, scheme, simulate, source_encode)
-from gfalign.scheme import _cross_ratio, _relay_sum_rows, _scan_hop
+from gfalign.scheme import (_cross_ratio, _decode_target, _relay_sum_rows,
+                            _scan_hop)
 
 F4 = make_field(2, 2)
 ALPHA = primitive_element(F4)
@@ -529,6 +530,19 @@ class TestSecondHopIdentity:
                 u = tuple(sum(a * b for a, b in zip(row, x)) % spec.p
                           for row in rows)
                 assert (u[:m], u[m:]) == expected_relay_sums(spec, msg)
+
+    def test_shared_targets_are_built_once_and_immutable(self):
+        # every set-up and certificate reads the same rows, so none may be
+        # a list a caller could change
+        for m in (1, 2, 3):
+            for target in (_relay_sum_rows, _decode_target):
+                rows = target(m)
+                assert target(m) is rows
+                assert isinstance(rows, tuple)
+                assert all(isinstance(row, tuple) for row in rows)
+            n = 2 * m - 1
+            assert _decode_target(m) == tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n)) + ((0,) * n,)
 
 
 class TestInfeasibilityWitness:
