@@ -20,13 +20,14 @@ import sys
 from . import feasibility as feas
 from . import mimo, scheme
 from .errors import GFAlignError
-from .gf import make_field, prime_field, primitive_element
+from .gf import (check_field_params, make_field, parse_int, prime_field,
+                 primitive_element)
 from .linalg import companion_matrix
 from .polys import Poly, format_poly, parse_poly
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    return [parse_int(v, f"list {text!r}") for v in text.split(",") if v.strip()]
 
 
 def _emit(args, text: str) -> None:
@@ -41,15 +42,16 @@ def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
-def _field_args(args):
-    pi = None
-    if getattr(args, "pi", None):
-        pi = parse_poly(args.p, args.pi)
-    return make_field(args.p, args.m, pi)
+def _modulus(args) -> Poly | None:
+    """The --pi polynomial, or None; a power above --m is refused at once."""
+    if not args.pi:
+        return None
+    check_field_params(args.p, args.m)
+    return parse_poly(args.p, args.pi, args.m)
 
 
 def cmd_field_info(args) -> int:
-    spec = _field_args(args)
+    spec = make_field(args.p, args.m, _modulus(args))
     gen = primitive_element(spec)
     payload = {
         "p": spec.p,
@@ -108,7 +110,10 @@ def cmd_compare_ext(args) -> int:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"channel file {path} is not JSON: {exc}") from None
 
 
 def _explicit_message(args, m: int) -> bool:
@@ -136,8 +141,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = scheme.exhaustive_scan(args.p, args.m,
-                                    parse_poly(args.p, args.pi) if args.pi else None)
+    report = scheme.exhaustive_scan(args.p, args.m, _modulus(args))
     _emit_json(args, report.to_dict())
     return 0
 
@@ -266,7 +270,7 @@ def main(argv=None) -> int:
         if channel and not os.path.isfile(channel):
             raise ValueError(f"channel file does not exist: {channel}")
         return args.func(args)
-    except (GFAlignError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GFAlignError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

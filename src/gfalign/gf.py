@@ -528,6 +528,15 @@ def format_element(e: FieldElem) -> list[int]:
     return list(e.coeffs)
 
 
+def parse_int(entry: str, source: str) -> int:
+    """int(entry), or a ValueError naming the text ``source`` it came from."""
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"{source} has an entry that is not an integer: "
+                         f"{entry.strip()!r}") from None
+
+
 def parse_element(spec: FieldSpec, value) -> FieldElem:
     """Parse an element from an int (constant mod p), a coefficient list, or
     an 'a^k' / 'a^inf' exponent string."""
@@ -538,5 +547,6 @@ def parse_element(spec: FieldSpec, value) -> FieldElem:
         suffix = text[2:]
         if suffix == "inf":
             return spec.zero
-        return primitive_element(spec) ** int(suffix)
+        return primitive_element(spec) ** parse_int(
+            suffix, f"element notation {value!r}")
     return spec.element(value)

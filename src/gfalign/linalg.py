@@ -12,15 +12,16 @@ The transform layer provides:
   is the field modulus;
 * ``coeff_rows`` / ``vector_from_coeff_rows`` -- a column vector over
   F_{p^r} as an n x r ground-field matrix of coefficient rows and back;
-* ``char_poly`` and eigen-decomposition over the splitting-field extension.
+* ``char_poly``, the eigenvector sum over F_p (``eigenvector_sum``) and,
+  on demand, eigenvalues and eigenvectors in the splitting field.
 
 Everything is exact.  ``Mat.solve`` is the one solver (full column rank,
 square or tall; ``inv`` solves against I), and its Gauss-Jordan pass also
 yields extension-field determinants.  Over a prime field, products, solves,
-inverses, ranks and determinants run on integer codes mod p, as does
-``char_poly``, Berkowitz's division-free algorithm.  Roots in F_{p^L} are
-searched only in its subfields F_{p^d}, d | L, d <= deg f (see
-``roots_in_field``).
+inverses, ranks and determinants run on integer codes mod p, as do
+``char_poly`` (Berkowitz) and ``eigenvector_sum``, whose eigenvectors over
+F_p[x]/(f) = F_p[C_f] are the kernel of one F_p matrix.  Roots in F_{p^L}
+are searched only in its subfields F_{p^d}, d | L, d <= deg f.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Sequence
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
 from .gf import FieldElem, FieldSpec, prime_field, primitive_element
-from .polys import Poly, divisors, factor_poly
+from .polys import Poly, divisors, factor_poly, format_poly
 
 
 
@@ -627,126 +628,52 @@ def splitting_data(a: Mat) -> tuple[Poly, tuple[Poly, ...], int]:
     return cp, tuple(f for f, _ in factors), math.lcm(*(f.degree for f, _ in factors))
 
 
-# -- eigenvector sums over F_p: arithmetic in R = F_p[x]/(f) ---------------------
-# An element of R is the list of its d = deg f coefficients, low degree
-# first; f is the monic factor's coefficient list, low degree first.
-
-
-def _mul_in_quotient(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """a b in F_p[x]/(f): the schoolbook product, then x^k for k >= d
-    replaced by x^(k-d) (-f_0 - f_1 x - ... - f_(d-1) x^(d-1)), top down."""
-    d = len(f) - 1
-    out = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for k in range(2 * d - 2, d - 1, -1):
-        c = out[k] % p
-        if c:
-            for i in range(d):
-                out[k - d + i] -= c * f[i]
-    return [v % p for v in out[:d]]
-
-
-def _inv_in_quotient(a: list[int], f: list[int], p: int) -> list[int]:
-    """Inverse of a nonzero a in F_p[x]/(f), f irreducible, by the extended
-    Euclidean algorithm: each remainder r_i of f, a, ... keeps its cofactor
-    s_i with s_i a = r_i mod f, until r_i is a nonzero constant c; the
-    inverse is s_i / c.  Every s_i has degree below d."""
-    d = len(f) - 1
-    r0, r1 = list(f), list(a)
-    while not r1[-1]:
-        r1.pop()
-    s0, s1 = [0] * d, [1] + [0] * (d - 1)
-    while len(r1) > 1:
-        # r0 -= q r1 and s0 -= q s1, one quotient term c x^k at a time
-        inv_lead, shift = pow(r1[-1], -1, p), len(r1) - 1
-        for k in range(len(r0) - len(r1), -1, -1):
-            c = r0[k + shift] * inv_lead % p
-            if c:
-                for i, y in enumerate(r1):
-                    r0[k + i] = (r0[k + i] - c * y) % p
-                for i, y in enumerate(s1):
-                    if y:
-                        s0[k + i] = (s0[k + i] - c * y) % p
-        while r0 and not r0[-1]:
-            r0.pop()
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    inv_c = pow(r1[0], -1, p)
-    return [v * inv_c % p for v in s1]
-
-
-def _power_sums(f: list[int], p: int) -> list[int]:
-    """s_k = Tr_{R/F_p}(x^k) for k < d, the k-th power sums of the roots of
-    f, from Newton's identities: s_0 = d and, for 0 < k < d,
-    s_k = -(k f_(d-k) + sum over 0 < i < k of f_(d-i) s_(k-i)), all mod p."""
-    d = len(f) - 1
-    sums = [d % p]
-    for k in range(1, d):
-        acc = k * f[d - k] + sum(f[d - i] * sums[k - i] for i in range(1, k))
-        sums.append(-acc % p)
-    return sums
-
-
-def _eigenvector_in_quotient(rows: list[list[int]], f: list[int],
-                             p: int) -> list[list[int]]:
-    """Eigenvector over R = F_p[x]/(f) of a ground-field matrix of integer
-    codes for its eigenvalue lambda = x mod f (-f_0 when d = 1): the kernel
-    vector of the first free column of rows - lambda I after Gauss-Jordan
-    over R, scaled so its lowest nonzero entry is 1, as
-    ``null_space_vector`` scales it."""
-    d, n = len(f) - 1, len(rows)
-    lam = [-f[0] % p] if d == 1 else [0, 1] + [0] * (d - 2)
-    work = [[[c] + [0] * (d - 1) for c in row] for row in rows]
-    for i in range(n):
-        work[i][i] = [(v - w) % p for v, w in zip(work[i][i], lam)]
-    pivots: list[int] = []
-    for c in range(n):
-        r = len(pivots)
-        pr = next((i for i in range(r, n) if any(work[i][c])), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = _inv_in_quotient(work[r][c], f, p)
-        work[r] = [_mul_in_quotient(v, inv, f, p) for v in work[r]]
-        for i in range(n):
-            g = work[i][c]
-            if i != r and any(g):
-                work[i] = [[(x - y) % p for x, y in
-                            zip(v, _mul_in_quotient(g, w, f, p))]
-                           for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-    free = next(c for c in range(n) if c not in pivots)
-    v = [[0] * d for _ in range(n)]
-    v[free][0] = 1
-    for r, c in enumerate(pivots):
-        v[c] = [-x % p for x in work[r][free]]
-    inv = _inv_in_quotient(next(x for x in v if any(x)), f, p)
-    return [_mul_in_quotient(x, inv, f, p) for x in v]
-
-
 def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
     """Codes over F_p of the sum of the eigenvectors of a ground-field
     matrix whose characteristic polynomial is the product of the distinct
     irreducible ``factors``, each eigenvector scaled so its lowest nonzero
-    entry is 1.  No extension field is built.
+    entry is 1, as ``eigenvectors_in`` scales them in the splitting field.
 
-    For a factor f of degree d, R = F_p[x]/(f) is a field and x mod f a
-    root of f, so ``_eigenvector_in_quotient`` finds its eigenvector v over
-    R.  The Frobenius map takes the reduced form of a - lambda I to that of
-    a - lambda^p I, so the eigenvectors of f's d roots are the conjugates
-    of v, and they sum to Tr_{R/F_p}(v), entry by entry, where
-    Tr(sum c_k x^k) = sum c_k s_k (Lidl & Niederreiter, *Finite Fields*,
-    ch. 2).  The eigenvectors ``eigenvectors_in`` finds in the splitting
-    field sum to the same vector."""
-    p, rows = a.spec.p, a.to_code_rows()
-    lead = [0] * len(rows)
+    A factor f of degree d has the root lambda = x in R = F_p[x]/(f), which
+    is F_p[C_f] for the companion C_f of f (column t holds x^(t+1) mod f).
+    So the eigenvectors r v (r in R) of a for lambda, each entry a block of
+    d coefficients, are the kernel of the nd x nd F_p matrix
+    a (x) I_d - I_n (x) C_f.  With the blocks in reversed order,
+    Gauss-Jordan leaves free exactly the coefficients of the lowest nonzero
+    entry k, and the kernel vector of the t-th free column is x^t v, with
+    v_k = 1.  The eigenvectors of f's d roots are the conjugates of v, which
+    sum to Tr_{R/F_p}(v): entry i is the trace of multiplication by v_i,
+    the sum over t of coefficient t of x^t v_i (Lidl & Niederreiter,
+    *Finite Fields*, ch. 2).  Raises DegenerateSpectrum unless each kernel
+    has dimension d over F_p."""
+    p, n, rows = a.spec.p, a.nrows, a.to_code_rows()
+    lead = [0] * n
     for factor in factors:
-        f = list(factor.coeff_codes())
-        sums = _power_sums(f, p)
-        for i, x in enumerate(_eigenvector_in_quotient(rows, f, p)):
-            lead[i] += sum(map(mul, x, sums))
+        f = factor.coeff_codes()
+        d = len(f) - 1
+        # equation (i, u) is row i d + u; unknown (j, s) is column (n-1-j) d + s
+        work = []
+        for i, row in enumerate(rows):
+            k = (n - 1 - i) * d
+            for u in range(d):
+                eq = [0] * (n * d)
+                eq[u::d] = row[::-1]
+                # minus row u of C_f: -f_u in its last column, 1 on its subdiagonal
+                eq[k + d - 1] = (eq[k + d - 1] + f[u]) % p
+                if u:
+                    eq[k + u - 1] = p - 1
+                work.append(eq)
+        pivots = _gauss_jordan_mod_p(work, n * d, p)
+        free = sorted(set(range(n * d)).difference(pivots))
+        if len(free) != d:
+            raise DegenerateSpectrum(
+                f"the roots of {format_poly(factor)} are not simple eigenvalues: "
+                f"the kernel has dimension {len(free)} over F_p, not {d}")
+        # entry (i, t) of the kernel vector of free column t is -work[r][free[t]]
+        # when (i, t) is pivot column r, and 1 at (k, t), so Tr(v_k) = Tr(1) = d
+        for r, col in enumerate(pivots):
+            lead[n - 1 - col // d] -= work[r][free[col % d]]
+        lead[n - 1 - free[0] // d] += d
     return tuple(c % p for c in lead)
 
 

@@ -6,15 +6,15 @@ commute and are not powers of one companion matrix, so the power-basis
 precoders are built from eigen-decompositions.  Some eigenvalues only exist
 in the splitting field F_{p^L} of both hop products (L is the lcm of the
 irreducible-factor degrees across the two hops), but the eigenvector sum
-that leads each precoder is fixed by Frobenius: it is the sum, over the
-irreducible factors f of the characteristic polynomial, of the trace of
-one eigenvector over F_p[x]/(f) (``linalg.eigenvector_sum``).  So planning
-runs over F_p and the precoders are F_p matrices; the eigenvalues and
-eigenvectors in F_{p^L} are computed only when a caller reads them.
-Message symbols live in F_{p^L}, which is F_p^L as a vector space, so the
-F_p core shared with the scalar model (scheme.LinearPipeline) acts on
-their base-p codes directly: XOR for p = 2, packed digit arithmetic for
-odd p.  Per slot the scheme still delivers 2m-1 ground-field symbols.
+that leads each precoder is fixed by Frobenius: for each irreducible factor
+f it is the trace of one eigenvector over F_p[x]/(f) = F_p[C_f], read off an
+F_p kernel (``linalg.eigenvector_sum``).  So planning runs over F_p and the
+precoders are F_p matrices; the eigenvalues and eigenvectors in F_{p^L} are
+computed only when a caller reads them.  Message symbols live in F_{p^L},
+which is F_p^L as a vector space, so the F_p core shared with the scalar
+model (scheme.LinearPipeline) acts on their base-p codes directly: XOR for
+p = 2, packed digit arithmetic for odd p.  Per slot the scheme still
+delivers 2m-1 ground-field symbols.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class HopPlan:
     factor_degrees: tuple[int, ...]   # descending
     max_factor_degree: int            # extension order claimed by the largest factor
     splitting_degree: int             # lcm of the factor degrees
-    lead: tuple[int, ...]             # codes over F_p of the eigenvector sum
+    lead: tuple[int, ...]             # eigenvector sum, from F_p kernels
     ext: FieldSpec                    # the common extension field
 
     @cached_property
@@ -145,10 +145,10 @@ class ExtensionPlan:
 def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     """Validate the channel, factor both hop products' characteristic
     polynomials, and find each product's eigenvector sum over F_p
-    (``eigenvector_sum``, one pass per irreducible factor in
-    F_p[x]/(factor)).  Every step runs on integer codes mod p; the common
-    splitting field F_{p^L} is built for the message symbols, and no
-    eigenvalue or eigenvector is searched in it.
+    (``eigenvector_sum``: one F_p Gauss-Jordan per irreducible factor).
+    Every step runs on integer codes mod p; the common splitting field
+    F_{p^L} is built for the message symbols, and no eigenvalue or
+    eigenvector is searched in it.
 
     Raises SingularChannel when a channel matrix or a compound hop matrix is
     singular, and DegenerateSpectrum when either product has a repeated

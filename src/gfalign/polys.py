@@ -15,7 +15,8 @@ import re
 from typing import Sequence
 
 from .errors import FieldMismatch
-from .gf import FieldElem, FieldSpec, conjugates, prime_factors, prime_field
+from .gf import (FieldElem, FieldSpec, conjugates, parse_int, prime_factors,
+                 prime_field)
 
 
 class Poly:
@@ -282,23 +283,20 @@ def _coeff_text(c: FieldElem) -> str:
 _TERM = re.compile(r"(-?[0-9]+)|(-?)(?:([0-9]+)\*?)?x(?:(?:\^|\*\*)([0-9]+))?")
 
 
-def parse_poly(p: int, text: str) -> Poly:
+def parse_poly(p: int, text: str, modulus_degree: int | None = None) -> Poly:
     """Parse '[a0,a1,...,1]' (each a_i in [0, p)) or 'a0 + a1*x + ... + x^m'
     over F_p.  Text terms are read by _TERM, with coefficients mod p; only
-    a leading '-' may stand before the first term."""
+    a leading '-' may stand before the first term.  Text whose degree
+    exceeds ``modulus_degree`` is refused, with make_field's message,
+    before its coefficient list is built: its length is the exponent."""
     spec = prime_field(p)
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
             raise ValueError(f"unterminated coefficient list: {text!r}")
         inner = text[1:-1].strip()
-        vals = []
-        for v in inner.split(",") if inner else []:
-            try:
-                vals.append(int(v))
-            except ValueError:
-                raise ValueError(f"coefficient list {text!r} has an entry that "
-                                 f"is not an integer: {v.strip()!r}") from None
+        vals = [parse_int(v, f"coefficient list {text!r}")
+                for v in (inner.split(",") if inner else [])]
         if any(not 0 <= v < p for v in vals):
             raise ValueError(f"list coefficients must lie in [0, {p})")
         return Poly(spec, vals)
@@ -316,7 +314,8 @@ def parse_poly(p: int, text: str) -> Poly:
         coeff, power = ((int(const), 0) if const
                         else (int(sign + (k or "1")), int(e or 1)))
         coeffs[power] = coeffs.get(power, 0) + coeff
-    out = [0] * (max(coeffs) + 1)
-    for power, coeff in coeffs.items():
-        out[power] = coeff % p
-    return Poly(spec, out)
+    coeffs = {power: coeff % p for power, coeff in coeffs.items() if coeff % p}
+    degree = max(coeffs, default=0)
+    if modulus_degree is not None and degree > modulus_degree:
+        raise ValueError(f"modulus must have degree {modulus_degree}, not {degree}")
+    return Poly(spec, [coeffs.get(k, 0) for k in range(degree + 1)])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -74,6 +75,23 @@ class TestFieldInfo:
         assert code == 2 and out == ""
         assert err == f"error: modulus must have degree 2, not {degree}\n"
 
+    @pytest.mark.parametrize("command", ["field-info", "scan"])
+    def test_huge_power_in_modulus_exits_2_at_once(self, capsys, command):
+        # the coefficient list of x^4000000 + 1 took 1.5 s and 109 MB to
+        # build before the degree was checked; this one would need 25 GB
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--p", "2", "--m", "2",
+                             "--pi", "x^1000000000+1")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "error: modulus must have degree 2, not 1000000000\n"
+
+    def test_cancelled_power_leaves_the_degree(self, capsys):
+        # x^5 + x^5 vanishes over F_2, so the modulus is x^2 + x + 1
+        code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "2",
+                                 "--pi", "x^5+x^5+x^2+x+1")
+        assert code == 0 and payload["pi"] == [1, 1, 1]
+
 
     @pytest.mark.parametrize("command", ["field-info", "scan"])
     @pytest.mark.parametrize("pi", ["[3,1,1]", "[1,1,3]", "[1,-1,1]"])
@@ -141,6 +159,11 @@ class TestBoundsAndMc:
         code, out, err = run(capsys, "bounds", "--p", p, "--m", m)
         assert code == 2 and out == ""
         assert needle in err and "Traceback" not in err
+
+    def test_non_integer_list_entry_exits_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--p", "2,x", "--m", "2")
+        assert code == 2 and out == ""
+        assert err == "error: list '2,x' has an entry that is not an integer: 'x'\n"
 
     @pytest.mark.parametrize("p,m", [(",", "2"), ("2", "")])
     def test_mc_empty_sweep_exits_2(self, capsys, p, m):
@@ -276,6 +299,28 @@ class TestSimulate:
                              "--seed", "1")
         assert code == 2 and out == ""
         assert err == "error: modulus coefficients must lie in [0, 2)\n"
+
+    @pytest.mark.parametrize("notation,entry", [("a^x", "x"), ("a^", "")])
+    def test_non_integer_exponent_exits_2(self, capsys, tmp_path, notation,
+                                          entry):
+        channel = json.loads(open(self.feasible_channel(tmp_path)).read())
+        channel["hop1"]["q11"] = notation
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(channel))
+        code, out, err = run(capsys, "simulate", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: element notation {notation!r} has an entry "
+                       f"that is not an integer: {entry!r}\n")
+
+    def test_channel_file_not_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "channel.txt"
+        path.write_text("p = 2\n")
+        code, out, err = run(capsys, "simulate", "--channel", str(path),
+                             "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: channel file {path} is not JSON: Expecting "
+                       f"value: line 1 column 1 (char 0)\n")
 
     def test_element_notations_still_parse(self, capsys, tmp_path):
         channel = json.loads(open(self.feasible_channel(tmp_path)).read())
@@ -416,6 +461,12 @@ class TestSymbolExt:
                              "--seed", "1", f"--w1={w1}", f"--w2={w2}")
         assert code == 2 and out == ""
         assert err == "error: message coefficients must lie in [0, 2)\n"
+
+    def test_non_integer_symbol_entry_exits_2(self, capsys):
+        code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",
+                             "--seed", "1", "--w1", "1,0;0,y", "--w2", "1,0")
+        assert code == 2 and out == ""
+        assert err == "error: list '0,y' has an entry that is not an integer: 'y'\n"
 
     def test_gf2_m1_exits_2_at_once(self, capsys):
         code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "1",

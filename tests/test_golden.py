@@ -115,6 +115,10 @@ CLI_CASES = {
     # plans at L = 24 from hop factor degrees (8, 2) and (6, 4)
     "symbol_ext_p2_m10_L24": (["symbol-ext", "--p", "2", "--m", "10",
                                "--seed", "1"], 0),
+    # the widest eigenvector system: hop factor degrees (12, 4) and
+    # (8, 6, 2), so n d reaches 16 * 12 = 192
+    "symbol_ext_p2_m16": (["symbol-ext", "--p", "2", "--m", "16",
+                           "--seed", "0"], 0),
 }
 
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]

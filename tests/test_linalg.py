@@ -15,12 +15,11 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
 from gfalign.gf import is_prime
-from gfalign.linalg import (_eliminate_mod_p, _full_rank, _inv_in_quotient,
-                            _mul_in_quotient, _power_sums, _subfield_unit_codes,
+from gfalign.linalg import (_eliminate_mod_p, _full_rank, _subfield_unit_codes,
                             eigenvector_sum, eigenvectors_in, splitting_data)
-from gfalign.polys import all_monic, enumerate_irreducible
-from oracles import (berkowitz_char_poly, matrix_rep_by_companion_powers,
-                     roots_by_enumeration)
+from gfalign.polys import all_monic
+from oracles import (berkowitz_char_poly, eigenvector_sum_in_extension,
+                     matrix_rep_by_companion_powers, roots_by_enumeration)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -416,41 +415,35 @@ def eigen(a):
 
 
 class TestQuotientField:
-    """R = F_p[x]/(f) on integer coefficient lists, for every irreducible f
-    of degree <= 4 over F_2 and <= 3 over F_3, against make_field(p, d)
-    through the isomorphism x -> a root of f."""
+    """The eigenvector sum over R = F_p[x]/(f), solved as an F_p system in
+    F_p[C_f] for each factor f, against the sum of the eigenvectors found in
+    the splitting field."""
 
-    @pytest.mark.parametrize("p,max_degree", [(2, 4), (3, 3)])
-    def test_against_extension_field(self, p, max_degree):
-        for d in range(1, max_degree + 1):
-            big = make_field(p, d)
-            for f in enumerate_irreducible(p, d):
-                codes = list(f.coeff_codes())
-                root = roots_by_enumeration(f, big)[0]
-                sums = _power_sums(codes, p)
-                nonzero = [list(a) for a in itertools.product(range(p), repeat=d)
-                           if any(a)]
+    @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+    def test_every_squarefree_matrix(self, p, n):
+        # singular matrices included: the factor x has the root 0, which no
+        # hop product has
+        ground = prime_field(p)
+        checked = singular = 0
+        for entries in itertools.product(range(p), repeat=n * n):
+            a = Mat.build(ground, [entries[i * n:(i + 1) * n] for i in range(n)])
+            try:
+                _, factors, degree = splitting_data(a)
+            except DegenerateSpectrum:
+                continue
+            assert eigenvector_sum(a, factors) \
+                == eigenvector_sum_in_extension(a, make_field(p, degree))
+            checked += 1
+            singular += not a.det().code
+        assert singular and checked > singular
 
-                def embed(a):
-                    return sum((root ** k * c for k, c in enumerate(a)), big.zero)
-
-                def trace(e):
-                    # the sum of the d conjugates e, e^p, ..., e^(p^(d-1))
-                    acc = e
-                    for _ in range(d - 1):
-                        e = e ** p
-                        acc = acc + e
-                    return acc.code
-
-                # s_k is the trace of x^k
-                assert sums == [trace(root ** k) for k in range(d)]
-                for a in nonzero:
-                    assert _mul_in_quotient(a, _inv_in_quotient(a, codes, p),
-                                            codes, p) == [1] + [0] * (d - 1)
-                    assert sum(c * s for c, s in zip(a, sums)) % p == trace(embed(a))
-                    for b in nonzero:
-                        assert embed(_mul_in_quotient(a, b, codes, p)) \
-                            == embed(a) * embed(b)
+    def test_kernel_of_the_wrong_dimension_raises(self):
+        # x - 1 is a repeated factor of I's characteristic polynomial, and x
+        # is not a factor at all
+        with pytest.raises(DegenerateSpectrum, match="dimension 2 over F_p, not 1"):
+            eigenvector_sum(Mat.identity(GF3, 2), [Poly(GF3, [2, 1])])
+        with pytest.raises(DegenerateSpectrum, match="dimension 0 over F_p, not 1"):
+            eigenvector_sum(Mat.identity(GF3, 2), [Poly(GF3, [0, 1])])
 
     def test_eigenvector_sum_of_a_companion(self):
         # the companion of x^3 + x + 1 over F_2 has the roots a, a^2, a^4 of
