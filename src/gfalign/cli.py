@@ -2,8 +2,8 @@
 
 Subcommands: field-info, bounds, mc, compare-ext, simulate, scan,
 symbol-ext.  All stochastic commands require an explicit --seed so output is
-byte-identical across runs.  Exit codes: 0 success, 1 infeasible or
-degenerate channel in a simulation command, 2 input errors.
+byte-identical across runs.  Exit codes: 0 success, 1 when a simulation
+command does not deliver its message, 2 input errors.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
         msg = scheme.random_message(spec, random.Random(args.seed))
     report = scheme.simulate(ch, msg)
     _emit_json(args, report.to_dict())
-    return 0 if report.verdict.feasible else 1
+    return 0 if report.success else 1
 
 
 def cmd_scan(args) -> int:

@@ -333,7 +333,8 @@ class FieldSpec:
             acc = (0,) + acc[:-1]
             if top:
                 acc = tuple([(a + top * r) % p for a, r in zip(acc, red)])
-        assert _coeffs_to_code(acc, p) == 1, "generator does not have full order"
+        if _coeffs_to_code(acc, p) != 1:
+            raise AssertionError("generator does not have full order")
         return elems, log, exp
 
     # -- element factories ----------------------------------------------------

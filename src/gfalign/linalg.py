@@ -36,7 +36,6 @@ from .gf import FieldElem, FieldSpec, prime_field, primitive_element
 from .polys import Poly, divisors, factor_poly, format_poly
 
 
-
 def _element_of_code(spec: FieldSpec):
     """code -> element of spec, by table lookup when its elements are
     interned."""

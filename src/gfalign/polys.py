@@ -176,7 +176,8 @@ def count_irreducible(p: int, m: int) -> int:
     """Number of monic irreducible polynomials of degree m over F_p:
     (1/m) * sum over d | m of mobius(d) * p^(m/d)."""
     total = sum(mobius(d) * p ** (m // d) for d in divisors(m))
-    assert total % m == 0
+    if total % m:
+        raise AssertionError(f"necklace sum {total} is not divisible by {m}")
     return total // m
 
 

@@ -163,23 +163,21 @@ class PrecoderSet:
 
 
 def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
-    """Construct and verify the four precoding matrices of a feasible channel.
+    """Construct the four precoding matrices of a feasible channel.
 
     A scalar hop is the F_p matrix channel with blocks matrix_rep(q), so v1
     and v2 are its Krylov precoders: product matrix_rep(r1) for the hop-1
     ratio r1, lead the unit element's coefficient vector (column l of v1 is
     that of r1^l), and cross matrix_rep(q22^-1 q21), which makes both relays
     observe aligned sums.  v3 and v4 mirror this for the second hop.  An
-    infeasible channel raises ValueError.  The ranks of v1 and v3 are
-    asserted here and the alignment identities by LinearPipeline, on the
-    maps they produce, since a failure would contradict feasibility, not
-    user input.
+    infeasible channel raises ValueError.  LinearPipeline raises Singular
+    should v1 or v3 be singular, and stores how far the maps they produce
+    miss the alignment identities (relay_defect, destination_defect).
     """
     verdict = check_feasible(ch)
     if not verdict.feasible:
         raise ValueError("channel is infeasible: " + "; ".join(verdict.reasons))
     spec = ch.spec
-    m = spec.m
     r1, r2 = _cross_ratio(*ch.hop1), _cross_ratio(*ch.hop2)
     s11, s12, s21, s22 = second_hop_inverse(ch)
     q21, q22 = ch.hop1[2:]
@@ -187,8 +185,6 @@ def build_precoders(ch: TwoHopChannel) -> PrecoderSet:
     unit = coeff_vector(spec.one)
     v1, v2 = krylov_precoders(matrix_rep(r1), unit, matrix_rep(q22.inv() * q21))
     v3, v4 = krylov_precoders(matrix_rep(r2), unit, matrix_rep(s22.inv() * s21))
-    assert v1.rank() == m and v3.rank() == m, \
-        "full-degree ratio must give a full-rank power basis"
     return PrecoderSet(spec, v1, v2, v3, v4, r1, r2, s11, s12, s21, s22)
 
 
@@ -400,9 +396,16 @@ def _relay_sum_rows(m: int) -> tuple[tuple[int, ...], ...]:
 @functools.cache
 def _decode_target(m: int) -> tuple[tuple[int, ...], ...]:
     """[I; 0], the (2m) x (2m-1) value of destination_map S: the message,
-    then a zero residual.  Built once per m, as tuples."""
+    then a zero residual."""
     n = 2 * m - 1
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n + 1))
+
+
+def _defect(p: int, got, want, *factors) -> int:
+    """rank(got factors - want) over F_p; want is a tuple of tuples."""
+    got = tuple(map(tuple, _matmul_mod_p(p, got, *factors)))
+    return 0 if got == want else _eliminate_mod_p(
+        [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(got, want)], p)[0]
 
 
 class LinearPipeline:
@@ -415,10 +418,11 @@ class LinearPipeline:
     Both act on vectors of symbol codes, base-p packed elements of F_p^L:
     L = 1 in the scalar model, the extension degree in the matrix model.
 
-    The set-up asserts relay_map = S (_relay_sum_rows) and destination_map
-    S = [I; 0], which hold exactly when the alignment identities Q11 v1[l+1]
-    = Q12 v2[l], Q21 v1[l] = Q22 v2[l] (and their S-block twins for v3, v4)
-    hold and S11, S21 are blocks of the inverse of hop 2.
+    relay_map = S (_relay_sum_rows) and destination_map S = [I; 0] hold
+    exactly when the alignment identities Q11 v1[l+1] = Q12 v2[l], Q21 v1[l]
+    = Q22 v2[l] (and their S-block twins for v3, v4) hold and S11, S21 are
+    blocks of the inverse of hop 2.  Setting a map stores the rank of
+    relay_map - S or destination_map S - [I; 0]: relay_defect, destination_defect.
     """
 
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
@@ -427,8 +431,8 @@ class LinearPipeline:
         self.p, self.m = p, m
         hop1, hop2, v1, v2, v3, v4, s11, s21 = map(
             Mat.to_code_rows, (hop1, hop2, v1, v2, v3, v4, s11, s21))
-        # T @ v4 = [I; 0] when v4 has full column rank (asserted below): the
-        # first m-1 entries of T y are the solution, the last the residual
+        # T @ v4 = [I; 0] when v4 has full column rank: the first m-1
+        # entries of T y are the solution, the last the residual
         work = [r + e for r, e in zip(v4, _identity_codes(m))]
         _gauss_jordan_mod_p(work, m - 1, p)
         t = [row[m - 1:] for row in work]
@@ -439,12 +443,6 @@ class LinearPipeline:
         encoders = _block_diag(_matmul_mod_p(p, s11, v3), _matmul_mod_p(p, s21, v3))
         self.destination_map = _matmul_mod_p(p, _block_diag(_inv_mod_p(v3, p), t),
                                              hop2, encoders)
-        sums = _relay_sum_rows(m)
-        assert tuple(map(tuple, self.relay_map)) == sums, \
-            "relays do not observe the aligned sums"
-        assert tuple(map(tuple, _matmul_mod_p(p, self.destination_map, sums))) \
-            == _decode_target(m), \
-            "destinations do not decode the message from the relayed sums"
 
     @property
     def relay_map(self) -> list[list[int]]:
@@ -453,6 +451,7 @@ class LinearPipeline:
     @relay_map.setter
     def relay_map(self, rows: list[list[int]]) -> None:
         self._relay = _CodeMap(self.p, rows)
+        self.relay_defect = _defect(self.p, rows, _relay_sum_rows(self.m))
 
     @property
     def destination_map(self) -> list[list[int]]:
@@ -461,6 +460,8 @@ class LinearPipeline:
     @destination_map.setter
     def destination_map(self, rows: list[list[int]]) -> None:
         self._destination = _CodeMap(self.p, rows)
+        sums, target = _relay_sum_rows(self.m), _decode_target(self.m)
+        self.destination_defect = _defect(self.p, rows, target, sums)
 
     def relay_half(self, w1, w2):
         """Symbol-code tuples (u1, u2) of the sums both relays decode from
@@ -540,7 +541,10 @@ def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
     pre = build_precoders(ch)
     core = scalar_pipeline(ch, pre)
     u1, u2 = core.relay_half(msg.w1, msg.w2)
-    decoded = MessagePair(*core.destination_half(u1, u2))
+    try:
+        decoded = MessagePair(*core.destination_half(u1, u2))
+    except InconsistentSystem:      # only a defective core leaves a residual
+        decoded = None
     success = decoded == msg
     rate = (2 * ch.spec.m - 1) * math.log2(ch.spec.p) if success else None
     return SimulationReport(ch, verdict, pre.hop1_ratio, pre.hop2_ratio, pre,
@@ -673,8 +677,9 @@ class ScanReport:
     only involves hop 2, so the joint statements follow exactly.  Factored
     mode runs each feasible tuple t as the channel (t, t): the relay half
     must decode the symbol sums, and the destination half, fed those sums,
-    must return the message.  Each half counts as one round trip.  Both
-    counts are certified by rank, equal to sending every message.
+    must return the message.  Each half counts as one round trip, and a
+    nonzero residual fails it.  Counted by rank, equal to sending every
+    message.
     """
 
     p: int
@@ -715,30 +720,23 @@ class ScanReport:
         }
 
 
-def _certify(relay: LinearPipeline, destination: LinearPipeline,
+def _certify(relay: LinearPipeline, destinations: Sequence[LinearPipeline],
              factored: bool) -> int:
-    """Failing messages among all p^n, n = 2m-1, of the channel with the
-    first hop of relay and the second hop of destination: relay_map reads
-    only hop 1, v1 and v2, and destination_map only hop 2, v3, v4, S11 and
-    S21.  A map M misses its target T on p^n - p^(n - rank(M - T)) messages.
-    Paired, destination_map relay_map must be I; factored, relay_map must be
-    S and destination_map S must be I.  Raises InconsistentSystem iff a
-    relayed message leaves a nonzero residual."""
+    """Failing messages among all p^n, n = 2m-1, of the channels with the
+    first hop of relay and the second of each of destinations: relay_map
+    reads only hop 1, v1 and v2, destination_map only hop 2, v3, v4, S11
+    and S21.  A map M misses its target T on p^n - p^(n - rank(M - T))
+    messages.  Factored, the halves count their stored defects.  Paired,
+    destination_map relay_map must be [I; 0], which is destination_defect
+    again unless relay_defect > 0."""
     p, n = relay.p, 2 * relay.m - 1
-
-    def failing(got, want):
-        diff = [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(got, want)]
-        return p ** n - p ** (n - _eliminate_mod_p(diff, p)[0])
-
-    sums = _relay_sum_rows(relay.m)
-    relayed, failures = relay.relay_map, 0
-    if factored:
-        relayed, failures = sums, failing(relayed, sums)
-    *decoded, residual = _matmul_mod_p(p, destination.destination_map, relayed)
-    if any(residual):
-        raise InconsistentSystem(
-            "destination-2 observation left the side-precoder column space")
-    return failures + failing(decoded, _decode_target(relay.m)[:n])
+    if factored or not relay.relay_defect:
+        defects = [relay.relay_defect,
+                   *(d.destination_defect for d in destinations)]
+    else:
+        defects = [_defect(p, d.destination_map, _decode_target(relay.m),
+                           relay.relay_map) for d in destinations]
+    return sum(p ** n - p ** (n - d) for d in defects)
 
 
 def _core_count(p: int, m: int) -> int:
@@ -761,7 +759,7 @@ def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
     as the channel (t, t).  Up to _PAIR_LIMIT valid channels, every
     feasible pair (t1, t2) is verified end to end from t1's relay_map and
     t2's destination_map (paired mode).  Beyond that, each core's relay half
-    and destination half are checked separately as it is built (factored
+    and destination half are counted separately as it is built (factored
     mode).  This covers the same ground, because the halves interact only
     through the decoded sums.  No message is sent (see _certify)."""
     check_field_params(p, m)
@@ -777,10 +775,10 @@ def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
     paired = valid_channels <= _PAIR_LIMIT
     channels = (TwoHopChannel(spec, t, t) for t in scan.feasible_tuples)
     cores = (scalar_pipeline(ch, build_precoders(ch)) for ch in channels)
-    pairs = (itertools.product(cores, repeat=2) if paired
-             else ((c, c) for c in cores))
-    failures = sum(_certify(relay, destination, not paired)
-                   for relay, destination in pairs)
+    if paired:
+        cores = list(cores)
+    failures = sum(_certify(core, cores if paired else (core,), not paired)
+                   for core in cores)
     messages = p ** (2 * m - 1)
     round_trips = (feasible_channels if paired else 2 * scan.feasible) * messages
     counts = (scan.tuples, scan.valid, scan.feasible)

@@ -341,8 +341,10 @@ def sweep_failures(core, factored):
     """Failing messages of one LinearPipeline, by sending every one of the
     p^(2m-1) messages through relay_half and destination_half.  Factored,
     the relay half must return the sums, and the destination half is fed
-    the true sums instead of the relayed ones."""
+    the true sums instead of the relayed ones.  A message whose decode
+    raises InconsistentSystem (a nonzero residual) fails."""
     import itertools
+    from gfalign.errors import InconsistentSystem
     from gfalign.scheme import MessagePair
     p, m = core.p, core.m
     messages = [MessagePair(w1, w2)
@@ -355,7 +357,14 @@ def sweep_failures(core, factored):
     if factored:
         failures += mismatches(relayed, sums)
         relayed = sums
-    return failures + mismatches(batch(core.destination_half, *relayed), sent)
+
+    def decode(u1, u2):
+        try:
+            return core.destination_half(u1, u2)
+        except InconsistentSystem:
+            return None
+    return failures + sum(decode(*u) != w
+                          for u, w in zip(zip(*relayed), zip(*sent)))
 
 
 def scan_by_sweep(p, m, pi=None):

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from gfalign import scheme
 from gfalign.cli import main
+from test_pipeline import bump_v2
 
 
 def run(capsys, *argv):
@@ -231,6 +233,20 @@ class TestSimulate:
         code, payload = run_json(capsys, "simulate", "--channel",
                                  self.feasible_channel(tmp_path), "--seed", "3")
         assert code == 0 and payload["success"] is True
+
+    def test_defective_core_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a precoder that breaks the alignment: the message leaves a nonzero
+        # residual, reported as a failed decode, not as an error
+        build = scheme.build_precoders
+        monkeypatch.setattr(scheme, "build_precoders",
+                            lambda ch: bump_v2(build(ch)))
+        code, out, err = run(capsys, "simulate", "--channel",
+                             self.feasible_channel(tmp_path),
+                             "--w1", "1,0", "--w2", "1")
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert payload["feasible"] is True and payload["success"] is False
+        assert payload["decoded"] is None and payload["sum_rate_bits"] is None
 
     def test_infeasible_exit_code(self, capsys, tmp_path):
         code, payload = run_json(capsys, "simulate", "--channel",

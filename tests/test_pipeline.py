@@ -84,12 +84,12 @@ class TestScalarCore:
                 raised += 1
         assert len(valid) == 8 and raised == 8
 
-    @pytest.mark.parametrize("name,message", [
-        ("v2", "aligned sums"), ("v4", "relayed sums")])
-    def test_misaligned_precoder_fails_set_up(self, name, message):
+    @pytest.mark.parametrize("name", ["v2", "v4"])
+    def test_misaligned_precoder_defects(self, name):
         # swapping the two columns of a side precoder over GF(8) keeps its
         # rank but breaks the alignment identities: the relays no longer
-        # observe the sums (v2), or destination 2 decodes w2 out of order (v4)
+        # observe the sums (v2), or destination 2 decodes w2 out of order
+        # (v4); the set-up stores the defect of the broken half alone
         spec = make_field(2, 3)
         rng = random.Random(7)
         ch = draw_valid_channel(spec, rng)
@@ -99,9 +99,15 @@ class TestScalarCore:
         side = getattr(pre, name)
         swapped = Mat(side.spec, tuple(row[::-1] for row in side.rows))
         assert swapped != side
-        scalar_pipeline(ch, pre)
-        with pytest.raises(AssertionError, match=message):
-            scalar_pipeline(ch, dataclasses.replace(pre, **{name: swapped}))
+        intact = scalar_pipeline(ch, pre)
+        assert intact.relay_defect == intact.destination_defect == 0
+        bad = scalar_pipeline(ch, dataclasses.replace(pre, **{name: swapped}))
+        relay_broken = name == "v2"
+        assert (bad.relay_defect > 0) == relay_broken
+        assert (bad.destination_defect > 0) != relay_broken
+        for factored in (False, True):
+            assert (_certify(bad, [bad], factored)
+                    == sweep_failures(bad, factored) > 0)
 
 
 def planned_channels(p, m, count, seed, degree=None):
@@ -233,16 +239,9 @@ class TestCertificate:
         return bad
 
     @staticmethod
-    def outcome(count, core, factored):
-        try:
-            return count(core, factored)
-        except InconsistentSystem:
-            return "inconsistent"
-
-    @staticmethod
     def certify(core, factored):
         """_certify of the core's own channel."""
-        return _certify(core, core, factored)
+        return _certify(core, [core], factored)
 
     @pytest.mark.parametrize("p,m,pairs", [(2, 2, None), (2, 3, 60), (3, 2, 60)])
     def test_halves_read_only_their_hop(self, p, m, pairs):
@@ -264,7 +263,8 @@ class TestCertificate:
             joint, first, second = core(t1, t2), core(t1, t1), core(t2, t2)
             assert joint.relay_map == first.relay_map
             assert joint.destination_map == second.destination_map
-            assert _certify(first, second, False) == self.certify(joint, False) == 0
+            assert first.relay_defect == second.destination_defect == 0
+            assert _certify(first, [second], False) == self.certify(joint, False) == 0
 
     def test_intact_cores_decode(self):
         for core in self.cores():
@@ -278,11 +278,12 @@ class TestCertificate:
             n = 2 * core.m - 1
             bad = self.corrupt(core, "relay_map", rng.randrange(2 * core.m),
                                rng.randrange(n))
-            # factored: the relay half is checked against the sums alone
-            got = self.certify(bad, True)
-            assert got == sweep_failures(bad, True) > 0
-            assert (self.outcome(self.certify, bad, False)
-                    == self.outcome(sweep_failures, bad, False) != 0)
+            # factored: the relay half is checked against the sums alone;
+            # paired, the relayed sums may leave a nonzero residual
+            assert bad.relay_defect > 0
+            for factored in (False, True):
+                got = self.certify(bad, factored)
+                assert got == sweep_failures(bad, factored) > 0
 
     def test_corrupted_decode_row(self):
         rng = random.Random(101)
@@ -309,21 +310,61 @@ class TestCertificate:
             pair = copy.copy(good)
             pair.destination_map = bad.destination_map
             for factored in (False, True):
-                got = _certify(good, bad, factored)
+                got = _certify(good, [bad], factored)
                 assert got == sweep_failures(pair, factored) > 0
             checked += 1
         assert checked >= 9
 
     def test_corrupted_residual_row(self):
+        # a message that leaves a nonzero residual is a failing message
         rng = random.Random(103)
         for core in self.cores():
             bad = self.corrupt(core, "destination_map", 2 * core.m - 1,
                                rng.randrange(2 * core.m))
+            assert bad.destination_defect > 0
             for factored in (False, True):
-                with pytest.raises(InconsistentSystem):
-                    self.certify(bad, factored)
-                with pytest.raises(InconsistentSystem):
-                    sweep_failures(bad, factored)
+                got = self.certify(bad, factored)
+                assert got == sweep_failures(bad, factored) > 0
+
+
+def bump_v2(pre):
+    """v2 with 1 added to its top-left entry."""
+    codes = pre.v2.to_code_rows()
+    codes[0][0] = (codes[0][0] + 1) % pre.spec.p
+    return dataclasses.replace(pre, v2=Mat.from_code_rows(pre.v2.spec, codes))
+
+
+def swap_v4(pre):
+    """v4 with its columns in reverse order."""
+    return dataclasses.replace(
+        pre, v4=Mat(pre.v4.spec, tuple(row[::-1] for row in pre.v4.rows)))
+
+
+def negate_s21(pre):
+    """The relay-2 scaling block s21 with its sign flipped."""
+    return dataclasses.replace(pre, s21=-pre.s21)
+
+
+class TestMutatedPrecoders:
+    """A precoder that breaks an alignment identity makes the scan report
+    failures, the same count as sending every message, instead of raising.
+    Each mutation is paired with fields where it changes something: v4 has
+    one column for m = 2, and -s21 = s21 over F_2."""
+
+    @pytest.mark.parametrize("p,m,pair_limit,mode,mutation", [
+        (2, 2, None, "paired", bump_v2), (2, 2, 10, "factored", bump_v2),
+        (3, 2, None, "factored", bump_v2), (3, 2, None, "factored", negate_s21),
+        (2, 3, None, "factored", swap_v4)])
+    def test_scan_counts_the_defects(self, monkeypatch, p, m, pair_limit, mode,
+                                     mutation):
+        build = scheme.build_precoders
+        monkeypatch.setattr(scheme, "build_precoders",
+                            lambda ch: mutation(build(ch)))
+        if pair_limit is not None:
+            monkeypatch.setattr(scheme, "_PAIR_LIMIT", pair_limit)
+        report = exhaustive_scan(p, m)
+        assert report.mode == mode and report.decode_failures > 0
+        assert report.to_dict() == scan_by_sweep(p, m).to_dict()
 
 
 def every_message(ext, m):
