@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import check_field_params, make_field
+from .gf import _randbelow, check_field_params, make_field
 from .polys import count_irreducible, divisors
 from .scheme import check_feasible, draw_channel
 
@@ -189,8 +189,8 @@ def diag_symbol_ext_feasibility(p: int, m: int, trials: int,
     feasible = defined = 0
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        slots1 = [tuple(rng.randrange(1, p) for _ in range(4)) for _ in range(m)]
-        slots2 = [tuple(rng.randrange(1, p) for _ in range(4)) for _ in range(m)]
+        slots1 = [tuple(1 + _randbelow(rng, p - 1) for _ in range(4)) for _ in range(m)]
+        slots2 = [tuple(1 + _randbelow(rng, p - 1) for _ in range(4)) for _ in range(m)]
         distinct1, _ = _diag_hop(p, slots1)
         distinct2, invertible = _diag_hop(p, slots2)
         feasible += invertible and distinct1 == distinct2 == m

@@ -52,6 +52,21 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def _randbelow(rng, n: int) -> int:
+    """rng.randrange(n) for n >= 1 on a random.Random, at the cost of the
+    generator words it uses: getrandbits(n.bit_length()), redrawn while the
+    result is >= n.  That is CPython's Random._randbelow_with_getrandbits,
+    so each value and the generator state afterwards equal randrange's
+    (tests/test_gf.py checks both against randrange itself); randrange(a, b)
+    is a + _randbelow(rng, b - a).  n = 1 still draws, and 2^k takes k + 1
+    bits."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _code_to_coeffs(code: int, p: int, m: int) -> tuple[int, ...]:
     out = []
     for _ in range(m):
@@ -388,7 +403,12 @@ class FieldSpec:
             yield self.from_code(code)
 
     def random_element(self, rng, nonzero: bool = False) -> FieldElem:
-        return self.from_code(rng.randrange(1 if nonzero else 0, self.order))
+        """Uniform element (nonzero: uniform on the units) from a
+        random.Random, by _randbelow: the same value and the same generator
+        state afterwards as rng.randrange(1 if nonzero else 0, order), which
+        tests/test_gf.py checks against randrange itself."""
+        low = 1 if nonzero else 0
+        return self.from_code(low + _randbelow(rng, self.order - low))
 
     @property
     def modulus_coeffs(self) -> tuple[int, ...]:

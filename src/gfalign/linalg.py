@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
@@ -341,19 +341,23 @@ def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
 
 def _full_rank(p: int, rows: list[list[int]]) -> bool:
     """True iff a square matrix of integer codes over F_p is invertible.
-    Over F_2 each row is a bitmask, reduced by XOR against the rows kept so
-    far: each kept row has its own leading bit, and min(x, x ^ b) clears
-    that bit of x when it is set, so a row is dependent iff it reduces to
-    0."""
+    Over F_2 each row becomes a bitmask, first entry highest, ranked by
+    _independent_masks."""
     if p != 2:
         return _eliminate_mod_p(list(rows), p)[0] == len(rows)
+    return _independent_masks(int("".join(map(str, row)), 2) for row in rows)
+
+
+def _independent_masks(masks: Iterable[int]) -> bool:
+    """True iff the F_2 rows given as bitmasks are linearly independent.
+    Each is reduced by XOR against the rows kept so far: each kept row has
+    its own leading bit, and x ^ b < x exactly when that bit of x is set, so
+    a row is dependent iff it reduces to 0."""
     basis: list[int] = []
-    for row in rows:
-        x = 0
-        for bit in row:
-            x = x << 1 | bit
+    for x in masks:
         for b in basis:
-            x = min(x, x ^ b)
+            if x ^ b < x:
+                x ^= b
         if not x:
             return False
         basis.append(x)

@@ -26,12 +26,12 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import Singular, SingularChannel
-from .gf import (FieldElem, FieldSpec, check_field_params, make_field,
-                 prime_field)
-from .linalg import (Mat, _compound, _element_of_code, _full_rank, _inv_mod_p,
-                     _matmul_mod_p, _solve_mod_p, block2x2, eigenvector_sum,
-                     eigenvectors_in, krylov_precoders, roots_in_field,
-                     splitting_data)
+from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
+                 make_field, prime_field)
+from .linalg import (Mat, _compound, _element_of_code, _full_rank,
+                     _independent_masks, _inv_mod_p, _matmul_mod_p,
+                     _solve_mod_p, block2x2, eigenvector_sum, eigenvectors_in,
+                     krylov_precoders, roots_in_field, splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int)
@@ -328,24 +328,51 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     """Random channel satisfying the invertibility model (all eight matrices
     plus both compounds), by rejection of up to _MAX_DRAWS draws.  Over
     GF(2) with m = 1 no channel qualifies: SingularChannel before any draw.
-    Draws are integer code rows, ranked mod p; only the accepted channel
-    becomes matrices.  NotPrime or ValueError for a bad p or m, before any
-    draw."""
+    NotPrime or ValueError for a bad p or m, before any draw.  Entries are
+    drawn by gf._randbelow, so the channel and the generator state
+    afterwards equal those of the same draw by rng.randrange (tests check
+    this against a draw of Mat objects ranked by Mat.det).  Over F_2 rows
+    are drawn straight into bitmasks; only the accepted channel becomes
+    matrices."""
     check_field_params(p, m)
     ground = prime_field(p)
     if (p, m) == (2, 1):
         raise SingularChannel("no valid channel over GF(2) with m = 1: [1] is the only "
                               "invertible block, so both compound hops are singular")
+    if p == 2:
+        def random_invertible() -> list[int]:
+            while True:
+                rows = []
+                for _ in range(m):
+                    x = 0
+                    for _ in range(m):
+                        x = x << 1 | _randbelow(rng, 2)
+                    rows.append(x)
+                if _independent_masks(rows):
+                    return rows
 
-    def random_invertible() -> list[list[int]]:
-        while True:
-            rows = [[rng.randrange(p) for _ in range(m)] for _ in range(m)]
-            if _full_rank(p, rows):
-                return rows
+        invertible = _independent_masks
+
+        def compound(a, b, c, d):
+            return [x << m | y for x, y in zip(a + c, b + d)]
+    else:
+        def random_invertible() -> list[list[int]]:
+            while True:
+                rows = [[_randbelow(rng, p) for _ in range(m)] for _ in range(m)]
+                if _full_rank(p, rows):
+                    return rows
+
+        def invertible(rows):
+            return _full_rank(p, rows)
+
+        compound = _compound
 
     for _ in range(_MAX_DRAWS):
         q = [random_invertible() for _ in range(8)]
-        if _full_rank(p, _compound(*q[:4])) and _full_rank(p, _compound(*q[4:])):
+        if invertible(compound(*q[:4])) and invertible(compound(*q[4:])):
+            if p == 2:
+                q = [[[x >> j & 1 for j in reversed(range(m))] for x in rows]
+                     for rows in q]
             return MimoChannel(ground, m, tuple(Mat.from_code_rows(ground, rows)
                                                 for rows in q))
     raise SingularChannel(f"no valid channel found in {_MAX_DRAWS} draws")

@@ -38,8 +38,9 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InconsistentSystem, TooLarge
-from .gf import (FieldElem, FieldSpec, check_field_params, format_element,
-                 make_field, minpoly_degree, parse_element, prime_field)
+from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
+                 format_element, make_field, minpoly_degree, parse_element,
+                 prime_field)
 from .linalg import (Mat, _block_diag, _eliminate_mod_p, _gauss_jordan_mod_p,
                      _identity_codes, _inv_mod_p, _matmul_mod_p, block2x2,
                      coeff_vector, elem_from_coeff_vector, krylov_precoders,
@@ -217,8 +218,8 @@ def all_messages(spec: FieldSpec) -> Iterator[MessagePair]:
 
 def random_message(spec: FieldSpec, rng: random.Random) -> MessagePair:
     p, m = spec.p, spec.m
-    return MessagePair(tuple(rng.randrange(p) for _ in range(m)),
-                       tuple(rng.randrange(p) for _ in range(m - 1)))
+    return MessagePair(tuple(_randbelow(rng, p) for _ in range(m)),
+                       tuple(_randbelow(rng, p) for _ in range(m - 1)))
 
 
 def _precode(v: Mat, w: tuple[int, ...], spec: FieldSpec) -> Mat:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from gfalign import (FieldMismatch, FieldSpec, Mat, NotPrime, NotPrimitive, Poly
                      parse_element, parse_poly, prime_field,
                      primitive_element)
 from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _code_to_coeffs,
-                        _default_modulus, is_prime)
+                        _default_modulus, _randbelow, is_prime)
 from oracles import (add_code, default_modulus_by_scan, dense_tables,
                      log_walk, mul_code, neg_code, pow_code)
 
@@ -378,3 +379,37 @@ class TestNotation:
         assert gf2.one.lift(f4) == f4.one
         with pytest.raises(FieldMismatch):
             primitive_element(f4).lift(make_field(2, 3))
+
+
+class TestRandbelow:
+    """_randbelow is rng.randrange on a random.Random at the cost of its
+    generator words: the same values and the same state afterwards.  n = 1
+    still uses words, and 2^k takes k + 1 bits."""
+
+    SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 1009, 2 ** 16 + 1, 4294967291, 2 ** 32,
+             2 ** 32 + 15, 3 ** 40]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_randrange(self, n):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert [_randbelow(rng, n) for _ in range(40)] == \
+                [ref.randrange(n) for _ in range(40)], seed
+            assert rng.getstate() == ref.getstate(), seed
+
+    @pytest.mark.parametrize("n", [n for n in SIZES if n > 1])
+    def test_matches_randrange_from_one(self, n):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert [1 + _randbelow(rng, n - 1) for _ in range(40)] == \
+                [ref.randrange(1, n) for _ in range(40)], seed
+            assert rng.getstate() == ref.getstate(), seed
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 2), (2, 20)])
+    def test_random_element_matches_randrange(self, p, m):
+        spec = make_field(p, m)
+        for nonzero in (False, True):
+            rng, ref = random.Random(p * m), random.Random(p * m)
+            got = [spec.random_element(rng, nonzero).code for _ in range(200)]
+            assert got == [ref.randrange(int(nonzero), spec.order) for _ in range(200)]
+            assert rng.getstate() == ref.getstate()

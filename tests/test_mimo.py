@@ -427,7 +427,8 @@ class TestChannelStream:
 
     @pytest.mark.parametrize("p,m,seeds", [
         (2, 2, 200), (3, 2, 200), (2, 3, 200), (3, 3, 200), (2, 4, 200),
-        (2, 6, 200), (5, 2, 200), (1009, 2, 20)])
+        (2, 6, 200), (5, 2, 200), (1009, 2, 20), (7, 3, 20), (2, 5, 20),
+        (65537, 2, 20)])
     def test_matches_det_draws(self, p, m, seeds):
         for seed in range(seeds):
             rng, ref = random.Random(seed), random.Random(seed)
