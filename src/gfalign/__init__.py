@@ -17,8 +17,8 @@ from .gf import (FieldElem, FieldSpec, conjugates, format_element, make_field,
 from .linalg import (Mat, block2x2, char_poly, coeff_rows, coeff_vector,
                      companion_matrix, elem_from_coeff_vector,
                      elem_from_matrix_rep, krylov_precoders, lift_matrix,
-                     linear_combination_image, matrix_rep, null_space_vector,
-                     roots_in_field, split_blocks, vector_from_coeff_rows)
+                     linear_combination_image, matrix_rep, roots_in_field,
+                     split_blocks, vector_from_coeff_rows)
 from .mimo import (ExtensionPlan, MimoChannel, MimoPipeline, MimoPrecoders,
                    MimoSimulationReport, build_mimo_precoders,
                    mimo_channel_from_dict, mimo_channel_to_dict,

@@ -19,7 +19,7 @@ import sys
 
 from . import feasibility as feas
 from . import mimo, scheme
-from .errors import GFAlignError
+from .errors import DegenerateSpectrum, GFAlignError, SingularChannel
 from .gf import (check_field_params, make_field, parse_int, prime_field,
                  primitive_element)
 from .linalg import companion_matrix
@@ -165,7 +165,7 @@ def cmd_symbol_ext(args) -> int:
         ch = mimo.random_mimo_channel(args.p, args.m, rng)
     try:
         plan = mimo.plan_extension(ch)
-    except GFAlignError as exc:
+    except (SingularChannel, DegenerateSpectrum) as exc:     # outside the model
         _emit_json(args, {"channel": mimo.mimo_channel_to_dict(ch),
                           "error": str(exc), "success": False})
         return 1

@@ -21,20 +21,31 @@ Larger fields fall back to plain polynomial arithmetic.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
-from .errors import FieldMismatch, NotPrime, NotPrimitive
+from .errors import FieldMismatch, NotPrime, NotPrimitive, TooLarge
 
 _INTERN_LIMIT = 1 << 16  # intern elements and build log/antilog/Zech up to this order
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981   # least strong pseudoprime to all of _BASES
 
 
 def is_prime(n: int) -> bool:
-    """True iff n is a prime, by trial division that stops at the first
-    divisor up to isqrt(n)."""
+    """True iff n is a prime, by Miller-Rabin to the first 13 prime bases,
+    which no composite below _PSI_13 (about 3.3 * 10^24) passes (Sorenson &
+    Webster, *Math. Comp.* 2017); TooLarge from there on."""
     if n < 4:
         return n >= 2
-    return n % 2 != 0 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+    if n >= _PSI_13:
+        raise TooLarge(f"primality is decided below {_PSI_13} only, not for {n}")
+    if any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d 2^s with d odd
+    for a in _BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
 
 
 def prime_factors(n: int) -> list[int]:

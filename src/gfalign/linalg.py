@@ -12,8 +12,8 @@ The transform layer provides:
   is the field modulus;
 * ``coeff_rows`` / ``vector_from_coeff_rows`` -- a column vector over
   F_{p^r} as an n x r ground-field matrix of coefficient rows and back;
-* ``char_poly``, the eigenvector sum over F_p (``eigenvector_sum``) and,
-  on demand, eigenvalues and eigenvectors in the splitting field.
+* ``char_poly``, the eigenvector sum over F_p (``eigenvector_sum``) and
+  the roots of a polynomial over F_p in an extension (``roots_in_field``).
 
 Everything is exact.  ``Mat.solve`` is the one solver (full column rank,
 square or tall; ``inv`` solves against I), and its Gauss-Jordan pass also
@@ -378,24 +378,6 @@ def _matmul_mod_p(p: int, *mats: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def null_space_vector(a: Mat) -> Mat:
-    """Nonzero kernel vector of a singular square matrix: the basis vector of
-    the first free column, scaled so its lowest nonzero entry is 1."""
-    work, pivots, _ = a._rref()
-    n = a.ncols
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        raise Singular("matrix has a trivial kernel")
-    spec = a.spec
-    v = [spec.zero] * n
-    v[free] = spec.one
-    for r, c in enumerate(pivots):
-        v[c] = -work[r][free]
-    low = next(x for x in v if x.code)
-    inv = low.inv()
-    return Mat.column(spec, [x * inv for x in v])
-
-
 def krylov_precoders(product: Mat, lead: Mat, cross: Mat) -> tuple[Mat, Mat]:
     """Main (n x n) and side (n x n-1) precoders of one hop, over a prime
     field, computed on integer codes.
@@ -635,7 +617,7 @@ def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
     """Codes over F_p of the sum of the eigenvectors of a ground-field
     matrix whose characteristic polynomial is the product of the distinct
     irreducible ``factors``, each eigenvector scaled so its lowest nonzero
-    entry is 1, as ``eigenvectors_in`` scales them in the splitting field.
+    entry is 1 (in F_{p^L}, ``mimo.HopPlan.eigenvectors``).
 
     A factor f of degree d has the root lambda = x in R = F_p[x]/(f), which
     is F_p[C_f] for the companion C_f of f (column t holds x^(t+1) mod f).
@@ -678,16 +660,3 @@ def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
             lead[n - 1 - col // d] -= work[r][free[col % d]]
         lead[n - 1 - free[0] // d] += d
     return tuple(c % p for c in lead)
-
-
-def eigenvectors_in(a: Mat, ext: FieldSpec,
-                    values: Sequence[FieldElem]) -> Mat:
-    """Eigenvector columns of a (lifted into ext) for the given eigenvalues,
-    each scaled so its lowest nonzero entry is 1."""
-    lifted = lift_matrix(a, ext) if a.spec.m == 1 and a.spec != ext else a
-    ident = Mat.identity(ext, a.nrows)
-    cols = []
-    for lam in values:
-        shifted = lifted - ident.scale(lam)
-        cols.append(null_space_vector(shifted))
-    return Mat.from_columns(ext, cols)

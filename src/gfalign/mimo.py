@@ -9,8 +9,8 @@ irreducible-factor degrees across the two hops), but the eigenvector sum
 that leads each precoder is fixed by Frobenius: for each irreducible factor
 f it is the trace of one eigenvector over F_p[x]/(f) = F_p[C_f], read off an
 F_p kernel (``linalg.eigenvector_sum``).  So planning runs over F_p and the
-precoders are F_p matrices; the eigenvalues and eigenvectors in F_{p^L} are
-computed only when a caller reads them.  Message symbols live in F_{p^L},
+precoders are F_p matrices; the eigen data in F_{p^L} (eigenvectors: v1 V^-1)
+are computed only when a caller reads them.  Message symbols live in F_{p^L},
 which is F_p^L as a vector space, so the F_p core shared with the scalar
 model (scheme.LinearPipeline) acts on their base-p codes directly: XOR for
 p = 2, packed digit arithmetic for odd p.  Per slot the scheme still
@@ -30,8 +30,8 @@ from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
                  make_field, prime_field)
 from .linalg import (Mat, _compound, _element_of_code, _full_rank,
                      _independent_masks, _inv_mod_p, _matmul_mod_p,
-                     _solve_mod_p, block2x2, eigenvector_sum, eigenvectors_in,
-                     krylov_precoders, roots_in_field, splitting_data)
+                     _solve_mod_p, block2x2, eigenvector_sum, krylov_precoders,
+                     lift_matrix, roots_in_field, splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int)
@@ -78,9 +78,9 @@ class HopPlan:
     eigenvector sum that leads its precoders, both found over F_p.
 
     ``eigenvalues`` and ``eigenvectors`` are the eigen data in the common
-    extension ``ext``, searched there (``roots_in_field``,
-    ``eigenvectors_in``) the first time either is read; planning and
-    precoding never read them.  The eigenvectors sum to ``lead``.
+    extension ``ext``, computed the first time either is read; planning and
+    precoding never read them.  The eigenvectors E sum to ``lead``, so the
+    main precoder v1 = [lead, A lead, ...] is E V for V[j][l] = lambda_j^l.
     """
 
     product: Mat                      # over F_p
@@ -102,9 +102,12 @@ class HopPlan:
 
     @cached_property
     def eigenvectors(self) -> Mat:
-        """Columns over ``ext``, one per eigenvalue, each scaled so its
-        lowest nonzero entry is 1."""
-        return eigenvectors_in(self.product, self.ext, self.eigenvalues)
+        """Columns over ``ext``, each with lowest nonzero entry 1: v1 V^-1."""
+        v1, _ = krylov_precoders(self.product, Mat.column(self.product.spec, self.lead),
+                                 self.cross)
+        vandermonde = Mat(self.ext, tuple(tuple(lam ** l for l in range(len(self.lead)))
+                                          for lam in self.eigenvalues))
+        return lift_matrix(v1, self.ext) @ vandermonde.inv()
 
     def summary(self) -> dict:
         return {

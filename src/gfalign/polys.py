@@ -14,9 +14,11 @@ import math
 import re
 from typing import Sequence
 
-from .errors import FieldMismatch
+from .errors import FieldMismatch, TooLarge
 from .gf import (FieldElem, FieldSpec, conjugates, parse_int, prime_factors,
                  prime_field)
+
+_FACTOR_LIMIT = 10000   # candidate divisors: 0.7 s for 8190 (degree 25 over F_2)
 
 
 class Poly:
@@ -205,11 +207,17 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     """Factor a monic polynomial into monic irreducibles with multiplicities.
 
     Factors are sorted by degree descending, then lexicographically by the
-    low-degree-first coefficient vector.  Trial division against enumerated
-    irreducibles; fine at desk scale.
+    low-degree-first coefficient vector.  Trial division by the q^d monic
+    polynomials of each degree d <= deg f / 2, TooLarge beyond _FACTOR_LIMIT.
     """
     if not f.is_monic or f.degree < 1:
         raise ValueError("factoring is defined for monic polynomials of degree >= 1")
+    q, candidates = f.spec.order, 0
+    for d in range(1, f.degree // 2 + 1):
+        candidates += q ** d
+        if candidates > _FACTOR_LIMIT:
+            raise TooLarge(f"factoring a polynomial of degree {f.degree} over GF({q}) "
+                           f"by trial division tries more than {_FACTOR_LIMIT} candidate divisors")
     out: list[tuple[Poly, int]] = []
     rest = f
     d = 1

@@ -639,32 +639,14 @@ def draw_valid_channel(spec: FieldSpec, rng: random.Random) -> TwoHopChannel:
 # -- exhaustive scanning --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HopScan:
-    """Exhaustive classification of the all-nonzero hop coefficient 4-tuples.
-
-    It serves both hops: a tuple's cross ratio is the same whether it is
-    read as the first hop or, through the inverted matrix, as the second.
-    """
-
-    tuples: int
-    valid: int          # full-rank matrices among all-nonzero tuples
-    feasible: int       # valid and full-degree cross ratio
-    feasible_tuples: list[tuple[FieldElem, ...]]
-
-
-def _scan_hop(spec: FieldSpec) -> HopScan:
-    elems = list(spec.nonzero_elements())
-    valid = 0
-    keep = []
-    for t in itertools.product(elems, repeat=4):
-        a, b, c, d = t
-        if not a * d - b * c:
-            continue
-        valid += 1
-        if minpoly_degree(_cross_ratio(*t)) == spec.m:
-            keep.append(t)
-    return HopScan(len(elems) ** 4, valid, len(keep), keep)
+def _feasible_tuples(spec: FieldSpec) -> Iterator[tuple[FieldElem, ...]]:
+    """The feasible hop tuples (a, b, r a d b^-1, d) for all units a, b, d and
+    each cross ratio r = a^-1 b d^-1 c != 1 of full degree, on either hop."""
+    units = list(spec.nonzero_elements())
+    for r in units:
+        if r.code != 1 and minpoly_degree(r) == spec.m:
+            for a, b, d in itertools.product(units, repeat=3):
+                yield a, b, r * a * d * b.inv(), d
 
 
 @dataclass(frozen=True)
@@ -751,18 +733,19 @@ def _core_count(p: int, m: int) -> int:
 
 
 def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
-    """Classify every all-nonzero channel tuple and verify decoding.
+    """Count the all-nonzero channel tuples and verify decoding.
 
     Guard: refuses with TooLarge, before building the field, when the scan
-    would set up more than _CORE_LIMIT cores (_core_count); when any of the
-    (p^m - 1)^4 hop tuples is feasible, at least half are, so this bounds
-    their classification too.  One core is built per feasible hop tuple t,
-    as the channel (t, t).  Up to _PAIR_LIMIT valid channels, every
-    feasible pair (t1, t2) is verified end to end from t1's relay_map and
-    t2's destination_map (paired mode).  Beyond that, each core's relay half
-    and destination half are counted separately as it is built (factored
-    mode).  This covers the same ground, because the halves interact only
-    through the decoded sums.  No message is sent (see _certify)."""
+    would set up more than _CORE_LIMIT cores (_core_count), all its work: of
+    the (q-1)^4 all-nonzero hop tuples (q = p^m), the (q-1)^3 (q-2) of cross
+    ratio r != 1 are valid, and only those whose r has full degree are built
+    (_feasible_tuples), one core each, as the channel (t, t).  Up to
+    _PAIR_LIMIT valid channels, every feasible pair (t1, t2) is verified
+    end to end from t1's relay_map and t2's destination_map (paired mode).
+    Beyond that, each core's relay half and destination half are counted
+    separately as it is built (factored mode).  This covers the same
+    ground, because the halves interact only through the decoded sums.  No
+    message is sent (see _certify)."""
     check_field_params(p, m)
     count = _core_count(p, m)
     if count > _CORE_LIMIT:
@@ -770,22 +753,23 @@ def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
         raise TooLarge(f"a scan over GF({p}^{m}) sets up {shown} channel cores, "
                        f"more than the guard of {_CORE_LIMIT}")
     spec = make_field(p, m, pi)
-    scan = _scan_hop(spec)
-    valid_channels = scan.valid ** 2
-    feasible_channels = scan.feasible ** 2
+    q = spec.order
+    tuples, valid = (q - 1) ** 4, (q - 1) ** 3 * (q - 2)
+    valid_channels = valid ** 2
+    feasible_channels = count ** 2
     paired = valid_channels <= _PAIR_LIMIT
-    channels = (TwoHopChannel(spec, t, t) for t in scan.feasible_tuples)
+    channels = (TwoHopChannel(spec, t, t) for t in _feasible_tuples(spec))
     cores = (scalar_pipeline(ch, build_precoders(ch)) for ch in channels)
     if paired:
         cores = list(cores)
     failures = sum(_certify(core, cores if paired else (core,), not paired)
                    for core in cores)
     messages = p ** (2 * m - 1)
-    round_trips = (feasible_channels if paired else 2 * scan.feasible) * messages
-    counts = (scan.tuples, scan.valid, scan.feasible)
+    round_trips = (feasible_channels if paired else 2 * count) * messages
+    counts = (tuples, valid, count)
     return ScanReport(
         p, m, list(spec.modulus_coeffs), "paired" if paired else "factored",
         counts, counts, valid_channels, feasible_channels,
         feasible_channels / valid_channels if valid_channels else None,
-        feasible_channels / scan.tuples ** 2,
+        feasible_channels / tuples ** 2,
         messages, round_trips, failures)

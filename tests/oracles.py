@@ -3,7 +3,17 @@ library against.  Nothing here is imported by the package itself."""
 
 import functools
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """True iff n is a prime, by trial division that stops at the first
+    divisor up to isqrt(n)."""
+    if n < 4:
+        return n >= 2
+    return n % 2 != 0 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def roots_by_enumeration(f, ext):
@@ -27,13 +37,47 @@ def eigenvector_sum_in_extension(a, ext):
     a, found in the splitting field ext: every eigenvalue by
     roots_in_field, every eigenvector by eigenvectors_in, summed there.
     Fails unless the sum lies in the ground field."""
-    from gfalign.linalg import Mat, char_poly, eigenvectors_in, roots_in_field
+    from gfalign.linalg import Mat, char_poly, roots_in_field
     values = roots_in_field(char_poly(a), ext)
     assert len(values) == a.nrows, "ext does not split the matrix"
     total = eigenvectors_in(a, ext, values) @ Mat.build(ext, [[1]] * a.nrows)
     codes = tuple(row[0].code for row in total.rows)
     assert all(c < ext.p for c in codes), "the sum is not fixed by Frobenius"
     return codes
+
+
+def null_space_vector(a):
+    """Nonzero kernel vector of a singular square matrix: the basis vector of
+    the first free column, scaled so its lowest nonzero entry is 1."""
+    from gfalign.errors import Singular
+    from gfalign.linalg import Mat
+    work, pivots, _ = a._rref()
+    n = a.ncols
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        raise Singular("matrix has a trivial kernel")
+    spec = a.spec
+    v = [spec.zero] * n
+    v[free] = spec.one
+    for r, c in enumerate(pivots):
+        v[c] = -work[r][free]
+    low = next(x for x in v if x.code)
+    inv = low.inv()
+    return Mat.column(spec, [x * inv for x in v])
+
+
+def eigenvectors_in(a, ext, values):
+    """Eigenvector columns of a (lifted into ext) for the given eigenvalues,
+    each scaled so its lowest nonzero entry is 1: one kernel search of
+    a - lambda I per eigenvalue."""
+    from gfalign.linalg import Mat, lift_matrix
+    lifted = lift_matrix(a, ext) if a.spec.m == 1 and a.spec != ext else a
+    ident = Mat.identity(ext, a.nrows)
+    cols = []
+    for lam in values:
+        shifted = lifted - ident.scale(lam)
+        cols.append(null_space_vector(shifted))
+    return Mat.from_columns(ext, cols)
 
 
 def berkowitz_char_poly(a):
@@ -367,6 +411,38 @@ def sweep_failures(core, factored):
                           for u, w in zip(zip(*relayed), zip(*sent)))
 
 
+@dataclass(frozen=True)
+class HopScan:
+    """Exhaustive classification of the all-nonzero hop coefficient 4-tuples.
+
+    It serves both hops: a tuple's cross ratio is the same whether it is
+    read as the first hop or, through the inverted matrix, as the second.
+    """
+
+    tuples: int
+    valid: int          # full-rank matrices among all-nonzero tuples
+    feasible: int       # valid and full-degree cross ratio
+    feasible_tuples: list       # of 4-tuples of field elements
+
+
+def _scan_hop(spec) -> HopScan:
+    """Every all-nonzero hop tuple classified one at a time: its
+    determinant, then the minimal-polynomial degree of its cross ratio."""
+    from gfalign.gf import minpoly_degree
+    from gfalign.scheme import _cross_ratio
+    elems = list(spec.nonzero_elements())
+    valid = 0
+    keep = []
+    for t in itertools.product(elems, repeat=4):
+        a, b, c, d = t
+        if not a * d - b * c:
+            continue
+        valid += 1
+        if minpoly_degree(_cross_ratio(*t)) == spec.m:
+            keep.append(t)
+    return HopScan(len(elems) ** 4, valid, len(keep), keep)
+
+
 def scan_by_sweep(p, m, pi=None):
     """exhaustive_scan computed by sending every message through every
     channel's pipeline instead of certifying the two maps; it picks its mode
@@ -374,8 +450,8 @@ def scan_by_sweep(p, m, pi=None):
     import itertools
     from gfalign import scheme
     from gfalign.gf import make_field
-    from gfalign.scheme import (ScanReport, TwoHopChannel, _scan_hop,
-                                build_precoders, scalar_pipeline)
+    from gfalign.scheme import (ScanReport, TwoHopChannel, build_precoders,
+                                scalar_pipeline)
     spec = make_field(p, m, pi)
     scan = _scan_hop(spec)
     valid_channels = scan.valid ** 2

@@ -1,9 +1,10 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from gfalign import scheme
+from gfalign import exact_fraction, lower_bound, scheme
 from gfalign.cli import main
 from test_pipeline import bump_v2
 
@@ -161,6 +162,33 @@ class TestBoundsAndMc:
         code, out, err = run(capsys, "bounds", "--p", p, "--m", m)
         assert code == 2 and out == ""
         assert needle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
+    @pytest.mark.parametrize("m,digits", [(14500, 4365), (10 ** 6, 301030)])
+    def test_unprintable_fraction_exits_2_at_once(self, capsys, monkeypatch,
+                                                  command, m, digits):
+        # 2^14500 has more decimal digits than Python converts to text by
+        # default; the row used to fail in that conversion, after every
+        # other step (49.6 s at m = 10^6)
+        monkeypatch.setattr("sys.get_int_max_str_digits", lambda: 4300,
+                            raising=False)
+        extra = ("--trials", "10", "--seed", "1") if command == "mc" else ()
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--p", "2", "--m", str(m), *extra)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: 2^{m} has {digits} decimal digits, more than "
+                       f"the 4300 this interpreter prints\n")
+
+    def test_printable_fraction_below_the_limit(self, capsys, monkeypatch):
+        # 2^14000 has 4215 digits; a limit of 0 means none
+        for limit in (4300, 0):
+            monkeypatch.setattr("sys.get_int_max_str_digits", lambda: limit,
+                                raising=False)
+            code, payload = run_json(capsys, "bounds", "--p", "2", "--m", "14000")
+            assert code == 0
+            assert Fraction(payload[0]["exact_fraction"]) == exact_fraction(2, 14000)
+            assert Fraction(payload[0]["lower_bound"]) == lower_bound(2, 14000)
 
     def test_non_integer_list_entry_exits_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--p", "2,x", "--m", "2")
@@ -490,6 +518,19 @@ class TestSymbolExt:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "GF(2)" in err
+
+    def test_huge_prime_exits_2_at_once(self, capsys):
+        # p = 2^61 - 1 hung in trial division up to sqrt(p); past that,
+        # factoring listed all p monic linear polynomials (MemoryError).  A
+        # guard is an input error (2), not a channel rejection (1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "symbol-ext", "--p", str(2 ** 61 - 1),
+                             "--m", "2", "--seed", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("error: factoring a polynomial of degree 2 over "
+                       f"GF({2 ** 61 - 1}) by trial division tries more than "
+                       "10000 candidate divisors\n")
 
     @pytest.mark.parametrize("p,m", [("2", "0"), ("3", "0"), ("3", "-1")])
     def test_nonpositive_m_exits_2(self, capsys, p, m):

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from gfalign import (FieldMismatch, FieldSpec, Mat, NotPrime, NotPrimitive, Poly,
-                     conjugates, format_element, make_field, minpoly_degree,
+                     TooLarge, conjugates, format_element, make_field, minpoly_degree,
                      parse_element, parse_poly, prime_field,
                      primitive_element)
 from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _code_to_coeffs,
                         _default_modulus, _randbelow, is_prime)
 from oracles import (add_code, default_modulus_by_scan, dense_tables,
-                     log_walk, mul_code, neg_code, pow_code)
+                     is_prime_by_trial_division, log_walk, mul_code, neg_code,
+                     pow_code)
 
 
 def brute_order(e):
@@ -141,13 +142,29 @@ class TestConstruction:
         assert FieldSpec(2, 2, (1, 1, 1)).pi == (1, 1)
 
     def test_is_prime_matches_trial_division(self):
-        def plain(n):
-            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        # Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), with all three
+        # factors prime, pass Fermat's test to every base prime to them
+        plain = is_prime_by_trial_division
+        carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                      for k in range(1, 200)
+                      if all(map(plain, (6 * k + 1, 12 * k + 1, 18 * k + 1)))]
+        assert carmichael[:3] == [1729, 294409, 56052361] and len(carmichael) >= 10
         # an even n with a large cofactor must stop at its divisor 2
-        for n in list(range(-50, 20001)) + [1000003, 999983 * 1000003,
-                                             2 * 1000000000039]:
+        for n in [*range(-50, 2 * 10 ** 5), 1000003, 999983 * 1000003,
+                  2 * 1000000000039, 561, 1105, 2465, 2821, 6601, *carmichael]:
             assert is_prime(n) == plain(n), n
         assert is_prime(1000003) and not is_prime(999983 * 1000003)
+
+    def test_is_prime_beyond_trial_division(self):
+        assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+        # strong pseudoprimes to the first 9 and the first 12 prime bases
+        for n, factors in ((3825123056546413051, (149491, 747451, 34233211)),
+                           (318665857834031151167461, (399165290221, 798330580441))):
+            assert math.prod(factors) == n and not is_prime(n)
+        # the least strong pseudoprime to all 13 bases, and 2^89 - 1 beyond it
+        for n in (3317044064679887385961981, 2 ** 89 - 1):
+            with pytest.raises(TooLarge, match="primality"):
+                is_prime(n)
 
     def test_spec_caching_and_equality(self):
         assert make_field(2, 3) is make_field(2, 3)

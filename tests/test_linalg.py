@@ -11,15 +11,16 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      elem_from_coeff_vector, elem_from_matrix_rep,
                      lift_matrix,
                      linear_combination_image, make_field, matrix_rep,
-                     minimal_polynomial, null_space_vector,
+                     minimal_polynomial,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
 from gfalign.gf import is_prime
 from gfalign.linalg import (_eliminate_mod_p, _full_rank, _subfield_unit_codes,
-                            eigenvector_sum, eigenvectors_in, splitting_data)
+                            eigenvector_sum, splitting_data)
 from gfalign.polys import all_monic
 from oracles import (berkowitz_char_poly, eigenvector_sum_in_extension,
-                     matrix_rep_by_companion_powers, roots_by_enumeration)
+                     eigenvectors_in, matrix_rep_by_companion_powers,
+                     null_space_vector, roots_by_enumeration)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)

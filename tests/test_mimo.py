@@ -13,8 +13,9 @@ from gfalign import (DegenerateSpectrum, Mat, MimoChannel, MimoPipeline,
 from gfalign import linalg, mimo
 from gfalign.linalg import splitting_data
 from gfalign.mimo import random_message
-from oracles import (eigenvector_sum_in_extension, random_mimo_channel_by_det,
-                     roots_by_enumeration, vandermonde_det)
+from oracles import (eigenvector_sum_in_extension, eigenvectors_in,
+                     random_mimo_channel_by_det, roots_by_enumeration,
+                     vandermonde_det)
 from test_golden import GOLDEN, render
 
 
@@ -215,10 +216,13 @@ class TestPrecoders:
                 done += 1
                 pre = build_mimo_precoders(plan)
                 for hop, v_main in ((plan.hop1, pre.v1), (plan.hop2, pre.v3)):
+                    # HopPlan.eigenvectors is v1 V^-1, so the identity holds
+                    # by construction for them: test the lead against the
+                    # eigenvectors of a kernel search instead
+                    vectors = eigenvectors_in(hop.product, plan.ext, hop.eigenvalues)
                     det = v_main.det().lift(plan.ext)
                     assert det.code
-                    assert det == hop.eigenvectors.det() * vandermonde_det(
-                        hop.eigenvalues)
+                    assert det == vectors.det() * vandermonde_det(hop.eigenvalues)
 
     def test_alignment_residuals_vanish(self):
         plan = plan_extension(f4_fixture_channel())
@@ -236,6 +240,35 @@ class TestPrecoders:
         pre = build_mimo_precoders(plan_extension(ch))
         assert pre.v1.nrows == 1 and pre.v1.ncols == 1
         assert pre.v2.ncols == 0
+
+
+class TestEigenvectors:
+    """HopPlan.eigenvectors, v1 V^-1, against one kernel search of
+    A - lambda I per eigenvalue in F_{p^L} (oracles.eigenvectors_in)."""
+
+    @pytest.mark.parametrize("p,m,wide", [
+        (2, 2, 0), (3, 2, 0), (2, 3, 0), (3, 3, 0), (2, 4, 0), (5, 2, 0),
+        (7, 3, 1), (2, 5, 0), (2, 6, 0), (3, 4, 1), (7, 2, 0), (2, 7, 0)])
+    def test_match_kernel_search(self, p, m, wide):
+        # wide: plans over a field above 2^16, beyond the log tables, that
+        # the draws must reach
+        rng = random.Random(f"eigenvectors:{p}:{m}")
+        planned = []
+        for _ in range(40):
+            ch = random_mimo_channel(p, m, rng)
+            try:
+                if math.lcm(*(splitting_data(prod)[2]
+                              for prod in hop_products(ch))) > 24:
+                    continue
+                plan = plan_extension(ch)
+            except DegenerateSpectrum:
+                continue
+            for hop in (plan.hop1, plan.hop2):
+                assert hop.eigenvectors == eigenvectors_in(
+                    hop.product, plan.ext, hop.eigenvalues)
+            planned.append(plan.ext.order)
+        assert len(planned) >= 10
+        assert sum(order > 1 << 16 for order in planned) >= wide
 
 
 class TestLead:
@@ -281,12 +314,11 @@ class TestLead:
 
     def test_no_extension_eigen_search(self, monkeypatch, tmp_path):
         # planning, precoding, the pipeline and the CLI never search
-        # F_{p^L} for eigenvalues or eigenvectors
+        # F_{p^L} for eigenvalues, and the eigenvectors follow from them
         def refuse(*args):
             raise AssertionError("eigen data searched in the extension field")
         for module in (linalg, mimo):
             monkeypatch.setattr(module, "roots_in_field", refuse)
-            monkeypatch.setattr(module, "eigenvectors_in", refuse)
         rng = random.Random(59)
         for p, m in ((2, 3), (3, 3), (2, 6)):
             ch = random_mimo_channel(p, m, rng)

@@ -18,10 +18,10 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, InconsistentSystem,
                      exhaustive_scan, make_field, plan_extension, random_mimo_channel,
                      relay_decode, relay_encode, scheme, source_encode)
 from gfalign.mimo import random_message
-from gfalign.scheme import _certify, _digit_codec, _scan_hop, scalar_pipeline
-from oracles import (ExtensionFieldPipeline, batch, lane_destination_half,
-                     lane_relay_half, lane_run, relay_sums, scan_by_sweep,
-                     sweep_failures)
+from gfalign.scheme import _certify, _digit_codec, scalar_pipeline
+from oracles import (ExtensionFieldPipeline, _scan_hop, batch,
+                     lane_destination_half, lane_relay_half, lane_run,
+                     relay_sums, scan_by_sweep, sweep_failures)
 from test_mimo import f4_fixture_channel
 
 

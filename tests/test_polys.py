@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from gfalign import (Poly, count_irreducible, divisors, enumerate_irreducible,
-                     factor_poly, format_poly, is_irreducible, make_field,
-                     minimal_polynomial, mobius, parse_poly, prime_field,
-                     primitive_element)
+from gfalign import (Poly, TooLarge, count_irreducible, divisors,
+                     enumerate_irreducible, factor_poly, format_poly,
+                     is_irreducible, make_field, minimal_polynomial, mobius,
+                     parse_poly, polys, prime_field, primitive_element)
 from gfalign.polys import all_monic
 
 GF2 = prime_field(2)
@@ -147,6 +147,24 @@ class TestFactoring:
         assert multiplicities([0, 0, 1], GF3) == [2]      # x^2
         assert multiplicities([1, 0, 0, 1], GF3) == [3]   # (x+1)^3
         assert multiplicities([0, 1, 1, 1], GF2) == [1, 1]
+
+    def test_guard_counts_candidates_before_dividing(self, monkeypatch):
+        # sum over d <= deg/2 of p^d candidates: degree 7 over F_2 tries
+        # 2 + 4 + 8 = 14, degree 8 adds 16 more
+        def unlisted(*args):
+            raise AssertionError("candidates listed before the guard")
+        monkeypatch.setattr(polys, "_FACTOR_LIMIT", 14)
+        x7 = Poly(GF2, [1, 1] + [0] * 5 + [1])                # x^7 + x + 1
+        assert factor_poly(x7) == [(x7, 1)]
+        monkeypatch.setattr(polys, "all_monic", unlisted)
+        with pytest.raises(TooLarge, match="degree 8 over GF\\(2\\) .* more than 14"):
+            factor_poly(Poly(GF2, [1] + [0] * 7 + [1]))
+        # one prime above the real limit is too many linear candidates
+        monkeypatch.undo()
+        with pytest.raises(TooLarge, match="more than 10000 candidate"):
+            factor_poly(Poly(prime_field(10007), [1, 0, 1]))
+        assert factor_poly(Poly(prime_field(9973), [0, 1, 1])) == [
+            (Poly(prime_field(9973), [0, 1]), 1), (Poly(prime_field(9973), [1, 1]), 1)]
 
 
 class TestMinimalPolynomial:

@@ -14,8 +14,9 @@ from gfalign import (InconsistentSystem, Mat, MessagePair, TwoHopChannel,
                      make_field, matrix_rep, minpoly_degree, prime_field,
                      primitive_element, relay_decode, relay_encode,
                      second_hop_inverse, scheme, simulate, source_encode)
-from gfalign.scheme import (_cross_ratio, _decode_target, _relay_sum_rows,
-                            _scan_hop)
+from gfalign.scheme import (_cross_ratio, _decode_target, _feasible_tuples,
+                            _relay_sum_rows)
+from oracles import _scan_hop
 
 F4 = make_field(2, 2)
 ALPHA = primitive_element(F4)
@@ -403,6 +404,15 @@ class TestExhaustiveScan:
         (2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3), (2, 5)])
     def test_core_count_is_the_feasible_tuple_count(self, p, m):
         assert scheme._core_count(p, m) == _scan_hop(make_field(p, m)).feasible
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
+    def test_feasible_tuples_from_ratios(self, p, m):
+        # the tuples built as (a, b, r a d b^-1, d) are the ones a
+        # classification of all (q-1)^4 tuples keeps, each built once
+        spec = make_field(p, m)
+        got = list(_feasible_tuples(spec))
+        assert len(got) == len(set(got)) == scheme._core_count(p, m)
+        assert set(got) == set(_scan_hop(spec).feasible_tuples)
 
     def test_factored_mode_small(self, monkeypatch):
         monkeypatch.setattr(scheme, "_PAIR_LIMIT", 10)
