@@ -21,6 +21,8 @@ Larger fields fall back to plain polynomial arithmetic.
 
 from __future__ import annotations
 
+import functools
+from itertools import compress, count, islice
 from typing import Iterator, Sequence
 
 from .errors import FieldMismatch, NotPrime, NotPrimitive, TooLarge
@@ -28,6 +30,7 @@ from .errors import FieldMismatch, NotPrime, NotPrimitive, TooLarge
 _INTERN_LIMIT = 1 << 16  # intern elements and build log/antilog/Zech up to this order
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981   # least strong pseudoprime to all of _BASES
+_TRIAL_LIMIT = 1 << 20   # largest trial divisor of prime_factors, about 0.05 s of division
 
 
 def is_prime(n: int) -> bool:
@@ -49,14 +52,22 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
+    """Distinct prime factors of n >= 1, ascending, by trial division.  It
+    stops once the cofactor left is 1 or a prime: is_prime is asked for a
+    cofactor above _TRIAL_LIMIT and below _PSI_13 (a smaller one needs at
+    most 512 more divisions).  TooLarge when the divisor passes
+    _TRIAL_LIMIT with a cofactor left that is composite or too large to
+    test."""
     out = []
-    d = 2
-    while d * d <= n:
+    d, prime = 2, _TRIAL_LIMIT < n < _PSI_13 and is_prime(n)
+    while not prime and d * d <= n:
+        if d > _TRIAL_LIMIT:
+            raise TooLarge(f"factoring {n} needs trial division beyond {_TRIAL_LIMIT}")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
+            prime = _TRIAL_LIMIT < n < _PSI_13 and is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
@@ -76,6 +87,92 @@ def _randbelow(rng, n: int) -> int:
     while r >= n:
         r = rng.getrandbits(k)
     return r
+
+
+_CHUNK_WORDS = 512   # most generator words _randbelow_blocks takes per getrandbits call
+
+
+@functools.cache
+def _top_byte_tables(n: int) -> tuple[bytes, bytes]:
+    """bytes.translate arguments that turn the top bytes of generator words
+    into the values of randrange(n), n < 256: the table t -> t >> (8 - k)
+    and the rejected bytes t >= n << (8 - k), for k = n.bit_length()."""
+    shift = 8 - n.bit_length()
+    return bytes(t >> shift for t in range(256)), bytes(range(n << shift, 256))
+
+
+def _randbelow_blocks(rng, n: int, size: int):
+    """Generator of consecutive blocks of ``size`` values of rng.randrange(n),
+    n >= 1, on a random.Random, read from generator words drawn in bulk.
+
+    An attempt of randrange(n) is getrandbits(k), k = n.bit_length(): it
+    takes w = ceil(k / 32) words and is redrawn while >= n (``_randbelow``).
+    Here one getrandbits(32 w K) draws K attempts at once, K doubling from
+    ``size`` up to _CHUNK_WORDS / w, and to_bytes(..., "little") lays word
+    i out as bytes 4i..4i+3 on every platform, since CPython fills the
+    result from the least significant word up.  For n < 256 an attempt is
+    the top byte t of its word, t >> (8 - k), accepted iff t < n << (8 - k),
+    so one bytes.translate decodes a whole chunk and a block is a bytes
+    slice.  Larger n read each attempt's w words as one integer, dropping
+    the low 32 w - k bits of the top word as getrandbits does, into lists;
+    it is the same chunked draw, since only the decoding of a chunk
+    depends on n.
+
+    A chunk runs past the last value used, and the caller reads the same
+    generator next (symbol-ext draws its message after the channel).  So
+    close the generator when done, also when raising: it then restores the
+    state it found and replays exactly the words behind the values it
+    yielded, and rng is as randrange would have left it (tests compare
+    both with randrange).  A generator never started draws nothing.
+    """
+    k = n.bit_length()
+    w = (k + 31) // 32
+    cap = max(1, _CHUNK_WORDS // w)
+    if n < 256:
+        limit = n << (8 - k)            # on the top bytes
+        table, reject = _top_byte_tables(n)
+    else:
+        limit, lo, shift = n, 32 * (w - 1), 32 * w - k
+        low = (1 << lo) - 1
+    state = rng.getstate()
+    chunk = min(size, cap)
+    # seq: the attempts of the newest chunk; base: the attempts before it;
+    # start: where its values begin in buf; mark: (base, seq, values used)
+    # of the chunk that holds the last value yielded, kept when a chunk is
+    # drawn before any of its values is
+    seq, base, start, buf, pos = b"", 0, 0, (b"" if n < 256 else []), 0
+    mark = (0, b"", 0)
+    try:
+        while True:
+            if pos > start:
+                mark = (base, seq, pos - start)
+            raw = rng.getrandbits(32 * w * chunk).to_bytes(4 * w * chunk, "little")
+            if n < 256:
+                attempts = raw[3::4]
+                vals = attempts.translate(table, reject)
+            else:
+                attempts = [x & low | x >> (lo + shift) << lo
+                            for x in (int.from_bytes(raw[i:i + 4 * w], "little")
+                                      for i in range(0, len(raw), 4 * w))]
+                vals = [v for v in attempts if v < n]
+            base, seq, buf, start, pos = (base + len(seq), attempts, buf[pos:] + vals,
+                                          len(buf) - pos, 0)
+            chunk = min(2 * chunk, cap)
+            while len(buf) - pos >= size:
+                pos += size
+                yield buf[pos - size:pos]
+    finally:
+        base, seq, left = (base, seq, pos - start) if pos > start else mark
+        if left:        # the position of the left-th accepted attempt of seq
+            accepted = compress(count(), map(limit.__gt__, seq))
+            used = w * (base + next(islice(accepted, left - 1, None)) + 1)
+        else:
+            used = 0
+        rng.setstate(state)
+        while used:
+            take = min(used, _CHUNK_WORDS)
+            rng.getrandbits(32 * take)
+            used -= take
 
 
 def _code_to_coeffs(code: int, p: int, m: int) -> tuple[int, ...]:

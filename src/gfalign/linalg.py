@@ -339,13 +339,28 @@ def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
     return rank, det
 
 
-def _full_rank(p: int, rows: list[list[int]]) -> bool:
-    """True iff a square matrix of integer codes over F_p is invertible.
-    Over F_2 each row becomes a bitmask, first entry highest, ranked by
-    _independent_masks."""
+def _det_small(p: int, e: Sequence[int]) -> int:
+    """Determinant over F_p of the n x n matrix, n <= 3, whose row-major
+    integer codes are e (1, 4 or 9 of them), by cofactor expansion."""
+    if len(e) == 9:
+        a, b, c, d, f, g, h, i, j = e
+        return (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % p
+    if len(e) == 4:
+        a, b, c, d = e
+        return (a * d - b * c) % p
+    return e[0] % p
+
+
+def _full_rank(p: int, rows: Sequence[Sequence[int]]) -> bool:
+    """True iff a square matrix of integer codes over F_p is invertible:
+    by _det_small up to 3 x 3; above that, over F_2 each row (0/1 codes,
+    list or bytes) becomes a bitmask ranked by _independent_masks, and over
+    other fields by elimination."""
+    if len(rows) <= 3:
+        return _det_small(p, [v for row in rows for v in row]) != 0
     if p != 2:
         return _eliminate_mod_p(list(rows), p)[0] == len(rows)
-    return _independent_masks(int("".join(map(str, row)), 2) for row in rows)
+    return _independent_masks(int.from_bytes(bytes(row), "big") for row in rows)
 
 
 def _independent_masks(masks: Iterable[int]) -> bool:

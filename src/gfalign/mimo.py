@@ -22,16 +22,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from typing import Sequence
 
 from .errors import Singular, SingularChannel
-from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
+from .gf import (FieldElem, FieldSpec, _randbelow_blocks, check_field_params,
                  make_field, prime_field)
-from .linalg import (Mat, _compound, _element_of_code, _full_rank,
-                     _independent_masks, _inv_mod_p, _matmul_mod_p,
-                     _solve_mod_p, block2x2, eigenvector_sum, krylov_precoders,
-                     lift_matrix, roots_in_field, splitting_data)
+from .linalg import (Mat, _compound, _det_small, _element_of_code, _full_rank,
+                     _inv_mod_p, _matmul_mod_p, _solve_mod_p, block2x2,
+                     eigenvector_sum, krylov_precoders, lift_matrix,
+                     roots_in_field, splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int)
@@ -331,53 +332,42 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     """Random channel satisfying the invertibility model (all eight matrices
     plus both compounds), by rejection of up to _MAX_DRAWS draws.  Over
     GF(2) with m = 1 no channel qualifies: SingularChannel before any draw.
-    NotPrime or ValueError for a bad p or m, before any draw.  Entries are
-    drawn by gf._randbelow, so the channel and the generator state
-    afterwards equal those of the same draw by rng.randrange (tests check
-    this against a draw of Mat objects ranked by Mat.det).  Over F_2 rows
-    are drawn straight into bitmasks; only the accepted channel becomes
-    matrices."""
+    NotPrime or ValueError for a bad p or m, before any draw.
+
+    Each matrix is the first nonsingular one of a run of m x m blocks, their
+    entries read row by row from gf._randbelow_blocks, which decodes
+    generator words drawn in bulk into the values of rng.randrange(p).  A
+    block is tested by its closed-form determinant up to 3 x 3 and by
+    _full_rank above.  The words drawn reach past the last entry used, and
+    symbol-ext draws its message from the same rng next, so the sampler is
+    closed when the draw ends, also by SingularChannel: it rewinds rng to
+    the state one rng.randrange(p) per entry would leave.  So the channel
+    and the state afterwards equal those of that draw (tests check this
+    against a draw of Mat objects ranked by Mat.det)."""
     check_field_params(p, m)
     ground = prime_field(p)
     if (p, m) == (2, 1):
         raise SingularChannel("no valid channel over GF(2) with m = 1: [1] is the only "
                               "invertible block, so both compound hops are singular")
-    if p == 2:
-        def random_invertible() -> list[int]:
-            while True:
-                rows = []
-                for _ in range(m):
-                    x = 0
-                    for _ in range(m):
-                        x = x << 1 | _randbelow(rng, 2)
-                    rows.append(x)
-                if _independent_masks(rows):
-                    return rows
 
-        invertible = _independent_masks
+    def rows(block):
+        return [block[i:i + m] for i in range(0, m * m, m)]
 
-        def compound(a, b, c, d):
-            return [x << m | y for x, y in zip(a + c, b + d)]
+    if m <= 3:
+        invertible = partial(_det_small, p)
     else:
-        def random_invertible() -> list[list[int]]:
-            while True:
-                rows = [[_randbelow(rng, p) for _ in range(m)] for _ in range(m)]
-                if _full_rank(p, rows):
-                    return rows
+        def invertible(block) -> bool:
+            return _full_rank(p, rows(block))
 
-        def invertible(rows):
-            return _full_rank(p, rows)
-
-        compound = _compound
-
-    for _ in range(_MAX_DRAWS):
-        q = [random_invertible() for _ in range(8)]
-        if invertible(compound(*q[:4])) and invertible(compound(*q[4:])):
-            if p == 2:
-                q = [[[x >> j & 1 for j in reversed(range(m))] for x in rows]
-                     for rows in q]
-            return MimoChannel(ground, m, tuple(Mat.from_code_rows(ground, rows)
-                                                for rows in q))
+    blocks = _randbelow_blocks(rng, p, m * m)
+    try:
+        for _ in range(_MAX_DRAWS):
+            q = [rows(block) for block in islice(filter(invertible, blocks), 8)]
+            if _full_rank(p, _compound(*q[:4])) and _full_rank(p, _compound(*q[4:])):
+                return MimoChannel(ground, m, tuple(Mat.from_code_rows(ground, blk)
+                                                    for blk in q))
+    finally:
+        blocks.close()
     raise SingularChannel(f"no valid channel found in {_MAX_DRAWS} draws")
 
 

@@ -19,6 +19,7 @@ from .gf import (FieldElem, FieldSpec, conjugates, parse_int, prime_factors,
                  prime_field)
 
 _FACTOR_LIMIT = 10000   # candidate divisors: 0.7 s for 8190 (degree 25 over F_2)
+_PARSE_DEGREE_LIMIT = 1 << 16   # degree of polynomial text: a list of 65537 coefficients
 
 
 class Poly:
@@ -296,8 +297,9 @@ def parse_poly(p: int, text: str, modulus_degree: int | None = None) -> Poly:
     """Parse '[a0,a1,...,1]' (each a_i in [0, p)) or 'a0 + a1*x + ... + x^m'
     over F_p.  Text terms are read by _TERM, with coefficients mod p; only
     a leading '-' may stand before the first term.  Text whose degree
-    exceeds ``modulus_degree`` is refused, with make_field's message,
-    before its coefficient list is built: its length is the exponent."""
+    exceeds ``modulus_degree`` is refused, with make_field's message, and
+    text of degree above _PARSE_DEGREE_LIMIT with TooLarge, before its
+    coefficient list is built: its length is the exponent."""
     spec = prime_field(p)
     text = text.strip()
     if text.startswith("["):
@@ -327,4 +329,6 @@ def parse_poly(p: int, text: str, modulus_degree: int | None = None) -> Poly:
     degree = max(coeffs, default=0)
     if modulus_degree is not None and degree > modulus_degree:
         raise ValueError(f"modulus must have degree {modulus_degree}, not {degree}")
+    if degree > _PARSE_DEGREE_LIMIT:
+        raise TooLarge(f"polynomial text of degree {degree}: the limit is {_PARSE_DEGREE_LIMIT}")
     return Poly(spec, [coeffs.get(k, 0) for k in range(degree + 1)])

@@ -16,6 +16,30 @@ def is_prime_by_trial_division(n: int) -> bool:
     return n % 2 != 0 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
+def prime_factors_by_trial_division(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division up to
+    the square root of the cofactor left."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def det_by_elimination(p, entries):
+    """Determinant over F_p of the square matrix with row-major integer codes
+    ``entries``, by linalg._eliminate_mod_p."""
+    from gfalign.linalg import _eliminate_mod_p
+    n = math.isqrt(len(entries))
+    return _eliminate_mod_p([list(entries[i:i + n]) for i in range(0, n * n, n)], p)[1]
+
+
 def roots_by_enumeration(f, ext):
     """All roots of f in ext, ascending by code, by evaluating f at every
     element of ext."""

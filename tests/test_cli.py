@@ -89,6 +89,16 @@ class TestFieldInfo:
         assert code == 2 and out == ""
         assert err == "error: modulus must have degree 2, not 1000000000\n"
 
+    @pytest.mark.parametrize("m", ["1", "2"])
+    def test_safe_prime_answers_at_once(self, capsys, m):
+        # p - 1 = 2 q with q prime: trial division ran up to sqrt(q) when
+        # looking for a generator of F_p
+        p = 1000000000000007243
+        start = time.perf_counter()
+        code, payload = run_json(capsys, "field-info", "--p", str(p), "--m", m)
+        assert time.perf_counter() - start < 1
+        assert code == 0 and payload["generator_order"] == p ** int(m) - 1
+
     def test_cancelled_power_leaves_the_degree(self, capsys):
         # x^5 + x^5 vanishes over F_2, so the modulus is x^2 + x + 1
         code, payload = run_json(capsys, "field-info", "--p", "2", "--m", "2",
@@ -531,6 +541,18 @@ class TestSymbolExt:
         assert err == ("error: factoring a polynomial of degree 2 over "
                        f"GF({2 ** 61 - 1}) by trial division tries more than "
                        "10000 candidate divisors\n")
+
+    def test_safe_prime_exits_2_at_once(self, capsys):
+        # building F_p factored p - 1 = 2 q, q prime, by trial division up to
+        # sqrt(q); now the draw and the plan run, and factoring refuses
+        p = 1000000000000007243
+        start = time.perf_counter()
+        code, out, err = run(capsys, "symbol-ext", "--p", str(p), "--m", "2",
+                             "--seed", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (f"error: factoring a polynomial of degree 2 over GF({p}) "
+                       "by trial division tries more than 10000 candidate divisors\n")
 
     @pytest.mark.parametrize("p,m", [("2", "0"), ("3", "0"), ("3", "-1")])
     def test_nonpositive_m_exits_2(self, capsys, p, m):

@@ -8,11 +8,13 @@ from gfalign import (FieldMismatch, FieldSpec, Mat, NotPrime, NotPrimitive, Poly
                      TooLarge, conjugates, format_element, make_field, minpoly_degree,
                      parse_element, parse_poly, prime_field,
                      primitive_element)
-from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _code_to_coeffs,
-                        _default_modulus, _randbelow, is_prime)
+from gfalign import gf
+from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _PSI_13, _TRIAL_LIMIT,
+                        _code_to_coeffs, _default_modulus, _randbelow,
+                        _randbelow_blocks, is_prime, prime_factors)
 from oracles import (add_code, default_modulus_by_scan, dense_tables,
                      is_prime_by_trial_division, log_walk, mul_code, neg_code,
-                     pow_code)
+                     pow_code, prime_factors_by_trial_division)
 
 
 def brute_order(e):
@@ -165,6 +167,41 @@ class TestConstruction:
         for n in (3317044064679887385961981, 2 ** 89 - 1):
             with pytest.raises(TooLarge, match="primality"):
                 is_prime(n)
+
+    def test_prime_factors_match_trial_division(self):
+        plain = prime_factors_by_trial_division
+        for n in range(1, 2 * 10 ** 5 + 1):
+            assert prime_factors(n) == plain(n), n
+
+    @pytest.mark.parametrize("p,m", [
+        *((2, m) for m in range(1, 25)), *((3, m) for m in range(1, 13)),
+        *((5, m) for m in range(1, 7)), (1009, 1), (1009, 2), (2, 120), (3, 40)])
+    def test_field_orders_factor_as_by_trial_division(self, p, m):
+        # every field the golden cases build (extension fields included), and
+        # 2^120 - 1, above _PSI_13, whose last cofactor 4562284561 is prime
+        n = p ** m - 1
+        assert prime_factors(n) == prime_factors_by_trial_division(n)
+
+    def test_prime_factors_stop_at_a_prime_cofactor(self):
+        # trial division to the root of 2^61 - 1 or of the safe prime's
+        # cofactor would take 10^9 steps; each is prime, so the answer is read
+        # back by multiplying out and by is_prime
+        safe = 1000000000000007243
+        for n, want in ((2 ** 61 - 1, [2 ** 61 - 1]), (safe - 1, [2, (safe - 1) // 2]),
+                        (safe, [safe]), (2 * 3 ** 5 * (2 ** 61 - 1), [2, 3, 2 ** 61 - 1])):
+            assert prime_factors(n) == want and all(map(is_prime, want))
+
+    def test_prime_factors_refuse_past_the_trial_limit(self):
+        big = [q for q in range(_TRIAL_LIMIT + 1, _TRIAL_LIMIT + 200) if is_prime(q)][:2]
+        # a composite cofactor with no factor below the limit, and cofactors
+        # at or above _PSI_13, whose primality is not decided
+        for n in (big[0] * big[1], 2 ** 89 - 1, 6 * (2 ** 89 - 1), _PSI_13):
+            with pytest.raises(TooLarge, match="trial division"):
+                prime_factors(n)
+        # a factor at the limit is still found by trial division
+        small = max(q for q in range(_TRIAL_LIMIT - 100, _TRIAL_LIMIT + 1) if is_prime(q))
+        assert prime_factors(small ** 2) == [small]
+        assert prime_factors(small * big[0]) == [small, big[0]]
 
     def test_spec_caching_and_equality(self):
         assert make_field(2, 3) is make_field(2, 3)
@@ -430,3 +467,70 @@ class TestRandbelow:
             got = [spec.random_element(rng, nonzero).code for _ in range(200)]
             assert got == [ref.randrange(int(nonzero), spec.order) for _ in range(200)]
             assert rng.getstate() == ref.getstate()
+
+
+class TestRandbelowBlocks:
+    """_randbelow_blocks yields the values of rng.randrange(n) in blocks and,
+    once closed, leaves rng as randrange would: for every decoding width (top
+    bytes for n < 256, one, two and three words per attempt), with chunks of
+    the default size and of 1-3 words, so that blocks end on and across chunk
+    boundaries."""
+
+    SIZES = [1, 2, 3, 5, 7, 128, 129, 251, 255, 256, 257, 1009, 65537,
+             2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 15, 2 ** 61 - 1, 3 ** 50]
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2, 3])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_randrange(self, n, chunk, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(gf, "_CHUNK_WORDS", chunk)
+        for seed in range(8):
+            for size, count in ((1, 1), (4, 3), (9, 40), (36, 7)):
+                rng, ref = random.Random(seed), random.Random(seed)
+                blocks = _randbelow_blocks(rng, n, size)
+                got = [list(next(blocks)) for _ in range(count)]
+                blocks.close()
+                assert got == [[ref.randrange(n) for _ in range(size)]
+                               for _ in range(count)], (seed, size)
+                assert rng.getstate() == ref.getstate(), (seed, size)
+
+    def test_unstarted_generator_draws_nothing(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        _randbelow_blocks(rng, 3, 4).close()
+        assert rng.getstate() == state
+
+    def test_close_inside_a_chunk_rewinds_its_tail(self):
+        # the first chunk holds size attempts; with n = 2 about half of them
+        # are rejected, so a second block comes from a later chunk
+        rng, ref = random.Random(1), random.Random(1)
+        blocks = _randbelow_blocks(rng, 2, 64)
+        assert [list(next(blocks)) for _ in range(2)] == \
+            [[ref.randrange(2) for _ in range(64)] for _ in range(2)]
+        blocks.close()
+        assert rng.getstate() == ref.getstate()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 5, 40, 130, 131])
+    def test_error_inside_the_draw_rewinds_to_the_last_block(self, monkeypatch, fail_at):
+        # one-word chunks: most draws end without a new block, so the error
+        # hits after a chunk none of whose values was yielded, or mid-block
+        monkeypatch.setattr(gf, "_CHUNK_WORDS", 1)
+
+        class Failing(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                Failing.calls += 1
+                if Failing.calls == fail_at:
+                    raise MemoryError
+                return super().getrandbits(k)
+
+        rng, ref = Failing(3), random.Random(3)
+        blocks = _randbelow_blocks(rng, 2, 16)
+        got = []
+        with pytest.raises(MemoryError):
+            for block in blocks:
+                got.append(list(block))
+        assert got == [[ref.randrange(2) for _ in range(16)] for _ in got]
+        assert rng.getstate() == ref.getstate()

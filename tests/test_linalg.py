@@ -15,11 +15,11 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
 from gfalign.gf import is_prime
-from gfalign.linalg import (_eliminate_mod_p, _full_rank, _subfield_unit_codes,
-                            eigenvector_sum, splitting_data)
+from gfalign.linalg import (_det_small, _eliminate_mod_p, _full_rank,
+                            _subfield_unit_codes, eigenvector_sum, splitting_data)
 from gfalign.polys import all_monic
-from oracles import (berkowitz_char_poly, eigenvector_sum_in_extension,
-                     eigenvectors_in, matrix_rep_by_companion_powers,
+from oracles import (berkowitz_char_poly, det_by_elimination,
+                     eigenvector_sum_in_extension, eigenvectors_in, matrix_rep_by_companion_powers,
                      null_space_vector, roots_by_enumeration)
 
 GF2 = prime_field(2)
@@ -552,6 +552,31 @@ class TestPrimeFieldDet:
                                   for _ in range(cols)] for _ in range(rows)])
             want = lift_matrix(a, ext).rank()
             assert _eliminate_mod_p(a.to_code_rows(), p)[0] == a.rank() == want
+
+
+class TestDetSmall:
+    """_det_small, the closed-form determinant behind the channel draw's block
+    test and _full_rank up to 3 x 3, against elimination mod p: every matrix
+    over F_2 and F_3, and seeded ones over larger fields, given as tuples and
+    (for p < 256, as the sampler yields them) as bytes."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_matrix(self, p, n):
+        for e in itertools.product(range(p), repeat=n * n):
+            assert _det_small(p, e) == _det_small(p, bytes(e)) == \
+                det_by_elimination(p, e) % p, e
+
+    @pytest.mark.parametrize("p", [5, 7, 251, 1009, 2 ** 31 - 1])
+    def test_seeded(self, p):
+        rng = random.Random(f"det-small:{p}")
+        for n in (1, 2, 3):
+            for _ in range(500):
+                e = [rng.randrange(p) if rng.random() < 0.8 else 0 for _ in range(n * n)]
+                want = det_by_elimination(p, e) % p
+                assert _det_small(p, e) == want, e
+                if p < 256:
+                    assert _det_small(p, bytes(e)) == want, e
 
 
 class TestPrimeFieldCodes:

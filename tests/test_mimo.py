@@ -10,7 +10,7 @@ from gfalign import (DegenerateSpectrum, Mat, MimoChannel, MimoPipeline,
                      mimo_channel_from_dict, mimo_channel_to_dict,
                      plan_extension, prime_field, random_mimo_channel,
                      simulate_symbol_ext, split_blocks)
-from gfalign import linalg, mimo
+from gfalign import gf, linalg, mimo, scheme
 from gfalign.linalg import splitting_data
 from gfalign.mimo import random_message
 from oracles import (eigenvector_sum_in_extension, eigenvectors_in,
@@ -467,3 +467,33 @@ class TestChannelStream:
             assert random_mimo_channel(p, m, rng) == \
                 random_mimo_channel_by_det(p, m, ref), seed
             assert rng.getstate() == ref.getstate(), seed
+
+    @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7, 251, 257, 1009, 65537)
+                                     for m in range(1, 7) if (p, m) != (2, 1)])
+    def test_grid_in_chunks_of_1_to_3_words(self, p, m, monkeypatch):
+        # the sampler's chunk size moves where blocks meet chunk boundaries,
+        # never the channel or the state; p >= 256 decodes words into lists
+        for seed in range(20):
+            ref = random.Random(seed)
+            want = random_mimo_channel_by_det(p, m, ref)
+            for chunk in (gf._CHUNK_WORDS, 1, 2, 3):
+                monkeypatch.setattr(gf, "_CHUNK_WORDS", chunk)
+                rng = random.Random(seed)
+                assert random_mimo_channel(p, m, rng) == want, (seed, chunk)
+                assert rng.getstate() == ref.getstate(), (seed, chunk)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    def test_refusal_leaves_the_oracle_state(self, monkeypatch, chunk):
+        # with one draw allowed, seed 2, whose first draw has a singular
+        # compound hop, is refused; the sampler still rewinds to the oracle's
+        # state, although the refusal raises through it
+        if chunk:
+            monkeypatch.setattr(gf, "_CHUNK_WORDS", chunk)
+        monkeypatch.setattr(mimo, "_MAX_DRAWS", 1)
+        monkeypatch.setattr(scheme, "_MAX_DRAWS", 1)
+        rng, ref = random.Random(2), random.Random(2)
+        with pytest.raises(AssertionError, match="no valid channel found in 1 draws"):
+            random_mimo_channel_by_det(2, 2, ref)
+        with pytest.raises(SingularChannel, match="no valid channel found in 1 draws"):
+            random_mimo_channel(2, 2, rng)
+        assert rng.getstate() == ref.getstate()

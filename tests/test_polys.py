@@ -231,6 +231,14 @@ class TestNotation:
             with pytest.raises(ValueError, match="cannot parse term"):
                 parse_poly(2, text)
 
+    def test_parse_refuses_a_huge_power_before_building_it(self):
+        # the coefficient list is as long as the largest power: 10^9 entries
+        # asked for about 25 GB; a cancelled power does not count
+        with pytest.raises(TooLarge, match="degree 1000000000: the limit is 65536"):
+            parse_poly(2, "x^1000000000+1")
+        assert parse_poly(2, "x^1000000000 + x^1000000000 + x").degree == 1
+        assert parse_poly(2, "x^65536 + 1").degree == 65536
+
     def test_parse_coefficient_forms(self):
         # a coefficient is written k*x, kx, x or -x, and a term is empty
         # only before a leading minus
