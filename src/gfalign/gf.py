@@ -46,7 +46,13 @@ def is_prime(n: int) -> bool:
     s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d 2^s with d odd
     for a in _BASES:
         x = pow(a, (n - 1) >> s, n)
-        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True
 
@@ -582,10 +588,16 @@ def _normalize_modulus(p: int, m: int, pi) -> tuple[int, ...]:
     return tuple(vals)
 
 
+_PRIMES: set[int] = set()   # every p check_field_params has passed
+
+
 def check_field_params(p: int, m: int) -> None:
-    """Raise NotPrime unless p is a prime, ValueError unless m >= 1."""
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    """Raise NotPrime unless p is a prime, ValueError unless m >= 1.  Each
+    prime is tested once per process: a p already passed skips is_prime."""
+    if type(p) is not int or p not in _PRIMES:
+        if not isinstance(p, int) or not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        _PRIMES.add(p)
     if not isinstance(m, int) or m < 1:
         raise ValueError("extension degree must be a positive integer")
 

@@ -255,15 +255,19 @@ class MimoPipeline:
                                    precoders.v4)
 
     def run(self, w1: Sequence[FieldElem], w2: Sequence[FieldElem]):
-        """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2)."""
-        m, element, symbol = self.core.m, self.ext.element, self._symbol
+        """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2).  An
+        element of ``ext`` gives its code, any other symbol goes through
+        ext.element; the codes pass once through each F_p map."""
+        m, ext, symbol = self.core.m, self.ext, self._symbol
         if len(w1) != m or len(w2) != m - 1:
             raise ValueError(f"expected message lengths {m} and {m - 1}")
-        u1, u2 = self.core.relay_half([element(v).code for v in w1],
-                                      [element(v).code for v in w2])
-        got1, got2 = self.core.destination_half(u1, u2)
-        return (tuple(map(symbol, got1)), tuple(map(symbol, got2)),
-                tuple(map(symbol, u1)), tuple(map(symbol, u2)))
+        u, w = self.core._transmit([
+            v.code if type(v) is FieldElem and v.spec is ext else ext.element(v).code
+            for v in (*w1, *w2)])
+        # tuple() of a map resizes its guess and leaves tuples in the free
+        # lists on every call; of a list it allocates the size once
+        out, n = tuple([*map(symbol, w + u)]), 2 * m - 1
+        return out[:m], out[m:n], out[n:n + m], out[n + m:]
 
 
 @dataclass(frozen=True)
@@ -313,7 +317,8 @@ def simulate_symbol_ext(ch: MimoChannel, w1: Sequence[FieldElem],
                         pipeline: MimoPipeline) -> MimoSimulationReport:
     """Run one message through the slotted pipeline of channel ch, built
     once per channel as MimoPipeline(build_mimo_precoders(plan_extension(ch))).
-    Message symbols live in the plan's extension field.
+    Message symbols live in the plan's extension field; run reads the
+    codes of the elements coerced here.
     """
     w1 = tuple(pipeline.ext.element(v) for v in w1)
     w2 = tuple(pipeline.ext.element(v) for v in w2)

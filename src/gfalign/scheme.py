@@ -303,17 +303,19 @@ class _Residues:
 
 @functools.cache
 def _digit_codec(p: int, b: int):
-    """(spread, reduce) for an odd p and b-bit fields.
+    """(spread, reduce, spreads, residues, width, base) for an odd p and
+    b-bit fields.
 
     spread takes a base-p code to its digits, one per b-bit field; reduce
     takes fields (each below 2^b) back to the base-p code of their residues
-    mod p.  Up to b = 12 both read tables of at most 2^12 entries, spread
-    for the largest block of digits that fits and reduce for 12 // b fields
-    at a time.  Wider fields go one digit at a time, reduced with % p.
+    mod p.  Both read the tables: spreads[c] = spread(c), for at most three
+    chunks of digits, and residues[v] = reduce(v) for v below 2^width, one
+    chunk of width // b fields, coded below base.  Up to b = 12 a table has
+    at most 2^12 entries.  Wider fields go one digit at a time, with % p.
     """
     if b <= _TABLE_BITS:
         ks, kr, field = 1, _TABLE_BITS // b, (1 << b) - 1
-        while p ** (ks + 1) <= 1 << _TABLE_BITS:
+        while ks < 3 * kr and p ** (ks + 1) <= 1 << _TABLE_BITS:
             ks += 1
         spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
                    for c in range(p ** ks)]
@@ -346,7 +348,7 @@ def _digit_codec(p: int, b: int):
             scale *= r_base
         return code
 
-    return spread, reduce
+    return spread, reduce, spreads, residues, r_width, r_base
 
 
 class _CodeMap:
@@ -358,7 +360,10 @@ class _CodeMap:
     codes its row selects.  For odd p each input's digits are spread into
     b-bit fields, b the bit length of n (p-1)^2 for n columns, so a row's
     dot product sums every digit position at once without a carry between
-    fields; reduce takes the sum back to a base-p code.
+    fields.  Codes in the spread table give row sums of at most three
+    residue chunks, so one sum of n packed column products holds every row
+    sum, each folded back to a base-p code by three lookups.  Codes beyond
+    the table go through spread, and each row sum through reduce.
     """
 
     def __init__(self, p: int, rows: list[list[int]]):
@@ -375,12 +380,22 @@ class _CodeMap:
                     out.append(acc)
                 return out
         else:
-            spread, reduce = _digit_codec(
+            spread, reduce, spreads, residues, w, base = _digit_codec(
                 p, (len(rows[0]) * (p - 1) ** 2).bit_length())
+            mask, base2, row_width = (1 << w) - 1, base * base, 3 * w
+            cols = [sum(a << i * row_width for i, a in enumerate(col))
+                    for col in zip(*rows)]
+            offsets = range(0, len(rows) * row_width, row_width)
 
             def apply(x):
-                fields = [spread(c) for c in x]
-                return [reduce(sum(map(mul, row, fields))) for row in rows]
+                try:
+                    fields = [spreads[c] for c in x]
+                except IndexError:
+                    fields = [spread(c) for c in x]
+                    return [reduce(sum(map(mul, row, fields))) for row in rows]
+                s = sum(map(mul, cols, fields))
+                return [residues[s >> a & mask] + residues[s >> a + w & mask] * base
+                        + residues[s >> a + 2 * w & mask] * base2 for a in offsets]
         self.apply = apply
 
 
@@ -474,11 +489,21 @@ class LinearPipeline:
         """Symbol-code tuples (w1, w2) decoded from the relay sums (u1, u2);
         InconsistentSystem when the destination-2 observation leaves the
         column space of v4."""
-        w = self._destination.apply([*u1, *u2])
-        if w[-1]:
+        w = self._decode([*u1, *u2])
+        return tuple(w[:self.m]), tuple(w[self.m:])
+
+    def _transmit(self, x):
+        """Both halves on flat code lists: (u1; u2) and the decoded (w1; w2)
+        of the message x = (w1; w2)."""
+        u = self._relay.apply(x)
+        return u, self._decode(u)
+
+    def _decode(self, u):
+        w = self._destination.apply(u)
+        if w.pop():
             raise InconsistentSystem(
                 "destination-2 observation left the side-precoder column space")
-        return tuple(w[:self.m]), tuple(w[self.m:-1])
+        return w
 
 
 def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:

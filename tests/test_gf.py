@@ -157,6 +157,28 @@ class TestConstruction:
             assert is_prime(n) == plain(n), n
         assert is_prime(1000003) and not is_prime(999983 * 1000003)
 
+    def test_prime_is_tested_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(gf, "is_prime", counted)
+        monkeypatch.setattr(gf, "_PRIMES", set())
+        make_field(65537, 1)
+        assert calls == [65537]
+        make_field(65537, 1)
+        prime_field(65537)
+        gf.check_field_params(65537, 3)
+        assert calls == [65537]
+        # an equal value of another type is not the cached prime
+        for p in (65537.0, 5.0, True):
+            with pytest.raises(NotPrime):
+                make_field(p, 1)
+        with pytest.raises(NotPrime):
+            make_field(65535, 1)
+
     def test_is_prime_beyond_trial_division(self):
         assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
         # strong pseudoprimes to the first 9 and the first 12 prime bases

@@ -7,20 +7,21 @@ message."""
 import copy
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 
-from gfalign import (DegenerateSpectrum, FieldMismatch, InconsistentSystem,
+from gfalign import (DegenerateSpectrum, FieldMismatch, FieldSpec, InconsistentSystem,
                      Mat, MessagePair, MimoPipeline, TwoHopChannel, all_messages,
                      apply_hop, build_mimo_precoders, build_precoders,
                      check_feasible, destination_decode, draw_valid_channel,
                      exhaustive_scan, make_field, plan_extension, random_mimo_channel,
                      relay_decode, relay_encode, scheme, source_encode)
 from gfalign.mimo import random_message
-from gfalign.scheme import _certify, _digit_codec, scalar_pipeline
+from gfalign.scheme import _certify, _CodeMap, _digit_codec, scalar_pipeline
 from oracles import (ExtensionFieldPipeline, _scan_hop, batch,
-                     lane_destination_half, lane_relay_half, lane_run,
+                     lane_apply, lane_destination_half, lane_relay_half, lane_run,
                      relay_sums, scan_by_sweep, sweep_failures)
 from test_mimo import f4_fixture_channel
 
@@ -175,6 +176,30 @@ class TestMatrixCore:
                 pipe.run((zero, foreign), (zero,))
             with pytest.raises(FieldMismatch):
                 pipe.run((zero, zero), (foreign,))
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)])
+    def test_symbols_coerced_as_by_element(self, p, m):
+        # plain ints, coefficient lists and elements of an equal spec that
+        # is not the plan's own object give the outputs of the plan's own
+        # elements, and the outputs are elements of the plan's field
+        plans, rng = planned_channels(p, m, 2, 163 + p)
+        for plan in plans:
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            ext = plan.ext
+            twin = FieldSpec(ext.p, ext.m, ext.pi)
+            assert twin == ext and twin is not ext
+            for _ in range(30):
+                w1, w2 = random_message(ext, m, rng)
+                want = lane_run(pipe, w1, w2)
+                assert pipe.run(w1, w2) == want
+                assert all(v.spec is ext for part in want for v in part)
+                for convert in (lambda v: list(v.coeffs), lambda v: twin.from_code(v.code)):
+                    got = pipe.run([convert(v) for v in w1], [convert(v) for v in w2])
+                    assert got == want
+                    assert all(v.spec is ext for part in got for v in part)
+                ints = ([rng.randrange(-p, 2 * p) for _ in range(m)],
+                        [rng.randrange(-p, 2 * p) for _ in range(m - 1)])
+                assert pipe.run(*ints) == lane_run(pipe, *ints)
 
     def test_message_lengths_checked(self):
         plan = plan_extension(f4_fixture_channel())
@@ -503,11 +528,20 @@ class TestCodeKernels:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 41])
     def test_digit_codec(self, p):
         # spread puts one digit per field; reduce takes any fields below
-        # 2^b to the code of their residues, for every b a row can need
+        # 2^b to the code of their residues, for every b a row can need;
+        # the tables agree with both, and spreads holds at most three
+        # residue chunks of digits
         rng = random.Random(151 + p)
         for n in range(1, 9):
             b = (n * (p - 1) ** 2).bit_length()
-            spread, reduce = _digit_codec(p, b)
+            spread, reduce, spreads, residues, width, base = _digit_codec(p, b)
+            chunk = width // b
+            assert width % b == 0 and base == p ** chunk
+            assert len(spreads) <= p ** (3 * chunk)
+            assert all(spreads[c] == spread(c) for c in range(len(spreads)))
+            for v in (*range(min(1 << width, 4096)), *(rng.randrange(1 << width)
+                                                       for _ in range(50))):
+                assert residues[v] == reduce(v)
             for digits in (1, 2, 3, 7):
                 for _ in range(50):
                     d = [rng.randrange(p) for _ in range(digits)]
@@ -516,3 +550,37 @@ class TestCodeKernels:
                     assert spread(code) == sum(x << b * i for i, x in enumerate(d))
                     assert reduce(sum(x << b * i for i, x in enumerate(f))) == \
                         sum(x % p * p ** i for i, x in enumerate(f))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41])
+    def test_code_map_branches(self, p):
+        # random F_p maps of 1 to 8 columns on codes of 1 to 12 digits, at
+        # the edges of the spread table and of 1, 2 and 3 residue chunks:
+        # the packed fold inside the table, spread and reduce beyond it
+        rng = random.Random(157 + p)
+        seen = set()
+        for n in range(1, 9):
+            b = (n * (p - 1) ** 2).bit_length()
+            if p == 2:
+                table_digits, chunk = 0, 1
+            else:
+                _, _, spreads, _, width, _ = _digit_codec(p, b)
+                table_digits = round(math.log(len(spreads), p))
+                chunk = width // b
+            for digits in {1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1,
+                           3 * chunk, table_digits, table_digits + 1, 12} - {0}:
+                rows = [[rng.randrange(p) for _ in range(n)]
+                        for _ in range(rng.randrange(1, n + 2))]
+                rows[0] = [p - 1] * n
+                code_map = _CodeMap(p, rows)
+                top = p ** digits - 1
+                vectors = [[top] * n] + [[rng.randrange(top + 1) for _ in range(n)]
+                                         for _ in range(20)]
+                for x in vectors:
+                    assert code_map.apply(list(x)) == list(
+                        lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
+                in_table = digits <= table_digits
+                seen.add((in_table, min(-(-digits // chunk), 4)))
+        if p > 2:
+            assert {(True, 1), (True, 2), (False, 4)} <= seen
+            # at p = 41 no table holds three chunks of digits
+            assert ((True, 3) in seen) == (p < 41)
