@@ -230,30 +230,35 @@ def _pow_coeffs(a, e, p, m, x_pow_m):
     return result
 
 
-def _is_primitive_root(g: int, p: int) -> bool:
-    """True iff g generates the multiplicative group of F_p."""
-    n = p - 1
-    return g % p != 0 and all(pow(g, n // q, p) != 1 for q in prime_factors(n))
+@functools.cache
+def _order_factors(p: int, m: int) -> tuple[int, ...]:
+    """The distinct prime factors of p^m - 1, the order of F_{p^m}*."""
+    return tuple(prime_factors(p ** m - 1))
 
 
+@functools.cache
 def _passes_order_test(p: int, m: int, pi: tuple[int, ...]) -> bool:
     """True iff the class of x modulo the monic polynomial pi + x^m has
     multiplicative order exactly p^m - 1.
 
     That is equivalent to pi being primitive: a full-order unit forces the
     quotient ring to be a field and pi to be the minimal polynomial of a
-    generator.
+    generator.  At m = 1 the class of x modulo x + pi[0] is -pi[0], so this
+    is the primitive-root test.  p^m - 1 is factored first, so an order too
+    wide to factor raises TooLarge before any exponentiation.  Memoized, so
+    make_field does not re-test the modulus _default_modulus chose.
     """
+    factors = _order_factors(p, m)
     n = p ** m - 1
+    if m == 1:
+        g = -pi[0] % p
+        return g != 0 and all(pow(g, n // q, p) != 1 for q in factors)
     x_pow_m = tuple((-a) % p for a in pi)
     one = tuple([1] + [0] * (m - 1))
-    x = tuple([0, 1] + [0] * (m - 2)) if m >= 2 else (x_pow_m[0],)
+    x = tuple([0, 1] + [0] * (m - 2))
     if _pow_coeffs(x, n, p, m, x_pow_m) != one:
         return False
-    for q in prime_factors(n):
-        if _pow_coeffs(x, n // q, p, m, x_pow_m) == one:
-            return False
-    return True
+    return all(_pow_coeffs(x, n // q, p, m, x_pow_m) != one for q in factors)
 
 
 class FieldElem:
@@ -443,7 +448,8 @@ class FieldSpec:
     def _find_generator_code(self) -> int:
         if self.m >= 2:
             return self.p  # the class of x; full order by the modulus check
-        return next(g for g in range(1, self.p) if _is_primitive_root(g, self.p))
+        return next(g for g in range(1, self.p)
+                    if _passes_order_test(self.p, 1, (-g % self.p,)))
 
     def _build_tables(self):
         # interned elements, log and antilog tables in one walk over the
@@ -563,7 +569,8 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
         # the constant term a0 is the top base-p digit of the code; it equals
         # (-1)^m N(x), and the norm of a generator generates F_p*
         block = p ** (m - 1)
-        codes = (code for a0 in range(1, p) if _is_primitive_root((-1) ** m * a0, p)
+        codes = (code for a0 in range(1, p)
+                 if _passes_order_test(p, 1, ((-1) ** (m + 1) * a0 % p,))
                  for code in range(a0 * block, (a0 + 1) * block))
         cands = (tuple(reversed(_code_to_coeffs(code, p, m))) for code in codes)
         pi = next(c for c in cands if _passes_order_test(p, m, c))

@@ -306,14 +306,11 @@ def _solve_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[in
     return _solution(work, _gauss_jordan_mod_p(work, k, p), k)
 
 
-def _identity_codes(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def _inv_mod_p(a: list[list[int]], p: int) -> list[list[int]]:
     """Inverse over F_p of a square matrix of integer codes; Singular when
     it has none."""
-    return _solve_mod_p(a, _identity_codes(len(a)), p)
+    n = len(a)
+    return _solve_mod_p(a, [[int(i == j) for j in range(n)] for i in range(n)], p)
 
 
 def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
@@ -473,7 +470,7 @@ def matrix_rep(e: FieldElem) -> Mat:
     for _ in range(spec.m - 1):
         cols.append(cols[-1] * spec.from_code(spec.p))
     mat = Mat.from_code_rows(prime_field(spec), zip(*(c.coeffs for c in cols)))
-    if spec.order <= 1 << 16:
+    if spec._elems is not None:     # the interned tier of gf
         memo[e.code] = mat
     return mat
 

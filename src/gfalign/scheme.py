@@ -42,9 +42,8 @@ from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
                  format_element, make_field, minpoly_degree, parse_element,
                  prime_field)
 from .linalg import (Mat, _block_diag, _eliminate_mod_p, _gauss_jordan_mod_p,
-                     _identity_codes, _inv_mod_p, _matmul_mod_p, block2x2,
-                     coeff_vector, elem_from_coeff_vector, krylov_precoders,
-                     matrix_rep)
+                     _matmul_mod_p, _solve_mod_p, block2x2, coeff_vector,
+                     elem_from_coeff_vector, krylov_precoders, matrix_rep)
 from .polys import count_irreducible
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
@@ -303,52 +302,25 @@ class _Residues:
 
 @functools.cache
 def _digit_codec(p: int, b: int):
-    """(spread, reduce, spreads, residues, width, base) for an odd p and
-    b-bit fields.
+    """(spreads, residues, width, base) for an odd p and b-bit fields.
 
-    spread takes a base-p code to its digits, one per b-bit field; reduce
-    takes fields (each below 2^b) back to the base-p code of their residues
-    mod p.  Both read the tables: spreads[c] = spread(c), for at most three
-    chunks of digits, and residues[v] = reduce(v) for v below 2^width, one
-    chunk of width // b fields, coded below base.  Up to b = 12 a table has
-    at most 2^12 entries.  Wider fields go one digit at a time, with % p.
+    spreads[c] holds the base-p digits of the code c one per b-bit field,
+    for the codes of at most three chunks of digits; residues[v] is the
+    base-p code of the residues mod p of the fields of v, for v below
+    2^width: one chunk of width // b fields, coded below base.  Up to
+    b = 12 a table has at most 2^12 entries.  Wider fields go one digit at
+    a time, with % p.
     """
-    if b <= _TABLE_BITS:
-        ks, kr, field = 1, _TABLE_BITS // b, (1 << b) - 1
-        while ks < 3 * kr and p ** (ks + 1) <= 1 << _TABLE_BITS:
-            ks += 1
-        spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
-                   for c in range(p ** ks)]
-        residues = [sum(((v >> (b * i)) & field) % p * p ** i for i in range(kr))
-                    for v in range(1 << (kr * b))]
-    else:
-        ks = kr = 1
-        spreads, residues = range(p), _Residues(p)
-    s_base, s_width = p ** ks, ks * b
-    r_base, r_width = p ** kr, kr * b
-    r_mask = (1 << r_width) - 1
-
-    def spread(c):
-        if c < s_base:
-            return spreads[c]
-        x = shift = 0
-        while c:
-            c, d = divmod(c, s_base)
-            x |= spreads[d] << shift
-            shift += s_width
-        return x
-
-    def reduce(s):
-        if s <= r_mask:
-            return residues[s]
-        code, scale = 0, 1
-        while s:
-            code += residues[s & r_mask] * scale
-            s >>= r_width
-            scale *= r_base
-        return code
-
-    return spread, reduce, spreads, residues, r_width, r_base
+    if b > _TABLE_BITS:
+        return range(p), _Residues(p), b, p
+    ks, kr, field = 1, _TABLE_BITS // b, (1 << b) - 1
+    while ks < 3 * kr and p ** (ks + 1) <= 1 << _TABLE_BITS:
+        ks += 1
+    spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
+               for c in range(p ** ks)]
+    residues = [sum(((v >> (b * i)) & field) % p * p ** i for i in range(kr))
+                for v in range(1 << (kr * b))]
+    return spreads, residues, kr * b, p ** kr
 
 
 class _CodeMap:
@@ -362,8 +334,11 @@ class _CodeMap:
     dot product sums every digit position at once without a carry between
     fields.  Codes in the spread table give row sums of at most three
     residue chunks, so one sum of n packed column products holds every row
-    sum, each folded back to a base-p code by three lookups.  Codes beyond
-    the table go through spread, and each row sum through reduce.
+    sum, each folded back to a base-p code by three lookups.  The map acts
+    on each digit lane alone, so a vector with a code past the table is
+    split into chunks of digits in base len(spreads), each chunk goes
+    through that same sum and fold, and the outputs are recombined by
+    powers of the base.
     """
 
     def __init__(self, p: int, rows: list[list[int]]):
@@ -380,9 +355,9 @@ class _CodeMap:
                     out.append(acc)
                 return out
         else:
-            spread, reduce, spreads, residues, w, base = _digit_codec(
+            spreads, residues, w, base = _digit_codec(
                 p, (len(rows[0]) * (p - 1) ** 2).bit_length())
-            mask, base2, row_width = (1 << w) - 1, base * base, 3 * w
+            mask, base2, row_width, size = (1 << w) - 1, base * base, 3 * w, len(spreads)
             cols = [sum(a << i * row_width for i, a in enumerate(col))
                     for col in zip(*rows)]
             offsets = range(0, len(rows) * row_width, row_width)
@@ -391,8 +366,12 @@ class _CodeMap:
                 try:
                     fields = [spreads[c] for c in x]
                 except IndexError:
-                    fields = [spread(c) for c in x]
-                    return [reduce(sum(map(mul, row, fields))) for row in rows]
+                    out, scale = [0] * len(rows), 1
+                    while any(x):
+                        x, low = zip(*[divmod(c, size) for c in x])
+                        out = [a + y * scale for a, y in zip(out, apply(low))]
+                        scale *= size
+                    return out
                 s = sum(map(mul, cols, fields))
                 return [residues[s >> a & mask] + residues[s >> a + w & mask] * base
                         + residues[s >> a + 2 * w & mask] * base2 for a in offsets]
@@ -426,7 +405,10 @@ def _defect(p: int, got, want, *factors) -> int:
 
 class LinearPipeline:
     """The scheme as two F_p matrices of integer codes, composed once from
-    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4.
+    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4 by
+    the decoders' own solves, with no inverse: by Q11 v1, Q21 v1 and v3
+    (Singular if one is singular, checked in that order), and one
+    Gauss-Jordan pass over v4 beside destination 2's observations.
 
     relay_map (2m x 2m-1) takes (w1; w2) to the relay sums (u1; u2), and
     destination_map (2m x 2m) takes (u1; u2) to (w1; w2; r), where the
@@ -447,18 +429,20 @@ class LinearPipeline:
         self.p, self.m = p, m
         hop1, hop2, v1, v2, v3, v4, s11, s21 = map(
             Mat.to_code_rows, (hop1, hop2, v1, v2, v3, v4, s11, s21))
-        # T @ v4 = [I; 0] when v4 has full column rank: the first m-1
-        # entries of T y are the solution, the last the residual
-        work = [r + e for r, e in zip(v4, _identity_codes(m))]
+        # relay r observes [Q_r1 v1 | Q_r2 v2] (w1; w2) and solves by Q_r1 v1
+        g = _matmul_mod_p(p, hop1, _block_diag(v1, v2))
+        top, bottom = g[:m], g[m:]
+        self.relay_map = (_solve_mod_p([row[:m] for row in top], top, p)
+                          + _solve_mod_p([row[:m] for row in bottom], bottom, p))
+        # destination 1 solves by v3; destination 2 reduces [v4 | y4], whose
+        # row operations depend on v4 alone: they take v4 to [I; 0] when it
+        # has full column rank, and y4 to w2 and the residual
+        h = _matmul_mod_p(p, hop2, _block_diag(_matmul_mod_p(p, s11, v3),
+                                               _matmul_mod_p(p, s21, v3)))
+        work = [a + b for a, b in zip(v4, h[m:])]
         _gauss_jordan_mod_p(work, m - 1, p)
-        t = [row[m - 1:] for row in work]
-        q11, q21 = [row[:m] for row in hop1[:m]], [row[:m] for row in hop1[m:]]
-        relays = _block_diag(_inv_mod_p(_matmul_mod_p(p, q11, v1), p),
-                             _inv_mod_p(_matmul_mod_p(p, q21, v1), p))
-        self.relay_map = _matmul_mod_p(p, relays, hop1, _block_diag(v1, v2))
-        encoders = _block_diag(_matmul_mod_p(p, s11, v3), _matmul_mod_p(p, s21, v3))
-        self.destination_map = _matmul_mod_p(p, _block_diag(_inv_mod_p(v3, p), t),
-                                             hop2, encoders)
+        self.destination_map = (_solve_mod_p(v3, h[:m], p)
+                                + [row[m - 1:] for row in work])
 
     @property
     def relay_map(self) -> list[list[int]]:

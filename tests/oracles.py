@@ -435,6 +435,29 @@ def sweep_failures(core, factored):
                           for u, w in zip(zip(*relayed), zip(*sent)))
 
 
+def composed_maps(p, hop1, hop2, s11, s21, v1, v2, v3, v4):
+    """(relay_map, destination_map) of LinearPipeline composed from explicit
+    inverses: relay_map = diag((Q11 v1)^-1, (Q21 v1)^-1) hop1 diag(v1, v2)
+    and destination_map = diag(v3^-1, T) hop2 diag(S11 v3, S21 v3), with T
+    the row operations that reduce [v4 | I] to [T v4 | T].  Singular when
+    Q11 v1, Q21 v1 or v3 has no inverse, checked in that order."""
+    from gfalign.linalg import _block_diag, _gauss_jordan_mod_p, _inv_mod_p, _matmul_mod_p
+    m = v1.nrows
+    hop1, hop2, v1, v2, v3, v4, s11, s21 = (
+        mat.to_code_rows() for mat in (hop1, hop2, v1, v2, v3, v4, s11, s21))
+    work = [r + [int(i == j) for j in range(m)] for i, r in enumerate(v4)]
+    _gauss_jordan_mod_p(work, m - 1, p)
+    t = [row[m - 1:] for row in work]
+    q11, q21 = [row[:m] for row in hop1[:m]], [row[:m] for row in hop1[m:]]
+    relays = _block_diag(_inv_mod_p(_matmul_mod_p(p, q11, v1), p),
+                         _inv_mod_p(_matmul_mod_p(p, q21, v1), p))
+    relay_map = _matmul_mod_p(p, relays, hop1, _block_diag(v1, v2))
+    encoders = _block_diag(_matmul_mod_p(p, s11, v3), _matmul_mod_p(p, s21, v3))
+    destination_map = _matmul_mod_p(p, _block_diag(_inv_mod_p(v3, p), t),
+                                    hop2, encoders)
+    return relay_map, destination_map
+
+
 @dataclass(frozen=True)
 class HopScan:
     """Exhaustive classification of the all-nonzero hop coefficient 4-tuples.

@@ -130,6 +130,27 @@ class TestConstruction:
                 _DEFAULT_MODULUS_CACHE.pop((p, m), None)
                 assert _default_modulus(p, m) == default_modulus_by_scan(p, m)
 
+    @pytest.mark.parametrize("p,m,terms", [
+        (2, 61, {0: 1, 56: 1, 59: 1, 60: 1}), (2, 64, {0: 1, 60: 1, 61: 1, 63: 1}),
+        (3, 40, {0: 2, 39: 1}), (7, 20, {0: 3, 18: 1, 19: 1}), (101, 3, {0: 2, 2: 2})])
+    def test_default_modulus_pinned(self, p, m, terms):
+        # the nonzero low coefficients of the default modulus, as found by the
+        # order test that exponentiated before factoring; the oracle scan
+        # shares _passes_order_test, so these values are the independent check
+        pi = make_field(p, m).pi
+        assert len(pi) == m and {i: c for i, c in enumerate(pi) if c} == terms
+
+    def test_wide_order_refused_before_exponentiating(self, monkeypatch):
+        # 2^200 - 1 leaves a composite cofactor past the trial limit; the
+        # factors are asked for first, so make_field refuses before its
+        # first exponentiation
+        def exponentiate(*args):
+            raise AssertionError("exponentiated before factoring")
+
+        monkeypatch.setattr(gf, "_pow_coeffs", exponentiate)
+        with pytest.raises(TooLarge, match="trial division"):
+            make_field(2, 200)
+
     def test_constructor_validates_like_make_field(self):
         # a coefficient outside [0, p) is refused, never reduced mod p
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):

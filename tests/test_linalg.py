@@ -284,6 +284,16 @@ class TestMatrixMap:
             e = spec.from_code(rng.randrange(spec.order))
             assert matrix_rep(e) == matrix_rep_by_companion_powers(e), e.code
 
+    @pytest.mark.parametrize("m,memoized", [(16, True), (17, False)])
+    def test_memoized_in_the_interned_tier(self, m, memoized):
+        # GF(2^16) interns its elements and keeps each matrix; GF(2^17)
+        # builds it afresh on every call
+        spec = make_field(2, m)
+        e = spec.from_code(12345)
+        assert (spec._elems is not None) == memoized
+        assert (matrix_rep(e) is matrix_rep(e)) == memoized
+        assert matrix_rep(e) == matrix_rep_by_companion_powers(e)
+
     def test_inverse_map(self):
         f4 = make_field(2, 2)
         for e in f4.elements():

@@ -13,14 +13,18 @@ import random
 import pytest
 
 from gfalign import (DegenerateSpectrum, FieldMismatch, FieldSpec, InconsistentSystem,
-                     Mat, MessagePair, MimoPipeline, TwoHopChannel, all_messages,
-                     apply_hop, build_mimo_precoders, build_precoders,
-                     check_feasible, destination_decode, draw_valid_channel,
-                     exhaustive_scan, make_field, plan_extension, random_mimo_channel,
-                     relay_decode, relay_encode, scheme, source_encode)
+                     LinearPipeline, Mat, MessagePair, MimoPipeline, Singular,
+                     TwoHopChannel, all_messages, apply_hop, block2x2,
+                     build_mimo_precoders, build_precoders, check_feasible,
+                     destination_decode, draw_valid_channel, exhaustive_scan,
+                     make_field, matrix_rep, plan_extension, prime_field,
+                     random_mimo_channel, relay_decode, relay_encode, scheme,
+                     source_encode)
+from gfalign.gf import _code_to_coeffs
 from gfalign.mimo import random_message
-from gfalign.scheme import _certify, _CodeMap, _digit_codec, scalar_pipeline
-from oracles import (ExtensionFieldPipeline, _scan_hop, batch,
+from gfalign.scheme import (_certify, _CodeMap, _decode_target, _digit_codec,
+                            _relay_sum_rows, scalar_pipeline)
+from oracles import (ExtensionFieldPipeline, _scan_hop, batch, composed_maps,
                      lane_apply, lane_destination_half, lane_relay_half, lane_run,
                      relay_sums, scan_by_sweep, sweep_failures)
 from test_mimo import f4_fixture_channel
@@ -392,6 +396,128 @@ class TestMutatedPrecoders:
         assert report.to_dict() == scan_by_sweep(p, m).to_dict()
 
 
+def bump_s11(pre):
+    """The relay-1 scaling block s11 with 1 added."""
+    return dataclasses.replace(pre, s11=pre.s11 + 1)
+
+
+def zero_v4_column(pre):
+    """v4 with its first column zeroed: rank deficient."""
+    return dataclasses.replace(pre, v4=Mat.from_code_rows(
+        pre.v4.spec, [[0, *row[1:]] for row in pre.v4.to_code_rows()]))
+
+
+def repeat_v1_column(pre):
+    """v1 with its last column replaced by its first: rank m - 1."""
+    return dataclasses.replace(pre, v1=Mat.from_code_rows(
+        pre.v1.spec, [[*row[:-1], row[0]] for row in pre.v1.to_code_rows()]))
+
+
+def zero_v3(pre):
+    """v3 as the zero matrix: rank 0."""
+    return dataclasses.replace(pre, v3=Mat.zeros(pre.v3.spec, pre.spec.m, pre.spec.m))
+
+
+def feasible_channels(p, m, count, seed):
+    spec, rng, out = make_field(p, m), random.Random(seed), []
+    while len(out) < count:
+        ch = draw_valid_channel(spec, rng)
+        if check_feasible(ch).feasible:
+            out.append(ch)
+    return out
+
+
+def scalar_core_args(ch, pre):
+    """The arguments scalar_pipeline passes to LinearPipeline."""
+    reps = [matrix_rep(q) for q in ch.hop1 + ch.hop2]
+    return (ch.spec.p, block2x2(*reps[:4]), block2x2(*reps[4:]),
+            matrix_rep(pre.s11), matrix_rep(pre.s21), pre.v1, pre.v2, pre.v3, pre.v4)
+
+
+def matrix_core_args(plan):
+    """The arguments MimoPipeline passes to LinearPipeline."""
+    pre, ch = build_mimo_precoders(plan), plan.channel
+    s11, _, s21, _ = plan.s_blocks
+    return (ch.ground.p, block2x2(*ch.hop1), block2x2(*ch.hop2), s11, s21,
+            pre.v1, pre.v2, pre.v3, pre.v4)
+
+
+class TestComposedMaps:
+    """LinearPipeline composes each half by the decoders' solves, and
+    oracles.composed_maps by explicit inverses: the maps, their defects and
+    the exceptions agree on every core, intact or broken."""
+
+    @staticmethod
+    def assert_composed(args):
+        """The core of args checked against the oracle; it, or the Singular
+        both raise."""
+        try:
+            want = composed_maps(*args)
+        except Singular as exc:
+            with pytest.raises(Singular) as got:
+                LinearPipeline(*args)
+            assert str(got.value) == str(exc)
+            return got.value
+        core = LinearPipeline(*args)
+        assert [core.relay_map, core.destination_map] == list(want)
+        ground = prime_field(core.p)
+        relay, destination, sums, target = (Mat.from_code_rows(ground, rows) for rows in (
+            *want, _relay_sum_rows(core.m), _decode_target(core.m)))
+        assert core.relay_defect == (relay - sums).rank()
+        assert core.destination_defect == (destination @ sums - target).rank()
+        return core
+
+    def test_every_gf4_core(self):
+        f4 = make_field(2, 2)
+        for t in _scan_hop(f4).feasible_tuples:
+            ch = TwoHopChannel(f4, t, t)
+            core = self.assert_composed(scalar_core_args(ch, build_precoders(ch)))
+            assert core.relay_defect == core.destination_defect == 0
+
+    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1), (7, 1)])
+    def test_seeded_scalar_cores(self, p, m):
+        for ch in feasible_channels(p, m, 40, 167 + p * m):
+            self.assert_composed(scalar_core_args(ch, build_precoders(ch)))
+
+    @pytest.mark.parametrize("p,m,count", [(2, 2, 20), (3, 2, 20), (2, 3, 12),
+                                           (3, 3, 8), (2, 6, 3), (5, 3, 4)])
+    def test_seeded_matrix_cores(self, p, m, count):
+        plans, _ = planned_channels(p, m, count, 173 + p * m)
+        for plan in plans:
+            self.assert_composed(matrix_core_args(plan))
+
+    def test_l12_matrix_core(self):
+        plan = plan_extension(random_mimo_channel(2, 6, random.Random(782739422)))
+        assert plan.degree == 12
+        self.assert_composed(matrix_core_args(plan))
+
+    @pytest.mark.parametrize("p,m,mutation,broken", [
+        (2, 2, bump_v2, "relay"), (3, 2, bump_v2, "relay"),
+        (3, 2, negate_s21, "destination"), (2, 3, swap_v4, "destination"),
+        (2, 3, bump_s11, "destination"), (3, 2, bump_s11, "destination"),
+        (2, 3, zero_v4_column, "destination"), (3, 3, zero_v4_column, "destination"),
+        (2, 3, repeat_v1_column, "singular"), (3, 2, zero_v3, "singular")])
+    def test_broken_precoders(self, p, m, mutation, broken):
+        # each mutation breaks its half on at least one of the channels
+        outcomes = set()
+        for ch in feasible_channels(p, m, 6, 179 + p * m):
+            got = self.assert_composed(scalar_core_args(ch, mutation(build_precoders(ch))))
+            if isinstance(got, Singular):
+                outcomes.add("singular")
+            else:
+                outcomes.add("relay" if got.relay_defect else None)
+                outcomes.add("destination" if got.destination_defect else None)
+        assert broken in outcomes and outcomes - {broken, None} == set()
+
+    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+    def test_relay_half_is_checked_first(self, p, m):
+        # a rank m - 1 relay system and a zero v3: the relay solve raises
+        for ch in feasible_channels(p, m, 3, 181 + p * m):
+            pre = zero_v3(repeat_v1_column(build_precoders(ch)))
+            got = self.assert_composed(scalar_core_args(ch, pre))
+            assert isinstance(got, Singular) and f"rank {m - 1} < {m}" in str(got)
+
+
 def every_message(ext, m):
     return [(w1, w2) for w1 in itertools.product(ext.elements(), repeat=m)
             for w2 in itertools.product(ext.elements(), repeat=m - 1)]
@@ -527,29 +653,29 @@ class TestCodeKernels:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 41])
     def test_digit_codec(self, p):
-        # spread puts one digit per field; reduce takes any fields below
-        # 2^b to the code of their residues, for every b a row can need;
-        # the tables agree with both, and spreads holds at most three
-        # residue chunks of digits
+        # for every b a row can need: spreads puts each digit of a code in
+        # its own b-bit field, for every code of up to three residue chunks
+        # of digits within 2^12 entries (one digit once b passes 12 bits);
+        # residues takes any fields below 2^width to the code of their
+        # residues mod p
         rng = random.Random(151 + p)
+        fits = max(k for k in range(1, 13) if p ** k <= 4096)
         for n in range(1, 9):
             b = (n * (p - 1) ** 2).bit_length()
-            spread, reduce, spreads, residues, width, base = _digit_codec(p, b)
+            spreads, residues, width, base = _digit_codec(p, b)
             chunk = width // b
             assert width % b == 0 and base == p ** chunk
-            assert len(spreads) <= p ** (3 * chunk)
-            assert all(spreads[c] == spread(c) for c in range(len(spreads)))
-            for v in (*range(min(1 << width, 4096)), *(rng.randrange(1 << width)
-                                                       for _ in range(50))):
-                assert residues[v] == reduce(v)
-            for digits in (1, 2, 3, 7):
-                for _ in range(50):
-                    d = [rng.randrange(p) for _ in range(digits)]
-                    f = [rng.randrange(1 << b) for _ in range(digits)]
-                    code = sum(x * p ** i for i, x in enumerate(d))
-                    assert spread(code) == sum(x << b * i for i, x in enumerate(d))
-                    assert reduce(sum(x << b * i for i, x in enumerate(f))) == \
-                        sum(x % p * p ** i for i, x in enumerate(f))
+            digits = 1 if b > 12 else min(3 * chunk, fits)
+            assert len(spreads) == p ** digits and (width <= 12 or (width, base) == (b, p))
+            for c in (*range(min(len(spreads), 600)),
+                      *(rng.randrange(len(spreads)) for _ in range(50))):
+                assert spreads[c] == sum(
+                    d << b * i for i, d in enumerate(_code_to_coeffs(c, p, digits)))
+            field = (1 << b) - 1
+            for v in (*range(min(1 << width, 4096)),
+                      *(rng.randrange(1 << width) for _ in range(50))):
+                assert residues[v] == sum((v >> b * i & field) % p * p ** i
+                                          for i in range(chunk))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41])
     def test_code_map_branches(self, p):
@@ -563,7 +689,7 @@ class TestCodeKernels:
             if p == 2:
                 table_digits, chunk = 0, 1
             else:
-                _, _, spreads, _, width, _ = _digit_codec(p, b)
+                spreads, _, width, _ = _digit_codec(p, b)
                 table_digits = round(math.log(len(spreads), p))
                 chunk = width // b
             for digits in {1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1,
@@ -584,3 +710,28 @@ class TestCodeKernels:
             assert {(True, 1), (True, 2), (False, 4)} <= seen
             # at p = 41 no table holds three chunks of digits
             assert ((True, 3) in seen) == (p < 41)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 1009])
+    def test_kernel_past_the_table(self, p):
+        # codes of 2 to 5 chunks of the spread table's digits, full or with
+        # a partial top chunk, in every column or in one column only: each
+        # chunk goes through the packed fold and the outputs add up by
+        # powers of len(spreads)
+        rng = random.Random(163 + p)
+        for n in (1, 2, 3, 5, 8):
+            spreads = _digit_codec(p, (n * (p - 1) ** 2).bit_length())[0]
+            size = len(spreads)
+            table = round(math.log(size, p))
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n + 1)]
+            rows[0] = [p - 1] * n
+            code_map = _CodeMap(p, rows)
+            for chunks in (2, 3, 4, 5):
+                for digits in (chunks * table, (chunks - 1) * table + 1):
+                    top = p ** digits - 1
+                    wide = [rng.randrange(size ** (chunks - 1), top + 1) for _ in range(n)]
+                    vectors = [[top] * n, wide, [0] * (n - 1) + [top],
+                               [rng.randrange(size) for _ in range(n - 1)] + wide[-1:]]
+                    for x in vectors:
+                        assert max(x) >= size
+                        assert code_map.apply(x) == list(
+                            lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
