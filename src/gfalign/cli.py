@@ -148,8 +148,10 @@ def cmd_scan(args) -> int:
 
 def _symbols(ext, text: str) -> list:
     """';'-separated coefficient lists as elements of ext; ValueError
-    unless every coefficient lies in [0, p)."""
+    for an empty symbol or a coefficient outside [0, p)."""
     parts = [_parse_int_list(part) for part in text.split(";")]
+    if not all(parts):
+        raise ValueError(f"message {text!r} has an empty symbol; write zero as 0")
     if any(not 0 <= c < ext.p for part in parts for c in part):
         raise ValueError(f"message coefficients must lie in [0, {ext.p})")
     return [ext.element(part) for part in parts]

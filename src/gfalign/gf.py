@@ -95,7 +95,7 @@ def _randbelow(rng, n: int) -> int:
     return r
 
 
-_CHUNK_WORDS = 512   # most generator words _randbelow_blocks takes per getrandbits call
+_CHUNK_WORDS = 512   # most generator words _top_byte_blocks takes per getrandbits call
 
 
 @functools.cache
@@ -108,77 +108,61 @@ def _top_byte_tables(n: int) -> tuple[bytes, bytes]:
 
 
 def _randbelow_blocks(rng, n: int, size: int):
-    """Generator of consecutive blocks of ``size`` values of rng.randrange(n),
-    n >= 1, on a random.Random, read from generator words drawn in bulk.
-
-    An attempt of randrange(n) is getrandbits(k), k = n.bit_length(): it
-    takes w = ceil(k / 32) words and is redrawn while >= n (``_randbelow``).
-    Here one getrandbits(32 w K) draws K attempts at once, K doubling from
-    ``size`` up to _CHUNK_WORDS / w, and to_bytes(..., "little") lays word
-    i out as bytes 4i..4i+3 on every platform, since CPython fills the
-    result from the least significant word up.  For n < 256 an attempt is
-    the top byte t of its word, t >> (8 - k), accepted iff t < n << (8 - k),
-    so one bytes.translate decodes a whole chunk and a block is a bytes
-    slice.  Larger n read each attempt's w words as one integer, dropping
-    the low 32 w - k bits of the top word as getrandbits does, into lists;
-    it is the same chunked draw, since only the decoding of a chunk
-    depends on n.
-
-    A chunk runs past the last value used, and the caller reads the same
-    generator next (symbol-ext draws its message after the channel).  So
-    close the generator when done, also when raising: it then restores the
-    state it found and replays exactly the words behind the values it
-    yielded, and rng is as randrange would have left it (tests compare
-    both with randrange).  A generator never started draws nothing.
+    """Iterator of consecutive blocks of ``size`` values of rng.randrange(n),
+    n >= 1, on a random.Random.  Close it when done, also when raising: rng
+    is then as randrange would have left it after the values yielded (tests
+    compare both with randrange).  One never started draws nothing.  n < 256
+    decode words drawn in bulk; larger n take one _randbelow per value,
+    which draws no word past the last value and so needs no rewind.
     """
-    k = n.bit_length()
-    w = (k + 31) // 32
-    cap = max(1, _CHUNK_WORDS // w)
     if n < 256:
-        limit = n << (8 - k)            # on the top bytes
-        table, reject = _top_byte_tables(n)
-    else:
-        limit, lo, shift = n, 32 * (w - 1), 32 * w - k
-        low = (1 << lo) - 1
+        return _top_byte_blocks(rng, n, size)
+    return ([_randbelow(rng, n) for _ in range(size)] for _ in count())
+
+
+def _top_byte_blocks(rng, n: int, size: int):
+    """_randbelow_blocks for n < 256, in bytes blocks.
+
+    An attempt of randrange(n) is getrandbits(k), k = n.bit_length(): the
+    top k bits of one word (_randbelow).  One getrandbits(32 K) draws K
+    words, K doubling from ``size`` up to _CHUNK_WORDS, and
+    to_bytes(..., "little") puts word i at bytes 4i..4i+3 on every
+    platform.  So an attempt is the top byte t of its word, t >> (8 - k),
+    accepted iff t < n << (8 - k), and one bytes.translate decodes a chunk.
+    A chunk runs past the last value used, and the caller reads rng next
+    (symbol-ext draws its message after the channel), so each chunk's
+    attempts are kept; on close the state found is restored and exactly the
+    words up to the last value yielded are redrawn.
+    """
+    limit = n << (8 - n.bit_length())       # on the top bytes
+    table, reject = _top_byte_tables(n)
     state = rng.getstate()
-    chunk = min(size, cap)
-    # seq: the attempts of the newest chunk; base: the attempts before it;
-    # start: where its values begin in buf; mark: (base, seq, values used)
-    # of the chunk that holds the last value yielded, kept when a chunk is
-    # drawn before any of its values is
-    seq, base, start, buf, pos = b"", 0, 0, (b"" if n < 256 else []), 0
-    mark = (0, b"", 0)
+    chunk = min(size, _CHUNK_WORDS)
+    # kept, counts: each chunk's attempts and its number of accepted values;
+    # done: the values trimmed from the front of buf
+    kept, counts, buf, pos, done = [], [], b"", 0, 0
     try:
         while True:
-            if pos > start:
-                mark = (base, seq, pos - start)
-            raw = rng.getrandbits(32 * w * chunk).to_bytes(4 * w * chunk, "little")
-            if n < 256:
-                attempts = raw[3::4]
-                vals = attempts.translate(table, reject)
-            else:
-                attempts = [x & low | x >> (lo + shift) << lo
-                            for x in (int.from_bytes(raw[i:i + 4 * w], "little")
-                                      for i in range(0, len(raw), 4 * w))]
-                vals = [v for v in attempts if v < n]
-            base, seq, buf, start, pos = (base + len(seq), attempts, buf[pos:] + vals,
-                                          len(buf) - pos, 0)
-            chunk = min(2 * chunk, cap)
+            attempts = rng.getrandbits(32 * chunk).to_bytes(4 * chunk, "little")[3::4]
+            vals = attempts.translate(table, reject)
+            kept.append(attempts)
+            counts.append(len(vals))
+            buf, pos, done = buf[pos:] + vals, 0, done + pos
+            chunk = min(2 * chunk, _CHUNK_WORDS)
             while len(buf) - pos >= size:
                 pos += size
                 yield buf[pos - size:pos]
     finally:
-        base, seq, left = (base, seq, pos - start) if pos > start else mark
-        if left:        # the position of the left-th accepted attempt of seq
-            accepted = compress(count(), map(limit.__gt__, seq))
-            used = w * (base + next(islice(accepted, left - 1, None)) + 1)
-        else:
-            used = 0
         rng.setstate(state)
-        while used:
-            take = min(used, _CHUNK_WORDS)
-            rng.getrandbits(32 * take)
-            used -= take
+        left = done + pos                   # values yielded
+        for attempts, accepted in zip(kept, counts):
+            if left <= accepted:
+                if left:                    # up to the left-th accepted attempt
+                    hits = compress(count(), map(limit.__gt__, attempts))
+                    rng.getrandbits(32 * next(islice(hits, left - 1, None)) + 32)
+                break
+            rng.getrandbits(32 * len(attempts))
+            left -= accepted
 
 
 def _code_to_coeffs(code: int, p: int, m: int) -> tuple[int, ...]:
@@ -551,31 +535,21 @@ class FieldSpec:
         return f"GF({self.p}^{self.m})"
 
 
-_SPEC_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldSpec] = {}
-_DEFAULT_MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@functools.cache
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest primitive monic modulus, coefficients
     compared low-degree-first.  For m = 1 the conventional placeholder is x;
     ground-field arithmetic never consults it."""
-    key = (p, m)
-    hit = _DEFAULT_MODULUS_CACHE.get(key)
-    if hit is not None:
-        return hit
     if m == 1:
-        pi = (0,)
-    else:
-        # the constant term a0 is the top base-p digit of the code; it equals
-        # (-1)^m N(x), and the norm of a generator generates F_p*
-        block = p ** (m - 1)
-        codes = (code for a0 in range(1, p)
-                 if _passes_order_test(p, 1, ((-1) ** (m + 1) * a0 % p,))
-                 for code in range(a0 * block, (a0 + 1) * block))
-        cands = (tuple(reversed(_code_to_coeffs(code, p, m))) for code in codes)
-        pi = next(c for c in cands if _passes_order_test(p, m, c))
-    _DEFAULT_MODULUS_CACHE[key] = pi
-    return pi
+        return (0,)
+    # the constant term a0 is the top base-p digit of the code; it equals
+    # (-1)^m N(x), and the norm of a generator generates F_p*
+    block = p ** (m - 1)
+    codes = (code for a0 in range(1, p)
+             if _passes_order_test(p, 1, ((-1) ** (m + 1) * a0 % p,))
+             for code in range(a0 * block, (a0 + 1) * block))
+    cands = (tuple(reversed(_code_to_coeffs(code, p, m))) for code in codes)
+    return next(c for c in cands if _passes_order_test(p, m, c))
 
 
 def _normalize_modulus(p: int, m: int, pi) -> tuple[int, ...]:
@@ -609,6 +583,9 @@ def check_field_params(p: int, m: int) -> None:
         raise ValueError("extension degree must be a positive integer")
 
 
+_shared_spec = functools.cache(FieldSpec)   # one spec per normalized (p, m, pi)
+
+
 def make_field(p: int, m: int, pi=None) -> FieldSpec:
     """Build (or fetch from cache) the field F_{p^m}.
 
@@ -620,15 +597,8 @@ def make_field(p: int, m: int, pi=None) -> FieldSpec:
     """
     check_field_params(p, m)
     if pi is None:
-        pi_t = _default_modulus(p, m)
-    else:
-        pi_t = _normalize_modulus(p, m, pi)
-    key = (p, m, pi_t)
-    spec = _SPEC_CACHE.get(key)
-    if spec is None:
-        spec = FieldSpec(p, m, pi_t)
-        _SPEC_CACHE[key] = spec
-    return spec
+        return _shared_spec(p, m, _default_modulus(p, m))
+    return _shared_spec(p, m, _normalize_modulus(p, m, pi))
 
 
 def prime_field(p_or_spec) -> FieldSpec:

@@ -340,15 +340,16 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     NotPrime or ValueError for a bad p or m, before any draw.
 
     Each matrix is the first nonsingular one of a run of m x m blocks, their
-    entries read row by row from gf._randbelow_blocks, which decodes
-    generator words drawn in bulk into the values of rng.randrange(p).  A
-    block is tested by its closed-form determinant up to 3 x 3 and by
-    _full_rank above.  The words drawn reach past the last entry used, and
-    symbol-ext draws its message from the same rng next, so the sampler is
-    closed when the draw ends, also by SingularChannel: it rewinds rng to
-    the state one rng.randrange(p) per entry would leave.  So the channel
-    and the state afterwards equal those of that draw (tests check this
-    against a draw of Mat objects ranked by Mat.det)."""
+    entries read row by row from gf._randbelow_blocks as the values of
+    rng.randrange(p): for p < 256 decoded from generator words drawn in
+    bulk, above that one gf._randbelow per entry.  A block is tested by its
+    closed-form determinant up to 3 x 3 and by _full_rank above.  Bulk words
+    reach past the last entry used, and symbol-ext draws its message from
+    the same rng next, so the sampler is closed when the draw ends, also by
+    SingularChannel: it rewinds rng to the state one rng.randrange(p) per
+    entry would leave.  So the channel and the state afterwards equal those
+    of that draw (tests check this against a draw of Mat objects ranked by
+    Mat.det)."""
     check_field_params(p, m)
     ground = prime_field(p)
     if (p, m) == (2, 1):

@@ -516,6 +516,17 @@ class TestSymbolExt:
         assert code == 2 and out == ""
         assert err == "error: message coefficients must lie in [0, 2)\n"
 
+    @pytest.mark.parametrize("p,m,w1,w2", [
+        (2, 2, "1,0;", "1"), (2, 2, "1,0;;0,1", "1"), (2, 2, ";1,0", "1"),
+        (2, 2, "1,0; ", "1"), (2, 2, "1,0;0,1", ";"), (3, 1, "", None)])
+    def test_empty_symbol_exits_2(self, capsys, p, m, w1, w2):
+        # an empty symbol is refused, not read as the zero element
+        args = ["symbol-ext", "--p", str(p), "--m", str(m), "--seed", "0", f"--w1={w1}"]
+        code, out, err = run(capsys, *args, *([f"--w2={w2}"] if w2 is not None else []))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "empty symbol" in err
+
     def test_non_integer_symbol_entry_exits_2(self, capsys):
         code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",
                              "--seed", "1", "--w1", "1,0;0,y", "--w2", "1,0")

@@ -9,9 +9,8 @@ from gfalign import (FieldMismatch, FieldSpec, Mat, NotPrime, NotPrimitive, Poly
                      parse_element, parse_poly, prime_field,
                      primitive_element)
 from gfalign import gf
-from gfalign.gf import (_DEFAULT_MODULUS_CACHE, _PSI_13, _TRIAL_LIMIT,
-                        _code_to_coeffs, _default_modulus, _randbelow,
-                        _randbelow_blocks, is_prime, prime_factors)
+from gfalign.gf import (_PSI_13, _TRIAL_LIMIT, _code_to_coeffs, _default_modulus,
+                        _randbelow, _randbelow_blocks, is_prime, prime_factors)
 from oracles import (add_code, default_modulus_by_scan, dense_tables,
                      is_prime_by_trial_division, log_walk, mul_code, neg_code,
                      pow_code, prime_factors_by_trial_division)
@@ -125,9 +124,9 @@ class TestConstruction:
     def test_default_modulus_skips_only_dead_codes(self):
         # the search starts at the first code with a nonzero constant term;
         # compare it, uncached, with a scan over every code
+        _default_modulus.cache_clear()
         for p, top in ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)):
             for m in range(1, top + 1):
-                _DEFAULT_MODULUS_CACHE.pop((p, m), None)
                 assert _default_modulus(p, m) == default_modulus_by_scan(p, m)
 
     @pytest.mark.parametrize("p,m,terms", [
@@ -248,7 +247,8 @@ class TestConstruction:
 
     def test_spec_caching_and_equality(self):
         assert make_field(2, 3) is make_field(2, 3)
-        assert make_field(2, 3, [1, 0, 1, 1]) == make_field(2, 3)  # the default, spelled out
+        assert make_field(2, 3, [1, 0, 1, 1]) is make_field(2, 3)  # the default, spelled out
+        assert make_field(2, 4, [1, 0, 0, 1, 1]) is make_field(2, 4)  # with its leading 1
         other = make_field(2, 3, [1, 1, 0, 1])                     # x^3+x+1
         assert other != make_field(2, 3)
 
@@ -514,10 +514,10 @@ class TestRandbelow:
 
 class TestRandbelowBlocks:
     """_randbelow_blocks yields the values of rng.randrange(n) in blocks and,
-    once closed, leaves rng as randrange would: for every decoding width (top
-    bytes for n < 256, one, two and three words per attempt), with chunks of
-    the default size and of 1-3 words, so that blocks end on and across chunk
-    boundaries."""
+    once closed, leaves rng as randrange would: for top bytes decoded in
+    bulk (n < 256), with chunks of the default size and of 1-3 words, so
+    that blocks end on and across chunk boundaries, and for one _randbelow
+    per value above, where the chunk size plays no part."""
 
     SIZES = [1, 2, 3, 5, 7, 128, 129, 251, 255, 256, 257, 1009, 65537,
              2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 15, 2 ** 61 - 1, 3 ** 50]

@@ -430,6 +430,44 @@ class TestPipeline:
             simulate_symbol_ext(ch, [plan.ext.zero], [plan.ext.zero], pipe)
 
 
+class TestScalarModelLifted:
+    """A scalar channel over F_{p^m} is the matrix channel over F_p whose
+    blocks are matrix_rep(q): run every hop tuple t as the channel (t, t).
+    The scalar model check and the matrix ranks agree; the scalar degree
+    test fails exactly when the matrix plan finds a repeated factor in a
+    characteristic polynomial; every plan has L = m; and each hop's matrix
+    precoders are matrix_rep(c) times the scalar ones, c the eigenvector
+    sum that leads them."""
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+    def test_every_tuple(self, p, m):
+        spec = make_field(p, m)
+        rep = linalg.matrix_rep
+        feasible = 0
+        for t in itertools.product(list(spec.elements()), repeat=4):
+            ch = scheme.TwoHopChannel.create(spec, t, t)
+            verdict = scheme.check_feasible(ch)
+            try:
+                plan = plan_extension(MimoChannel(prime_field(p), m,
+                                                  tuple(rep(q) for q in t + t)))
+            except SingularChannel:
+                assert not verdict.model_ok, t
+                continue
+            except DegenerateSpectrum as exc:
+                assert verdict.model_ok and not verdict.feasible, t
+                assert "repeated irreducible factor" in str(exc), t
+                continue
+            assert verdict.feasible, t
+            feasible += 1
+            assert plan.degree == m, t
+            pre, mat = scheme.build_precoders(ch), build_mimo_precoders(plan)
+            c1, c2 = spec.element(plan.hop1.lead), spec.element(plan.hop2.lead)
+            assert (mat.v1, mat.v2) == (rep(c1) @ pre.v1, rep(c1) @ pre.v2), t
+            assert (mat.v3, mat.v4) == (rep(c2) @ pre.v3, rep(c2) @ pre.v4), t
+        assert feasible == {(2, 2): 54, (5, 1): 192, (7, 1): 1080, (2, 3): 2058,
+                            (3, 2): 3072}[p, m]
+
+
 class TestSerialization:
     def test_channel_roundtrip(self):
         ch = random_mimo_channel(3, 2, random.Random(3))
@@ -472,7 +510,7 @@ class TestChannelStream:
                                      for m in range(1, 7) if (p, m) != (2, 1)])
     def test_grid_in_chunks_of_1_to_3_words(self, p, m, monkeypatch):
         # the sampler's chunk size moves where blocks meet chunk boundaries,
-        # never the channel or the state; p >= 256 decodes words into lists
+        # never the channel or the state; p >= 256 draws value by value
         for seed in range(20):
             ref = random.Random(seed)
             want = random_mimo_channel_by_det(p, m, ref)
@@ -481,6 +519,22 @@ class TestChannelStream:
                 rng = random.Random(seed)
                 assert random_mimo_channel(p, m, rng) == want, (seed, chunk)
                 assert rng.getstate() == ref.getstate(), (seed, chunk)
+
+    @pytest.mark.parametrize("p", [257, 1009, 65537])
+    def test_wide_primes_draw_value_by_value(self, p, monkeypatch):
+        # the bulk decoder serves p < 256 only; above, nothing is drawn
+        # past the last entry, so there is no rewind to go wrong
+        def refuse(*args):
+            raise AssertionError("bulk decoder used at p >= 256")
+
+        monkeypatch.setattr(gf, "_top_byte_blocks", refuse)
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert random_mimo_channel(p, 2, rng) == \
+                random_mimo_channel_by_det(p, 2, ref), seed
+            assert rng.getstate() == ref.getstate(), seed
+        with pytest.raises(AssertionError, match="bulk decoder"):
+            random_mimo_channel(251, 2, random.Random(0))
 
     @pytest.mark.parametrize("chunk", [None, 1, 2])
     def test_refusal_leaves_the_oracle_state(self, monkeypatch, chunk):
