@@ -27,7 +27,9 @@ from .polys import Poly, format_poly, parse_poly
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [parse_int(v, f"list {text!r}") for v in text.split(",") if v.strip()]
+    """Comma-separated integers, none empty; commas and blanks alone are none."""
+    entries = text.split(",") if text.replace(",", "").strip() else []
+    return [parse_int(v, f"list {text!r}") for v in entries]
 
 
 def _emit(args, text: str) -> None:

@@ -17,7 +17,7 @@ The transform layer provides:
 
 Everything is exact.  ``Mat.solve`` is the one solver (full column rank,
 square or tall; ``inv`` solves against I), and its Gauss-Jordan pass also
-yields extension-field determinants.  Over a prime field, products, solves,
+yields ranks (pivot counts) and determinants (signed pivot products).  Over a prime field, products, solves,
 inverses, ranks and determinants run on integer codes mod p, as do
 ``char_poly`` (Berkowitz) and ``eigenvector_sum``, whose eigenvectors over
 F_p[x]/(f) = F_p[C_f] are the kernel of one F_p matrix.  Roots in F_{p^L}
@@ -221,18 +221,20 @@ class Mat:
         return work, pivots, det
 
     def rank(self) -> int:
+        """Rank: the pivot count of the Gauss-Jordan pass, as in ``det``."""
         if self.spec.m == 1:
-            return _eliminate_mod_p(self.to_code_rows(), self.spec.p)[0]
+            return len(_gauss_jordan_mod_p(self.to_code_rows(), self.ncols, self.spec.p)[0])
         return len(self._rref()[1])
 
     def det(self) -> FieldElem:
-        """Determinant: elimination on integer codes mod p over a prime
-        field, otherwise the pivot product of ``_rref``."""
+        """Determinant: the signed pivot product of the Gauss-Jordan pass, on
+        integer codes mod p over a prime field, otherwise of ``_rref``."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
         spec = self.spec
         if spec.m == 1:
-            return spec.from_code(_eliminate_mod_p(self.to_code_rows(), spec.p)[1])
+            return spec.from_code(
+                _gauss_jordan_mod_p(self.to_code_rows(), self.ncols, spec.p)[1])
         return self._rref()[2]
 
     def inv(self) -> "Mat":
@@ -271,19 +273,23 @@ def _solution(work: list, pivots: list[int], k: int) -> list:
     return [row[k:] for row in work[:k]]
 
 
-def _gauss_jordan_mod_p(work: list[list[int]], width: int, p: int) -> list[int]:
-    """Gauss-Jordan on rows of integer codes over F_p, pivoting on their
-    first ``width`` columns: ``work`` becomes its reduced row echelon form.
-    Returns the pivot columns."""
+def _gauss_jordan_mod_p(work: list[list[int]], width: int, p: int) -> tuple[list[int], int]:
+    """Gauss-Jordan on rows of integer codes over F_p, pivoting on their first
+    ``width`` columns: ``work`` becomes its reduced row echelon form.  Returns
+    (pivots, det): the pivot columns, as many as the rank, and their product,
+    negated at each row swap and 0 once a column has no pivot, which is the
+    determinant when ``work`` is square and ``width`` its size."""
     pivots: list[int] = []
-    n = len(work)
+    det, n = 1, len(work)
     for c in range(width):
         r = len(pivots)
         pr = next((i for i in range(r, n) if work[i][c]), None)
         if pr is None:
+            det = 0
             continue
         row = work[pr]
         work[pr] = work[r]
+        det = (det if pr == r else -det) * row[c] % p
         if row[c] != 1:
             inv = pow(row[c], -1, p)
             row = [v * inv % p for v in row]
@@ -295,7 +301,7 @@ def _gauss_jordan_mod_p(work: list[list[int]], width: int, p: int) -> list[int]:
         pivots.append(c)
         if r + 1 == n:
             break
-    return pivots
+    return pivots, det
 
 
 def _solve_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
@@ -303,37 +309,13 @@ def _solve_mod_p(a: list[list[int]], b: list[list[int]], p: int) -> list[list[in
     ``Mat.solve``."""
     work = [ra + rb for ra, rb in zip(a, b)]
     k = len(a[0])
-    return _solution(work, _gauss_jordan_mod_p(work, k, p), k)
+    return _solution(work, _gauss_jordan_mod_p(work, k, p)[0], k)
 
 
 def _inv_mod_p(a: list[list[int]], p: int) -> list[list[int]]:
     """Inverse over F_p of a square matrix of integer codes; Singular when
     it has none."""
-    n = len(a)
-    return _solve_mod_p(a, [[int(i == j) for j in range(n)] for i in range(n)], p)
-
-
-def _eliminate_mod_p(work: list[list[int]], p: int) -> tuple[int, int]:
-    """Rank and, if square, determinant of a matrix of integer codes over
-    F_p, by forward elimination modulo p; ``work`` is overwritten."""
-    rank, det = 0, 1
-    for c in range(len(work[0])):
-        pr = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if pr is None:
-            det = 0
-            continue
-        if pr != rank:
-            work[rank], work[pr] = work[pr], work[rank]
-            det = -det
-        pivot_row = work[rank]
-        det = det * pivot_row[c] % p
-        inv = pow(pivot_row[c], -1, p)
-        for i in range(rank + 1, len(work)):
-            if work[i][c]:
-                f = work[i][c] * inv % p
-                work[i] = [(v - f * w) % p for v, w in zip(work[i], pivot_row)]
-        rank += 1
-    return rank, det
+    return _solve_mod_p(a, [[int(i == j) for j in range(len(a))] for i in range(len(a))], p)
 
 
 def _det_small(p: int, e: Sequence[int]) -> int:
@@ -349,14 +331,13 @@ def _det_small(p: int, e: Sequence[int]) -> int:
 
 
 def _full_rank(p: int, rows: Sequence[Sequence[int]]) -> bool:
-    """True iff a square matrix of integer codes over F_p is invertible:
-    by _det_small up to 3 x 3; above that, over F_2 each row (0/1 codes,
-    list or bytes) becomes a bitmask ranked by _independent_masks, and over
-    other fields by elimination."""
+    """True iff a square matrix of integer codes over F_p is invertible: by
+    _det_small up to 3 x 3, above that by _independent_masks over F_2 (rows
+    of 0/1 codes, list or bytes, as bitmasks), else by Gauss-Jordan pivots."""
     if len(rows) <= 3:
         return _det_small(p, [v for row in rows for v in row]) != 0
     if p != 2:
-        return _eliminate_mod_p(list(rows), p)[0] == len(rows)
+        return len(_gauss_jordan_mod_p(list(rows), len(rows), p)[0]) == len(rows)
     return _independent_masks(int.from_bytes(bytes(row), "big") for row in rows)
 
 
@@ -660,7 +641,7 @@ def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
                 if u:
                     eq[k + u - 1] = p - 1
                 work.append(eq)
-        pivots = _gauss_jordan_mod_p(work, n * d, p)
+        pivots = _gauss_jordan_mod_p(work, n * d, p)[0]
         free = sorted(set(range(n * d)).difference(pivots))
         if len(free) != d:
             raise DegenerateSpectrum(

@@ -51,6 +51,7 @@ class MimoChannel:
 
     @classmethod
     def create(cls, p: int, m: int, matrices: Sequence) -> "MimoChannel":
+        check_field_params(p, m)
         ground = prime_field(p)
         if len(matrices) != 8:
             raise ValueError("a channel needs exactly eight matrices")

@@ -41,9 +41,9 @@ from .errors import InconsistentSystem, TooLarge
 from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
                  format_element, make_field, minpoly_degree, parse_element,
                  prime_field)
-from .linalg import (Mat, _block_diag, _eliminate_mod_p, _gauss_jordan_mod_p,
-                     _matmul_mod_p, _solve_mod_p, block2x2, coeff_vector,
-                     elem_from_coeff_vector, krylov_precoders, matrix_rep)
+from .linalg import (Mat, _block_diag, _gauss_jordan_mod_p, _matmul_mod_p,
+                     _solve_mod_p, block2x2, coeff_vector, elem_from_coeff_vector,
+                     krylov_precoders, matrix_rep)
 from .polys import count_irreducible
 
 _HOP1_KEYS = ("q11", "q12", "q21", "q22")
@@ -397,10 +397,11 @@ def _decode_target(m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _defect(p: int, got, want, *factors) -> int:
-    """rank(got factors - want) over F_p; want is a tuple of tuples."""
+    """rank(got factors - want) over F_p, as Gauss-Jordan pivots; want is a tuple of tuples."""
     got = tuple(map(tuple, _matmul_mod_p(p, got, *factors)))
-    return 0 if got == want else _eliminate_mod_p(
-        [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(got, want)], p)[0]
+    return 0 if got == want else len(_gauss_jordan_mod_p(
+        [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(got, want)],
+        len(want[0]), p)[0])
 
 
 class LinearPipeline:

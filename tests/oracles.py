@@ -34,10 +34,10 @@ def prime_factors_by_trial_division(n: int) -> list[int]:
 
 def det_by_elimination(p, entries):
     """Determinant over F_p of the square matrix with row-major integer codes
-    ``entries``, by linalg._eliminate_mod_p."""
-    from gfalign.linalg import _eliminate_mod_p
+    ``entries``, the signed pivot product of linalg._gauss_jordan_mod_p."""
+    from gfalign.linalg import _gauss_jordan_mod_p
     n = math.isqrt(len(entries))
-    return _eliminate_mod_p([list(entries[i:i + n]) for i in range(0, n * n, n)], p)[1]
+    return _gauss_jordan_mod_p([list(entries[i:i + n]) for i in range(0, n * n, n)], n, p)[1]
 
 
 def roots_by_enumeration(f, ext):

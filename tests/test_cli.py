@@ -272,6 +272,19 @@ class TestSimulate:
                                  self.feasible_channel(tmp_path), "--seed", "3")
         assert code == 0 and payload["success"] is True
 
+    def test_blank_w2_at_m1(self, capsys, tmp_path):
+        # m = 1 sends no w2 symbol: blank text is the empty list, not an
+        # empty entry
+        path = tmp_path / "gf5.json"
+        path.write_text(json.dumps({
+            "p": 5, "m": 1,
+            "hop1": {"q11": 1, "q12": 1, "q21": 1, "q22": 2},
+            "hop2": {"q33": 1, "q34": 1, "q43": 1, "q44": 2}}))
+        code, payload = run_json(capsys, "simulate", "--channel", str(path),
+                                 "--w1", "3", "--w2", "")
+        assert code == 0 and payload["success"] is True
+        assert payload["message"] == {"w1": [3], "w2": []}
+
     def test_defective_core_exits_1(self, capsys, tmp_path, monkeypatch):
         # a precoder that breaks the alignment: the message leaves a nonzero
         # residual, reported as a failed decode, not as an error
@@ -526,6 +539,40 @@ class TestSymbolExt:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "empty symbol" in err
+
+    @pytest.mark.parametrize("argv,entries", [
+        (["symbol-ext", "--p", "2", "--m", "2", "--seed", "0", "--w1=1,,1;0,1",
+          "--w2=1"], "1,,1"),
+        (["symbol-ext", "--p", "2", "--m", "2", "--seed", "0", "--w1=1,0,;0,1",
+          "--w2=1"], "1,0,"),
+        (["symbol-ext", "--p", "2", "--m", "2", "--seed", "0", "--w1=,1;0,1",
+          "--w2=1"], ",1"),
+        (["simulate", "--channel", "@", "--w1=1,,0", "--w2=1"], "1,,0"),
+        (["simulate", "--channel", "@", "--w1=1,0,", "--w2=1"], "1,0,"),
+        (["simulate", "--channel", "@", "--w1=,1", "--w2=1"], ",1"),
+        (["bounds", "--p", "2,,3", "--m", "2"], "2,,3"),
+        (["bounds", "--p", "2", "--m", "2,"], "2,"),
+        (["mc", "--p", ",2", "--m", "2", "--trials", "1", "--seed", "0"], ",2"),
+        (["mc", "--p", "2", "--m", "2, ,3", "--trials", "1", "--seed", "0"], "2, ,3")])
+    def test_empty_list_entry_exits_2(self, capsys, tmp_path, argv, entries):
+        # a missing entry of a comma list is refused, not dropped: '1,,1'
+        # is not [1, 1], and '2,,3' is not the sweep over 2 and 3
+        channel = TestSimulate().feasible_channel(tmp_path)
+        code, out, err = run(capsys, *(channel if a == "@" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: list {entries!r} has an entry that is not an integer: ''\n"
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_channel_file_degree_below_1_exits_2(self, capsys, tmp_path, m):
+        # the line a random channel with this m gives, not "expected 0 x 0
+        # matrices over GF(2)"
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps({"p": 2, "m": m, **{k: [[1]] for k in (
+            "Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")}}))
+        code, out, err = run(capsys, "symbol-ext", "--channel", str(path), "--seed", "0")
+        assert code == 2 and out == ""
+        assert err == "error: extension degree must be a positive integer\n"
+        assert run(capsys, "symbol-ext", "--p", "2", "--m", str(m), "--seed", "0") == (2, "", err)
 
     def test_non_integer_symbol_entry_exits_2(self, capsys):
         code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2",

@@ -1,7 +1,7 @@
 """Byte-for-byte golden outputs of the CLI: the scalar pipeline (`simulate`,
 `scan` and the factored scan report), the bounds and Monte Carlo sweeps
 (`bounds`, `mc`, `compare-ext`), `field-info` and the matrix model
-(`symbol-ext`).
+(`symbol-ext`); and the Python blocks of README.md, which must run.
 
 Each case renders its exit code and output text; the test checks the code
 and compares the text byte for byte with tests/golden/<case>.json.  The
@@ -13,6 +13,7 @@ files are rewritten only for a deliberate, documented output change, with
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -159,6 +160,22 @@ def test_golden(case):
     assert code == CLI_CASES.get(case, (None, 0))[1]
     # bytes, not text: the CSV rows end in \r\n
     assert text == (GOLDEN / f"{case}.json").read_bytes().decode()
+
+
+def test_readme_python_blocks_run():
+    # each ```python block of README.md, in a fresh namespace: the library
+    # quickstart prints what its comments say, and the matrix-channel one
+    # asserts its own round trip
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) >= 2
+    outputs = []
+    for i, block in enumerate(blocks):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, f"README.md python block {i}", "exec"), {})
+        outputs.append(out.getvalue())
+    assert outputs[0].splitlines()[-1] == "True 3.0"
 
 
 if __name__ == "__main__":
