@@ -111,9 +111,14 @@ def cmd_compare_ext(args) -> int:
 
 
 def _load_json(path: str) -> dict:
+    def parse_int(text: str) -> int:    # int() raises past 4300 digits, naming no file
+        if len(text.lstrip("-")) > 4300:
+            raise ValueError(f"channel file {path} has an integer of more than 4300 digits")
+        return int(text)
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"channel file {path} is not JSON: {exc}") from None
 

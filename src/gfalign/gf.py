@@ -33,6 +33,12 @@ _PSI_13 = 3317044064679887385961981   # least strong pseudoprime to all of _BASE
 _TRIAL_LIMIT = 1 << 20   # largest trial divisor of prime_factors, about 0.05 s of division
 
 
+def _shown(n: int) -> str:
+    """n as a refusal names it: in decimal below 10^30, else as "about 2^k",
+    since str() refuses more than 4300 digits."""
+    return str(n) if n < 10 ** 30 else f"about 2^{n.bit_length() - 1}"
+
+
 def is_prime(n: int) -> bool:
     """True iff n is a prime, by Miller-Rabin to the first 13 prime bases,
     which no composite below _PSI_13 (about 3.3 * 10^24) passes (Sorenson &
@@ -40,7 +46,7 @@ def is_prime(n: int) -> bool:
     if n < 4:
         return n >= 2
     if n >= _PSI_13:
-        raise TooLarge(f"primality is decided below {_PSI_13} only, not for {n}")
+        raise TooLarge(f"primality is decided below {_PSI_13} only, not for {_shown(n)}")
     if any(n % a == 0 for a in _BASES):
         return n in _BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d 2^s with d odd
@@ -68,7 +74,7 @@ def prime_factors(n: int) -> list[int]:
     d, prime = 2, _TRIAL_LIMIT < n < _PSI_13 and is_prime(n)
     while not prime and d * d <= n:
         if d > _TRIAL_LIMIT:
-            raise TooLarge(f"factoring {n} needs trial division beyond {_TRIAL_LIMIT}")
+            raise TooLarge(f"factoring {_shown(n)} needs trial division beyond {_TRIAL_LIMIT}")
         if n % d == 0:
             out.append(d)
             while n % d == 0:

@@ -15,13 +15,15 @@ The transform layer provides:
 * ``char_poly``, the eigenvector sum over F_p (``eigenvector_sum``) and
   the roots of a polynomial over F_p in an extension (``roots_in_field``).
 
-Everything is exact.  ``Mat.solve`` is the one solver (full column rank,
-square or tall; ``inv`` solves against I), and its Gauss-Jordan pass also
-yields ranks (pivot counts) and determinants (signed pivot products).  Over a prime field, products, solves,
-inverses, ranks and determinants run on integer codes mod p, as do
-``char_poly`` (Berkowitz) and ``eigenvector_sum``, whose eigenvectors over
-F_p[x]/(f) = F_p[C_f] are the kernel of one F_p matrix.  Roots in F_{p^L}
-are searched only in its subfields F_{p^d}, d | L, d <= deg f.
+Everything is exact.  Elimination runs on integer codes mod p, over F_p
+only: ``Mat.solve`` is the one solver (full column rank, square or tall;
+``inv`` solves against I), and its Gauss-Jordan pass also yields ranks
+(pivot counts) and determinants (signed pivot products).  Over F_{p^m},
+m > 1, these raise FieldMismatch; ``@``, ``+`` and ``scale`` work over any
+field.  ``char_poly`` (Berkowitz) and ``eigenvector_sum`` run on codes mod
+p too; the eigenvectors over F_p[x]/(f) = F_p[C_f] are the kernel of one
+F_p matrix.  Roots in F_{p^L} are searched only in its subfields F_{p^d},
+d | L, d <= deg f.
 """
 
 from __future__ import annotations
@@ -146,17 +148,9 @@ class Mat:
         if spec.m == 1:
             return Mat.from_code_rows(spec, _matmul_mod_p(
                 spec.p, self.to_code_rows(), other.to_code_rows()))
-        bcols = list(zip(*other.rows)) if other.ncols else []
-        out = []
-        for row in self.rows:
-            out_row = []
-            for colv in bcols:
-                acc = row[0] * colv[0]
-                for a, b in zip(row[1:], colv[1:]):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Mat(spec, tuple(out))
+        cols = list(zip(*other.rows))
+        return Mat(spec, tuple(tuple(sum(map(mul, row, col), spec.zero) for col in cols)
+                               for row in self.rows))
 
     def scale(self, c) -> "Mat":
         c = self.spec.element(c)
@@ -186,80 +180,40 @@ class Mat:
 
     # -- elimination-based operations -------------------------------------------
 
-    def _rref(self, aug: "Mat | None" = None):
-        """Gauss-Jordan on [self | aug] over field elements, pivoting on the
-        columns of self.  Returns (rows, pivot_cols, det); det is the pivot
-        product with the sign flipped at each row swap (zero once a column
-        has no pivot), the determinant of a square self."""
-        width = self.ncols
-        if aug is not None:
-            work = [list(r) + list(a) for r, a in zip(self.rows, aug.rows)]
-        else:
-            work = [list(r) for r in self.rows]
-        pivots = []
-        det = self.spec.one
-        r = 0
-        for c in range(width):
-            pr = next((i for i in range(r, len(work)) if work[i][c].code), None)
-            if pr is None:
-                det = self.spec.zero
-                continue
-            if pr != r:
-                work[r], work[pr] = work[pr], work[r]
-                det = -det
-            det = det * work[r][c]
-            inv = work[r][c].inv()
-            work[r] = [v * inv for v in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][c].code:
-                    f = work[i][c]
-                    work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return work, pivots, det
+    def _codes_to_eliminate(self, op: str, square: bool = False) -> list[list[int]]:
+        """Integer code rows to eliminate on, which Mat does over F_p only."""
+        if square and self.nrows != self.ncols:
+            raise DimensionMismatch(f"Mat.{op} of a non-square matrix")
+        if self.spec.m != 1:
+            raise FieldMismatch(f"Mat.{op} eliminates over a prime field only")
+        return self.to_code_rows()
 
     def rank(self) -> int:
         """Rank: the pivot count of the Gauss-Jordan pass, as in ``det``."""
-        if self.spec.m == 1:
-            return len(_gauss_jordan_mod_p(self.to_code_rows(), self.ncols, self.spec.p)[0])
-        return len(self._rref()[1])
+        return len(_gauss_jordan_mod_p(self._codes_to_eliminate("rank"),
+                                       self.ncols, self.spec.p)[0])
 
     def det(self) -> FieldElem:
-        """Determinant: the signed pivot product of the Gauss-Jordan pass, on
-        integer codes mod p over a prime field, otherwise of ``_rref``."""
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        spec = self.spec
-        if spec.m == 1:
-            return spec.from_code(
-                _gauss_jordan_mod_p(self.to_code_rows(), self.ncols, spec.p)[1])
-        return self._rref()[2]
+        """Determinant: the signed pivot product of the Gauss-Jordan pass on
+        integer codes mod p."""
+        rows = self._codes_to_eliminate("det", square=True)
+        return self.spec.from_code(_gauss_jordan_mod_p(rows, self.ncols, self.spec.p)[1])
 
     def inv(self) -> "Mat":
         """Inverse of a square matrix, as the solution of self @ x = I."""
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        spec = self.spec
-        if spec.m == 1:
-            return Mat.from_code_rows(spec, _inv_mod_p(self.to_code_rows(), spec.p))
-        return self.solve(Mat.identity(spec, self.nrows))
+        rows = self._codes_to_eliminate("inv", square=True)
+        return Mat.from_code_rows(self.spec, _inv_mod_p(rows, self.spec.p))
 
     def solve(self, b: "Mat") -> "Mat":
         """The unique x with self @ x = b for self of full column rank, square
         or tall: Singular when its columns are dependent, InconsistentSystem
-        when a column of b lies outside their span.  Over a prime field the
-        Gauss-Jordan pass runs on integer codes mod p (``_solve_mod_p``)."""
+        when a column of b lies outside their span (``_solve_mod_p``)."""
         self._check(b)
         if b.nrows != self.nrows:
             raise DimensionMismatch("augmented block has a different row count")
-        spec = self.spec
-        if spec.m == 1:
-            return Mat.from_code_rows(spec, _solve_mod_p(
-                self.to_code_rows(), b.to_code_rows(), spec.p))
-        work, pivots, _ = self._rref(b)
-        return Mat(spec, tuple(map(tuple, _solution(work, pivots, self.ncols))))
+        rows = self._codes_to_eliminate("solve")
+        return Mat.from_code_rows(self.spec, _solve_mod_p(
+            rows, b.to_code_rows(), self.spec.p))
 
 
 def _solution(work: list, pivots: list[int], k: int) -> list:

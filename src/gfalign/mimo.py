@@ -9,10 +9,11 @@ irreducible-factor degrees across the two hops), but the eigenvector sum
 that leads each precoder is fixed by Frobenius: for each irreducible factor
 f it is the trace of one eigenvector over F_p[x]/(f) = F_p[C_f], read off an
 F_p kernel (``linalg.eigenvector_sum``).  So planning runs over F_p and the
-precoders are F_p matrices; the eigen data in F_{p^L} (eigenvectors: v1 V^-1)
-are computed only when a caller reads them.  Message symbols live in F_{p^L},
-which is F_p^L as a vector space, so the F_p core shared with the scalar
-model (scheme.LinearPipeline) acts on their base-p codes directly: XOR for
+precoders are F_p matrices; the eigen data in F_{p^L} are computed only
+when a caller reads them, with no elimination (eigenvectors: v1 V^-1, V^-1
+by Lagrange interpolation).  Message symbols live in F_{p^L}, which is
+F_p^L as a vector space, so the F_p core shared with the scalar model
+(scheme.LinearPipeline) acts on their base-p codes directly: XOR for
 p = 2, packed digit arithmetic for odd p.  Per slot the scheme still
 delivers 2m-1 ground-field symbols.
 """
@@ -82,7 +83,8 @@ class HopPlan:
     ``eigenvalues`` and ``eigenvectors`` are the eigen data in the common
     extension ``ext``, computed the first time either is read; planning and
     precoding never read them.  The eigenvectors E sum to ``lead``, so the
-    main precoder v1 = [lead, A lead, ...] is E V for V[j][l] = lambda_j^l.
+    main precoder v1 = [lead, A lead, ...] is E V for V[j][l] = lambda_j^l,
+    and E = v1 V^-1 with V^-1 read off Lagrange interpolation.
     """
 
     product: Mat                      # over F_p
@@ -104,12 +106,19 @@ class HopPlan:
 
     @cached_property
     def eigenvectors(self) -> Mat:
-        """Columns over ``ext``, each with lowest nonzero entry 1: v1 V^-1."""
+        """Columns over ``ext``, each with lowest nonzero entry 1: v1 V^-1,
+        with no elimination.  Column j of V^-1 holds the coefficients of the
+        Lagrange polynomial q_j / q_j(lambda_j), q_j = char / (x - lambda_j),
+        which is 1 at lambda_j and 0 at the other eigenvalues."""
+        ext = self.ext
         v1, _ = krylov_precoders(self.product, Mat.column(self.product.spec, self.lead),
                                  self.cross)
-        vandermonde = Mat(self.ext, tuple(tuple(lam ** l for l in range(len(self.lead)))
-                                          for lam in self.eigenvalues))
-        return lift_matrix(v1, self.ext) @ vandermonde.inv()
+        char, columns = Poly(ext, self.char.coeff_codes()), []
+        for lam in self.eigenvalues:
+            q = char // Poly(ext, (-lam, 1))
+            scale = q(lam).inv()
+            columns.append([c * scale for c in q.coeffs])
+        return lift_matrix(v1, ext) @ Mat(ext, tuple(zip(*columns)))
 
     def summary(self) -> dict:
         return {

@@ -70,12 +70,85 @@ def eigenvector_sum_in_extension(a, ext):
     return codes
 
 
+def rref(a, aug=None):
+    """Gauss-Jordan on [a | aug] over field elements, pivoting on the
+    columns of a.  Returns (rows, pivot_cols, det); det is the pivot
+    product with the sign flipped at each row swap (zero once a column
+    has no pivot), the determinant of a square a.  The field-element
+    reference for Mat's elimination on integer codes, over any field."""
+    width = a.ncols
+    if aug is not None:
+        work = [list(r) + list(x) for r, x in zip(a.rows, aug.rows)]
+    else:
+        work = [list(r) for r in a.rows]
+    pivots = []
+    det = a.spec.one
+    r = 0
+    for c in range(width):
+        pr = next((i for i in range(r, len(work)) if work[i][c].code), None)
+        if pr is None:
+            det = a.spec.zero
+            continue
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            det = -det
+        det = det * work[r][c]
+        inv = work[r][c].inv()
+        work[r] = [v * inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c].code:
+                f = work[i][c]
+                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots, det
+
+
+def rank_by_rref(a):
+    """Rank of a matrix over any field: the pivot count of rref."""
+    return len(rref(a)[1])
+
+
+def det_by_rref(a):
+    """Determinant of a square matrix over any field: the signed pivot
+    product of rref."""
+    return rref(a)[2]
+
+
+def solve_by_rref(a, b):
+    """Mat.solve over any field, by rref of [a | b], with the library's
+    Singular and InconsistentSystem outcomes and messages."""
+    from gfalign.linalg import Mat, _solution
+    work, pivots, _ = rref(a, b)
+    return Mat(a.spec, tuple(map(tuple, _solution(work, pivots, a.ncols))))
+
+
+def inv_by_rref(a):
+    """Inverse of a square matrix over any field, as solve_by_rref against I."""
+    from gfalign.linalg import Mat
+    return solve_by_rref(a, Mat.identity(a.spec, a.nrows))
+
+
+def eigenvectors_by_vandermonde(hop):
+    """HopPlan.eigenvectors as v1 V^-1, for the main precoder v1 and the
+    Vandermonde matrix V[j][l] = lambda_j^l of the eigenvalues, V inverted
+    by rref in the extension field."""
+    from gfalign.linalg import Mat, krylov_precoders, lift_matrix
+    v1, _ = krylov_precoders(hop.product, Mat.column(hop.product.spec, hop.lead),
+                             hop.cross)
+    vandermonde = Mat(hop.ext, tuple(tuple(lam ** l for l in range(len(hop.lead)))
+                                     for lam in hop.eigenvalues))
+    return lift_matrix(v1, hop.ext) @ inv_by_rref(vandermonde)
+
+
 def null_space_vector(a):
     """Nonzero kernel vector of a singular square matrix: the basis vector of
     the first free column, scaled so its lowest nonzero entry is 1."""
     from gfalign.errors import Singular
     from gfalign.linalg import Mat
-    work, pivots, _ = a._rref()
+    work, pivots, _ = rref(a)
     n = a.ncols
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
@@ -284,9 +357,9 @@ class ExtensionFieldPipeline:
     """The matrix-channel scheme computed in the extension field F_{p^L}.
 
     The precoders are built from lifted matrices, every stage is an
-    extension-field matrix product or solve, and each hop acts on the
-    coefficient rows of its inputs one slot at a time.  Shares no code with
-    the library's F_p core beyond Mat arithmetic."""
+    extension-field matrix product or a solve by rref, and each hop acts on
+    the coefficient rows of its inputs one slot at a time.  Shares no code
+    with the library's F_p core beyond Mat arithmetic and _solution."""
 
     def __init__(self, plan):
         from gfalign.linalg import Mat, lift_matrix
@@ -329,13 +402,13 @@ class ExtensionFieldPipeline:
         x1 = self.v1 @ Mat.column(ext, list(w1))
         x2 = (self.v2 @ Mat.column(ext, list(w2)) if m > 1
               else Mat.zeros(ext, 1, 1))
-        u1 = self.relay1.solve(self._transport(q11, q12, x1, x2))
-        u2 = self.relay2.solve(self._transport(q21, q22, x1, x2))
+        u1 = solve_by_rref(self.relay1, self._transport(q11, q12, x1, x2))
+        u2 = solve_by_rref(self.relay2, self._transport(q21, q22, x1, x2))
         x3 = self.enc1 @ u1
         x4 = self.enc2 @ u2
-        got1 = self.v3.solve(self._transport(q33, q34, x3, x4))
+        got1 = solve_by_rref(self.v3, self._transport(q33, q34, x3, x4))
         y4 = self._transport(q43, q44, x3, x4)
-        got2 = self.v4.solve(y4).col_entries(0) if m > 1 else ()
+        got2 = solve_by_rref(self.v4, y4).col_entries(0) if m > 1 else ()
         return (got1.col_entries(0), got2, u1.col_entries(0),
                 u2.col_entries(0))
 

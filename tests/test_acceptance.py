@@ -21,7 +21,8 @@ from gfalign import (DegenerateSpectrum, Mat, MimoPipeline, all_messages,
                      normalized_rates, plan_extension, prime_field,
                      random_mimo_channel, simulate)
 from gfalign.mimo import random_message as random_ext_message
-from oracles import eigenvectors_in, roots_by_enumeration, vandermonde_det
+from oracles import (det_by_rref, eigenvectors_in, roots_by_enumeration,
+                     vandermonde_det)
 
 SEED = 20260809
 
@@ -230,9 +231,10 @@ def test_c09_symbol_extension_pipeline():
             planned += 1
             pre = build_mimo_precoders(plan)
             for hop, v_main in ((plan.hop1, pre.v1), (plan.hop2, pre.v3)):
-                # the eigenvectors of a kernel search, not HopPlan's v1 V^-1
+                # the eigenvectors of a kernel search, not HopPlan's closed-form
+                # v1 V^-1, and their determinant by field-element elimination
                 vectors = eigenvectors_in(hop.product, plan.ext, hop.eigenvalues)
-                assert v_main.det().lift(plan.ext) == vectors.det() * \
+                assert v_main.det().lift(plan.ext) == det_by_rref(vectors) * \
                     vandermonde_det(hop.eigenvalues)
             pipe = MimoPipeline(pre)
             ext = plan.ext

@@ -389,6 +389,16 @@ class TestSimulate:
         assert err == (f"error: channel file {path} is not JSON: Expecting "
                        f"value: line 1 column 1 (char 0)\n")
 
+    @pytest.mark.parametrize("command", ["simulate", "symbol-ext"])
+    def test_channel_file_with_a_huge_integer_exits_2(self, capsys, tmp_path, command):
+        # json.load raised Python's int-string ValueError, which named
+        # neither the file nor the number
+        path = tmp_path / "huge.json"
+        path.write_text('{"p": 1' + "0" * 4999 + ', "m": 2}')
+        code, out, err = run(capsys, command, "--channel", str(path), "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: channel file {path} has an integer of more than 4300 digits\n"
+
     def test_element_notations_still_parse(self, capsys, tmp_path):
         channel = json.loads(open(self.feasible_channel(tmp_path)).read())
         channel["hop1"].update(q11=1, q12="a^0")

@@ -245,6 +245,23 @@ class TestConstruction:
         assert prime_factors(small ** 2) == [small]
         assert prime_factors(small * big[0]) == [small, big[0]]
 
+    def test_refusals_name_a_long_number_by_its_size(self, monkeypatch):
+        # str() of a number past 4300 digits raises, so a refusal used to
+        # fail in its own message; with the trial limit low, a 15 000-bit
+        # cofactor is refused at once
+        monkeypatch.setattr(gf, "_TRIAL_LIMIT", 10)
+        n = 2 ** 15000 + 1      # no prime factor below 11
+        with pytest.raises(TooLarge, match=r"^factoring about 2\^15000 needs trial "
+                                           r"division beyond 10$"):
+            prime_factors(n)
+        with pytest.raises(TooLarge, match=r"not for about 2\^15000$"):
+            is_prime(n)
+        # a number below 10^30 keeps its decimal
+        with pytest.raises(TooLarge, match=r"^factoring 1404705100497266401 needs"):
+            prime_factors(1404705100497266401)
+        with pytest.raises(TooLarge, match=f"not for {2 ** 89 - 1}$"):
+            is_prime(2 ** 89 - 1)
+
     def test_spec_caching_and_equality(self):
         assert make_field(2, 3) is make_field(2, 3)
         assert make_field(2, 3, [1, 0, 1, 1]) is make_field(2, 3)  # the default, spelled out

@@ -18,9 +18,10 @@ from gfalign.gf import is_prime
 from gfalign.linalg import (_det_small, _full_rank, _gauss_jordan_mod_p,
                             _subfield_unit_codes, eigenvector_sum, splitting_data)
 from gfalign.polys import all_monic
-from oracles import (berkowitz_char_poly, det_by_elimination,
-                     eigenvector_sum_in_extension, eigenvectors_in, matrix_rep_by_companion_powers,
-                     null_space_vector, roots_by_enumeration)
+from oracles import (berkowitz_char_poly, det_by_elimination, det_by_rref,
+                     eigenvector_sum_in_extension, eigenvectors_in, inv_by_rref,
+                     matrix_rep_by_companion_powers, null_space_vector, rank_by_rref,
+                     roots_by_enumeration, solve_by_rref)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -67,6 +68,22 @@ def perm_char_poly(a):
     return total
 
 
+def det(a):
+    """a.det() over a prime field; over an extension field, where Mat
+    eliminates nothing, the field-element oracle."""
+    return a.det() if a.spec.m == 1 else det_by_rref(a)
+
+
+def rank(a):
+    """a.rank() over a prime field, the field-element oracle otherwise."""
+    return a.rank() if a.spec.m == 1 else rank_by_rref(a)
+
+
+def solve(a, b):
+    """a.solve(b) over a prime field, the field-element oracle otherwise."""
+    return a.solve(b) if a.spec.m == 1 else solve_by_rref(a, b)
+
+
 def random_mat(spec, n, rng, cols=None):
     return Mat.build(spec, [[rng.randrange(spec.order) for _ in range(cols or n)]
                             for _ in range(n)])
@@ -75,7 +92,7 @@ def random_mat(spec, n, rng, cols=None):
 def random_nonsingular(spec, n, rng):
     while True:
         a = random_mat(spec, n, rng)
-        if a.det():
+        if det(a):
             return a
 
 
@@ -107,6 +124,18 @@ class TestMatBasics:
         with pytest.raises(DimensionMismatch):
             a.inv()
 
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)], ids=["GF4", "GF9"])
+    def test_extension_field_eliminations_raise(self, p, m):
+        # Mat eliminates over F_p only; products still work over F_{p^m}
+        spec = make_field(p, m)
+        x = spec.element([0, 1])
+        a = Mat.build(spec, [[1, x], [x + 1, 1]])
+        b = Mat.build(spec, [[1], [x]])
+        for eliminate in (a.rank, a.det, a.inv, lambda: a.solve(b)):
+            with pytest.raises(FieldMismatch, match="over a prime field only"):
+                eliminate()
+        assert a @ b == Mat.build(spec, [[1 + x * x], [x + 1 + x]])
+
     def test_empty_width(self):
         v = Mat.from_columns(GF2, [], nrows=3)
         assert v.nrows == 3 and v.ncols == 0 and v.rank() == 0
@@ -129,7 +158,7 @@ class TestMatBasics:
             for n in (2, 3, 4, 5):
                 for _ in range(25):
                     a = random_mat(spec, n, rng)
-                    assert a.det() == perm_det(a)
+                    assert det(a) == perm_det(a)
 
     def test_singular_raises(self):
         a = Mat.build(GF2, [[1, 1], [1, 1]])
@@ -144,7 +173,7 @@ class TestMatBasics:
             for _ in range(40):
                 a = random_nonsingular(spec, 4, rng)
                 x = Mat.build(spec, [[rng.randrange(spec.order)] for _ in range(4)])
-                assert a.solve(a @ x) == x
+                assert solve(a, a @ x) == x
 
     @pytest.mark.parametrize("spec", [GF3, make_field(2, 3)], ids=["GF3", "GF8"])
     def test_solve_full_column_rank(self, spec):
@@ -154,13 +183,13 @@ class TestMatBasics:
         # InconsistentSystem
         a = Mat.build(spec, [[1, 0], [0, 1], [1, 1]])
         x = Mat.build(spec, [[2], [1]])
-        assert a.solve(a @ x) == x
+        assert solve(a, a @ x) == x
         with pytest.raises(InconsistentSystem):
-            a.solve(Mat.build(spec, [[0], [0], [1]]))
+            solve(a, Mat.build(spec, [[0], [0], [1]]))
         with pytest.raises(Singular):
-            Mat.build(spec, [[1, 1], [2, 2]]).solve(Mat.build(spec, [[1], [2]]))
+            solve(Mat.build(spec, [[1, 1], [2, 2]]), Mat.build(spec, [[1], [2]]))
         with pytest.raises(Singular):
-            Mat.build(spec, [[1, 0, 1], [0, 1, 1]]).solve(Mat.build(spec, [[1], [1]]))
+            solve(Mat.build(spec, [[1, 0, 1], [0, 1, 1]]), Mat.build(spec, [[1], [1]]))
         rng = random.Random(21)
         for nrows, ncols in ((3, 3), (4, 2), (5, 3), (4, 1)):
             done = 0
@@ -168,17 +197,17 @@ class TestMatBasics:
                 a = random_mat(spec, nrows, rng, ncols)
                 b = random_mat(spec, nrows, rng, 2)
                 aug = Mat(spec, tuple(ra + rb for ra, rb in zip(a.rows, b.rows)))
-                if a.rank() < ncols:
+                if rank(a) < ncols:
                     with pytest.raises(Singular):
-                        a.solve(b)
+                        solve(a, b)
                     continue
                 x = random_mat(spec, ncols, rng, 2)
-                assert a.solve(a @ x) == x
-                if aug.rank() > ncols:
+                assert solve(a, a @ x) == x
+                if rank(aug) > ncols:
                     with pytest.raises(InconsistentSystem):
-                        a.solve(b)
+                        solve(a, b)
                 else:
-                    assert a @ a.solve(b) == b
+                    assert a @ solve(a, b) == b
                 done += 1
 
     def test_null_space_vector(self):
@@ -533,7 +562,7 @@ class TestPrimeFieldDet:
     @staticmethod
     def _check(a):
         assert a.det() == a.spec.from_code(
-            lift_matrix(a, make_field(a.spec.p, 2)).det().code)
+            det_by_rref(lift_matrix(a, make_field(a.spec.p, 2))).code)
 
     @pytest.mark.parametrize("spec,n", [(GF2, 2), (GF2, 3), (GF3, 2), (GF5, 2)])
     def test_exhaustive(self, spec, n):
@@ -560,7 +589,7 @@ class TestPrimeFieldDet:
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             a = Mat.build(spec, [[rng.randrange(p) if rng.random() < 0.6 else 0
                                   for _ in range(cols)] for _ in range(rows)])
-            want = lift_matrix(a, ext).rank()
+            want = rank_by_rref(lift_matrix(a, ext))
             assert len(_gauss_jordan_mod_p(a.to_code_rows(), cols, p)[0]) == a.rank() == want
 
 
@@ -613,12 +642,12 @@ class TestPrimeFieldCodes:
         la = lift_matrix(a, ext)
         assert lift_matrix(a @ right, ext) == la @ lift_matrix(right, ext)
         got = cls._outcome(lambda: a.solve(rhs), ext)
-        assert got == cls._outcome(lambda: la.solve(lift_matrix(rhs, ext)))
+        assert got == cls._outcome(lambda: solve_by_rref(la, lift_matrix(rhs, ext)))
         if a.nrows == a.ncols:
-            assert cls._outcome(a.inv, ext) == cls._outcome(la.inv)
+            assert cls._outcome(a.inv, ext) == cls._outcome(lambda: inv_by_rref(la))
             assert (char_poly(a).coeff_codes()
                     == berkowitz_char_poly(la).coeff_codes())
-            assert _full_rank(p, a.to_code_rows()) == bool(la.det())
+            assert _full_rank(p, a.to_code_rows()) == bool(det_by_rref(la))
         return got
 
     @pytest.mark.parametrize("spec,n", [(GF2, 2), (GF2, 3), (GF3, 2)])

@@ -13,7 +13,8 @@ from gfalign import (DegenerateSpectrum, Mat, MimoChannel, MimoPipeline,
 from gfalign import gf, linalg, mimo, scheme
 from gfalign.linalg import splitting_data
 from gfalign.mimo import random_message
-from oracles import (eigenvector_sum_in_extension, eigenvectors_in,
+from oracles import (det_by_rref, eigenvector_sum_in_extension,
+                     eigenvectors_by_vandermonde, eigenvectors_in,
                      random_mimo_channel_by_det, roots_by_enumeration,
                      vandermonde_det)
 from test_golden import GOLDEN, render
@@ -222,7 +223,7 @@ class TestPrecoders:
                     vectors = eigenvectors_in(hop.product, plan.ext, hop.eigenvalues)
                     det = v_main.det().lift(plan.ext)
                     assert det.code
-                    assert det == vectors.det() * vandermonde_det(hop.eigenvalues)
+                    assert det == det_by_rref(vectors) * vandermonde_det(hop.eigenvalues)
 
     def test_alignment_residuals_vanish(self):
         plan = plan_extension(f4_fixture_channel())
@@ -243,8 +244,10 @@ class TestPrecoders:
 
 
 class TestEigenvectors:
-    """HopPlan.eigenvectors, v1 V^-1, against one kernel search of
-    A - lambda I per eigenvalue in F_{p^L} (oracles.eigenvectors_in)."""
+    """HopPlan.eigenvectors, v1 V^-1 from the Lagrange form of V^-1, against
+    one kernel search of A - lambda I per eigenvalue in F_{p^L}
+    (oracles.eigenvectors_in) and against v1 times V inverted by
+    elimination (oracles.eigenvectors_by_vandermonde)."""
 
     @pytest.mark.parametrize("p,m,wide", [
         (2, 2, 0), (3, 2, 0), (2, 3, 0), (3, 3, 0), (2, 4, 0), (5, 2, 0),
@@ -266,6 +269,7 @@ class TestEigenvectors:
             for hop in (plan.hop1, plan.hop2):
                 assert hop.eigenvectors == eigenvectors_in(
                     hop.product, plan.ext, hop.eigenvalues)
+                assert hop.eigenvectors == eigenvectors_by_vandermonde(hop)
             planned.append(plan.ext.order)
         assert len(planned) >= 10
         assert sum(order > 1 << 16 for order in planned) >= wide
