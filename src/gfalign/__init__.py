@@ -23,9 +23,8 @@ from .mimo import (ExtensionPlan, MimoChannel, MimoPipeline, MimoPrecoders,
                    MimoSimulationReport, build_mimo_precoders,
                    mimo_channel_from_dict, mimo_channel_to_dict,
                    plan_extension, random_mimo_channel, simulate_symbol_ext)
-from .polys import (Poly, count_irreducible, divisors, enumerate_irreducible,
-                    factor_poly, format_poly, is_irreducible,
-                    minimal_polynomial, mobius, parse_poly)
+from .polys import (Poly, count_irreducible, divisors, factor_poly,
+                    format_poly, mobius, parse_poly)
 from .scheme import (FeasibilityVerdict, LinearPipeline, MessagePair,
                      PrecoderSet, ScanReport, SimulationReport, TwoHopChannel,
                      all_messages, apply_hop, build_precoders,

@@ -20,8 +20,8 @@ import sys
 from . import feasibility as feas
 from . import mimo, scheme
 from .errors import DegenerateSpectrum, GFAlignError, SingularChannel
-from .gf import (check_field_params, make_field, parse_int, prime_field,
-                 primitive_element)
+from .gf import (check_field_params, int_digit_limit, make_field, parse_int,
+                 prime_field, primitive_element)
 from .linalg import companion_matrix
 from .polys import Poly, format_poly, parse_poly
 
@@ -111,9 +111,11 @@ def cmd_compare_ext(args) -> int:
 
 
 def _load_json(path: str) -> dict:
-    def parse_int(text: str) -> int:    # int() raises past 4300 digits, naming no file
-        if len(text.lstrip("-")) > 4300:
-            raise ValueError(f"channel file {path} has an integer of more than 4300 digits")
+    limit = int_digit_limit()
+
+    def parse_int(text: str) -> int:    # int() raises past the limit, naming no file
+        if limit and len(text.lstrip("-")) > limit:
+            raise ValueError(f"channel file {path} has an integer of more than {limit} digits")
         return int(text)
 
     with open(path) as fh:
@@ -121,6 +123,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"channel file {path} is not JSON: {exc}") from None
+        except RecursionError:      # valid JSON nested past the decoder's stack
+            raise ValueError(f"channel file {path} is nested too deeply to read") from None
 
 
 def _explicit_message(args, m: int) -> bool:
@@ -275,6 +279,8 @@ def main(argv=None) -> int:
             parent = os.path.dirname(os.path.abspath(out))
             if not os.path.isdir(parent):
                 raise ValueError(f"output directory does not exist: {parent}")
+            if os.path.isdir(out):
+                raise ValueError(f"output path is a directory: {out}")
         channel = getattr(args, "channel", None)
         if channel and not os.path.isfile(channel):
             raise ValueError(f"channel file does not exist: {channel}")

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLarge
-from .gf import _randbelow, check_field_params, make_field
+from .gf import _randbelow, check_field_params, int_digit_limit, make_field
 from .polys import count_irreducible, divisors
 from .scheme import check_feasible, draw_channel
 
@@ -243,7 +242,7 @@ def feasibility_stats(p: int, m: int, trials: int | None = None,
     """One sweep row; TooLarge first when p^m, its largest number, has
     floor(m log10 p) + 1 digits, more than Python prints (0: no limit)."""
     check_field_params(p, m)
-    limit, digits = getattr(sys, "get_int_max_str_digits", int)(), m * math.log10(p)
+    limit, digits = int_digit_limit(), m * math.log10(p)
     if limit and digits > limit - 1e-6 and (digits > limit + 1e-6 or p ** m > 10 ** limit):
         raise TooLarge(f"{p}^{m} has {max(math.floor(digits), limit) + 1} decimal "
                        f"digits, more than the {limit} this interpreter prints")

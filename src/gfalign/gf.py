@@ -22,6 +22,7 @@ Larger fields fall back to plain polynomial arithmetic.
 from __future__ import annotations
 
 import functools
+import sys
 from itertools import compress, count, islice
 from typing import Iterator, Sequence
 
@@ -650,6 +651,12 @@ def format_element(e: FieldElem) -> list[int]:
     """Serialize an element as its coefficient list, low degree first, the
     one output notation (parse_element reads it back)."""
     return list(e.coeffs)
+
+
+def int_digit_limit() -> int:
+    """The most decimal digits this interpreter converts between int and
+    text; 0 means no limit, as on Python before 3.11."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def parse_int(entry: str, source: str) -> int:

@@ -1,10 +1,10 @@
-"""Univariate polynomials over a field, irreducibility and factoring.
+"""Univariate polynomials over a field: factoring, counting irreducibles, text.
 
 Everything here is desk-scale by design: factoring divides by the monic
-polynomials of each degree in turn, irreducibility and squarefreeness are
-read off that factorization, and enumeration walks all monic polynomials of
-a degree.  That is exact, simple, and fast enough for the field sizes this
-package targets.
+polynomials of each degree in turn, and irreducibility and squarefreeness
+are read off that factorization.  The count of irreducibles of a degree is
+the Moebius closed form; nothing here enumerates them.  That is exact,
+simple, and fast enough for the field sizes this package targets.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import re
 from typing import Sequence
 
 from .errors import FieldMismatch, TooLarge
-from .gf import (FieldElem, FieldSpec, conjugates, parse_int, prime_factors,
-                 prime_field)
+from .gf import FieldElem, FieldSpec, parse_int, prime_factors, prime_field
 
 _FACTOR_LIMIT = 10000   # candidate divisors: 0.7 s for 8190 (degree 25 over F_2)
 _PARSE_DEGREE_LIMIT = 1 << 16   # degree of polynomial text: a list of 65537 coefficients
@@ -191,19 +190,6 @@ def all_monic(spec: FieldSpec, degree: int):
         yield Poly(spec, [spec.from_code(c) for c in low] + [spec.one])
 
 
-def is_irreducible(f: Poly) -> bool:
-    """True iff f is its own factorization (see factor_poly)."""
-    if not f.is_monic or f.degree < 1:
-        raise ValueError("irreducibility is defined for monic polynomials of degree >= 1")
-    return factor_poly(f) == [(f, 1)]
-
-
-def enumerate_irreducible(p: int, d: int) -> list[Poly]:
-    """All monic irreducible polynomials of degree d over F_p, lexicographic."""
-    spec = prime_field(p)
-    return [f for f in all_monic(spec, d) if is_irreducible(f)]
-
-
 def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     """Factor a monic polynomial into monic irreducibles with multiplicities.
 
@@ -241,26 +227,6 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
         d += 1
     out.sort(key=lambda fm: (-fm[0].degree, fm[0].coeff_codes()))
     return out
-
-
-def minimal_polynomial(e: FieldElem) -> Poly:
-    """Monic polynomial over F_p of least degree annihilating e.
-
-    Built as the product of (x - c) over the orbit of e under the p-power
-    map; the coefficients necessarily collapse into F_p.  The zero element
-    gets x.
-    """
-    spec = e.spec
-    ground = prime_field(spec)
-    acc = Poly(spec, (1,))
-    for c in conjugates(e):
-        acc = acc * Poly(spec, (-c, spec.one))
-    codes = []
-    for coeff in acc.coeffs:
-        if any(coeff.coeffs[1:]):
-            raise AssertionError("orbit product has a coefficient outside F_p")
-        codes.append(coeff.coeffs[0])
-    return Poly(ground, codes)
 
 
 # -- textual notation ---------------------------------------------------------

@@ -177,6 +177,44 @@ def eigenvectors_in(a, ext, values):
     return Mat.from_columns(ext, cols)
 
 
+def is_irreducible(f) -> bool:
+    """True iff f is its own factorization (see factor_poly)."""
+    from gfalign.polys import factor_poly
+    if not f.is_monic or f.degree < 1:
+        raise ValueError("irreducibility is defined for monic polynomials of degree >= 1")
+    return factor_poly(f) == [(f, 1)]
+
+
+def enumerate_irreducible(p: int, d: int) -> list:
+    """All monic irreducible polynomials of degree d over F_p, lexicographic."""
+    from gfalign.gf import prime_field
+    from gfalign.polys import all_monic
+    spec = prime_field(p)
+    return [f for f in all_monic(spec, d) if is_irreducible(f)]
+
+
+def minimal_polynomial(e):
+    """Monic polynomial over F_p of least degree annihilating e.
+
+    Built as the product of (x - c) over the orbit of e under the p-power
+    map; the coefficients necessarily collapse into F_p.  The zero element
+    gets x.
+    """
+    from gfalign.gf import conjugates, prime_field
+    from gfalign.polys import Poly
+    spec = e.spec
+    ground = prime_field(spec)
+    acc = Poly(spec, (1,))
+    for c in conjugates(e):
+        acc = acc * Poly(spec, (-c, spec.one))
+    codes = []
+    for coeff in acc.coeffs:
+        if any(coeff.coeffs[1:]):
+            raise AssertionError("orbit product has a coefficient outside F_p")
+        codes.append(coeff.coeffs[0])
+    return Poly(ground, codes)
+
+
 def berkowitz_char_poly(a):
     """Monic characteristic polynomial det(xI - a) of a square matrix over
     any field, by Berkowitz's algorithm on field elements: step k extends

@@ -14,15 +14,14 @@ from gfalign import (DegenerateSpectrum, Mat, MimoPipeline, all_messages,
                      build_mimo_precoders, build_precoders, char_poly,
                      check_feasible, coeff_rows, coeff_vector,
                      count_irreducible, diag_symbol_ext_feasibility,
-                     draw_valid_channel, enumerate_irreducible,
-                     exact_fraction, exhaustive_scan, krylov_precoders,
-                     lift_matrix, linear_combination_image, lower_bound,
-                     make_field, matrix_rep, mc_feasibility, minpoly_degree,
-                     normalized_rates, plan_extension, prime_field,
-                     random_mimo_channel, simulate)
+                     draw_valid_channel, exact_fraction, exhaustive_scan,
+                     krylov_precoders, lift_matrix, linear_combination_image,
+                     lower_bound, make_field, matrix_rep, mc_feasibility,
+                     minpoly_degree, normalized_rates, plan_extension,
+                     prime_field, random_mimo_channel, simulate)
 from gfalign.mimo import random_message as random_ext_message
-from oracles import (det_by_rref, eigenvectors_in, roots_by_enumeration,
-                     vandermonde_det)
+from oracles import (det_by_rref, eigenvectors_in, enumerate_irreducible,
+                     roots_by_enumeration, vandermonde_det)
 
 SEED = 20260809
 

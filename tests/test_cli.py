@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -399,6 +400,42 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == f"error: channel file {path} has an integer of more than 4300 digits\n"
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the int-string digit limit came with Python 3.11")
+    @pytest.mark.parametrize("limit,digits", [(640, 1000), (0, 5000)])
+    def test_channel_file_integer_limit_is_the_interpreters(self, capsys, tmp_path,
+                                                           limit, digits):
+        # the hook hard-coded 4300 digits: under a limit of 640 Python's own
+        # message named no file, and under 0 (no limit) 5000 digits were refused
+        channel = json.loads(open(self.feasible_channel(tmp_path)).read())
+        channel["hop1"]["q11"] = "HUGE"     # 10^(digits-1) + 1, which is 1 mod 2
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(channel).replace('"HUGE"', "1" + "0" * (digits - 2) + "1"))
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(capsys, "simulate", "--channel", str(path), "--seed", "1")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        if limit:
+            assert code == 2 and out == ""
+            assert err == f"error: channel file {path} has an integer of more than {limit} digits\n"
+        else:
+            assert code == 0 and json.loads(out)["success"] is True
+
+    @pytest.mark.parametrize("command", ["simulate", "symbol-ext"])
+    @pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"p": ', "}")],
+                             ids=["array", "object"])
+    def test_deeply_nested_channel_file_exits_2(self, capsys, tmp_path, command,
+                                                opening, closing):
+        # valid JSON 100 000 deep: json.load raised RecursionError, which
+        # printed a traceback and exited 1, the code for an undelivered message
+        path = tmp_path / "deep.json"
+        path.write_text(opening * 100000 + "0" + closing * 100000)
+        code, out, err = run(capsys, command, "--channel", str(path), "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: channel file {path} is nested too deeply to read\n"
+
     def test_element_notations_still_parse(self, capsys, tmp_path):
         channel = json.loads(open(self.feasible_channel(tmp_path)).read())
         channel["hop1"].update(q11=1, q12="a^0")
@@ -450,6 +487,16 @@ class TestScan:
         for p, m in ((5, 2), (2, 61)):
             code, out, err = run(capsys, "scan", "--p", str(p), "--m", str(m))
             assert code == 2 and out == "" and "guard" in err
+
+    def test_out_naming_a_directory_exits_2_before_scanning(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # only the parent was checked, so the scan ran before open() failed
+        calls = []
+        monkeypatch.setattr(scheme, "exhaustive_scan", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "scan", "--p", "2", "--m", "3", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: output path is a directory: {tmp_path}\n"
+        assert calls == []
 
 
 class TestSymbolExt:
@@ -512,7 +559,9 @@ class TestSymbolExt:
         ("p", True, "p must be an integer, not true"),
         ("m", 2.0, "m must be an integer, not 2.0"),
         ("Q21", [[1, 0], [0, True]], "Q21 must be a list of integer rows"),
-        ("Q43", [[1, 0], [0.5, 1]], "Q43 must be a list of integer rows")])
+        ("Q43", [[1, 0], [0.5, 1]], "Q43 must be a list of integer rows"),
+        ("Q11", [], "a matrix needs at least one row"),
+        ("Q11", [[1, 0], [1]], "rows have unequal lengths")])
     def test_wrongly_typed_channel_exits_2(self, capsys, tmp_path, key, value,
                                            message):
         ident = [[1, 0], [0, 1]]

@@ -5,9 +5,9 @@ import pytest
 from gfalign import (NotPrime, diag_exhaustive,
                      diag_symbol_ext_feasibility, exact_fraction,
                      feasibility_stats, lower_bound, make_field,
-                     mc_feasibility, minimal_polynomial, normalized_rates)
+                     mc_feasibility, normalized_rates)
 from gfalign.feasibility import CSV_COLUMNS, stats_csv_row
-from oracles import diag_exhaustive_by_enumeration
+from oracles import diag_exhaustive_by_enumeration, minimal_polynomial
 
 
 class TestExactFraction:

@@ -355,6 +355,20 @@ class TestArithmetic:
         with pytest.raises(FieldMismatch):
             b + c
 
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: prime_field(2).one.lift(make_field(3, 2)), FieldMismatch,
+         "different characteristic"),
+        (lambda: make_field(2, 2).from_code(4), ValueError, "code 4 out of range"),
+        (lambda: make_field(2, 2).element([1, 0, 1]), ValueError, "longer than the degree"),
+    ], ids=["lift-across-characteristics", "from-code-out-of-range", "element-long-vector"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_zero_tail_of_a_coefficient_vector_is_dropped(self):
+        f4 = make_field(2, 2)
+        assert f4.element([1, 1, 0, 2]) == f4.element([1, 1])
+
     def test_int_operands_are_constants(self):
         f9 = make_field(3, 2)
         a = primitive_element(f9)

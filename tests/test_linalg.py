@@ -9,9 +9,8 @@ from gfalign import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      block2x2, char_poly,
                      coeff_rows, coeff_vector, companion_matrix,
                      elem_from_coeff_vector, elem_from_matrix_rep,
-                     lift_matrix,
+                     krylov_precoders, lift_matrix,
                      linear_combination_image, make_field, matrix_rep,
-                     minimal_polynomial,
                      prime_field, primitive_element, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
 from gfalign.gf import is_prime
@@ -20,8 +19,9 @@ from gfalign.linalg import (_det_small, _full_rank, _gauss_jordan_mod_p,
 from gfalign.polys import all_monic
 from oracles import (berkowitz_char_poly, det_by_elimination, det_by_rref,
                      eigenvector_sum_in_extension, eigenvectors_in, inv_by_rref,
-                     matrix_rep_by_companion_powers, null_space_vector, rank_by_rref,
-                     roots_by_enumeration, solve_by_rref)
+                     matrix_rep_by_companion_powers, minimal_polynomial,
+                     null_space_vector, rank_by_rref, roots_by_enumeration,
+                     solve_by_rref)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -123,6 +123,44 @@ class TestMatBasics:
             a.det()
         with pytest.raises(DimensionMismatch):
             a.inv()
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: Mat.build(GF2, []), DimensionMismatch, "at least one row"),
+        (lambda: Mat.build(GF2, [[1, 0], [1]]), DimensionMismatch, "unequal lengths"),
+        (lambda: Mat.from_columns(GF2, []), DimensionMismatch, "explicit row count"),
+        (lambda: Mat.identity(GF2, 2) @ Mat.identity(GF3, 2), FieldMismatch,
+         "different fields"),
+        (lambda: Mat.from_columns(GF2, [], nrows=2) @ Mat.from_columns(GF2, [], nrows=0),
+         DimensionMismatch, "empty inner dimension"),
+        (lambda: Mat.identity(GF2, 2).solve(Mat.build(GF2, [[1]])), DimensionMismatch,
+         "different row count"),
+        (lambda: krylov_precoders(*[Mat.identity(make_field(2, 2), 2)] * 3), FieldMismatch,
+         "over a prime field"),
+        (lambda: elem_from_coeff_vector(Mat.identity(GF2, 2), make_field(2, 2)),
+         DimensionMismatch, "2 x 1 coefficient column"),
+        (lambda: elem_from_matrix_rep(Mat.identity(GF2, 3), make_field(2, 2)),
+         DimensionMismatch, "2 x 2 matrix"),
+        (lambda: coeff_rows(Mat.identity(make_field(2, 2), 2)), DimensionMismatch,
+         "column vector"),
+        (lambda: vector_from_coeff_rows(Mat.identity(GF2, 3), make_field(2, 2)),
+         DimensionMismatch, "2 coefficient columns"),
+        (lambda: linear_combination_image([GF2.one], []), DimensionMismatch,
+         "differ in length"),
+        (lambda: linear_combination_image([], []), DimensionMismatch, "empty combination"),
+        (lambda: linear_combination_image([make_field(2, 2).one], [make_field(2, 3).one]),
+         FieldMismatch, "mixes different fields"),
+        (lambda: lift_matrix(Mat.identity(make_field(2, 2), 2), make_field(2, 4)),
+         FieldMismatch, "from the ground field"),
+        (lambda: char_poly(Mat.build(GF2, [[1, 0]])), DimensionMismatch, "non-square"),
+    ], ids=["build-no-rows", "build-unequal-rows", "from-columns-no-nrows",
+            "matmul-across-fields", "matmul-empty-inner", "solve-row-count",
+            "krylov-GF4", "elem-from-coeff-vector", "elem-from-matrix-rep",
+            "coeff-rows", "vector-from-coeff-rows", "combination-lengths",
+            "combination-empty", "combination-fields", "lift-from-GF4",
+            "char-poly-1x2"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     @pytest.mark.parametrize("p,m", [(2, 2), (3, 2)], ids=["GF4", "GF9"])
     def test_extension_field_eliminations_raise(self, p, m):

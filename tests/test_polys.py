@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from gfalign import (Poly, TooLarge, count_irreducible, divisors,
-                     enumerate_irreducible, factor_poly, format_poly,
-                     is_irreducible, make_field, minimal_polynomial, mobius,
+from gfalign import (FieldMismatch, Poly, TooLarge, count_irreducible, divisors,
+                     factor_poly, format_poly, make_field, mobius,
                      parse_poly, polys, prime_field, primitive_element)
 from gfalign.polys import all_monic
+from oracles import enumerate_irreducible, is_irreducible, minimal_polynomial
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -42,6 +42,18 @@ class TestPolyArithmetic:
             q, r = divmod(f, g)
             assert q * g + r == f
             assert r.degree < g.degree
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: Poly(GF2, [1]) + Poly(GF3, [1]), FieldMismatch, "different fields"),
+        (lambda: divmod(Poly(GF2, [1, 1]), Poly.zero(GF2)), ZeroDivisionError,
+         "division by zero"),
+        (lambda: Poly(GF2, [1, 1])(make_field(3, 2).one), FieldMismatch,
+         "not in a compatible field"),
+        (lambda: factor_poly(Poly(GF3, [1, 2])), ValueError, "monic polynomials"),
+    ], ids=["add-across-fields", "divmod-by-zero", "eval-in-GF9", "factor-non-monic"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
     def test_eval_with_lift(self):
         f4 = make_field(2, 2)

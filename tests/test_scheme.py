@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gfalign import (InconsistentSystem, Mat, MessagePair, TwoHopChannel,
-                     all_messages, apply_hop, block2x2, build_precoders,
+from gfalign import (InconsistentSystem, Mat, MessagePair, TooLarge,
+                     TwoHopChannel, all_messages, apply_hop, block2x2, build_precoders,
                      channel_from_dict, channel_to_dict, check_feasible,
                      coeff_vector, destination_decode, draw_valid_channel,
                      elem_from_coeff_vector, exhaustive_scan, krylov_precoders,
@@ -323,6 +323,17 @@ class TestDestinationDecode:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: TwoHopChannel.create(F4, [1, 1, 1], [1, 1, 1, 1]), ValueError,
+         "exactly four coefficients"),
+        # every hop over GF(2) is singular: all coefficients are 1
+        (lambda: draw_valid_channel(prime_field(2), random.Random(0)), TooLarge,
+         r"no full-rank channel found in 10000 draws over GF\(2\)"),
+    ], ids=["three-coefficients", "draw-over-GF2"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_channel_roundtrip_coeffs(self):
         ch = f4_fixture()
         again = channel_from_dict(channel_to_dict(ch))
