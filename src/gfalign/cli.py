@@ -111,7 +111,7 @@ def cmd_compare_ext(args) -> int:
 
 
 def _load_json(path: str) -> dict:
-    limit = int_digit_limit()
+    limit = int_digit_limit(4300)   # a fixed cap where int() has none: parsing is quadratic
 
     def parse_int(text: str) -> int:    # int() raises past the limit, naming no file
         if limit and len(text.lstrip("-")) > limit:

@@ -242,7 +242,7 @@ def feasibility_stats(p: int, m: int, trials: int | None = None,
     """One sweep row; TooLarge first when p^m, its largest number, has
     floor(m log10 p) + 1 digits, more than Python prints (0: no limit)."""
     check_field_params(p, m)
-    limit, digits = int_digit_limit(), m * math.log10(p)
+    limit, digits = int_digit_limit(0), m * math.log10(p)
     if limit and digits > limit - 1e-6 and (digits > limit + 1e-6 or p ** m > 10 ** limit):
         raise TooLarge(f"{p}^{m} has {max(math.floor(digits), limit) + 1} decimal "
                        f"digits, more than the {limit} this interpreter prints")

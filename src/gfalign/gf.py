@@ -653,10 +653,11 @@ def format_element(e: FieldElem) -> list[int]:
     return list(e.coeffs)
 
 
-def int_digit_limit() -> int:
+def int_digit_limit(fallback: int) -> int:
     """The most decimal digits this interpreter converts between int and
-    text; 0 means no limit, as on Python before 3.11."""
-    return getattr(sys, "get_int_max_str_digits", int)()
+    text, 0 meaning no limit; ``fallback`` on an interpreter without one
+    (before 3.11, or before 3.10.7 on 3.10)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: fallback)()
 
 
 def parse_int(entry: str, source: str) -> int:

@@ -400,8 +400,19 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == f"error: channel file {path} has an integer of more than 4300 digits\n"
 
+    def test_channel_file_integer_cap_without_an_interpreter_limit(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        # an interpreter without the limit (3.10 before 3.10.7) parses any
+        # length, quadratically; the hook keeps 4300 there
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        path = tmp_path / "huge.json"
+        path.write_text('{"p": 1' + "0" * 4999 + ', "m": 2}')
+        code, out, err = run(capsys, "simulate", "--channel", str(path), "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: channel file {path} has an integer of more than 4300 digits\n"
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                        reason="the int-string digit limit came with Python 3.11")
+                        reason="this interpreter has no int-string digit limit")
     @pytest.mark.parametrize("limit,digits", [(640, 1000), (0, 5000)])
     def test_channel_file_integer_limit_is_the_interpreters(self, capsys, tmp_path,
                                                            limit, digits):
