@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import Sequence
 
-from .errors import Singular, SingularChannel
+from .errors import InconsistentSystem, Singular, SingularChannel
 from .gf import (FieldElem, FieldSpec, _randbelow_blocks, check_field_params,
                  make_field, prime_field)
 from .linalg import (Mat, _compound, _det_small, _element_of_code, _full_rank,
@@ -246,9 +246,9 @@ class MimoPipeline:
     """Reusable end-to-end runner for one planned channel.
 
     Message symbols live in the plan's extension field F_{p^L}.  Each run
-    sends their codes through the shared F_p core (scheme.LinearPipeline),
-    whose maps act on all L coefficients of a code at once, and returns
-    the output codes as elements of F_{p^L}.
+    sends their codes once through the composed map of the shared F_p core
+    (scheme.LinearPipeline.transmit), which acts on all L coefficients of a
+    code at once, and returns the output codes as elements of F_{p^L}.
     """
 
     def __init__(self, precoders: MimoPrecoders):
@@ -267,16 +267,20 @@ class MimoPipeline:
     def run(self, w1: Sequence[FieldElem], w2: Sequence[FieldElem]):
         """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2).  An
         element of ``ext`` gives its code, any other symbol goes through
-        ext.element; the codes pass once through each F_p map."""
+        ext.element; the codes pass once through the composed F_p map.
+        InconsistentSystem when the destination-2 residual is nonzero."""
         m, ext, symbol = self.core.m, self.ext, self._symbol
         if len(w1) != m or len(w2) != m - 1:
             raise ValueError(f"expected message lengths {m} and {m - 1}")
-        u, w = self.core._transmit([
+        out = self.core.transmit([
             v.code if type(v) is FieldElem and v.spec is ext else ext.element(v).code
             for v in (*w1, *w2)])
+        if out[0]:
+            raise InconsistentSystem(
+                "destination-2 observation left the side-precoder column space")
         # tuple() of a map resizes its guess and leaves tuples in the free
         # lists on every call; of a list it allocates the size once
-        out, n = tuple([*map(symbol, w + u)]), 2 * m - 1
+        out, n = tuple([*map(symbol, out[1:])]), 2 * m - 1
         return out[:m], out[m:n], out[n:n + m], out[n + m:]
 
 

@@ -21,9 +21,9 @@ makes the power-basis precoders full rank.
 
 simulate runs LinearPipeline, the F_p core shared with the matrix-channel
 model, which holds each half of the pipeline as one F_p matrix and applies
-it to symbol codes; exhaustive_scan reads its failure counts off those
-matrices by rank.  The stage functions source_encode .. destination_decode
-are the reference.
+both halves to symbol codes as one composed map; exhaustive_scan reads its
+failure counts off the two matrices by rank.  The stage functions
+source_encode .. destination_decode are the reference.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .errors import InconsistentSystem, TooLarge
+from .errors import SingularChannel, TooLarge
 from .gf import (FieldElem, FieldSpec, _randbelow, check_field_params,
                  format_element, make_field, minpoly_degree, parse_element,
                  prime_field)
@@ -421,7 +421,8 @@ class LinearPipeline:
     exactly when the alignment identities Q11 v1[l+1] = Q12 v2[l], Q21 v1[l]
     = Q22 v2[l] (and their S-block twins for v3, v4) hold and S11, S21 are
     blocks of the inverse of hop 2.  Setting a map stores the rank of
-    relay_map - S or destination_map S - [I; 0]: relay_defect, destination_defect.
+    relay_map - S or destination_map S - [I; 0]: relay_defect, destination_defect,
+    and drops the composed map of transmit, built again on the next call.
     """
 
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
@@ -447,48 +448,47 @@ class LinearPipeline:
 
     @property
     def relay_map(self) -> list[list[int]]:
-        return self._relay.rows
+        return self._relay_rows
 
     @relay_map.setter
     def relay_map(self, rows: list[list[int]]) -> None:
-        self._relay = _CodeMap(self.p, rows)
+        self._relay_rows = rows
         self.relay_defect = _defect(self.p, rows, _relay_sum_rows(self.m))
+        self.__dict__.pop("transmit", None)
 
     @property
     def destination_map(self) -> list[list[int]]:
-        return self._destination.rows
+        return self._destination_rows
 
     @destination_map.setter
     def destination_map(self, rows: list[list[int]]) -> None:
-        self._destination = _CodeMap(self.p, rows)
-        sums, target = _relay_sum_rows(self.m), _decode_target(self.m)
-        self.destination_defect = _defect(self.p, rows, target, sums)
+        self._destination_rows = rows
+        self._decode_sums = _matmul_mod_p(self.p, rows, _relay_sum_rows(self.m))
+        self.destination_defect = _defect(self.p, self._decode_sums,
+                                          _decode_target(self.m))
+        self.__dict__.pop("transmit", None)
 
-    def relay_half(self, w1, w2):
-        """Symbol-code tuples (u1, u2) of the sums both relays decode from
-        the message (w1, w2), itself m and m-1 symbol codes."""
-        u = self._relay.apply([*w1, *w2])
-        return tuple(u[:self.m]), tuple(u[self.m:])
-
-    def destination_half(self, u1, u2):
-        """Symbol-code tuples (w1, w2) decoded from the relay sums (u1, u2);
-        InconsistentSystem when the destination-2 observation leaves the
-        column space of v4."""
-        w = self._decode([*u1, *u2])
-        return tuple(w[:self.m]), tuple(w[self.m:])
-
-    def _transmit(self, x):
-        """Both halves on flat code lists: (u1; u2) and the decoded (w1; w2)
-        of the message x = (w1; w2)."""
-        u = self._relay.apply(x)
-        return u, self._decode(u)
-
-    def _decode(self, u):
-        w = self._destination.apply(u)
-        if w.pop():
-            raise InconsistentSystem(
-                "destination-2 observation left the side-precoder column space")
-        return w
+    @functools.cached_property
+    def transmit(self):
+        """The pipeline as one function of the message x = (w1; w2), a flat
+        list of 2m-1 symbol codes, to the tuple (r, w1, w2, u1, u2) of 4m
+        codes: the destination-2 residual, the decoded message and the relay
+        sums.  Its rows are [D R; R] for D = destination_map and R =
+        relay_map, residual row first.  An intact relay map is S, so D R is
+        the product D S the destination defect took.  Rows that copy one
+        input, or are zero, are gathered from x and an appended 0 by their
+        index in [I; 0]; only the other distinct rows, on an intact core
+        the relay sums of two inputs, go through a _CodeMap."""
+        relay = self.relay_map
+        composed = (_matmul_mod_p(self.p, self.destination_map, relay)
+                    if self.relay_defect else self._decode_sums)
+        rows = [tuple(row) for row in (composed[-1], *composed[:-1], *relay)]
+        index = {row: i for i, row in enumerate(_decode_target(self.m))}
+        general = [row for row in dict.fromkeys(rows) if row not in index]
+        index.update({row: i for i, row in enumerate(general, len(index))})
+        pick = itemgetter(*map(index.get, rows))
+        apply = _CodeMap(self.p, general).apply if general else lambda x: ()
+        return lambda x: pick([*x, 0, *apply(x)])
 
 
 def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:
@@ -543,21 +543,21 @@ class SimulationReport:
 
 
 def simulate(ch: TwoHopChannel, msg: MessagePair) -> SimulationReport:
-    """Run the full pipeline; infeasible channels produce a report with the
-    verdict and no transmission."""
+    """Run the full pipeline through LinearPipeline.transmit; infeasible
+    channels produce a report with the verdict and no transmission, and a
+    nonzero residual one with no decoded message."""
     verdict = check_feasible(ch)
     if not verdict.feasible:
         return SimulationReport(ch, verdict, None, None, None, None, None,
                                 None, None, False, None)
     pre = build_precoders(ch)
-    core = scalar_pipeline(ch, pre)
-    u1, u2 = core.relay_half(msg.w1, msg.w2)
-    try:
-        decoded = MessagePair(*core.destination_half(u1, u2))
-    except InconsistentSystem:      # only a defective core leaves a residual
-        decoded = None
+    m = ch.spec.m
+    out = scalar_pipeline(ch, pre).transmit([*msg.w1, *msg.w2])
+    u1, u2 = out[2 * m:3 * m], out[3 * m:]
+    # only a defective core leaves a residual
+    decoded = None if out[0] else MessagePair(out[1:m + 1], out[m + 1:2 * m])
     success = decoded == msg
-    rate = (2 * ch.spec.m - 1) * math.log2(ch.spec.p) if success else None
+    rate = (2 * m - 1) * math.log2(ch.spec.p) if success else None
     return SimulationReport(ch, verdict, pre.hop1_ratio, pre.hop2_ratio, pre,
                             u1, u2, msg, decoded, success, rate)
 
@@ -638,7 +638,11 @@ def draw_channel(spec: FieldSpec, rng: random.Random) -> TwoHopChannel:
 
 def draw_valid_channel(spec: FieldSpec, rng: random.Random) -> TwoHopChannel:
     """Rejection-sample, in up to _MAX_DRAWS draws, a channel whose hop
-    matrices are both full rank."""
+    matrices are both full rank.  Over GF(2) every coefficient is 1 and
+    every hop singular: SingularChannel before any draw."""
+    if spec.order == 2:
+        raise SingularChannel("no valid channel over GF(2): 1 is the only nonzero "
+                              "coefficient, so both hops are singular")
     for _ in range(_MAX_DRAWS):
         ch = draw_channel(spec, rng)
         if ch.hop_det(1) and ch.hop_det(2):

@@ -467,15 +467,56 @@ def lane_apply(p, rows, vectors, digits):
     return out
 
 
+class TwoMapPipeline:
+    """A LinearPipeline applied as its two F_p maps, one after the other:
+    relay_map to the message, then destination_map to the relay sums, each
+    through its own scheme._CodeMap.  The reference for the composed map of
+    LinearPipeline.transmit, which applies both at once.  The maps are read
+    when the oracle is built."""
+
+    def __init__(self, core):
+        from gfalign.scheme import _CodeMap
+        self.m = core.m
+        self._relay = _CodeMap(core.p, core.relay_map)
+        self._destination = _CodeMap(core.p, core.destination_map)
+
+    def relay_half(self, w1, w2):
+        """Symbol-code tuples (u1, u2) of the sums both relays decode from
+        the message (w1, w2), itself m and m-1 symbol codes."""
+        u = self._relay.apply([*w1, *w2])
+        return tuple(u[:self.m]), tuple(u[self.m:])
+
+    def destination_half(self, u1, u2):
+        """Symbol-code tuples (w1, w2) decoded from the relay sums (u1, u2);
+        InconsistentSystem when the destination-2 observation leaves the
+        column space of v4."""
+        w = self._decode([*u1, *u2])
+        return tuple(w[:self.m]), tuple(w[self.m:])
+
+    def transmit(self, x):
+        """Both halves on flat code lists: (u1; u2) and the decoded (w1; w2)
+        of the message x = (w1; w2)."""
+        u = self._relay.apply(x)
+        return u, self._decode(u)
+
+    def _decode(self, u):
+        from gfalign.errors import InconsistentSystem
+        w = self._destination.apply(u)
+        if w.pop():
+            raise InconsistentSystem(
+                "destination-2 observation left the side-precoder column space")
+        return w
+
+
 def lane_relay_half(core, w1, w2, digits):
-    """LinearPipeline.relay_half computed lane by lane."""
+    """TwoMapPipeline.relay_half computed lane by lane."""
     m = core.m
     (u,) = lane_apply(core.p, core.relay_map, [[*w1, *w2]], digits)
     return u[:m], u[m:]
 
 
 def lane_destination_half(core, u1, u2, digits):
-    """LinearPipeline.destination_half computed lane by lane."""
+    """TwoMapPipeline.destination_half computed lane by lane."""
     from gfalign.errors import InconsistentSystem
     m = core.m
     (w,) = lane_apply(core.p, core.destination_map, [[*u1, *u2]], digits)
@@ -518,7 +559,7 @@ def mismatches(got, want):
 
 def sweep_failures(core, factored):
     """Failing messages of one LinearPipeline, by sending every one of the
-    p^(2m-1) messages through relay_half and destination_half.  Factored,
+    p^(2m-1) messages through the two maps (TwoMapPipeline).  Factored,
     the relay half must return the sums, and the destination half is fed
     the true sums instead of the relayed ones.  A message whose decode
     raises InconsistentSystem (a nonzero residual) fails."""
@@ -532,6 +573,7 @@ def sweep_failures(core, factored):
     sent = ([msg.w1 for msg in messages], [msg.w2 for msg in messages])
     sums = tuple(zip(*(relay_sums(p, msg) for msg in messages)))
     failures = 0
+    core = TwoMapPipeline(core)
     relayed = batch(core.relay_half, *sent)
     if factored:
         failures += mismatches(relayed, sums)

@@ -19,14 +19,15 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, FieldSpec, InconsistentS
                      destination_decode, draw_valid_channel, exhaustive_scan,
                      make_field, matrix_rep, plan_extension, prime_field,
                      random_mimo_channel, relay_decode, relay_encode, scheme,
-                     source_encode)
+                     simulate, source_encode)
 from gfalign.gf import _code_to_coeffs
 from gfalign.mimo import random_message
 from gfalign.scheme import (_certify, _CodeMap, _decode_target, _digit_codec,
                             _relay_sum_rows, scalar_pipeline)
-from oracles import (ExtensionFieldPipeline, _scan_hop, batch, composed_maps,
-                     lane_apply, lane_destination_half, lane_relay_half, lane_run,
-                     relay_sums, scan_by_sweep, sweep_failures)
+from oracles import (ExtensionFieldPipeline, TwoMapPipeline, _scan_hop, batch,
+                     composed_maps, lane_apply, lane_destination_half,
+                     lane_relay_half, lane_run, relay_sums, scan_by_sweep,
+                     sweep_failures)
 from test_mimo import f4_fixture_channel
 
 
@@ -40,13 +41,15 @@ def stagewise(pre, ch, msg):
 
 def assert_core_matches_stages(ch, messages):
     pre = build_precoders(ch)
-    core = scalar_pipeline(ch, pre)
+    lib = scalar_pipeline(ch, pre)
+    core = TwoMapPipeline(lib)
     u1s, u2s = batch(core.relay_half, [msg.w1 for msg in messages],
                      [msg.w2 for msg in messages])
     got1s, got2s = batch(core.destination_half, u1s, u2s)
     for msg, u1, u2, got1, got2 in zip(messages, u1s, u2s, got1s, got2s):
         assert stagewise(pre, ch, msg) == (u1, u2, MessagePair(got1, got2))
         assert MessagePair(got1, got2) == msg
+        assert lib.transmit([*msg.w1, *msg.w2]) == (0, *got1, *got2, *u1, *u2)
 
 
 class TestScalarCore:
@@ -76,7 +79,7 @@ class TestScalarCore:
         f4 = make_field(2, 2)
         tuples = _scan_hop(f4).feasible_tuples
         ch = TwoHopChannel(f4, tuples[0], tuples[-1])
-        core = scalar_pipeline(ch, build_precoders(ch))
+        core = TwoMapPipeline(scalar_pipeline(ch, build_precoders(ch)))
         valid = {relay_sums(2, msg) for msg in all_messages(f4)}
         lanes = list(itertools.product(range(2), repeat=2))
         raised = 0
@@ -216,7 +219,7 @@ class TestMatrixCore:
 
     def test_inconsistent_observation_raises(self):
         plan = plan_extension(f4_fixture_channel())
-        core = MimoPipeline(build_mimo_precoders(plan)).core
+        core = TwoMapPipeline(MimoPipeline(build_mimo_precoders(plan)).core)
         lanes = list(itertools.product(range(2), repeat=2))
         u1s, u2s = batch(core.relay_half, [w1 for w1 in lanes for _ in range(2)],
                          [(w2,) for _ in lanes for w2 in range(2)])
@@ -531,9 +534,10 @@ def destination_outcome(half, core, u1, u2, *digits):
 
 
 class TestCodeKernels:
-    """relay_half, destination_half and MimoPipeline.run act on symbol codes
-    (XOR for p = 2, packed digit fields for odd p); the lane oracle applies
-    the same maps to one base-p digit lane at a time."""
+    """LinearPipeline.transmit, its two maps applied one after the other
+    (TwoMapPipeline) and MimoPipeline.run act on symbol codes (XOR for
+    p = 2, packed digit fields for odd p); the lane oracle applies the same
+    maps to one base-p digit lane at a time."""
 
     @staticmethod
     def assert_matches_lanes(pipe, messages):
@@ -547,20 +551,23 @@ class TestCodeKernels:
     @staticmethod
     def assert_halves_match_lanes(core, w1s, w2s, digits):
         """Both halves equal the lane oracle on each message, and the
-        destination half returns it."""
+        destination half returns it; so does the composed map, with a zero
+        residual."""
+        two = TwoMapPipeline(core)
         for w1, w2 in zip(w1s, w2s):
-            u = core.relay_half(w1, w2)
+            u = two.relay_half(w1, w2)
             assert u == lane_relay_half(core, w1, w2, digits)
-            decoded = core.destination_half(*u)
+            decoded = two.destination_half(*u)
             assert decoded == lane_destination_half(core, *u, digits) == (w1, w2)
+            assert core.transmit([*w1, *w2]) == (0, *w1, *w2, *u[0], *u[1])
 
     @staticmethod
     def assert_destination_matches_lanes(core, inputs, digits):
         """Outputs, or InconsistentSystem, equal the oracle's on each
         (u1, u2); returns how many raised."""
-        raised = 0
+        raised, two = 0, TwoMapPipeline(core)
         for u1, u2 in inputs:
-            got = destination_outcome(type(core).destination_half, core, u1, u2)
+            got = destination_outcome(TwoMapPipeline.destination_half, two, u1, u2)
             assert got == destination_outcome(lane_destination_half, core, u1,
                                               u2, digits)
             raised += got == "inconsistent"
@@ -735,3 +742,178 @@ class TestCodeKernels:
                         assert max(x) >= size
                         assert code_map.apply(x) == list(
                             lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
+
+
+def transmit_outcome(core, x):
+    """transmit's relay sums and decoded message of the flat message x, the
+    message "inconsistent" when the residual is nonzero."""
+    out, m = core.transmit(list(x)), core.m
+    decoded = "inconsistent" if out[0] else (out[1:m + 1], out[m + 1:2 * m])
+    return (out[2 * m:3 * m], out[3 * m:]), decoded
+
+
+def two_map_outcome(core, x):
+    """transmit_outcome computed by the two maps, one after the other."""
+    two, m = TwoMapPipeline(core), core.m
+    u = two.relay_half(x[:m], x[m:])
+    return u, destination_outcome(TwoMapPipeline.destination_half, two, *u)
+
+
+def run_outcome(run, *args):
+    try:
+        return run(*args)
+    except InconsistentSystem:
+        return "inconsistent"
+
+
+class TestTransmit:
+    """LinearPipeline.transmit, the one composed map that MimoPipeline.run
+    and simulate apply, against the two maps applied one after the other
+    (TwoMapPipeline) and lane by lane, on intact and corrupted cores."""
+
+    cores = staticmethod(TestCertificate.cores)
+    corrupt = staticmethod(TestCertificate.corrupt)
+
+    @staticmethod
+    def messages(core, rng, count=40, digits=3):
+        """Every message over F_p, then count messages of digits-digit codes."""
+        n, order = 2 * core.m - 1, core.p ** digits
+        return [*itertools.product(range(core.p), repeat=n),
+                *([rng.randrange(order) for _ in range(n)] for _ in range(count))]
+
+    def assert_matches_two_maps(self, core, rng):
+        """transmit equals the two maps on every message of messages();
+        returns how many decodes raised."""
+        messages = self.messages(core, rng)
+        outcomes = [transmit_outcome(core, x) for x in messages]
+        assert outcomes == [two_map_outcome(core, x) for x in messages]
+        return sum(decoded == "inconsistent" for _, decoded in outcomes)
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2)])
+    def test_simulate_every_message(self, p, m):
+        # GF(4), GF(8) and GF(9) channels: the report's relay sums and
+        # decoded message are those of the two maps
+        spec = make_field(p, m)
+        messages = list(all_messages(spec))
+        for ch in feasible_channels(p, m, 3, 191 + p * m):
+            two = TwoMapPipeline(scalar_pipeline(ch, build_precoders(ch)))
+            for msg in messages:
+                report = simulate(ch, msg)
+                u = two.relay_half(msg.w1, msg.w2)
+                assert (report.u1, report.u2) == u
+                assert report.decoded == MessagePair(*two.destination_half(*u)) == msg
+                assert report.success
+
+    @pytest.mark.parametrize("p,m,mutation", [
+        (2, 3, bump_v2), (3, 2, bump_v2), (2, 3, zero_v4_column),
+        (3, 2, negate_s21)])
+    def test_simulate_defective_cores(self, monkeypatch, p, m, mutation):
+        # relay sums from the relay map alone, and no decoded message when
+        # the residual is nonzero
+        build = scheme.build_precoders
+        monkeypatch.setattr(scheme, "build_precoders", lambda ch: mutation(build(ch)))
+        outcomes = set()
+        for ch in feasible_channels(p, m, 4, 193 + p * m):
+            two = TwoMapPipeline(scalar_pipeline(ch, scheme.build_precoders(ch)))
+            for msg in all_messages(ch.spec):
+                report = simulate(ch, msg)
+                u = two.relay_half(msg.w1, msg.w2)
+                assert (report.u1, report.u2) == u
+                want = destination_outcome(TwoMapPipeline.destination_half, two, *u)
+                assert report.decoded == (None if want == "inconsistent"
+                                          else MessagePair(*want))
+                assert report.success == (report.decoded == msg)
+                outcomes.add(report.success)
+        assert False in outcomes
+
+    def test_intact_cores(self):
+        rng = random.Random(197)
+        for core in self.cores():
+            assert self.assert_matches_two_maps(core, rng) == 0
+
+    @pytest.mark.parametrize("name,rows", [
+        ("relay_map", "any"), ("destination_map", "decode"),
+        ("destination_map", "residual")])
+    def test_corrupted_cores(self, name, rows):
+        # a corrupted relay map composes by a product, a corrupted
+        # destination map from its stored product with the sums
+        rng = random.Random(199)
+        raised = 0
+        for core in self.cores():
+            n = 2 * core.m - 1
+            i = {"any": rng.randrange(2 * core.m), "decode": rng.randrange(n),
+                 "residual": n}[rows]
+            bad = self.corrupt(core, name, i, rng.randrange(len(getattr(core, name)[0])))
+            assert (bad.relay_defect > 0) == (name == "relay_map")
+            raised += self.assert_matches_two_maps(bad, rng)
+        # a decode row leaves the residual row as it was
+        assert (raised > 0) == (rows != "decode")
+
+    @pytest.mark.parametrize("name,rows", [
+        ("relay_map", "any"), ("destination_map", "residual")])
+    def test_corrupted_matrix_run(self, name, rows):
+        # MimoPipeline.run on a corrupted core raises InconsistentSystem
+        # exactly when the lane oracle does, and else returns its output
+        rng = random.Random(211)
+        plans, _ = planned_channels(3, 2, 4, 89)
+        raised = 0
+        for plan in plans:
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            core = pipe.core
+            i = rng.randrange(2 * core.m) if rows == "any" else 2 * core.m - 1
+            pipe.core = self.corrupt(core, name, i, rng.randrange(len(getattr(core, name)[0])))
+            for _ in range(60):
+                w1, w2 = random_message(plan.ext, 2, rng)
+                got = run_outcome(pipe.run, w1, w2)
+                assert got == run_outcome(lane_run, pipe, w1, w2)
+                raised += got == "inconsistent"
+        assert raised > 0
+
+    @pytest.mark.parametrize("name", ["relay_map", "destination_map"])
+    def test_setting_a_map_drops_the_composed_map(self, name):
+        # transmit is built once and copied with the core; a map set on the
+        # copy rebuilds it there and leaves the original's alone
+        rng = random.Random(223)
+        for core in self.cores():
+            x = [0] * (2 * core.m - 1)
+            before = transmit_outcome(core, x)
+            i = rng.randrange(len(getattr(core, name)))
+            bad = self.corrupt(core, name, i, rng.randrange(2 * core.m - 1))
+            self.assert_matches_two_maps(bad, rng)
+            assert any(transmit_outcome(bad, y) != transmit_outcome(core, y)
+                       for y in self.messages(core, rng))
+            assert transmit_outcome(core, x) == before
+
+    def test_scaled_single_entry_rows(self):
+        # over F_3, 2 times one input is no copy of it: a relay row and a
+        # decode row of D S that hold a single 2
+        for core in self.cores():
+            if core.p != 3:
+                continue
+            relay = self.corrupt(core, "relay_map", 0, 0)
+            assert relay.relay_map[0] == [2] + [0] * (2 * core.m - 2)
+            destination = self.corrupt(core, "destination_map", 0, 0)
+            assert destination.relay_defect == 0
+            assert destination._decode_sums[0] == [2] + [0] * (2 * core.m - 2)
+            for bad in (relay, destination):
+                self.assert_matches_two_maps(bad, random.Random(227))
+
+    def test_set_up_builds_no_code_map(self, monkeypatch):
+        # a scan only certifies; the composed map is built on the first
+        # transmit, once
+        built = []
+
+        class Counted(scheme._CodeMap):
+            def __init__(self, p, rows):
+                built.append(len(rows))
+                super().__init__(p, rows)
+
+        monkeypatch.setattr(scheme, "_CodeMap", Counted)
+        exhaustive_scan(2, 2)
+        assert built == []
+        (ch,) = feasible_channels(2, 2, 1, 229)
+        core = scalar_pipeline(ch, build_precoders(ch))
+        assert built == []
+        for x in ([1, 0, 1], [0, 1, 1]):
+            core.transmit(x)
+        assert built == [2]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gfalign import (InconsistentSystem, Mat, MessagePair, TooLarge,
+from gfalign import (InconsistentSystem, Mat, MessagePair, SingularChannel,
                      TwoHopChannel, all_messages, apply_hop, block2x2, build_precoders,
                      channel_from_dict, channel_to_dict, check_feasible,
                      coeff_vector, destination_decode, draw_valid_channel,
@@ -327,12 +327,19 @@ class TestSerialization:
         (lambda: TwoHopChannel.create(F4, [1, 1, 1], [1, 1, 1, 1]), ValueError,
          "exactly four coefficients"),
         # every hop over GF(2) is singular: all coefficients are 1
-        (lambda: draw_valid_channel(prime_field(2), random.Random(0)), TooLarge,
-         r"no full-rank channel found in 10000 draws over GF\(2\)"),
+        (lambda: draw_valid_channel(prime_field(2), random.Random(0)), SingularChannel,
+         r"no valid channel over GF\(2\): 1 is the only nonzero coefficient"),
     ], ids=["three-coefficients", "draw-over-GF2"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    def test_draw_over_gf2_refuses_before_drawing(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(SingularChannel):
+            draw_valid_channel(make_field(2, 1), rng)
+        assert rng.getstate() == state
 
     def test_channel_roundtrip_coeffs(self):
         ch = f4_fixture()
