@@ -48,7 +48,8 @@ class Mat:
     """Immutable dense matrix with entries in one field.
 
     Zero-column matrices are allowed (they show up as precoders for an empty
-    message block); zero-row matrices are not.
+    message block); zero-row matrices are not, and every constructor but
+    the raw one refuses them.
     """
 
     __slots__ = ("spec", "rows")
@@ -76,12 +77,16 @@ class Mat:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Mat":
+        if n < 1:
+            raise DimensionMismatch("a matrix needs at least one row")
         one, zero = spec.one, spec.zero
         return cls(spec, tuple(tuple(one if i == j else zero for j in range(n))
                                for i in range(n)))
 
     @classmethod
     def zeros(cls, spec: FieldSpec, nrows: int, ncols: int) -> "Mat":
+        if nrows < 1:
+            raise DimensionMismatch("a matrix needs at least one row")
         zero = spec.zero
         return cls(spec, tuple(tuple(zero for _ in range(ncols))
                                for _ in range(nrows)))
@@ -97,6 +102,8 @@ class Mat:
         if not columns:
             if nrows is None:
                 raise DimensionMismatch("empty-width matrix needs an explicit row count")
+            if nrows < 1:
+                raise DimensionMismatch("a matrix needs at least one row")
             return cls(spec, tuple(() for _ in range(nrows)))
         n = columns[0].nrows
         rows = tuple(tuple(col.rows[i][0] for col in columns) for i in range(n))

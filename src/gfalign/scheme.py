@@ -34,7 +34,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import SingularChannel, TooLarge
@@ -302,14 +302,16 @@ class _Residues:
 
 @functools.cache
 def _digit_codec(p: int, b: int):
-    """(spreads, residues, width, base) for an odd p and b-bit fields.
+    """(spreads, residues, width, base) for an odd p and b-bit fields, b
+    the bit length of the largest row sum a _CodeMap can form.
 
     spreads[c] holds the base-p digits of the code c one per b-bit field,
     for the codes of at most three chunks of digits; residues[v] is the
     base-p code of the residues mod p of the fields of v, for v below
     2^width: one chunk of width // b fields, coded below base.  Up to
     b = 12 a table has at most 2^12 entries.  Wider fields go one digit at
-    a time, with % p.
+    a time, with % p.  The relay sums need b = 3 at p = 3 and 11 bits at
+    p = 1009, so every intact pipeline folds through the tables.
     """
     if b > _TABLE_BITS:
         return range(p), _Residues(p), b, p
@@ -326,55 +328,89 @@ def _digit_codec(p: int, b: int):
 class _CodeMap:
     """An F_p matrix (rows of integer codes) acting on vectors of symbol
     codes: each symbol is a vector of F_p^L packed as base-p digits, and
-    the map acts on all L digit positions at once.
+    the map acts on all L digit positions at once.  Each output is formed
+    from its row's terms, the (column, coefficient) pairs with a nonzero
+    coefficient.
 
     For p = 2 the digits are bits, so an output is the XOR of the input
     codes its row selects.  For odd p each input's digits are spread into
-    b-bit fields, b the bit length of n (p-1)^2 for n columns, so a row's
-    dot product sums every digit position at once without a carry between
-    fields.  Codes in the spread table give row sums of at most three
-    residue chunks, so one sum of n packed column products holds every row
-    sum, each folded back to a base-p code by three lookups.  The map acts
+    b-bit fields, b the bit length of the largest row's sum of a (p-1)
+    over its coefficients a, so a row's sum of a times the spread inputs
+    adds every digit position at once without a carry between fields.
+    Codes in the spread table give sums of at most three residue chunks,
+    folded back to a base-p code by three lookups, or by one when the sum
+    fits in one chunk.  When every row is the sum of two inputs, as the
+    relay sums of an intact core are, pairs holds their column pairs and
+    the map is one loop over them: x[j] ^ x[k] for p = 2, the sum of two
+    spread codes and its fold for odd p; else pairs is None.  The map acts
     on each digit lane alone, so a vector with a code past the table is
     split into chunks of digits in base len(spreads), each chunk goes
-    through that same sum and fold, and the outputs are recombined by
-    powers of the base.
+    through the same rows, and the outputs are recombined by powers of the
+    base.
     """
 
     def __init__(self, p: int, rows: list[list[int]]):
         self.rows = rows
+        terms = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+        pairs = [(row[0][0], row[1][0]) for row in terms
+                 if len(row) == 2 and row[0][1] == row[1][1] == 1]
+        self.pairs = pairs if len(pairs) == len(rows) else None
         if p == 2:
-            picks = [[j for j, a in enumerate(row) if a] for row in rows]
+            if self.pairs:
+                def apply(x):
+                    out = []
+                    for j, k in pairs:
+                        out.append(x[j] ^ x[k])
+                    return out
+            else:
+                def apply(x):
+                    out = []
+                    for row in terms:
+                        acc = 0
+                        for j, _ in row:
+                            acc ^= x[j]
+                        out.append(acc)
+                    return out
+            self.apply = apply
+            return
+        spreads, residues, w, base = _digit_codec(
+            p, (max(1, *map(sum, rows)) * (p - 1)).bit_length())
+        mask, w2, base2, size = (1 << w) - 1, 2 * w, base * base, len(spreads)
 
+        def chunked(x):
+            out, scale = [0] * len(rows), 1
+            while any(x):
+                x, low = zip(*[divmod(c, size) for c in x])
+                out = [a + y * scale for a, y in zip(out, apply(low))]
+                scale *= size
+            return out
+
+        if self.pairs:
             def apply(x):
                 out = []
-                for pick in picks:
-                    acc = 0
-                    for j in pick:
-                        acc ^= x[j]
-                    out.append(acc)
+                try:
+                    for j, k in pairs:
+                        s = spreads[x[j]] + spreads[x[k]]
+                        out.append(residues[s] if s <= mask else residues[s & mask]
+                                   + residues[s >> w & mask] * base
+                                   + residues[s >> w2] * base2)
+                except IndexError:
+                    return chunked(x)
                 return out
         else:
-            spreads, residues, w, base = _digit_codec(
-                p, (len(rows[0]) * (p - 1) ** 2).bit_length())
-            mask, base2, row_width, size = (1 << w) - 1, base * base, 3 * w, len(spreads)
-            cols = [sum(a << i * row_width for i, a in enumerate(col))
-                    for col in zip(*rows)]
-            offsets = range(0, len(rows) * row_width, row_width)
-
             def apply(x):
+                out = []
                 try:
-                    fields = [spreads[c] for c in x]
+                    for row in terms:
+                        s = 0
+                        for j, a in row:
+                            s += a * spreads[x[j]]
+                        out.append(residues[s] if s <= mask else residues[s & mask]
+                                   + residues[s >> w & mask] * base
+                                   + residues[s >> w2] * base2)
                 except IndexError:
-                    out, scale = [0] * len(rows), 1
-                    while any(x):
-                        x, low = zip(*[divmod(c, size) for c in x])
-                        out = [a + y * scale for a, y in zip(out, apply(low))]
-                        scale *= size
-                    return out
-                s = sum(map(mul, cols, fields))
-                return [residues[s >> a & mask] + residues[s >> a + w & mask] * base
-                        + residues[s >> a + 2 * w & mask] * base2 for a in offsets]
+                    return chunked(x)
+                return out
         self.apply = apply
 
 

@@ -128,7 +128,12 @@ class TestMatBasics:
         (lambda: Mat.from_columns(GF2, []), DimensionMismatch, "explicit row count"),
         (lambda: Mat.identity(GF2, 2) @ Mat.identity(GF3, 2), FieldMismatch,
          "different fields"),
-        (lambda: Mat.from_columns(GF2, [], nrows=2) @ Mat.from_columns(GF2, [], nrows=0),
+        (lambda: Mat.from_columns(GF2, [], nrows=0), DimensionMismatch,
+         "at least one row"),
+        (lambda: Mat.zeros(GF2, 0, 3), DimensionMismatch, "at least one row"),
+        (lambda: Mat.identity(GF2, 0), DimensionMismatch, "at least one row"),
+        # no constructor builds a zero-row factor, but a raw one is still refused
+        (lambda: Mat.from_columns(GF2, [], nrows=2) @ Mat(GF2, ()),
          DimensionMismatch, "empty inner dimension"),
         (lambda: Mat.identity(GF2, 2).solve(Mat.build(GF2, [[1]])), DimensionMismatch,
          "different row count"),
@@ -150,7 +155,8 @@ class TestMatBasics:
         (lambda: lift_matrix(Mat.identity(make_field(2, 2), 2), make_field(2, 4)),
          FieldMismatch, "from the ground field"),
         (lambda: char_poly(Mat.build(GF2, [[1, 0]])), DimensionMismatch, "non-square"),
-    ], ids=["from-columns-no-nrows", "matmul-across-fields", "matmul-empty-inner",
+    ], ids=["from-columns-no-nrows", "matmul-across-fields", "from-columns-no-rows",
+            "zeros-no-rows", "identity-no-rows", "matmul-empty-inner",
             "solve-row-count", "krylov-GF4", "elem-from-coeff-vector",
             "elem-from-matrix-rep", "coeff-rows", "vector-from-coeff-rows",
             "combination-lengths", "combination-empty", "combination-fields",

@@ -535,9 +535,16 @@ def destination_outcome(half, core, u1, u2, *digits):
 
 class TestCodeKernels:
     """LinearPipeline.transmit, its two maps applied one after the other
-    (TwoMapPipeline) and MimoPipeline.run act on symbol codes (XOR for
-    p = 2, packed digit fields for odd p); the lane oracle applies the same
-    maps to one base-p digit lane at a time."""
+    (TwoMapPipeline) and MimoPipeline.run act on symbol codes row by row
+    (XOR for p = 2, sums of digit fields folded back by residue tables for
+    odd p; rows that all sum two inputs take one loop over the column
+    pairs); the lane oracle applies the same maps to one base-p digit lane
+    at a time."""
+
+    @staticmethod
+    def sum_rows(m):
+        """The relay-sum rows of _relay_sum_rows(m), the rows of two terms."""
+        return [list(row) for row in _relay_sum_rows(m) if sum(row) == 2]
 
     @staticmethod
     def assert_matches_lanes(pipe, messages):
@@ -622,15 +629,19 @@ class TestCodeKernels:
                                   [random_message(plan.ext, 5, rng) for _ in range(40)])
 
     def test_large_p_without_reduction_table(self):
-        # rows of n >= 3 entries need more than 12 bits per digit, so the
-        # kernel reduces with % p: p = 41 plans over F_{41^2}, p = 1009 over
-        # F_1009, and the p = 1009 maps are also fed codes of two and three
-        # digits
+        # the relay sums need 7 bits per digit at p = 41 and 11 at p = 1009,
+        # so transmit folds through the residue tables; the destination
+        # rows, which the two-map oracle applies alone, need 12 bits at
+        # p = 41 and more than 12 at p = 1009, where they reduce with % p.
+        # p = 41 plans over F_{41^2}, p = 1009 over F_1009, and the p = 1009
+        # maps are also fed codes of two and three digits
         plans, rng = planned_channels(41, 2, 2, 137, 2)
         wide = plan_extension(random_mimo_channel(1009, 2, random.Random(17)))
         for plan in plans + [wide]:
-            assert (3 * (plan.channel.ground.p - 1) ** 2).bit_length() > 12
             pipe = MimoPipeline(build_mimo_precoders(plan))
+            p = pipe.core.p
+            widths = [(sum(row) * (p - 1)).bit_length() for row in pipe.core.destination_map]
+            assert (2 * (p - 1)).bit_length() <= 12 and (max(widths) > 12) == (p == 1009)
             self.assert_matches_lanes(
                 pipe, [random_message(plan.ext, 2, rng) for _ in range(300)])
         core = pipe.core
@@ -684,11 +695,13 @@ class TestCodeKernels:
                 assert residues[v] == sum((v >> b * i & field) % p * p ** i
                                           for i in range(chunk))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41, 1009])
     def test_code_map_branches(self, p):
         # random F_p maps of 1 to 8 columns on codes of 1 to 12 digits, at
         # the edges of the spread table and of 1, 2 and 3 residue chunks:
-        # the packed fold inside the table, spread and reduce beyond it
+        # row sums folded inside the table, chunked beyond it; a full first
+        # row sets the field width, past the residue tables (% p) for
+        # n >= 3 at p = 41 and for every n at p = 1009
         rng = random.Random(157 + p)
         seen = set()
         for n in range(1, 9):
@@ -712,18 +725,21 @@ class TestCodeKernels:
                     assert code_map.apply(list(x)) == list(
                         lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
                 in_table = digits <= table_digits
-                seen.add((in_table, min(-(-digits // chunk), 4)))
+                seen.add((b > 12, in_table, min(-(-digits // chunk), 4)))
         if p > 2:
-            assert {(True, 1), (True, 2), (False, 4)} <= seen
+            assert any(reduce for reduce, _, _ in seen) == (p >= 41)
+            tabled = {(i, c) for reduce, i, c in seen if not reduce}
+            if p < 1009:
+                assert {(True, 1), (True, 2), (False, 4)} <= tabled
             # at p = 41 no table holds three chunks of digits
-            assert ((True, 3) in seen) == (p < 41)
+            assert ((True, 3) in tabled) == (p < 41)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 1009])
     def test_kernel_past_the_table(self, p):
         # codes of 2 to 5 chunks of the spread table's digits, full or with
         # a partial top chunk, in every column or in one column only: each
-        # chunk goes through the packed fold and the outputs add up by
-        # powers of len(spreads)
+        # chunk goes through the row sums and their fold, and the outputs
+        # add up by powers of len(spreads)
         rng = random.Random(163 + p)
         for n in (1, 2, 3, 5, 8):
             spreads = _digit_codec(p, (n * (p - 1) ** 2).bit_length())[0]
@@ -742,6 +758,93 @@ class TestCodeKernels:
                         assert max(x) >= size
                         assert code_map.apply(x) == list(
                             lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_relay_sums_every_code_pair(self, m):
+        # every pair (a, b) of codes below p^L <= 81: the vector of m a's
+        # and m-1 b's gives each relay-sum row a on its w1 term and b on its
+        # w2 term; the two-term loop, and all of S row by row, equal the lanes
+        sums, full = self.sum_rows(m), [list(row) for row in _relay_sum_rows(m)]
+        pick = [full.index(row) for row in sums]
+        for p in (2, 3, 5, 7):
+            pair_map, full_map = _CodeMap(p, sums), _CodeMap(p, full)
+            assert pair_map.pairs and full_map.pairs is None
+            for digits in range(1, 7):
+                if p ** digits > 81:
+                    break
+                for a, b in itertools.product(range(p ** digits), repeat=2):
+                    x = [a] * m + [b] * (m - 1)
+                    (want,) = lane_apply(p, full, [x], digits)
+                    assert full_map.apply(x) == list(want), (p, digits, x)
+                    assert pair_map.apply(x) == [want[i] for i in pick], (p, digits, x)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41, 1009])
+    def test_relay_sums_wide_codes(self, p):
+        # random codes of 1 to 13 digits through the two-term loop: past
+        # the relay sums' spread table (7 digits at p = 3, one at p = 1009)
+        # they are chunked
+        rng = random.Random(167 + p)
+        if p > 2:
+            assert len(_digit_codec(p, (2 * (p - 1)).bit_length())[0]) < p ** 13
+        for m in (2, 3, 4):
+            sums = self.sum_rows(m)
+            code_map = _CodeMap(p, sums)
+            assert code_map.pairs
+            for digits in range(1, 14):
+                top = p ** digits - 1
+                for x in ([top] * (2 * m - 1),
+                          *([rng.randrange(top + 1) for _ in range(2 * m - 1)]
+                            for _ in range(15))):
+                    assert code_map.apply(x) == list(
+                        lane_apply(p, sums, [x], digits)[0]), (m, digits, x)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 41, 1009])
+    def test_rows_off_the_two_term_loop(self, p):
+        # a pair with coefficient p - 1 (the pair loop only at p = 2, where
+        # that coefficient is 1), and a pair beside a three-term row
+        rng = random.Random(173 + p)
+        for rows, loop in (([[1, 0, p - 1], [0, 1, 1]], p == 2),
+                           ([[1, 1, 0, 0], [0, 1, 1, 1]], False)):
+            code_map = _CodeMap(p, rows)
+            assert (code_map.pairs is not None) == loop
+            for digits in (1, 2, 5, 13):
+                top = p ** digits - 1
+                for x in ([top] * len(rows[0]),
+                          *([rng.randrange(top + 1) for _ in rows[0]] for _ in range(20))):
+                    assert code_map.apply(x) == list(
+                        lane_apply(p, rows, [x], digits)[0]), (rows, digits, x)
+
+    def test_intact_cores_take_the_two_term_loop(self, monkeypatch):
+        # the rows transmit computes on an intact core are the relay sums,
+        # and they take the pair loop: for the certificate's cores and for
+        # planned matrix cores at every mimo-stream (p, m)
+        built = []
+
+        class Recorded(scheme._CodeMap):
+            def __init__(self, p, rows):
+                super().__init__(p, rows)
+                built.append(self)
+
+        monkeypatch.setattr(scheme, "_CodeMap", Recorded)
+        cores = TestCertificate.cores()
+        for p, m in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
+            plans, _ = planned_channels(p, m, 2, 179 + p * m)
+            cores += [MimoPipeline(build_mimo_precoders(plan)).core for plan in plans]
+        for core in cores:
+            assert core.relay_defect == core.destination_defect == 0
+            built.clear()
+            core.transmit([0] * (2 * core.m - 1))
+            (code_map,) = built
+            assert code_map.pairs is not None
+            assert sorted(code_map.rows) == sorted(map(tuple, self.sum_rows(core.m)))
+
+    def test_p3_relay_sums_share_one_codec(self):
+        # both mimo-stream p = 3 arms sum two inputs, so m = 2 and m = 3
+        # fold through the same 3-bit tables
+        _digit_codec.cache_clear()
+        for m in (2, 3):
+            _CodeMap(3, self.sum_rows(m))
+        assert _digit_codec.cache_info().currsize == 1
 
 
 def transmit_outcome(core, x):
