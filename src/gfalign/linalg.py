@@ -106,6 +106,8 @@ class Mat:
                 raise DimensionMismatch("a matrix needs at least one row")
             return cls(spec, tuple(() for _ in range(nrows)))
         n = columns[0].nrows
+        if any((col.nrows, col.ncols) != (n, 1) for col in columns):
+            raise DimensionMismatch(f"columns must all be {n} x 1")
         rows = tuple(tuple(col.rows[i][0] for col in columns) for i in range(n))
         return cls(spec, rows)
 
@@ -359,11 +361,15 @@ def _compound(a: list, b: list, c: list, d: list) -> list:
 
 def block2x2(a: Mat, b: Mat, c: Mat, d: Mat) -> Mat:
     """Assemble [[a, b], [c, d]] from conformable blocks."""
+    if (a.nrows, c.nrows, a.ncols, b.ncols) != (b.nrows, d.nrows, c.ncols, d.ncols):
+        raise DimensionMismatch("blocks are not conformable")
     return Mat(a.spec, tuple(_compound(a.rows, b.rows, c.rows, d.rows)))
 
 
 def split_blocks(m2: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
     """Partition a 2n x 2n matrix into its four n x n blocks."""
+    if (m2.nrows, m2.ncols) != (2 * n, 2 * n):
+        raise DimensionMismatch(f"expected a {2 * n} x {2 * n} matrix")
     spec = m2.spec
     def blk(r0, c0):
         return Mat(spec, tuple(tuple(m2.rows[r0 + i][c0 + j] for j in range(n))

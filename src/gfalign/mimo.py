@@ -13,10 +13,10 @@ precoders are F_p matrices; the eigen data in F_{p^L} are computed only
 when a caller reads them, with no elimination (eigenvectors: v1 V^-1, V^-1
 by Lagrange interpolation).  Message symbols live in F_{p^L}, which is
 F_p^L as a vector space, so the F_p core shared with the scalar model
-(scheme.LinearPipeline) acts on their base-p codes directly, row by row:
-XOR for p = 2, sums of digit fields folded by residue tables for odd p,
-and one loop over the column pairs of the relay sums.  Per slot the
-scheme still delivers 2m-1 ground-field symbols.
+(scheme.LinearPipeline) acts on their base-p codes directly: the relay
+sums are one loop over their column pairs, XOR for p = 2 and sums of
+digit fields folded by residue tables for odd p.  Per slot the scheme
+still delivers 2m-1 ground-field symbols.
 """
 
 from __future__ import annotations

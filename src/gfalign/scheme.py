@@ -34,7 +34,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import SingularChannel, TooLarge
@@ -290,33 +290,21 @@ def destination_decode(pre: PrecoderSet, y3: FieldElem,
 _TABLE_BITS = 12        # a digit table has at most 2^12 entries
 
 
-class _Residues:
-    """v -> v % p, for fields too wide to tabulate."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __getitem__(self, v: int) -> int:
-        return v % self.p
-
-
 @functools.cache
-def _digit_codec(p: int, b: int):
-    """(spreads, residues, width, base) for an odd p and b-bit fields, b
-    the bit length of the largest row sum a _CodeMap can form.
+def _digit_codec(p: int):
+    """(spreads, residues, width, base) for an odd p with 2 (p-1) < 2^12,
+    in fields of b = bitlen(2 (p-1)) bits, wide enough for a sum of two.
 
     spreads[c] holds the base-p digits of the code c one per b-bit field,
-    for the codes of at most three chunks of digits; residues[v] is the
-    base-p code of the residues mod p of the fields of v, for v below
-    2^width: one chunk of width // b fields, coded below base.  Up to
-    b = 12 a table has at most 2^12 entries.  Wider fields go one digit at
-    a time, with % p.  The relay sums need b = 3 at p = 3 and 11 bits at
-    p = 1009, so every intact pipeline folds through the tables.
+    for the codes of as many digits as 2^12 entries hold; residues[v] is
+    the base-p code of the residues mod p of the fields of v, for v below
+    2^width: one chunk of width // b fields, coded below base.  A spread
+    code holds at most two chunks, so a sum of two folds by at most two
+    lookups.
     """
-    if b > _TABLE_BITS:
-        return range(p), _Residues(p), b, p
-    ks, kr, field = 1, _TABLE_BITS // b, (1 << b) - 1
-    while ks < 3 * kr and p ** (ks + 1) <= 1 << _TABLE_BITS:
+    b = (2 * (p - 1)).bit_length()
+    kr, ks, field = _TABLE_BITS // b, 1, (1 << b) - 1
+    while p ** (ks + 1) <= 1 << _TABLE_BITS:
         ks += 1
     spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
                for c in range(p ** ks)]
@@ -325,28 +313,33 @@ def _digit_codec(p: int, b: int):
     return spreads, residues, kr * b, p ** kr
 
 
+def _by_digits(base: int, outputs: int, kernel, x) -> list[int]:
+    """A map that acts on each base-p digit lane alone, applied to the codes
+    x by cutting them into digits of base base (a power of p), applying
+    kernel, a function of a tuple of digits to outputs codes below base, to
+    each digit position, and adding its outputs up by powers of base."""
+    out, scale = [0] * outputs, 1
+    while any(x):
+        x, low = zip(*[divmod(c, base) for c in x])
+        out = [a + y * scale for a, y in zip(out, kernel(low))]
+        scale *= base
+    return out
+
+
 class _CodeMap:
     """An F_p matrix (rows of integer codes) acting on vectors of symbol
     codes: each symbol is a vector of F_p^L packed as base-p digits, and
-    the map acts on all L digit positions at once.  Each output is formed
-    from its row's terms, the (column, coefficient) pairs with a nonzero
-    coefficient.
+    the map acts on every digit lane alone.
 
-    For p = 2 the digits are bits, so an output is the XOR of the input
-    codes its row selects.  For odd p each input's digits are spread into
-    b-bit fields, b the bit length of the largest row's sum of a (p-1)
-    over its coefficients a, so a row's sum of a times the spread inputs
-    adds every digit position at once without a carry between fields.
-    Codes in the spread table give sums of at most three residue chunks,
-    folded back to a base-p code by three lookups, or by one when the sum
-    fits in one chunk.  When every row is the sum of two inputs, as the
-    relay sums of an intact core are, pairs holds their column pairs and
-    the map is one loop over them: x[j] ^ x[k] for p = 2, the sum of two
-    spread codes and its fold for odd p; else pairs is None.  The map acts
-    on each digit lane alone, so a vector with a code past the table is
-    split into chunks of digits in base len(spreads), each chunk goes
-    through the same rows, and the outputs are recombined by powers of the
-    base.
+    When every row is the sum of two inputs, as the relay sums of an intact
+    core are, pairs holds their column pairs and the map is one loop over
+    them: x[j] ^ x[k] for p = 2; for odd p with 2 (p-1) < 2^12 each code's
+    digits are spread into fields wide enough for the sum of two, so one
+    integer sum adds every digit position at once, and residue tables fold
+    it back to a base-p code.  A vector with a code past the spread table
+    goes through the same loop chunk by chunk, in base len(spreads).  Any
+    other map, or relay sums at a wider p, has pairs None and goes one
+    base-p digit at a time, each row a sum of products mod p.
     """
 
     def __init__(self, p: int, rows: list[list[int]]):
@@ -354,63 +347,33 @@ class _CodeMap:
         terms = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
         pairs = [(row[0][0], row[1][0]) for row in terms
                  if len(row) == 2 and row[0][1] == row[1][1] == 1]
-        self.pairs = pairs if len(pairs) == len(rows) else None
+        if len(pairs) < len(rows) or (2 * (p - 1)).bit_length() > _TABLE_BITS:
+            self.pairs = None
+            self.apply = functools.partial(_by_digits, p, len(rows), lambda d: [
+                sum(map(mul, row, d)) % p for row in rows])
+            return
+        self.pairs = pairs
         if p == 2:
-            if self.pairs:
-                def apply(x):
-                    out = []
-                    for j, k in pairs:
-                        out.append(x[j] ^ x[k])
-                    return out
-            else:
-                def apply(x):
-                    out = []
-                    for row in terms:
-                        acc = 0
-                        for j, _ in row:
-                            acc ^= x[j]
-                        out.append(acc)
-                    return out
+            def apply(x):
+                out = []
+                for j, k in pairs:
+                    out.append(x[j] ^ x[k])
+                return out
             self.apply = apply
             return
-        spreads, residues, w, base = _digit_codec(
-            p, (max(1, *map(sum, rows)) * (p - 1)).bit_length())
-        mask, w2, base2, size = (1 << w) - 1, 2 * w, base * base, len(spreads)
+        spreads, residues, w, base = _digit_codec(p)
+        mask = (1 << w) - 1
 
-        def chunked(x):
-            out, scale = [0] * len(rows), 1
-            while any(x):
-                x, low = zip(*[divmod(c, size) for c in x])
-                out = [a + y * scale for a, y in zip(out, apply(low))]
-                scale *= size
+        def apply(x):
+            out = []
+            try:
+                for j, k in pairs:
+                    s = spreads[x[j]] + spreads[x[k]]
+                    out.append(residues[s] if s <= mask
+                               else residues[s & mask] + residues[s >> w] * base)
+            except IndexError:
+                return _by_digits(len(spreads), len(pairs), apply, x)
             return out
-
-        if self.pairs:
-            def apply(x):
-                out = []
-                try:
-                    for j, k in pairs:
-                        s = spreads[x[j]] + spreads[x[k]]
-                        out.append(residues[s] if s <= mask else residues[s & mask]
-                                   + residues[s >> w & mask] * base
-                                   + residues[s >> w2] * base2)
-                except IndexError:
-                    return chunked(x)
-                return out
-        else:
-            def apply(x):
-                out = []
-                try:
-                    for row in terms:
-                        s = 0
-                        for j, a in row:
-                            s += a * spreads[x[j]]
-                        out.append(residues[s] if s <= mask else residues[s & mask]
-                                   + residues[s >> w & mask] * base
-                                   + residues[s >> w2] * base2)
-                except IndexError:
-                    return chunked(x)
-                return out
         self.apply = apply
 
 

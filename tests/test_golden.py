@@ -113,6 +113,15 @@ CLI_CASES = {
     # eigenvalues planning does not search for
     "symbol_ext_p1009_m2": (["symbol-ext", "--p", "1009", "--m", "2",
                              "--seed", "0"], 0),
+    # 2 (p - 1) needs 13 bits: the relay sums go one digit at a time
+    "symbol_ext_p2053_m2": (["symbol-ext", "--p", "2053", "--m", "2",
+                             "--seed", "0"], 0),
+    # codes of 12 and of 6 digits, past the relay sums' spread tables of
+    # 7 digits at p = 3 and 5 digits at p = 5
+    "symbol_ext_p3_m4_L12": (["symbol-ext", "--p", "3", "--m", "4",
+                              "--seed", "1"], 0),
+    "symbol_ext_p5_m3_L6": (["symbol-ext", "--p", "5", "--m", "3",
+                             "--seed", "1"], 0),
     # plans at L = 24 from hop factor degrees (8, 2) and (6, 4)
     "symbol_ext_p2_m10_L24": (["symbol-ext", "--p", "2", "--m", "10",
                                "--seed", "1"], 0),

@@ -155,12 +155,29 @@ class TestMatBasics:
         (lambda: lift_matrix(Mat.identity(make_field(2, 2), 2), make_field(2, 4)),
          FieldMismatch, "from the ground field"),
         (lambda: char_poly(Mat.build(GF2, [[1, 0]])), DimensionMismatch, "non-square"),
+        # a 2 x 2 beside a 3 x 3 built rows of lengths 5 and 4
+        (lambda: block2x2(*[Mat.identity(GF2, n) for n in (2, 3, 3, 3)]),
+         DimensionMismatch, "not conformable"),
+        (lambda: block2x2(*[Mat.identity(GF2, n) for n in (2, 2, 3, 2)]),
+         DimensionMismatch, "not conformable"),
+        (lambda: split_blocks(Mat.identity(GF2, 4), 3), DimensionMismatch,
+         "expected a 6 x 6 matrix"),
+        (lambda: split_blocks(Mat.identity(GF2, 4), 1), DimensionMismatch,
+         "expected a 2 x 2 matrix"),
+        (lambda: Mat.from_columns(GF2, [Mat.column(GF2, [1, 0]), Mat.column(GF2, [1])]),
+         DimensionMismatch, "columns must all be 2 x 1"),
+        (lambda: Mat.from_columns(GF2, [Mat.column(GF2, [1]), Mat.column(GF2, [1, 0])]),
+         DimensionMismatch, "columns must all be 1 x 1"),
+        (lambda: Mat.from_columns(GF2, [Mat.identity(GF2, 2)]), DimensionMismatch,
+         "columns must all be 2 x 1"),
     ], ids=["from-columns-no-nrows", "matmul-across-fields", "from-columns-no-rows",
             "zeros-no-rows", "identity-no-rows", "matmul-empty-inner",
             "solve-row-count", "krylov-GF4", "elem-from-coeff-vector",
             "elem-from-matrix-rep", "coeff-rows", "vector-from-coeff-rows",
             "combination-lengths", "combination-empty", "combination-fields",
-            "lift-from-GF4", "char-poly-1x2"])
+            "lift-from-GF4", "char-poly-1x2", "block2x2-rows", "block2x2-cols",
+            "split-blocks-wide", "split-blocks-narrow", "from-columns-shorter",
+            "from-columns-longer", "from-columns-wider"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=message):
             call()

@@ -20,7 +20,7 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, FieldSpec, InconsistentS
                      make_field, matrix_rep, plan_extension, prime_field,
                      random_mimo_channel, relay_decode, relay_encode, scheme,
                      simulate, source_encode)
-from gfalign.gf import _code_to_coeffs
+from gfalign.gf import _code_to_coeffs, is_prime
 from gfalign.mimo import random_message
 from gfalign.scheme import (_certify, _CodeMap, _decode_target, _digit_codec,
                             _relay_sum_rows, scalar_pipeline)
@@ -535,11 +535,12 @@ def destination_outcome(half, core, u1, u2, *digits):
 
 class TestCodeKernels:
     """LinearPipeline.transmit, its two maps applied one after the other
-    (TwoMapPipeline) and MimoPipeline.run act on symbol codes row by row
-    (XOR for p = 2, sums of digit fields folded back by residue tables for
-    odd p; rows that all sum two inputs take one loop over the column
-    pairs); the lane oracle applies the same maps to one base-p digit lane
-    at a time."""
+    (TwoMapPipeline) and MimoPipeline.run act on symbol codes: maps whose
+    rows all sum two inputs take one loop over the column pairs (XOR for
+    p = 2, sums of spread digit fields folded back by residue tables for
+    odd p, chunk by chunk past the spread table), and any other map goes
+    one base-p digit at a time; the lane oracle applies the same maps to
+    one base-p digit lane at a time."""
 
     @staticmethod
     def sum_rows(m):
@@ -630,9 +631,8 @@ class TestCodeKernels:
 
     def test_large_p_without_reduction_table(self):
         # the relay sums need 7 bits per digit at p = 41 and 11 at p = 1009,
-        # so transmit folds through the residue tables; the destination
-        # rows, which the two-map oracle applies alone, need 12 bits at
-        # p = 41 and more than 12 at p = 1009, where they reduce with % p.
+        # so transmit folds them through the residue tables; the two-map
+        # oracle's maps hold one-term rows and go one digit at a time, % p.
         # p = 41 plans over F_{41^2}, p = 1009 over F_1009, and the p = 1009
         # maps are also fed codes of two and three digits
         plans, rng = planned_channels(41, 2, 2, 137, 2)
@@ -640,8 +640,8 @@ class TestCodeKernels:
         for plan in plans + [wide]:
             pipe = MimoPipeline(build_mimo_precoders(plan))
             p = pipe.core.p
-            widths = [(sum(row) * (p - 1)).bit_length() for row in pipe.core.destination_map]
-            assert (2 * (p - 1)).bit_length() <= 12 and (max(widths) > 12) == (p == 1009)
+            assert (2 * (p - 1)).bit_length() <= 12 and _CodeMap(p, self.sum_rows(2)).pairs
+            assert TwoMapPipeline(pipe.core)._destination.pairs is None
             self.assert_matches_lanes(
                 pipe, [random_message(plan.ext, 2, rng) for _ in range(300)])
         core = pipe.core
@@ -669,85 +669,112 @@ class TestCodeKernels:
                 with pytest.raises(ValueError, match="message lengths"):
                     pipe.run(w1, w2)
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 41])
+    @staticmethod
+    def table_digits(p):
+        """The digits of the codes in the spread table, and in one residue
+        chunk, of _digit_codec(p)."""
+        spreads, _, _, base = _digit_codec(p)
+        return round(math.log(len(spreads), p)), round(math.log(base, p))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 1009, 2039])
     def test_digit_codec(self, p):
-        # for every b a row can need: spreads puts each digit of a code in
-        # its own b-bit field, for every code of up to three residue chunks
-        # of digits within 2^12 entries (one digit once b passes 12 bits);
-        # residues takes any fields below 2^width to the code of their
-        # residues mod p
+        # spreads puts each digit of a code in its own field of b bits,
+        # b = bitlen(2 (p-1)), for every code of as many digits as 2^12
+        # entries hold; residues takes any fields below 2^width to the code
+        # of their residues mod p; two lookups fold the sum of two spread
+        # codes back to the sum of their lanes
         rng = random.Random(151 + p)
-        fits = max(k for k in range(1, 13) if p ** k <= 4096)
-        for n in range(1, 9):
-            b = (n * (p - 1) ** 2).bit_length()
-            spreads, residues, width, base = _digit_codec(p, b)
-            chunk = width // b
-            assert width % b == 0 and base == p ** chunk
-            digits = 1 if b > 12 else min(3 * chunk, fits)
-            assert len(spreads) == p ** digits and (width <= 12 or (width, base) == (b, p))
-            for c in (*range(min(len(spreads), 600)),
-                      *(rng.randrange(len(spreads)) for _ in range(50))):
-                assert spreads[c] == sum(
-                    d << b * i for i, d in enumerate(_code_to_coeffs(c, p, digits)))
-            field = (1 << b) - 1
-            for v in (*range(min(1 << width, 4096)),
-                      *(rng.randrange(1 << width) for _ in range(50))):
-                assert residues[v] == sum((v >> b * i & field) % p * p ** i
-                                          for i in range(chunk))
+        spreads, residues, width, base = _digit_codec(p)
+        b = (2 * (p - 1)).bit_length()
+        digits = max(k for k in range(1, 13) if p ** k <= 4096)
+        chunk = 12 // b
+        assert (len(spreads), width, base) == (p ** digits, chunk * b, p ** chunk)
+        assert len(residues) == 1 << width
+        for c in (*range(min(len(spreads), 600)),
+                  *(rng.randrange(len(spreads)) for _ in range(50))):
+            assert spreads[c] == sum(
+                d << b * i for i, d in enumerate(_code_to_coeffs(c, p, digits)))
+        field = (1 << b) - 1
+        for v in (*range(min(1 << width, 600)),
+                  *(rng.randrange(1 << width) for _ in range(50))):
+            assert residues[v] == sum((v >> b * i & field) % p * p ** i
+                                      for i in range(chunk))
+        top = len(spreads) - 1
+        for x in ([top, top], *([rng.randrange(top + 1), rng.randrange(top + 1)]
+                                for _ in range(100))):
+            s = spreads[x[0]] + spreads[x[1]]
+            folded = residues[s & (1 << width) - 1] + residues[s >> width] * base
+            assert (folded,) == lane_apply(p, [[1, 1]], [x], digits)[0], x
+
+    def test_spread_tables_hold_two_chunks(self):
+        # for every odd prime with 2 (p-1) < 2^12 the sum of the two largest
+        # spread codes has at most two residue chunks, so every sum of two
+        # folds by at most two lookups
+        primes = [p for p in range(3, 2048, 2) if is_prime(p)]
+        assert (len(primes), primes[-1]) == (308, 2039)
+        try:
+            for p in primes:
+                spreads, residues, width, base = _digit_codec(p)
+                top, digits = len(spreads) - 1, self.table_digits(p)[0]
+                s = 2 * spreads[top]
+                assert s >> 2 * width == 0, p
+                folded = residues[s & (1 << width) - 1] + residues[s >> width] * base
+                assert (folded,) == lane_apply(p, [[1, 1]], [[top, top]], digits)[0], p
+        finally:
+            _digit_codec.cache_clear()
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41, 1009])
     def test_code_map_branches(self, p):
-        # random F_p maps of 1 to 8 columns on codes of 1 to 12 digits, at
-        # the edges of the spread table and of 1, 2 and 3 residue chunks:
-        # row sums folded inside the table, chunked beyond it; a full first
-        # row sets the field width, past the residue tables (% p) for
-        # n >= 3 at p = 41 and for every n at p = 1009
+        # relay sums at the edges of one residue chunk and of the spread
+        # table: codes below base fold by one lookup, the rest of the table
+        # by two (no such code at p = 1009, whose table is one chunk), longer
+        # codes go chunk by chunk; and random F_p maps of 1 to 8 columns
+        # with a one-term row, which go digit by digit, on codes of 1 to 13
+        # digits
         rng = random.Random(157 + p)
+        table, chunk = self.table_digits(p) if p > 2 else (13, 13)
         seen = set()
-        for n in range(1, 9):
-            b = (n * (p - 1) ** 2).bit_length()
-            if p == 2:
-                table_digits, chunk = 0, 1
-            else:
-                spreads, _, width, _ = _digit_codec(p, b)
-                table_digits = round(math.log(len(spreads), p))
-                chunk = width // b
-            for digits in {1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1,
-                           3 * chunk, table_digits, table_digits + 1, 12} - {0}:
-                rows = [[rng.randrange(p) for _ in range(n)]
-                        for _ in range(rng.randrange(1, n + 2))]
-                rows[0] = [p - 1] * n
-                code_map = _CodeMap(p, rows)
+        for m in (2, 3, 4):
+            sums = self.sum_rows(m)
+            code_map = _CodeMap(p, sums)
+            assert code_map.pairs
+            for digits in {1, chunk, chunk + 1, table, table + 1, 2 * table + 1}:
                 top = p ** digits - 1
-                vectors = [[top] * n] + [[rng.randrange(top + 1) for _ in range(n)]
-                                         for _ in range(20)]
-                for x in vectors:
-                    assert code_map.apply(list(x)) == list(
-                        lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
-                in_table = digits <= table_digits
-                seen.add((b > 12, in_table, min(-(-digits // chunk), 4)))
+                for x in ([top] * (2 * m - 1),
+                          *([rng.randrange(top + 1) for _ in range(2 * m - 1)]
+                            for _ in range(20))):
+                    assert code_map.apply(x) == list(
+                        lane_apply(p, sums, [x], digits)[0]), (m, digits, x)
+                    seen.add((max(x) >= p ** chunk) + (max(x) >= p ** table))
         if p > 2:
-            assert any(reduce for reduce, _, _ in seen) == (p >= 41)
-            tabled = {(i, c) for reduce, i, c in seen if not reduce}
-            if p < 1009:
-                assert {(True, 1), (True, 2), (False, 4)} <= tabled
-            # at p = 41 no table holds three chunks of digits
-            assert ((True, 3) in tabled) == (p < 41)
+            assert (table == chunk) == (p == 1009)
+            assert seen == ({0, 2} if table == chunk else {0, 1, 2})
+        for n in range(1, 9):
+            rows = [[p - 1] * n, [1] + [0] * (n - 1)] + [
+                [rng.randrange(p) for _ in range(n)] for _ in range(rng.randrange(n))]
+            code_map = _CodeMap(p, rows)
+            assert code_map.pairs is None
+            for digits in range(1, 14):
+                top = p ** digits - 1
+                for x in ([top] * n, *([rng.randrange(top + 1) for _ in range(n)]
+                                       for _ in range(4))):
+                    assert code_map.apply(x) == list(
+                        lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 1009])
     def test_kernel_past_the_table(self, p):
-        # codes of 2 to 5 chunks of the spread table's digits, full or with
-        # a partial top chunk, in every column or in one column only: each
-        # chunk goes through the row sums and their fold, and the outputs
-        # add up by powers of len(spreads)
+        # random sums of two columns on codes of 2 to 5 chunks of the spread
+        # table's digits, full or with a partial top chunk, in every column
+        # or in one column only: each chunk goes through the pair loop and
+        # its fold, and the outputs add up by powers of len(spreads)
         rng = random.Random(163 + p)
-        for n in (1, 2, 3, 5, 8):
-            spreads = _digit_codec(p, (n * (p - 1) ** 2).bit_length())[0]
-            size = len(spreads)
-            table = round(math.log(size, p))
-            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n + 1)]
-            rows[0] = [p - 1] * n
+        size = len(_digit_codec(p)[0])
+        table = self.table_digits(p)[0]
+        for n in (2, 3, 5, 8):
+            rows = [[int(j in pair) for j in range(n)]
+                    for pair in (rng.sample(range(n), 2) for _ in range(n + 1))]
             code_map = _CodeMap(p, rows)
+            assert code_map.pairs
             for chunks in (2, 3, 4, 5):
                 for digits in (chunks * table, (chunks - 1) * table + 1):
                     top = p ** digits - 1
@@ -778,18 +805,17 @@ class TestCodeKernels:
                     assert full_map.apply(x) == list(want), (p, digits, x)
                     assert pair_map.apply(x) == [want[i] for i in pick], (p, digits, x)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41, 1009])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 41, 1009, 2053, 4099])
     def test_relay_sums_wide_codes(self, p):
-        # random codes of 1 to 13 digits through the two-term loop: past
-        # the relay sums' spread table (7 digits at p = 3, one at p = 1009)
-        # they are chunked
+        # random codes of 1 to 13 digits through the relay sums: past the
+        # spread table (7 digits at p = 3, one at p = 1009) the pair loop
+        # goes chunk by chunk; at p = 2053 and 4099, where the sum of two
+        # digits needs 13 bits, pairs is None and the sums go digit by digit
         rng = random.Random(167 + p)
-        if p > 2:
-            assert len(_digit_codec(p, (2 * (p - 1)).bit_length())[0]) < p ** 13
         for m in (2, 3, 4):
             sums = self.sum_rows(m)
             code_map = _CodeMap(p, sums)
-            assert code_map.pairs
+            assert (code_map.pairs is None) == (p > 2039)
             for digits in range(1, 14):
                 top = p ** digits - 1
                 for x in ([top] * (2 * m - 1),
