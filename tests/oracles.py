@@ -472,9 +472,8 @@ class TwoMapPipeline:
     relay_map to the message, then destination_map to the relay sums, each
     through its own scheme._CodeMap.  Neither map of an intact core is
     made of relay sums alone, so each goes one base-p digit at a time.  The
-    reference for the composed map of LinearPipeline.transmit,
-    which applies both at once.  The maps are read when the oracle is
-    built."""
+    reference for the composed map of LinearPipeline.transmit, which
+    applies both at once.  The maps are read when the oracle is built."""
 
     def __init__(self, core):
         from gfalign.scheme import _CodeMap

@@ -762,14 +762,19 @@ class TestCodeKernels:
                         lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 1009])
-    def test_kernel_past_the_table(self, p):
+    def test_kernel_past_the_table(self, monkeypatch, p):
         # random sums of two columns on codes of 2 to 5 chunks of the spread
         # table's digits, full or with a partial top chunk, in every column
         # or in one column only: each chunk goes through the pair loop and
-        # its fold, and the outputs add up by powers of len(spreads)
+        # its fold, and the outputs add up by powers of len(spreads).  Cut
+        # by p instead, the outputs would be the same and the loop would
+        # run for every digit
         rng = random.Random(163 + p)
         size = len(_digit_codec(p)[0])
         table = self.table_digits(p)[0]
+        bases, by_digits = set(), scheme._by_digits
+        monkeypatch.setattr(scheme, "_by_digits",
+                            lambda base, *args: bases.add(base) or by_digits(base, *args))
         for n in (2, 3, 5, 8):
             rows = [[int(j in pair) for j in range(n)]
                     for pair in (rng.sample(range(n), 2) for _ in range(n + 1))]
@@ -785,6 +790,7 @@ class TestCodeKernels:
                         assert max(x) >= size
                         assert code_map.apply(x) == list(
                             lane_apply(p, rows, [x], digits)[0]), (n, digits, x)
+        assert bases == {size}
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_relay_sums_every_code_pair(self, m):
