@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import feasibility as feas
 from . import mimo, scheme
@@ -41,7 +42,35 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, _json_text(payload) + "\n")
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) in one pass, nested below the line break
+    and indent pad, for dicts with str keys (TypeError for any other key,
+    which no reply has).  With an indent, json.dumps runs the pure-Python
+    encoder on Python 3.11; here a list of ints is one str.join, keys go to
+    the C escaper json uses, and other scalars to json.dumps without an
+    indent, which is the C encoder."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in value.items()]) + pad + "}"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def _modulus(args) -> Poly | None:

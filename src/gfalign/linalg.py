@@ -18,7 +18,10 @@ The transform layer provides:
 Everything is exact.  Elimination runs on integer codes mod p, over F_p
 only: ``Mat.solve`` is the one solver (full column rank, square or tall;
 ``inv`` solves against I), and its Gauss-Jordan pass also yields ranks
-(pivot counts) and determinants (signed pivot products).  Over F_{p^m},
+(pivot counts) and determinants (signed pivot products).  Over F_2 a row
+is packed into one integer, a byte per entry: elimination tests a bit and
+XORs whole rows, and a product entry is the parity of the bits set in
+row & column.  Odd p keep lists of codes.  Over F_{p^m},
 m > 1, these raise FieldMismatch; ``@``, ``+`` and ``scale`` work over any
 field.  ``char_poly`` (Berkowitz) and ``eigenvector_sum`` run on codes mod
 p too; the eigenvectors over F_p[x]/(f) = F_p[C_f] are the kernel of one
@@ -237,11 +240,20 @@ def _solution(work: list, pivots: list[int], k: int) -> list:
 
 
 def _gauss_jordan_mod_p(work: list[list[int]], width: int, p: int) -> tuple[list[int], int]:
-    """Gauss-Jordan on rows of integer codes over F_p, pivoting on their first
-    ``width`` columns: ``work`` becomes its reduced row echelon form.  Returns
-    (pivots, det): the pivot columns, as many as the rank, and their product,
-    negated at each row swap and 0 once a column has no pivot, which is the
-    determinant when ``work`` is square and ``width`` its size."""
+    """Gauss-Jordan on rows of integer codes in [0, p) over F_p, pivoting on
+    their first ``width`` columns: ``work`` becomes its reduced row echelon
+    form.  Returns (pivots, det): the pivot columns, as many as the rank, and
+    their product, negated at each row swap and 0 once a column has no
+    pivot, which is the determinant when ``work`` is square and ``width``
+    its size.  Over F_2 on packed rows (``_gauss_jordan_f2``), else on
+    lists (``_gauss_jordan_lists``)."""
+    if p == 2:
+        return _gauss_jordan_f2(work, width)
+    return _gauss_jordan_lists(work, width, p)
+
+
+def _gauss_jordan_lists(work: list[list[int]], width: int, p: int) -> tuple[list[int], int]:
+    """_gauss_jordan_mod_p on lists of codes, one row operation per row."""
     pivots: list[int] = []
     det, n = 1, len(work)
     for c in range(width):
@@ -264,6 +276,38 @@ def _gauss_jordan_mod_p(work: list[list[int]], width: int, p: int) -> tuple[list
         pivots.append(c)
         if r + 1 == n:
             break
+    return pivots, det
+
+
+def _gauss_jordan_f2(work: list[list[int]], width: int) -> tuple[list[int], int]:
+    """_gauss_jordan_mod_p over F_2 on packed rows.  A row of w entries is
+    the integer whose w big-endian bytes are its 0/1 codes, so column c is
+    bit 8 (w - 1 - c): a pivot row is found by testing that bit and the
+    column cleared by XOR with it.  The rows are unpacked into ``work`` at
+    the end.  Every pivot is 1, so det is 1 until a column has no pivot."""
+    n, w = len(work), len(work[0]) if work else 0
+    rows = [int.from_bytes(bytes(row), "big") for row in work]
+    pivots: list[int] = []
+    det, r = 1, 0
+    for c in range(width):
+        bit = 1 << 8 * (w - 1 - c)
+        for pr in range(r, n):
+            if rows[pr] & bit:
+                break
+        else:
+            det = 0
+            continue
+        row = rows[pr]
+        rows[pr] = rows[r]
+        rows[r] = row
+        for i in range(n):
+            if i != r and rows[i] & bit:
+                rows[i] ^= row
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    work[:] = [list(x.to_bytes(w, "big")) for x in rows]
     return pivots, det
 
 
@@ -326,11 +370,18 @@ def _block_diag(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _matmul_mod_p(p: int, *mats: list[list[int]]) -> list[list[int]]:
-    """Product, left to right, of matrices of integer codes over F_p."""
+    """Product, left to right, of matrices of integer codes in [0, p) over
+    F_p.  Over F_2 the rows and columns are packed as in _gauss_jordan_f2,
+    and an entry is the parity of the bits set in row & column."""
     out = mats[0]
     for b in mats[1:]:
-        cols = list(zip(*b))
-        out = [[sum(map(mul, row, col)) % p for col in cols] for row in out]
+        if p == 2:
+            cols = [int.from_bytes(bytes(col), "big") for col in zip(*b)]
+            out = [[(x & col).bit_count() & 1 for col in cols]
+                   for x in [int.from_bytes(bytes(row), "big") for row in out]]
+        else:
+            cols = list(zip(*b))
+            out = [[sum(map(mul, row, col)) % p for col in cols] for row in out]
     return out
 
 

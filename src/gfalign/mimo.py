@@ -32,8 +32,8 @@ from .errors import InconsistentSystem, Singular, SingularChannel
 from .gf import (FieldElem, FieldSpec, _randbelow_blocks, check_field_params,
                  make_field, prime_field)
 from .linalg import (Mat, _compound, _det_small, _element_of_code, _full_rank,
-                     _inv_mod_p, _matmul_mod_p, _solve_mod_p, block2x2,
-                     eigenvector_sum, krylov_precoders, lift_matrix,
+                     _independent_masks, _inv_mod_p, _matmul_mod_p, _solve_mod_p,
+                     block2x2, eigenvector_sum, krylov_precoders, lift_matrix,
                      roots_in_field, splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
@@ -358,13 +358,14 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     entries read row by row from gf._randbelow_blocks as the values of
     rng.randrange(p): for p < 256 decoded from generator words drawn in
     bulk, above that one gf._randbelow per entry.  A block is tested by its
-    closed-form determinant up to 3 x 3 and by _full_rank above.  Bulk words
-    reach past the last entry used, and symbol-ext draws its message from
-    the same rng next, so the sampler is closed when the draw ends, also by
-    SingularChannel: it rewinds rng to the state one rng.randrange(p) per
-    entry would leave.  So the channel and the state afterwards equal those
-    of that draw (tests check this against a draw of Mat objects ranked by
-    Mat.det)."""
+    closed-form determinant up to 3 x 3 and by _full_rank above, over GF(2)
+    by _independent_masks on row masks read straight from its bytes.  Bulk
+    words reach past the last entry used, and symbol-ext draws its message
+    from the same rng next, so the sampler is closed when the draw ends,
+    also by SingularChannel: it rewinds rng to the state one
+    rng.randrange(p) per entry would leave.  So the channel and the state
+    afterwards equal those of that draw (tests check this against a draw of
+    Mat objects ranked by the list elimination)."""
     check_field_params(p, m)
     ground = prime_field(p)
     if (p, m) == (2, 1):
@@ -376,6 +377,10 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
 
     if m <= 3:
         invertible = partial(_det_small, p)
+    elif p == 2:
+        def invertible(block) -> bool:
+            return _independent_masks(int.from_bytes(block[i:i + m], "big")
+                                      for i in range(0, m * m, m))
     else:
         def invertible(block) -> bool:
             return _full_rank(p, rows(block))

@@ -34,10 +34,21 @@ def prime_factors_by_trial_division(n: int) -> list[int]:
 
 def det_by_elimination(p, entries):
     """Determinant over F_p of the square matrix with row-major integer codes
-    ``entries``, the signed pivot product of linalg._gauss_jordan_mod_p."""
-    from gfalign.linalg import _gauss_jordan_mod_p
+    ``entries``, the signed pivot product of the list elimination
+    linalg._gauss_jordan_lists, also for p = 2."""
+    from gfalign.linalg import _gauss_jordan_lists
     n = math.isqrt(len(entries))
-    return _gauss_jordan_mod_p([list(entries[i:i + n]) for i in range(0, n * n, n)], n, p)[1]
+    return _gauss_jordan_lists([list(entries[i:i + n]) for i in range(0, n * n, n)], n, p)[1]
+
+
+def matmul_by_lists(p, *mats):
+    """Product, left to right, of matrices of integer codes over F_p, one
+    sum of products mod p per entry, also for p = 2."""
+    out = mats[0]
+    for b in mats[1:]:
+        out = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+               for row in out]
+    return out
 
 
 def roots_by_enumeration(f, ext):
@@ -177,6 +188,37 @@ def eigenvectors_in(a, ext, values):
     return Mat.from_columns(ext, cols)
 
 
+def all_monic(spec, degree: int):
+    """All monic polynomials of the given degree, in lexicographic order of
+    the low-degree-first coefficient vector."""
+    from gfalign.polys import Poly
+    for low in itertools.product(range(spec.order), repeat=degree):
+        yield Poly(spec, [spec.from_code(c) for c in low] + [spec.one])
+
+
+def factor_by_trial_division(f) -> list:
+    """factor_poly of a monic f of degree >= 1 by Poly arithmetic, over any
+    field: divide by every monic polynomial of each degree d <= deg / 2 in
+    turn (all_monic), as often as it divides; what is left past that is
+    irreducible.  Sorted as factor_poly sorts."""
+    out = []
+    rest, d = f, 1
+    while rest.degree > 0:
+        if d * 2 > rest.degree:
+            out.append((rest, 1))
+            break
+        for g in all_monic(f.spec, d):
+            mult = 0
+            while g.divides(rest):
+                rest = rest // g
+                mult += 1
+            if mult:
+                out.append((g, mult))
+        d += 1
+    out.sort(key=lambda fm: (-fm[0].degree, fm[0].coeff_codes()))
+    return out
+
+
 def is_irreducible(f) -> bool:
     """True iff f is its own factorization (see factor_poly)."""
     from gfalign.polys import factor_poly
@@ -188,7 +230,6 @@ def is_irreducible(f) -> bool:
 def enumerate_irreducible(p: int, d: int) -> list:
     """All monic irreducible polynomials of degree d over F_p, lexicographic."""
     from gfalign.gf import prime_field
-    from gfalign.polys import all_monic
     spec = prime_field(p)
     return [f for f in all_monic(spec, d) if is_irreducible(f)]
 
@@ -288,25 +329,28 @@ def diag_exhaustive_by_enumeration(p, m):
 
 def random_mimo_channel_by_det(p, m, rng):
     """The channel stream of random_mimo_channel, drawn as Mat objects and
-    tested by Mat.det: every block until one is nonsingular, eight blocks
-    per draw, and the draw kept when both compound hops are nonsingular
-    too."""
+    tested by the list elimination of det_by_elimination: every block until
+    one is nonsingular, eight blocks per draw, and the draw kept when both
+    compound hops are nonsingular too."""
     from gfalign.gf import prime_field
     from gfalign.linalg import Mat, block2x2
     from gfalign.mimo import MimoChannel
     from gfalign.scheme import _MAX_DRAWS
     ground = prime_field(p)
 
+    def nonsingular(mat):
+        return det_by_elimination(p, [e.code for row in mat.rows for e in row]) % p
+
     def random_invertible():
         while True:
             mat = Mat.build(ground, [[rng.randrange(p) for _ in range(m)]
                                      for _ in range(m)])
-            if mat.det():
+            if nonsingular(mat):
                 return mat
 
     for _ in range(_MAX_DRAWS):
         mats = tuple(random_invertible() for _ in range(8))
-        if block2x2(*mats[:4]).det() and block2x2(*mats[4:]).det():
+        if nonsingular(block2x2(*mats[:4])) and nonsingular(block2x2(*mats[4:])):
             return MimoChannel(ground, m, mats)
     raise AssertionError(f"no valid channel found in {_MAX_DRAWS} draws")
 

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gfalign import exact_fraction, lower_bound, scheme
-from gfalign.cli import main
+from gfalign.cli import _json_text, main
 from test_pipeline import bump_v2
 
 
@@ -708,3 +710,57 @@ class TestSymbolExt:
                              "--seed", "5", "--w2", "1,1")
         assert code == 2 and out == ""
         assert "give both --w1 and --w2, or neither" in err
+
+
+def random_json_value(rng, depth=0):
+    """A seeded value json.dumps accepts: dicts, lists and tuples (some
+    empty, some all ints) down to depth 4, then scalars."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, 7, -1, -(2 ** 63), 2 ** 64, -(3 ** 50), 10 ** 30])
+    if kind == 2:
+        return rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e22,
+                           -2.5, 1 / 3, rng.random()])
+    if kind == 3:
+        return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(7)))
+    if kind == 4:
+        return [rng.randrange(-5, 5) for _ in range(rng.randrange(5))]
+    size = rng.randrange(5)
+    if kind in (5, 6):
+        return [random_json_value(rng, depth + 1) for _ in range(size)]
+    if kind == 7:
+        return tuple(random_json_value(rng, depth + 1) for _ in range(size))
+    return {"".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(4))):
+            random_json_value(rng, depth + 1) for _ in range(size)}
+
+
+# quotes, backslashes, control characters and non-ASCII text
+JSON_CHARS = 'az09 "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u4e2d\u2028\U0001f600'
+
+
+class TestJsonWriter:
+    """cli._json_text writes every JSON reply; json.dumps(x, indent=2) is
+    the reference, byte for byte."""
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [[]], {"a": {}}, [1, True], [0, False, 2 ** 70], [1, 2.0],
+        (1, (2, 3)), {"w": [[1, 0], [0, 1]], "ok": None},
+        [math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e16, 123456789.125],
+        ['"', "\\", "\x00\x1f\n", "\u00e9\u4e2d\U0001f600"], "top", 5, None,
+    ])
+    def test_edge_values(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    def test_seeded_values(self):
+        rng = random.Random("json-writer")
+        for _ in range(10000):
+            value = random_json_value(rng)
+            assert _json_text(value) == json.dumps(value, indent=2), value
+
+    def test_refusals(self):
+        # what json refuses, and dict keys that are not str, which no reply has
+        for value in ({(1, 2): 0}, [Fraction(1, 2)], {"a": {1, 2}}, {1: 0}, {None: 0}):
+            with pytest.raises(TypeError):
+                _json_text(value)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from gfalign import exhaustive_scan, scheme
+from gfalign import cli, exhaustive_scan, scheme
 from gfalign.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -129,6 +129,10 @@ CLI_CASES = {
     # (8, 6, 2), so n d reaches 16 * 12 = 192
     "symbol_ext_p2_m16": (["symbol-ext", "--p", "2", "--m", "16",
                            "--seed", "0"], 0),
+    # one irreducible factor of degree 24 per hop: factoring tries every
+    # candidate up to degree 12, and the eigenvector systems are 576 x 576
+    "symbol_ext_p2_m24": (["symbol-ext", "--p", "2", "--m", "24",
+                           "--seed", "4"], 0),
 }
 
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]
@@ -169,6 +173,17 @@ def test_golden(case):
     assert code == CLI_CASES.get(case, (None, 0))[1]
     # bytes, not text: the CSV rows end in \r\n
     assert text == (GOLDEN / f"{case}.json").read_bytes().decode()
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_json_writer_on_golden_payloads(case, monkeypatch):
+    # the CLI's JSON writer against json.dumps on each payload it writes
+    payloads = []
+    monkeypatch.setattr(cli, "_emit_json", lambda args, payload: payloads.append(payload))
+    render(case)
+    assert len(payloads) == (0 if case.endswith("_csv") else 1)
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
 
 
 def test_readme_python_blocks_run():

@@ -495,14 +495,15 @@ class TestSerialization:
 
 
 class TestChannelStream:
-    """random_mimo_channel ranks integer rows (XOR bitmasks over GF(2)); the
-    draw loop over Mat objects tested by Mat.det is the reference.  Both
-    must return equal channels and leave the rng in the same state."""
+    """random_mimo_channel ranks integer rows (XOR bitmasks over GF(2), read
+    from the sampler's bytes); the draw loop over Mat objects tested by the
+    list elimination is the reference.  Both must return equal channels and
+    leave the rng in the same state."""
 
     @pytest.mark.parametrize("p,m,seeds", [
         (2, 2, 200), (3, 2, 200), (2, 3, 200), (3, 3, 200), (2, 4, 200),
         (2, 6, 200), (5, 2, 200), (1009, 2, 20), (7, 3, 20), (2, 5, 20),
-        (65537, 2, 20)])
+        (65537, 2, 20), (2, 9, 20), (2, 16, 5)])
     def test_matches_det_draws(self, p, m, seeds):
         for seed in range(seeds):
             rng, ref = random.Random(seed), random.Random(seed)

@@ -870,13 +870,25 @@ class TestCodeKernels:
             assert code_map.pairs is not None
             assert sorted(code_map.rows) == sorted(map(tuple, self.sum_rows(core.m)))
 
-    def test_p3_relay_sums_share_one_codec(self):
-        # both mimo-stream p = 3 arms sum two inputs, so m = 2 and m = 3
-        # fold through the same 3-bit tables
-        _digit_codec.cache_clear()
+    def test_p3_codec_tables(self):
+        # at p = 3 a field is b = 3 bits, one octal digit: spreads[c] is the
+        # ternary numeral of c read in octal, for the 3^7 codes of 7 digits,
+        # and residues[v] the octal numeral of v, each digit taken mod 3,
+        # read in ternary, for the 4096 values of 4 fields; the relay sums of
+        # both mimo-stream p = 3 arms fold through them
+        spreads, residues, width, base = _digit_codec(3)
+        assert (len(spreads), len(residues), width, base) == (3 ** 7, 4096, 12, 81)
+
+        def ternary(c):
+            return "".join(str(c // 3 ** i % 3) for i in reversed(range(7)))
+
+        assert all(spreads[c] == int(ternary(c), 8) for c in range(3 ** 7))
+        assert all(residues[v] == int("".join(str(int(d) % 3) for d in f"{v:04o}"), 3)
+                   for v in range(4096))
+        assert spreads[3 ** 7 - 1] == 0o2222222 and residues[0o7654] == int("1021", 3)
         for m in (2, 3):
-            _CodeMap(3, self.sum_rows(m))
-        assert _digit_codec.cache_info().currsize == 1
+            twos = [3 ** 7 - 1] * (2 * m - 1)         # 2 + 2 = 1 mod 3 in each lane
+            assert _CodeMap(3, self.sum_rows(m)).apply(twos) == [(3 ** 7 - 1) // 2] * (2 * m - 2)
 
 
 def transmit_outcome(core, x):

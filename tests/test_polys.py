@@ -5,8 +5,8 @@ import pytest
 from gfalign import (FieldMismatch, Poly, TooLarge, count_irreducible, divisors,
                      factor_poly, format_poly, make_field, mobius,
                      parse_poly, polys, prime_field, primitive_element)
-from gfalign.polys import all_monic
-from oracles import enumerate_irreducible, is_irreducible, minimal_polynomial
+from oracles import (all_monic, enumerate_irreducible, factor_by_trial_division,
+                     is_irreducible, minimal_polynomial)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -50,7 +50,10 @@ class TestPolyArithmetic:
         (lambda: Poly(GF2, [1, 1])(make_field(3, 2).one), FieldMismatch,
          "not in a compatible field"),
         (lambda: factor_poly(Poly(GF3, [1, 2])), ValueError, "monic polynomials"),
-    ], ids=["add-across-fields", "divmod-by-zero", "eval-in-GF9", "factor-non-monic"])
+        (lambda: factor_poly(Poly(make_field(2, 2), [1, 1])), FieldMismatch,
+         r"prime field, not GF\(4\)"),
+    ], ids=["add-across-fields", "divmod-by-zero", "eval-in-GF9", "factor-non-monic",
+            "factor-over-GF4"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
@@ -149,6 +152,24 @@ class TestFactoring:
                         prod = prod * g
                 assert prod == f
 
+    @pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 3)])
+    def test_matches_poly_trial_division(self, p, max_degree):
+        # every monic polynomial of each degree up to max_degree, against
+        # trial division by every monic candidate in Poly arithmetic
+        spec = prime_field(p)
+        for d in range(1, max_degree + 1):
+            for f in all_monic(spec, d):
+                assert factor_poly(f) == factor_by_trial_division(f), f
+
+    def test_candidates_have_no_root_0_or_1(self):
+        # past degree 1 a candidate with a root 0 or 1 has the factor x or
+        # x - 1, divided out before it, so it is not listed
+        for p, d in ((2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (5, 2)):
+            want = [f.coeff_codes() for f in all_monic(prime_field(p), d)
+                    if d == 1 or f.coeff_codes()[0] and sum(f.coeff_codes()) % p]
+            assert list(polys._monic_codes(p, d)) == want
+        assert polys._monic_codes(2, 2) == ((1, 1, 1),)
+
     def test_squarefree(self):
         # a repeated factor shows as a multiplicity above 1, also for a
         # p-th power, whose formal derivative vanishes
@@ -168,7 +189,7 @@ class TestFactoring:
         monkeypatch.setattr(polys, "_FACTOR_LIMIT", 14)
         x7 = Poly(GF2, [1, 1] + [0] * 5 + [1])                # x^7 + x + 1
         assert factor_poly(x7) == [(x7, 1)]
-        monkeypatch.setattr(polys, "all_monic", unlisted)
+        monkeypatch.setattr(polys, "_monic_codes", unlisted)
         with pytest.raises(TooLarge, match="degree 8 over GF\\(2\\) .* more than 14"):
             factor_poly(Poly(GF2, [1] + [0] * 7 + [1]))
         # one prime above the real limit is too many linear candidates
