@@ -19,10 +19,11 @@ from .linalg import (Mat, block2x2, char_poly, coeff_rows, coeff_vector,
                      elem_from_matrix_rep, krylov_precoders, lift_matrix,
                      linear_combination_image, matrix_rep, roots_in_field,
                      split_blocks, vector_from_coeff_rows)
-from .mimo import (ExtensionPlan, MimoChannel, MimoPipeline, MimoPrecoders,
-                   MimoSimulationReport, build_mimo_precoders,
+from .mimo import (ExtensionPlan, MimoChannel, MimoCodePipeline, MimoPipeline,
+                   MimoPrecoders, MimoSimulationReport, build_mimo_precoders,
                    mimo_channel_from_dict, mimo_channel_to_dict,
-                   plan_extension, random_mimo_channel, simulate_symbol_ext)
+                   plan_extension, random_mimo_channel, simulate_symbol_codes,
+                   simulate_symbol_ext)
 from .polys import (Poly, count_irreducible, divisors, factor_poly,
                     format_poly, mobius, parse_poly)
 from .scheme import (FeasibilityVerdict, LinearPipeline, MessagePair,

@@ -20,9 +20,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import feasibility as feas
 from . import mimo, scheme
-from .errors import DegenerateSpectrum, GFAlignError, SingularChannel
-from .gf import (check_field_params, int_digit_limit, make_field, parse_int,
-                 prime_field, primitive_element)
+from .errors import DegenerateSpectrum, GFAlignError, SingularChannel, TooLarge
+from .gf import (_coeffs_to_code, _randbelow, check_field_params, int_digit_limit,
+                 make_field, parse_int, prime_field, primitive_element)
 from .linalg import companion_matrix
 from .polys import Poly, format_poly, parse_poly
 
@@ -186,15 +186,17 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _symbols(ext, text: str) -> list:
-    """';'-separated coefficient lists as elements of ext; ValueError
-    for an empty symbol or a coefficient outside [0, p)."""
+def _symbol_codes(p: int, L: int, text: str) -> list[int]:
+    """';'-separated coefficient lists as base-p codes of L digits; ValueError
+    for an empty symbol, a coefficient outside [0, p) or a nonzero one past L."""
     parts = [_parse_int_list(part) for part in text.split(";")]
     if not all(parts):
         raise ValueError(f"message {text!r} has an empty symbol; write zero as 0")
-    if any(not 0 <= c < ext.p for part in parts for c in part):
-        raise ValueError(f"message coefficients must lie in [0, {ext.p})")
-    return [ext.element(part) for part in parts]
+    if any(not 0 <= c < p for part in parts for c in part):
+        raise ValueError(f"message coefficients must lie in [0, {p})")
+    if any(any(part[L:]) for part in parts):
+        raise ValueError("coefficient vector longer than the degree")
+    return [_coeffs_to_code(part, p) for part in parts]
 
 
 def cmd_symbol_ext(args) -> int:
@@ -211,13 +213,18 @@ def cmd_symbol_ext(args) -> int:
         _emit_json(args, {"channel": mimo.mimo_channel_to_dict(ch),
                           "error": str(exc), "success": False})
         return 1
-    pipeline = mimo.MimoPipeline(mimo.build_mimo_precoders(plan))
-    if _explicit_message(args, ch.m):
-        w1 = _symbols(plan.ext, args.w1)
-        w2 = _symbols(plan.ext, args.w2) if args.w2 else []
+    p, m, L = ch.ground.p, ch.m, plan.degree
+    if (6 * m - 2) * L > mimo.REPORT_DIGIT_LIMIT:
+        raise TooLarge(f"the reply would print {(6 * m - 2) * L} digits, 6m - 2 symbols of "
+                       f"L = {L}: the limit is {mimo.REPORT_DIGIT_LIMIT}")
+    pipeline = mimo.MimoCodePipeline(mimo.build_mimo_precoders(plan))
+    if _explicit_message(args, m):
+        w1 = _symbol_codes(p, L, args.w1)
+        w2 = _symbol_codes(p, L, args.w2) if args.w2 else []
     else:
-        w1, w2 = mimo.random_message(plan.ext, ch.m, rng)
-    report = mimo.simulate_symbol_ext(ch, w1, w2, pipeline)
+        # ext.random_element's stream: one _randbelow(rng, p^L) per symbol
+        w1, w2 = ([_randbelow(rng, p ** L) for _ in range(k)] for k in (m, m - 1))
+    report = mimo.simulate_symbol_codes(ch, w1, w2, pipeline)
     _emit_json(args, report.to_dict())
     return 0 if report.success else 1
 

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 from .errors import (DegenerateSpectrum, DimensionMismatch, FieldMismatch,
                      InconsistentSystem, NotInImage, Singular)
 from .gf import FieldElem, FieldSpec, prime_field, primitive_element
-from .polys import Poly, divisors, factor_poly, format_poly
+from .polys import Poly, _factor_codes, divisors, format_poly
 
 
 def _element_of_code(spec: FieldSpec):
@@ -396,13 +396,18 @@ def krylov_precoders(product: Mat, lead: Mat, cross: Mat) -> tuple[Mat, Mat]:
     spec = product.spec
     if spec.m != 1:
         raise FieldMismatch("precoders are built over a prime field")
-    p, a = spec.p, product.to_code_rows()
-    cols = [[row[0] for row in lead.to_code_rows()]]
+    return tuple(Mat.from_code_rows(spec, rows) for rows in _krylov_codes(
+        spec.p, product.to_code_rows(), [row[0] for row in lead.to_code_rows()],
+        cross.to_code_rows()))
+
+
+def _krylov_codes(p: int, a: list, lead: Sequence[int], cross: list) -> tuple[list, list]:
+    """krylov_precoders on rows of integer codes mod p, lead a list of codes."""
+    cols = [list(lead)]
     for _ in range(len(a) - 1):
         cols.append([sum(map(mul, row, cols[-1])) % p for row in a])
     main = [list(row) for row in zip(*cols)]
-    side = _matmul_mod_p(p, cross.to_code_rows(), [row[:-1] for row in main])
-    return Mat.from_code_rows(spec, main), Mat.from_code_rows(spec, side)
+    return main, _matmul_mod_p(p, cross, [row[:-1] for row in main])
 
 
 def _compound(a: list, b: list, c: list, d: list) -> list:
@@ -541,23 +546,26 @@ def lift_matrix(a: Mat, ext: FieldSpec) -> Mat:
 
 def char_poly(a: Mat) -> Poly:
     """Monic characteristic polynomial det(xI - a) of a matrix over a prime
-    field, by Berkowitz's algorithm on integer codes mod p: step k extends
-    the leading block B (k x k) to [[B, c], [r, d]] by multiplying its
-    coefficient vector, highest degree first, by the lower-triangular
-    Toeplitz matrix with first column (1, -d, -r c, -r B c, ...,
-    -r B^(k-1) c).  It never divides, so it is exact in every
-    characteristic, and it costs O(n^4) operations mod p.  Raises
-    FieldMismatch for a matrix over an extension field."""
-    n = a.nrows
-    if n != a.ncols:
+    field, by ``_char_codes``; FieldMismatch over an extension field."""
+    if a.nrows != a.ncols:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     spec = a.spec
     if spec.m != 1:
         raise FieldMismatch("characteristic polynomials are computed over a "
                             "prime field")
-    p, rows = spec.p, a.to_code_rows()
+    return Poly(spec, _char_codes(spec.p, a.to_code_rows()))
+
+
+def _char_codes(p: int, rows: list) -> tuple[int, ...]:
+    """Coefficients, low degree first, of the monic characteristic
+    polynomial of a square matrix of integer codes mod p, by Berkowitz's
+    algorithm: step k extends the leading block B (k x k) to [[B, c], [r, d]]
+    by multiplying its coefficient vector, highest degree first, by the
+    lower-triangular Toeplitz matrix with first column (1, -d, -r c, -r B c,
+    ..., -r B^(k-1) c).  It never divides, so it is exact in every
+    characteristic, and it costs O(n^4) operations mod p."""
     coeffs = [1]
-    for k in range(n):
+    for k in range(len(rows)):
         block = [row[:k] for row in rows[:k]]
         r = rows[k][:k]
         v = [row[k] for row in rows[:k]]
@@ -567,7 +575,7 @@ def char_poly(a: Mat) -> Poly:
                 v = [sum(map(mul, row, v)) % p for row in block]
             toeplitz.append(-sum(map(mul, r, v)) % p)
         coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) % p for i in range(k + 2)]
-    return Poly(spec, coeffs[::-1])
+    return tuple(coeffs[::-1])
 
 
 def _subfield_unit_codes(ext: FieldSpec, d: int) -> list[int]:
@@ -607,28 +615,30 @@ def roots_in_field(f: Poly, ext: FieldSpec) -> list[FieldElem]:
     return [x for x in map(ext.from_code, sorted(codes)) if not f(x).code]
 
 
-def splitting_data(a: Mat) -> tuple[Poly, tuple[Poly, ...], int]:
+def splitting_data(p: int, rows: list) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
     """Characteristic polynomial, irreducible factors (by degree,
-    descending, as ``factor_poly`` sorts them) and splitting degree of a
-    square ground-field matrix with squarefree spectrum.
+    descending, as ``_factor_codes`` sorts them), all as coefficient tuples
+    low degree first, and splitting degree of a square matrix of integer
+    codes mod p with squarefree spectrum.
 
     The splitting degree is the lcm of the factor degrees: the smallest
     extension containing every root.  Raises DegenerateSpectrum when the
     characteristic polynomial has a repeated factor.
     """
-    cp = char_poly(a)
-    factors = factor_poly(cp)
+    cp = _char_codes(p, rows)
+    factors = _factor_codes(p, cp)
     if any(mult > 1 for _, mult in factors):
         raise DegenerateSpectrum(
             "characteristic polynomial has a repeated irreducible factor")
-    return cp, tuple(f for f, _ in factors), math.lcm(*(f.degree for f, _ in factors))
+    return cp, tuple(f for f, _ in factors), math.lcm(*(len(f) - 1 for f, _ in factors))
 
 
-def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
-    """Codes over F_p of the sum of the eigenvectors of a ground-field
-    matrix whose characteristic polynomial is the product of the distinct
-    irreducible ``factors``, each eigenvector scaled so its lowest nonzero
-    entry is 1 (in F_{p^L}, ``mimo.HopPlan.eigenvectors``).
+def eigenvector_sum(p: int, rows: list, factors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """Codes over F_p of the sum of the eigenvectors of a square matrix a
+    of integer codes mod p whose characteristic polynomial is the product of
+    the distinct irreducible ``factors`` (coefficient tuples, low degree
+    first), each eigenvector scaled so its lowest nonzero entry is 1 (in
+    F_{p^L}, ``mimo.HopPlan.eigenvectors``).
 
     A factor f of degree d has the root lambda = x in R = F_p[x]/(f), which
     is F_p[C_f] for the companion C_f of f (column t holds x^(t+1) mod f).
@@ -642,10 +652,8 @@ def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
     the sum over t of coefficient t of x^t v_i (Lidl & Niederreiter,
     *Finite Fields*, ch. 2).  Raises DegenerateSpectrum unless each kernel
     has dimension d over F_p."""
-    p, n, rows = a.spec.p, a.nrows, a.to_code_rows()
-    lead = [0] * n
-    for factor in factors:
-        f = factor.coeff_codes()
+    n, lead = len(rows), [0] * len(rows)
+    for f in factors:
         d = len(f) - 1
         # equation (i, u) is row i d + u; unknown (j, s) is column (n-1-j) d + s
         work = []
@@ -663,7 +671,7 @@ def eigenvector_sum(a: Mat, factors: Sequence[Poly]) -> tuple[int, ...]:
         free = sorted(set(range(n * d)).difference(pivots))
         if len(free) != d:
             raise DegenerateSpectrum(
-                f"the roots of {format_poly(factor)} are not simple eigenvalues: "
+                f"the roots of {format_poly(Poly(prime_field(p), f))} are not simple eigenvalues: "
                 f"the kernel has dimension {len(free)} over F_p, not {d}")
         # entry (i, t) of the kernel vector of free column t is -work[r][free[t]]
         # when (i, t) is pivot column r, and 1 at (k, t), so Tr(v_k) = Tr(1) = d

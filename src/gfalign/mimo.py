@@ -11,12 +11,15 @@ f it is the trace of one eigenvector over F_p[x]/(f) = F_p[C_f], read off an
 F_p kernel (``linalg.eigenvector_sum``).  So planning runs over F_p and the
 precoders are F_p matrices; the eigen data in F_{p^L} are computed only
 when a caller reads them, with no elimination (eigenvectors: v1 V^-1, V^-1
-by Lagrange interpolation).  Message symbols live in F_{p^L}, which is
-F_p^L as a vector space, so the F_p core shared with the scalar model
-(scheme.LinearPipeline) acts on their base-p codes directly: the relay
-sums are one loop over their column pairs, XOR for p = 2 and sums of
-digit fields folded by residue tables for odd p.  Per slot the scheme
-still delivers 2m-1 ground-field symbols.
+by Lagrange interpolation).  Channel, plan, precoders and report hold
+integer codes, a message symbol the base-p code of a vector of F_p^L, and
+the F_p core shared with the scalar model (scheme.LinearPipeline) acts on
+codes directly: the relay sums are one loop over their column pairs, XOR
+for p = 2 and sums of digit fields folded by residue tables for odd p.
+F_{p^L} only names symbols as field elements; it and the Mat, Poly and
+FieldElem views are built when a library caller reads them (MimoPipeline
+builds F_{p^L}, MimoCodePipeline does not).  Per slot the scheme still
+delivers 2m-1 ground-field symbols.
 """
 
 from __future__ import annotations
@@ -24,32 +27,34 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import islice
+from functools import cache, cached_property, partial
+from itertools import islice, product
 from typing import Sequence
 
 from .errors import InconsistentSystem, Singular, SingularChannel
-from .gf import (FieldElem, FieldSpec, _randbelow_blocks, check_field_params,
-                 make_field, prime_field)
+from .gf import (FieldElem, FieldSpec, _code_to_coeffs, _randbelow_blocks,
+                 check_field_params, make_field, prime_field)
 from .linalg import (Mat, _compound, _det_small, _element_of_code, _full_rank,
-                     _independent_masks, _inv_mod_p, _matmul_mod_p, _solve_mod_p,
-                     block2x2, eigenvector_sum, krylov_precoders, lift_matrix,
+                     _independent_masks, _inv_mod_p, _krylov_codes, _matmul_mod_p,
+                     _solve_mod_p, eigenvector_sum, krylov_precoders, lift_matrix,
                      roots_in_field, splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int)
 
 _MATRIX_KEYS = ("Q11", "Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")
+REPORT_DIGIT_LIMIT = 10 ** 6   # a report's digits, (6m - 2) L: 337 440 at (2, 25) seed 0
 
 
 @dataclass(frozen=True)
 class MimoChannel:
-    """Eight m x m matrices over F_p: (Q11, Q12, Q21, Q22) for the first hop
-    and (Q33, Q34, Q43, Q44) for the second."""
+    """Eight m x m matrices over F_p as rows of integer codes: (Q11, Q12,
+    Q21, Q22) for the first hop and (Q33, Q34, Q43, Q44) for the second.
+    ``matrices``, ``hop1`` and ``hop2`` are Mat views, built on first read."""
 
     ground: FieldSpec
     m: int
-    matrices: tuple[Mat, ...]
+    codes: tuple[list[list[int]], ...]
 
     @classmethod
     def create(cls, p: int, m: int, matrices: Sequence) -> "MimoChannel":
@@ -62,16 +67,13 @@ class MimoChannel:
             mat = q if isinstance(q, Mat) else Mat.build(ground, q)
             if mat.spec != ground or mat.nrows != m or mat.ncols != m:
                 raise ValueError(f"expected {m} x {m} matrices over GF({p})")
-            mats.append(mat)
+            mats.append(mat.to_code_rows())
         return cls(ground, m, tuple(mats))
 
-    @property
-    def hop1(self) -> tuple[Mat, Mat, Mat, Mat]:
-        return self.matrices[:4]
-
-    @property
-    def hop2(self) -> tuple[Mat, Mat, Mat, Mat]:
-        return self.matrices[4:]
+    matrices = cached_property(lambda self: tuple(
+        Mat.from_code_rows(self.ground, rows) for rows in self.codes))
+    hop1 = property(lambda self: self.matrices[:4])
+    hop2 = property(lambda self: self.matrices[4:])
 
 
 @dataclass(frozen=True)
@@ -79,23 +81,27 @@ class HopPlan:
     """Plan of one hop's cross-ratio product A^-1 B cross, where
     (A, B, cross) is (Q11, Q12, Q22^-1 Q21) for the first hop and
     (S11, S12, S22^-1 S21) for the second: its spectrum's shape and the
-    eigenvector sum that leads its precoders, both found over F_p.
+    eigenvector sum that leads its precoders, found over F_p on integer
+    codes.  The Mat and Poly views ``product``, ``cross`` and ``char``, the
+    common extension ``ext`` = F_{p^L} and the eigen data in it are built on
+    first read, which planning never does.  The eigenvectors E sum to
+    ``lead``, so the main precoder v1 = [lead, A lead, ...] is E V for
+    V[j][l] = lambda_j^l, and E = v1 V^-1 with V^-1 by Lagrange."""
 
-    ``eigenvalues`` and ``eigenvectors`` are the eigen data in the common
-    extension ``ext``, computed the first time either is read; planning and
-    precoding never read them.  The eigenvectors E sum to ``lead``, so the
-    main precoder v1 = [lead, A lead, ...] is E V for V[j][l] = lambda_j^l,
-    and E = v1 V^-1 with V^-1 read off Lagrange interpolation.
-    """
-
-    product: Mat                      # over F_p
-    cross: Mat                        # over F_p
-    char: Poly
+    ground: FieldSpec
+    product_codes: list[list[int]]
+    cross_codes: list[list[int]]
+    char_codes: tuple[int, ...]       # monic, low degree first
     factor_degrees: tuple[int, ...]   # descending
     max_factor_degree: int            # extension order claimed by the largest factor
     splitting_degree: int             # lcm of the factor degrees
     lead: tuple[int, ...]             # eigenvector sum, from F_p kernels
-    ext: FieldSpec                    # the common extension field
+    ext_degree: int                   # L, the degree of the common extension
+
+    product = cached_property(lambda self: Mat.from_code_rows(self.ground, self.product_codes))
+    cross = cached_property(lambda self: Mat.from_code_rows(self.ground, self.cross_codes))
+    char = cached_property(lambda self: Poly(self.ground, self.char_codes))
+    ext = cached_property(lambda self: make_field(self.ground.p, self.ext_degree))
 
     @cached_property
     def eigenvalues(self) -> tuple[FieldElem, ...]:
@@ -112,9 +118,9 @@ class HopPlan:
         Lagrange polynomial q_j / q_j(lambda_j), q_j = char / (x - lambda_j),
         which is 1 at lambda_j and 0 at the other eigenvalues."""
         ext = self.ext
-        v1, _ = krylov_precoders(self.product, Mat.column(self.product.spec, self.lead),
+        v1, _ = krylov_precoders(self.product, Mat.column(self.ground, self.lead),
                                  self.cross)
-        char, columns = Poly(ext, self.char.coeff_codes()), []
+        char, columns = Poly(ext, self.char_codes), []
         for lam in self.eigenvalues:
             q = char // Poly(ext, (-lam, 1))
             scale = q(lam).inv()
@@ -123,7 +129,7 @@ class HopPlan:
 
     def summary(self) -> dict:
         return {
-            "char_poly": [c.code for c in self.char.coeffs],
+            "char_poly": list(self.char_codes),
             "factor_degrees": list(self.factor_degrees),
             "max_factor_degree": self.max_factor_degree,
             "splitting_degree": self.splitting_degree,
@@ -132,20 +138,23 @@ class HopPlan:
 
 @dataclass(frozen=True)
 class ExtensionPlan:
-    """Common extension field and per-hop eigen data for one channel.
+    """Extension degree L and per-hop plans for one channel.
 
     The extension degree is the lcm of both hops' splitting degrees; for
     some channels that exceeds the degree of the largest irreducible factor
     (the smallest field named by the factorization alone), so reports carry
-    both numbers.
-    """
+    both numbers.  ``ext`` (F_{p^L}) and ``s_blocks``, the Mat views of
+    the second hop's inverse blocks, are built on first read."""
 
     channel: MimoChannel
-    ext: FieldSpec
     degree: int
     hop1: HopPlan
     hop2: HopPlan
-    s_blocks: tuple[Mat, Mat, Mat, Mat]   # over F_p
+    s_codes: tuple[list[list[int]], ...]   # S11, S12, S21, S22 over F_p
+
+    ext = cached_property(lambda self: self.hop1.ext)
+    s_blocks = cached_property(lambda self: tuple(
+        Mat.from_code_rows(self.channel.ground, blk) for blk in self.s_codes))
 
     def summary(self) -> dict:
         return {
@@ -161,9 +170,8 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     """Validate the channel, factor both hop products' characteristic
     polynomials, and find each product's eigenvector sum over F_p
     (``eigenvector_sum``: one F_p Gauss-Jordan per irreducible factor).
-    Every step runs on integer codes mod p; the common splitting field
-    F_{p^L} is built for the message symbols, and no eigenvalue or
-    eigenvector is searched in it.
+    Every step runs on integer codes mod p, and no field F_{p^L} is built:
+    the plan names L, and the message symbols are base-p codes of L digits.
 
     Raises SingularChannel when a channel matrix or a compound hop matrix is
     singular, and DegenerateSpectrum when either product has a repeated
@@ -173,11 +181,10 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     and S21 = -Q44^-1 Q43 S11 are products of invertible matrices.
     """
     ground, p, m = ch.ground, ch.ground.p, ch.m
-    codes = [mat.to_code_rows() for mat in ch.matrices]
-    for name, rows in zip(_MATRIX_KEYS, codes):
+    for name, rows in zip(_MATRIX_KEYS, ch.codes):
         if not _full_rank(p, rows):
             raise SingularChannel(f"channel matrix {name} is singular")
-    q11, q12, q21, q22, q33, q34, q43, q44 = codes
+    q11, q12, q21, q22, q33, q34, q43, q44 = ch.codes
     if not _full_rank(p, _compound(q11, q12, q21, q22)):
         raise SingularChannel("compound first-hop matrix is singular")
     try:
@@ -187,83 +194,75 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
     s11, s12 = [row[:m] for row in s[:m]], [row[m:] for row in s[:m]]
     s21, s22 = [row[:m] for row in s[m:]], [row[m:] for row in s[m:]]
 
-    def product_and_cross(a, b, c, d):
+    def hop_data(a, b, c, d):
         cross = _solve_mod_p(d, c, p)
-        return (Mat.from_code_rows(ground, _matmul_mod_p(p, _solve_mod_p(a, b, p), cross)),
-                Mat.from_code_rows(ground, cross))
+        product = _matmul_mod_p(p, _solve_mod_p(a, b, p), cross)
+        return (product, cross, *splitting_data(p, product))
 
-    product1, cross1 = product_and_cross(q11, q12, q21, q22)
-    product2, cross2 = product_and_cross(s11, s12, s21, s22)
-    cp1, factors1, deg1 = splitting_data(product1)
-    cp2, factors2, deg2 = splitting_data(product2)
-    degree = math.lcm(deg1, deg2)
-    ext = make_field(p, degree)
+    hops = hop_data(q11, q12, q21, q22), hop_data(s11, s12, s21, s22)
+    degree = math.lcm(hops[0][-1], hops[1][-1])
 
-    def hop_plan(product, cross, cp, factors, own_degree):
-        degrees = tuple(f.degree for f in factors)
-        return HopPlan(product, cross, cp, degrees, degrees[0], own_degree,
-                       eigenvector_sum(product, factors), ext)
+    def hop_plan(product, cross, char, factors, own_degree):
+        degrees = tuple(len(f) - 1 for f in factors)
+        return HopPlan(ground, product, cross, char, degrees, degrees[0], own_degree,
+                       eigenvector_sum(p, product, factors), degree)
 
-    return ExtensionPlan(ch, ext, degree,
-                         hop_plan(product1, cross1, cp1, factors1, deg1),
-                         hop_plan(product2, cross2, cp2, factors2, deg2),
-                         tuple(Mat.from_code_rows(ground, blk)
-                               for blk in (s11, s12, s21, s22)))
+    return ExtensionPlan(ch, degree, *(hop_plan(*hop) for hop in hops), (s11, s12, s21, s22))
 
 
 @dataclass(frozen=True)
 class MimoPrecoders:
-    """Precoding matrices over the ground field F_p.
+    """Precoding matrices over F_p as rows of integer codes; v1..v4 are
+    their Mat views, built on first read.
 
     v1 and v2 are krylov_precoders of the hop-1 product, led by the
     eigenvector sum ``HopPlan.lead`` (the all-ones combination in the
     eigenbasis, which a Vandermonde argument keeps full rank), with cross
-    Q22^-1 Q21 to align the hops.  v3 and v4 mirror the construction for
-    the inverted second hop.  The eigenvector sum is fixed by Frobenius, so
-    it lies in F_p^m and every precoder is a ground-field matrix, whatever
-    the extension degree.  The tests check the determinant identity
-    det v1 = det(eigenvectors) * Vandermonde(eigenvalues) against the eigen
-    data in F_{p^L}; ``MimoPipeline`` raises Singular should v1 or v3 be
-    singular.  The scalar model's PrecoderSet is the same construction.
+    Q22^-1 Q21 to align the hops; v3 and v4 mirror it for the inverted
+    second hop.  The eigenvector sum is fixed by Frobenius, so it lies in
+    F_p^m, whatever the extension degree.  The tests check the identity
+    det v1 = det(eigenvectors) * Vandermonde(eigenvalues) in F_{p^L}; the
+    core raises Singular should v1 or v3 be singular.  The scalar model's
+    PrecoderSet is the same construction.
     """
 
     plan: ExtensionPlan
-    v1: Mat
-    v2: Mat
-    v3: Mat
-    v4: Mat
+    codes: tuple[list[list[int]], ...]    # v1, v2, v3, v4
+
+    _mats = cached_property(lambda self: tuple(
+        Mat.from_code_rows(self.plan.channel.ground, rows) for rows in self.codes))
+    v1, v2, v3, v4 = (property(lambda self, i=i: self._mats[i]) for i in range(4))
 
 
 def build_mimo_precoders(plan: ExtensionPlan) -> MimoPrecoders:
-    ground = plan.channel.ground
-
-    def hop_precoders(hop: HopPlan) -> tuple[Mat, Mat]:
-        return krylov_precoders(hop.product, Mat.column(ground, hop.lead), hop.cross)
-
-    return MimoPrecoders(plan, *hop_precoders(plan.hop1), *hop_precoders(plan.hop2))
+    p = plan.channel.ground.p
+    return MimoPrecoders(plan, tuple(
+        rows for hop in (plan.hop1, plan.hop2)
+        for rows in _krylov_codes(p, hop.product_codes, hop.lead, hop.cross_codes)))
 
 
-class MimoPipeline:
-    """Reusable end-to-end runner for one planned channel.
-
-    Message symbols live in the plan's extension field F_{p^L}.  Each run
-    sends their codes once through the composed map of the shared F_p core
-    (scheme.LinearPipeline.transmit), which acts on all L coefficients of a
-    code at once, and returns the output codes as elements of F_{p^L}.
-    """
+class MimoCodePipeline:
+    """The shared F_p core (scheme.LinearPipeline) of one planned channel,
+    acting on all L digits of a symbol code at once; it builds no F_{p^L}."""
 
     def __init__(self, precoders: MimoPrecoders):
-        plan = precoders.plan
-        ch = plan.channel
-        s11, _, s21, _ = plan.s_blocks
-        self.plan = plan
-        self.pre = precoders
-        self.ext = plan.ext
-        self._symbol = _element_of_code(plan.ext)
-        self.core = LinearPipeline(ch.ground.p, block2x2(*ch.hop1),
-                                   block2x2(*ch.hop2), s11, s21,
-                                   precoders.v1, precoders.v2, precoders.v3,
-                                   precoders.v4)
+        plan, ch = precoders.plan, precoders.plan.channel
+        self.plan, self.pre = plan, precoders
+        s11, _, s21, _ = plan.s_codes
+        self.core = LinearPipeline(ch.ground.p, _compound(*ch.codes[:4]),
+                                   _compound(*ch.codes[4:]), s11, s21, *precoders.codes)
+
+
+class MimoPipeline(MimoCodePipeline):
+    """Reusable end-to-end runner for one planned channel on symbols of the
+    plan's F_{p^L}, ``ext``, which it builds: each run sends their codes once
+    through the core's composed map.  ``ext`` is a plain attribute, since a
+    lazy one would slow run's reads of it."""
+
+    def __init__(self, precoders: MimoPrecoders):
+        super().__init__(precoders)
+        self.ext = self.plan.ext
+        self._symbol = _element_of_code(self.ext)
 
     def run(self, w1: Sequence[FieldElem], w2: Sequence[FieldElem]):
         """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2).  An
@@ -287,39 +286,37 @@ class MimoPipeline:
 
 @dataclass(frozen=True)
 class MimoSimulationReport:
-    """Record of one symbol-extension run."""
+    """Record of one symbol-extension run: ``codes`` holds the code tuples
+    (w1, w2, u1, u2, decoded1, decoded2); the attributes of those names are
+    the same tuples as elements of plan.ext, built on first read."""
 
     channel: MimoChannel
     plan: ExtensionPlan
-    w1: tuple[FieldElem, ...]
-    w2: tuple[FieldElem, ...]
-    u1: tuple[FieldElem, ...]
-    u2: tuple[FieldElem, ...]
-    decoded1: tuple[FieldElem, ...]
-    decoded2: tuple[FieldElem, ...]
+    codes: tuple[tuple[int, ...], ...]
     success: bool
 
-    @property
-    def slots(self) -> int:
-        return self.plan.degree
+    _elements = cached_property(lambda self: tuple(
+        tuple(map(_element_of_code(self.plan.ext), codes)) for codes in self.codes))
+    w1, w2, u1, u2, decoded1, decoded2 = (property(lambda self, i=i: self._elements[i])
+                                          for i in range(6))
 
-    @property
-    def sum_rate_bits_per_slot(self) -> float:
-        return (2 * self.channel.m - 1) * math.log2(self.channel.ground.p)
-
-    @property
-    def ground_symbols_delivered(self) -> int:
-        return (2 * self.channel.m - 1) * self.plan.degree
+    slots = property(lambda self: self.plan.degree)
+    sum_rate_bits_per_slot = property(
+        lambda self: (2 * self.channel.m - 1) * math.log2(self.channel.ground.p))
+    ground_symbols_delivered = property(
+        lambda self: (2 * self.channel.m - 1) * self.plan.degree)
 
     def to_dict(self) -> dict:
-        def as_lists(vec):
-            return [list(e.coeffs) for e in vec]
+        """Each symbol as its L base-p digits, low first, read off its code."""
+        p, L = self.channel.ground.p, self.plan.degree
+        w1, w2, u1, u2, got1, got2 = ([list(_code_to_coeffs(c, p, L)) for c in codes]
+                                      for codes in self.codes)
         return {
             "channel": mimo_channel_to_dict(self.channel),
             "plan": self.plan.summary(),
-            "message": {"w1": as_lists(self.w1), "w2": as_lists(self.w2)},
-            "relay_equations": {"u1": as_lists(self.u1), "u2": as_lists(self.u2)},
-            "decoded": {"w1": as_lists(self.decoded1), "w2": as_lists(self.decoded2)},
+            "message": {"w1": w1, "w2": w2},
+            "relay_equations": {"u1": u1, "u2": u2},
+            "decoded": {"w1": got1, "w2": got2},
             "success": self.success,
             "slots": self.slots,
             "sum_rate_bits_per_slot": self.sum_rate_bits_per_slot,
@@ -327,25 +324,45 @@ class MimoSimulationReport:
         }
 
 
+def simulate_symbol_codes(ch: MimoChannel, w1: Sequence[int], w2: Sequence[int],
+                          pipeline: MimoCodePipeline) -> MimoSimulationReport:
+    """MimoPipeline.run on symbol codes in [0, p^L) as a report, with no
+    F_{p^L}; simulate_symbol_ext and the CLI call it."""
+    m = pipeline.core.m
+    if len(w1) != m or len(w2) != m - 1:
+        raise ValueError(f"expected message lengths {m} and {m - 1}")
+    out = pipeline.core.transmit([*w1, *w2])
+    if out[0]:
+        raise InconsistentSystem(
+            "destination-2 observation left the side-precoder column space")
+    w1, w2, n = tuple(w1), tuple(w2), 2 * m
+    got1, got2 = out[1:m + 1], out[m + 1:n]
+    return MimoSimulationReport(ch, pipeline.plan, (w1, w2, out[n:n + m], out[n + m:],
+                                                    got1, got2), got1 == w1 and got2 == w2)
+
+
 def simulate_symbol_ext(ch: MimoChannel, w1: Sequence[FieldElem],
                         w2: Sequence[FieldElem],
                         pipeline: MimoPipeline) -> MimoSimulationReport:
     """Run one message through the slotted pipeline of channel ch, built
-    once per channel as MimoPipeline(build_mimo_precoders(plan_extension(ch))).
-    Message symbols live in the plan's extension field; run reads the
-    codes of the elements coerced here.
-    """
-    w1 = tuple(pipeline.ext.element(v) for v in w1)
-    w2 = tuple(pipeline.ext.element(v) for v in w2)
-    got1, got2, u1, u2 = pipeline.run(w1, w2)
-    return MimoSimulationReport(ch, pipeline.plan, w1, w2, u1, u2, got1, got2,
-                                got1 == w1 and got2 == w2)
+    once per channel as MimoPipeline(build_mimo_precoders(plan_extension(ch))):
+    simulate_symbol_codes on the codes of the symbols coerced by ext.element."""
+    ext = pipeline.ext
+    return simulate_symbol_codes(ch, [ext.element(v).code for v in w1],
+                                 [ext.element(v).code for v in w2], pipeline)
 
 
 def random_message(ext: FieldSpec, m: int, rng: random.Random):
     w1 = tuple(ext.random_element(rng) for _ in range(m))
     w2 = tuple(ext.random_element(rng) for _ in range(m - 1))
     return w1, w2
+
+
+@cache
+def _invertible_blocks(p: int, m: int) -> frozenset[bytes]:
+    """The invertible m x m blocks over F_p as bytes of row-major codes."""
+    return frozenset(map(bytes, filter(partial(_det_small, p),
+                                       product(range(p), repeat=m * m))))
 
 
 def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
@@ -357,12 +374,13 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     Each matrix is the first nonsingular one of a run of m x m blocks, their
     entries read row by row from gf._randbelow_blocks as the values of
     rng.randrange(p): for p < 256 decoded from generator words drawn in
-    bulk, above that one gf._randbelow per entry.  A block is tested by its
-    closed-form determinant up to 3 x 3 and by _full_rank above, over GF(2)
-    by _independent_masks on row masks read straight from its bytes.  Bulk
-    words reach past the last entry used, and symbol-ext draws its message
-    from the same rng next, so the sampler is closed when the draw ends,
-    also by SingularChannel: it rewinds rng to the state one
+    bulk, above that one gf._randbelow per entry.  A block is tested by
+    membership in ``_invertible_blocks`` at (2, 2), (3, 2) and (2, 3), by
+    its closed-form determinant otherwise up to 3 x 3 and by _full_rank
+    above, over GF(2) by _independent_masks on row masks read straight from
+    its bytes.  Bulk words reach past the last entry used, and symbol-ext
+    draws its message from the same rng next, so the sampler is closed when
+    the draw ends, also by SingularChannel: it rewinds rng to the state one
     rng.randrange(p) per entry would leave.  So the channel and the state
     afterwards equal those of that draw (tests check this against a draw of
     Mat objects ranked by the list elimination)."""
@@ -375,7 +393,9 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     def rows(block):
         return [block[i:i + m] for i in range(0, m * m, m)]
 
-    if m <= 3:
+    if 1 < m <= 3 and p ** (m * m) <= 1 << 9:
+        invertible = _invertible_blocks(p, m).__contains__
+    elif m <= 3:
         invertible = partial(_det_small, p)
     elif p == 2:
         def invertible(block) -> bool:
@@ -390,8 +410,7 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
         for _ in range(_MAX_DRAWS):
             q = [rows(block) for block in islice(filter(invertible, blocks), 8)]
             if _full_rank(p, _compound(*q[:4])) and _full_rank(p, _compound(*q[4:])):
-                return MimoChannel(ground, m, tuple(Mat.from_code_rows(ground, blk)
-                                                    for blk in q))
+                return MimoChannel(ground, m, tuple([[*row] for row in blk] for blk in q))
     finally:
         blocks.close()
     raise SingularChannel(f"no valid channel found in {_MAX_DRAWS} draws")
@@ -402,8 +421,8 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
 
 def mimo_channel_to_dict(ch: MimoChannel) -> dict:
     out: dict = {"p": ch.ground.p, "m": ch.m}
-    for key, mat in zip(_MATRIX_KEYS, ch.matrices):
-        out[key] = mat.to_code_rows()
+    for key, rows in zip(_MATRIX_KEYS, ch.codes):
+        out[key] = [list(row) for row in rows]
     return out
 
 

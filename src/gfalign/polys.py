@@ -211,28 +211,30 @@ def _exact_quotient(f: tuple[int, ...], g: tuple[int, ...], p: int) -> tuple[int
 
 def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     """Factor a monic polynomial over a prime field into monic irreducibles
-    with multiplicities.
-
-    Factors are sorted by degree descending, then lexicographically by the
-    low-degree-first coefficient vector.  Trial division on coefficient
-    tuples mod p by the monic polynomials of each degree d <= deg f / 2
-    (``_monic_codes``).  TooLarge when the p^d candidates of those degrees
-    exceed _FACTOR_LIMIT, counted before any is listed; FieldMismatch over
-    F_{p^m}, m > 1.
-    """
+    with multiplicities, by ``_factor_codes``; FieldMismatch over F_{p^m}."""
     if not f.is_monic or f.degree < 1:
         raise ValueError("factoring is defined for monic polynomials of degree >= 1")
     spec = f.spec
     if spec.m != 1:
         raise FieldMismatch(f"factoring is defined over a prime field, not GF({spec.order})")
-    p, candidates = spec.p, 0
-    for d in range(1, f.degree // 2 + 1):
+    return [(Poly(spec, g), mult) for g, mult in _factor_codes(spec.p, f.coeff_codes())]
+
+
+def _factor_codes(p: int, f: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors with multiplicities of a monic f over F_p
+    of degree >= 1, as coefficient tuples low degree first, sorted by degree
+    descending, then lexicographically: trial division mod p by the monic
+    polynomials of each degree d <= deg f / 2 (``_monic_codes``).  TooLarge
+    when the p^d candidates of those degrees exceed _FACTOR_LIMIT, counted
+    before any is listed."""
+    degree, candidates = len(f) - 1, 0
+    for d in range(1, degree // 2 + 1):
         candidates += p ** d
         if candidates > _FACTOR_LIMIT:
-            raise TooLarge(f"factoring a polynomial of degree {f.degree} over GF({p}) "
+            raise TooLarge(f"factoring a polynomial of degree {degree} over GF({p}) "
                            f"by trial division tries more than {_FACTOR_LIMIT} candidate divisors")
     out: list[tuple[tuple[int, ...], int]] = []
-    rest = f.coeff_codes()
+    rest = f
     d = 1
     while len(rest) > 1:
         if 2 * d > len(rest) - 1:
@@ -249,7 +251,7 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
                     break
         d += 1
     out.sort(key=lambda gm: (-len(gm[0]), gm[0]))
-    return [(Poly(spec, g), mult) for g, mult in out]
+    return out
 
 
 # -- textual notation ---------------------------------------------------------

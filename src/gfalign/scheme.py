@@ -405,8 +405,9 @@ def _defect(p: int, got, want, *factors) -> int:
 
 class LinearPipeline:
     """The scheme as two F_p matrices of integer codes, composed once from
-    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4 by
-    the decoders' own solves, with no inverse: by Q11 v1, Q21 v1 and v3
+    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4
+    (each a Mat over F_p or the rows of its integer codes) by the
+    decoders' own solves, with no inverse: by Q11 v1, Q21 v1 and v3
     (Singular if one is singular, checked in that order), and one
     Gauss-Jordan pass over v4 beside destination 2's observations.
 
@@ -426,10 +427,11 @@ class LinearPipeline:
 
     def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
                  v1: Mat, v2: Mat, v3: Mat, v4: Mat):
-        m = v1.nrows
+        hop1, hop2, v1, v2, v3, v4, s11, s21 = (
+            a.to_code_rows() if isinstance(a, Mat) else a
+            for a in (hop1, hop2, v1, v2, v3, v4, s11, s21))
+        m = len(v1)
         self.p, self.m = p, m
-        hop1, hop2, v1, v2, v3, v4, s11, s21 = map(
-            Mat.to_code_rows, (hop1, hop2, v1, v2, v3, v4, s11, s21))
         # relay r observes [Q_r1 v1 | Q_r2 v2] (w1; w2) and solves by Q_r1 v1
         g = _matmul_mod_p(p, hop1, _block_diag(v1, v2))
         top, bottom = g[:m], g[m:]

@@ -351,7 +351,7 @@ def random_mimo_channel_by_det(p, m, rng):
     for _ in range(_MAX_DRAWS):
         mats = tuple(random_invertible() for _ in range(8))
         if nonsingular(block2x2(*mats[:4])) and nonsingular(block2x2(*mats[4:])):
-            return MimoChannel(ground, m, mats)
+            return MimoChannel.create(p, m, mats)
     raise AssertionError(f"no valid channel found in {_MAX_DRAWS} draws")
 
 

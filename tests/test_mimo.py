@@ -260,7 +260,7 @@ class TestEigenvectors:
         for _ in range(40):
             ch = random_mimo_channel(p, m, rng)
             try:
-                if math.lcm(*(splitting_data(prod)[2]
+                if math.lcm(*(splitting_data(prod.spec.p, prod.to_code_rows())[2]
                               for prod in hop_products(ch))) > 24:
                     continue
                 plan = plan_extension(ch)
@@ -285,9 +285,9 @@ class TestLead:
         for _ in range(draws):
             ch = random_mimo_channel(p, m, rng)
             try:
-                # skip before plan_extension builds a field beyond max_degree
+                # skip before plan.ext builds a field beyond max_degree
                 if max_degree is not None and math.lcm(*(
-                        splitting_data(prod)[2] for prod in hop_products(ch))) > max_degree:
+                        splitting_data(prod.spec.p, prod.to_code_rows())[2] for prod in hop_products(ch))) > max_degree:
                     continue
                 plan = plan_extension(ch)
             except DegenerateSpectrum:
@@ -452,8 +452,7 @@ class TestScalarModelLifted:
             ch = scheme.TwoHopChannel.create(spec, t, t)
             verdict = scheme.check_feasible(ch)
             try:
-                plan = plan_extension(MimoChannel(prime_field(p), m,
-                                                  tuple(rep(q) for q in t + t)))
+                plan = plan_extension(MimoChannel.create(p, m, [rep(q) for q in t + t]))
             except SingularChannel:
                 assert not verdict.model_ok, t
                 continue
