@@ -21,9 +21,8 @@ from .linalg import (Mat, block2x2, char_poly, coeff_rows, coeff_vector,
                      split_blocks, vector_from_coeff_rows)
 from .mimo import (ExtensionPlan, MimoChannel, MimoCodePipeline, MimoPipeline,
                    MimoPrecoders, MimoSimulationReport, build_mimo_precoders,
-                   mimo_channel_from_dict, mimo_channel_to_dict,
-                   plan_extension, random_mimo_channel, simulate_symbol_codes,
-                   simulate_symbol_ext)
+                   mimo_channel_from_dict, mimo_channel_to_dict, plan_extension,
+                   random_mimo_channel, simulate_symbol_codes, simulate_symbol_ext)
 from .polys import (Poly, count_irreducible, divisors, factor_poly,
                     format_poly, mobius, parse_poly)
 from .scheme import (FeasibilityVerdict, LinearPipeline, MessagePair,

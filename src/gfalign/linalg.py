@@ -23,10 +23,10 @@ is packed into one integer, a byte per entry: elimination tests a bit and
 XORs whole rows, and a product entry is the parity of the bits set in
 row & column.  Odd p keep lists of codes.  Over F_{p^m},
 m > 1, these raise FieldMismatch; ``@``, ``+`` and ``scale`` work over any
-field.  ``char_poly`` (Berkowitz) and ``eigenvector_sum`` run on codes mod
-p too; the eigenvectors over F_p[x]/(f) = F_p[C_f] are the kernel of one
-F_p matrix.  Roots in F_{p^L} are searched only in its subfields F_{p^d},
-d | L, d <= deg f.
+field.  ``char_poly`` (Berkowitz), ``splitting_data`` and ``eigenvector_sum``
+run on code rows mod p too; the eigenvectors over F_p[x]/(f) = F_p[C_f]
+are the kernel of one F_p matrix.  Roots in F_{p^L} are searched only in
+its subfields F_{p^d}, d | L, d <= deg f.
 """
 
 from __future__ import annotations

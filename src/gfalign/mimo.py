@@ -12,13 +12,12 @@ F_p kernel (``linalg.eigenvector_sum``).  So planning runs over F_p and the
 precoders are F_p matrices; the eigen data in F_{p^L} are computed only
 when a caller reads them, with no elimination (eigenvectors: v1 V^-1, V^-1
 by Lagrange interpolation).  Channel, plan, precoders and report hold
-integer codes, a message symbol the base-p code of a vector of F_p^L, and
-the F_p core shared with the scalar model (scheme.LinearPipeline) acts on
-codes directly: the relay sums are one loop over their column pairs, XOR
+integer codes; a message symbol is the base-p code of a vector of F_p^L,
+on which the F_p core shared with the scalar model (scheme.LinearPipeline)
+acts directly: the relay sums are one loop over their column pairs, XOR
 for p = 2 and sums of digit fields folded by residue tables for odd p.
-F_{p^L} only names symbols as field elements; it and the Mat, Poly and
-FieldElem views are built when a library caller reads them (MimoPipeline
-builds F_{p^L}, MimoCodePipeline does not).  Per slot the scheme still
+F_{p^L} and the Mat, Poly and FieldElem views are built when a library
+caller reads them, or F_{p^L} by MimoPipeline.  Per slot the scheme still
 delivers 2m-1 ground-field symbols.
 """
 
@@ -196,16 +195,16 @@ def plan_extension(ch: MimoChannel) -> ExtensionPlan:
 
     def hop_data(a, b, c, d):
         cross = _solve_mod_p(d, c, p)
-        product = _matmul_mod_p(p, _solve_mod_p(a, b, p), cross)
-        return (product, cross, *splitting_data(p, product))
+        prod = _matmul_mod_p(p, _solve_mod_p(a, b, p), cross)
+        return (prod, cross, *splitting_data(p, prod))
 
     hops = hop_data(q11, q12, q21, q22), hop_data(s11, s12, s21, s22)
     degree = math.lcm(hops[0][-1], hops[1][-1])
 
-    def hop_plan(product, cross, char, factors, own_degree):
+    def hop_plan(prod, cross, char, factors, own_degree):
         degrees = tuple(len(f) - 1 for f in factors)
-        return HopPlan(ground, product, cross, char, degrees, degrees[0], own_degree,
-                       eigenvector_sum(p, product, factors), degree)
+        return HopPlan(ground, prod, cross, char, degrees, degrees[0], own_degree,
+                       eigenvector_sum(p, prod, factors), degree)
 
     return ExtensionPlan(ch, degree, *(hop_plan(*hop) for hop in hops), (s11, s12, s21, s22))
 
@@ -300,11 +299,17 @@ class MimoSimulationReport:
     w1, w2, u1, u2, decoded1, decoded2 = (property(lambda self, i=i: self._elements[i])
                                           for i in range(6))
 
-    slots = property(lambda self: self.plan.degree)
-    sum_rate_bits_per_slot = property(
-        lambda self: (2 * self.channel.m - 1) * math.log2(self.channel.ground.p))
-    ground_symbols_delivered = property(
-        lambda self: (2 * self.channel.m - 1) * self.plan.degree)
+    @property
+    def slots(self) -> int:
+        return self.plan.degree
+
+    @property
+    def sum_rate_bits_per_slot(self) -> float:
+        return (2 * self.channel.m - 1) * math.log2(self.channel.ground.p)
+
+    @property
+    def ground_symbols_delivered(self) -> int:
+        return (2 * self.channel.m - 1) * self.plan.degree
 
     def to_dict(self) -> dict:
         """Each symbol as its L base-p digits, low first, read off its code."""
@@ -375,12 +380,12 @@ def random_mimo_channel(p: int, m: int, rng: random.Random) -> MimoChannel:
     entries read row by row from gf._randbelow_blocks as the values of
     rng.randrange(p): for p < 256 decoded from generator words drawn in
     bulk, above that one gf._randbelow per entry.  A block is tested by
-    membership in ``_invertible_blocks`` at (2, 2), (3, 2) and (2, 3), by
-    its closed-form determinant otherwise up to 3 x 3 and by _full_rank
-    above, over GF(2) by _independent_masks on row masks read straight from
-    its bytes.  Bulk words reach past the last entry used, and symbol-ext
-    draws its message from the same rng next, so the sampler is closed when
-    the draw ends, also by SingularChannel: it rewinds rng to the state one
+    membership in ``_invertible_blocks`` at (2, 2), (3, 2) and (2, 3), else
+    by its closed-form determinant up to 3 x 3 and by _full_rank above, over
+    GF(2) by _independent_masks on row masks read straight from its bytes.
+    Bulk words reach past the last entry used, and symbol-ext draws its
+    message from the same rng next, so the sampler is closed when the draw
+    ends, also by SingularChannel: it rewinds rng to the state one
     rng.randrange(p) per entry would leave.  So the channel and the state
     afterwards equal those of that draw (tests check this against a draw of
     Mat objects ranked by the list elimination)."""

@@ -405,11 +405,11 @@ def _defect(p: int, got, want, *factors) -> int:
 
 class LinearPipeline:
     """The scheme as two F_p matrices of integer codes, composed once from
-    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4
-    (each a Mat over F_p or the rows of its integer codes) by the
-    decoders' own solves, with no inverse: by Q11 v1, Q21 v1 and v3
-    (Singular if one is singular, checked in that order), and one
-    Gauss-Jordan pass over v4 beside destination 2's observations.
+    p, the compound 2m x 2m hops, the inverse blocks S11, S21 and v1..v4,
+    each as rows of integer codes mod p, by the decoders' own solves, with
+    no inverse: by Q11 v1, Q21 v1 and v3 (Singular if one is singular,
+    checked in that order), and one Gauss-Jordan pass over v4 beside
+    destination 2's observations.
 
     relay_map (2m x 2m-1) takes (w1; w2) to the relay sums (u1; u2), and
     destination_map (2m x 2m) takes (u1; u2) to (w1; w2; r), where the
@@ -425,11 +425,8 @@ class LinearPipeline:
     and drops the composed map of transmit, built again on the next call.
     """
 
-    def __init__(self, p: int, hop1: Mat, hop2: Mat, s11: Mat, s21: Mat,
-                 v1: Mat, v2: Mat, v3: Mat, v4: Mat):
-        hop1, hop2, v1, v2, v3, v4, s11, s21 = (
-            a.to_code_rows() if isinstance(a, Mat) else a
-            for a in (hop1, hop2, v1, v2, v3, v4, s11, s21))
+    def __init__(self, p: int, hop1: list, hop2: list, s11: list, s21: list,
+                 v1: list, v2: list, v3: list, v4: list):
         m = len(v1)
         self.p, self.m = p, m
         # relay r observes [Q_r1 v1 | Q_r2 v2] (w1; w2) and solves by Q_r1 v1
@@ -496,9 +493,9 @@ def scalar_pipeline(ch: TwoHopChannel, pre: PrecoderSet) -> LinearPipeline:
     """The F_p core of a scalar channel: each coefficient becomes its
     multiplication matrix."""
     reps = [matrix_rep(q) for q in ch.hop1 + ch.hop2]
-    return LinearPipeline(ch.spec.p, block2x2(*reps[:4]), block2x2(*reps[4:]),
-                          matrix_rep(pre.s11), matrix_rep(pre.s21),
-                          pre.v1, pre.v2, pre.v3, pre.v4)
+    return LinearPipeline(ch.spec.p, *map(Mat.to_code_rows, (
+        block2x2(*reps[:4]), block2x2(*reps[4:]), matrix_rep(pre.s11), matrix_rep(pre.s21),
+        pre.v1, pre.v2, pre.v3, pre.v4)))
 
 
 @dataclass(frozen=True)

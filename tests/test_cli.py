@@ -7,8 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from gfalign import exact_fraction, lower_bound, scheme
+from gfalign import (MimoCodePipeline, MimoPipeline, build_mimo_precoders,
+                     companion_matrix, exact_fraction, lower_bound, make_field, mimo,
+                     mimo_channel_from_dict, mimo_channel_to_dict, plan_extension,
+                     random_mimo_channel, scheme, simulate_symbol_ext)
 from gfalign.cli import _json_text, main
+from gfalign.gf import _coeffs_to_code
+from gfalign.mimo import random_message
+from oracles import lane_destination_half, lane_relay_half
+from test_golden import refuse_extension_fields
 from test_pipeline import bump_v2
 
 
@@ -764,3 +771,113 @@ class TestJsonWriter:
         for value in ({(1, 2): 0}, [Fraction(1, 2)], {"a": {1, 2}}, {1: 0}, {None: 0}):
             with pytest.raises(TypeError):
                 _json_text(value)
+
+
+def block_diagonal(blocks: list) -> list:
+    """Rows of the block-diagonal matrix of square code-row blocks."""
+    n, rows, at = sum(map(len, blocks)), [], 0
+    for blk in blocks:
+        rows += [[0] * at + row + [0] * (n - at - len(row)) for row in blk]
+        at += len(blk)
+    return rows
+
+
+def report_guard_channel() -> dict:
+    """A channel over F_2 with m = 25 whose report passes the digit limit.
+    Each hop is (I, A, I, I), so its product is similar to A: here the
+    block-diagonal of the companions of primitive moduli, of degrees 4, 5, 7
+    and 9 (lcm 1260) on the first hop and 12 and 13 (lcm 156) on the
+    second.  So L = 16380, and 148 symbols of L digits are 2 424 240."""
+    def companions(*degrees):
+        return block_diagonal([companion_matrix(make_field(2, d)).to_code_rows()
+                               for d in degrees])
+    eye = block_diagonal([[[1]]] * 25)
+    return {"p": 2, "m": 25, "Q11": eye, "Q12": companions(4, 5, 7, 9), "Q21": eye,
+            "Q22": eye, "Q33": eye, "Q34": companions(12, 13), "Q43": eye, "Q44": eye}
+
+
+class TestSymbolCodes:
+    """symbol-ext runs on symbol codes, base-p codes of L digits, and never
+    builds F_{p^L}: wide extensions answer, a reply past the digit limit is
+    refused before the message is drawn, and explicit symbols parse to the
+    codes of the field elements they named."""
+
+    @pytest.mark.parametrize("p,m,degree", [
+        (2, 12, 168), (2, 24, 180), (2, 25, 2280), (3, 16, 308)])
+    def test_wide_extensions_answer(self, capsys, monkeypatch, p, m, degree):
+        # each exited 2: building F_{p^L} factored p^L - 1 past its trial
+        # limit.  The decodes are checked lane by lane on the codes
+        refuse_extension_fields(monkeypatch)
+        code, payload = run_json(capsys, "symbol-ext", "--p", str(p), "--m", str(m),
+                                 "--seed", "0")
+        assert code == 0 and payload["success"] is True
+        assert payload["plan"]["extension_degree"] == degree
+        ch = random_mimo_channel(p, m, random.Random(0))
+        assert mimo_channel_from_dict(payload["channel"]) == ch
+        core = MimoCodePipeline(build_mimo_precoders(plan_extension(ch))).core
+
+        def codes(symbols):
+            assert all(len(digits) == degree for digits in symbols)
+            return tuple(_coeffs_to_code(digits, p) for digits in symbols)
+
+        msg, relay = payload["message"], payload["relay_equations"]
+        w1, w2, u1, u2 = codes(msg["w1"]), codes(msg["w2"]), codes(relay["u1"]), codes(relay["u2"])
+        assert lane_relay_half(core, w1, w2, degree) == (u1, u2)
+        assert lane_destination_half(core, u1, u2, degree) == (w1, w2)
+        assert payload["decoded"] == msg
+
+    def test_report_past_the_digit_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(report_guard_channel()))
+        plan = plan_extension(mimo_channel_from_dict(report_guard_channel()))
+        assert (plan.hop1.factor_degrees, plan.hop2.factor_degrees) == ((9, 7, 5, 4), (13, 12))
+        assert plan.degree == 16380 and 148 * plan.degree > mimo.REPORT_DIGIT_LIMIT
+        refuse_extension_fields(monkeypatch)
+        monkeypatch.setattr(mimo, "MimoCodePipeline", None)    # refused before set-up
+        start = time.perf_counter()
+        code, out, err = run(capsys, "symbol-ext", "--channel", str(path), "--seed", "0")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err == ("error: the reply would print 2424240 digits, 6m - 2 symbols of "
+                       "L = 16380: the limit is 1000000\n")
+
+    def test_digit_limit_passes_the_widest_answer(self):
+        # (2, 25) seed 0 prints 148 symbols of L = 2280
+        assert mimo.REPORT_DIGIT_LIMIT >= 148 * 2280 == 337440
+
+    @pytest.mark.parametrize("w1,w2", [
+        ("1,0;0,1", "1,1"), ("1;0", "0,1,0,0"), ("1,1,0,0,0;0", "1,0,0")])
+    def test_explicit_symbols_name_field_elements(self, capsys, monkeypatch, tmp_path,
+                                                  w1, w2):
+        # the reply equals the library run on the elements ext.element makes
+        # of the same coefficient lists, short ones padded and zeros past L
+        # dropped; the CLI builds no field for it
+        path = tmp_path / "mimo.json"
+        ch = random_mimo_channel(2, 2, random.Random(5))
+        path.write_text(json.dumps(mimo_channel_to_dict(ch)))
+        pipe = MimoPipeline(build_mimo_precoders(plan_extension(ch)))
+        assert pipe.ext.m == 2
+        w1_, w2_ = ([[int(c) for c in s.split(",")] for s in w.split(";")] for w in (w1, w2))
+        want = simulate_symbol_ext(ch, w1_, w2_, pipe).to_dict()
+        refuse_extension_fields(monkeypatch)
+        code, payload = run_json(capsys, "symbol-ext", "--channel", str(path),
+                                 f"--w1={w1}", f"--w2={w2}")
+        assert code == 0 and payload == want
+
+    def test_symbol_past_the_extension_degree_exits_2(self, capsys, monkeypatch):
+        # L = 2: a third nonzero coefficient has no digit to go to
+        refuse_extension_fields(monkeypatch)
+        code, out, err = run(capsys, "symbol-ext", "--p", "2", "--m", "2", "--seed", "5",
+                             "--w1=1,0,1;0,1", "--w2=1")
+        assert code == 2 and out == ""
+        assert err == "error: coefficient vector longer than the degree\n"
+
+    def test_drawn_symbols_follow_the_field_stream(self, capsys):
+        # one _randbelow(rng, p^L) per symbol is ext.random_element's draw
+        code, payload = run_json(capsys, "symbol-ext", "--p", "3", "--m", "3", "--seed", "4")
+        rng = random.Random(4)
+        ch = random_mimo_channel(3, 3, rng)
+        plan = plan_extension(ch)
+        w1, w2 = random_message(plan.ext, 3, rng)
+        assert payload["message"] == {"w1": [list(e.coeffs) for e in w1],
+                                      "w2": [list(e.coeffs) for e in w2]}

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from gfalign import cli, exhaustive_scan, scheme
+from gfalign import cli, exhaustive_scan, gf, scheme
 from gfalign.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -133,6 +133,10 @@ CLI_CASES = {
     # candidate up to degree 12, and the eigenvector systems are 576 x 576
     "symbol_ext_p2_m24": (["symbol-ext", "--p", "2", "--m", "24",
                            "--seed", "4"], 0),
+    # L = 120 and L = 60: planning built F_{2^120} (about 19 s) and F_{5^60}
+    # for the message symbols, which are codes of L digits
+    "symbol_ext_p2_m8": (["symbol-ext", "--p", "2", "--m", "8", "--seed", "0"], 0),
+    "symbol_ext_p5_m8": (["symbol-ext", "--p", "5", "--m", "8", "--seed", "0"], 0),
 }
 
 CASES = sorted(CLI_CASES) + ["exhaustive_scan_p2_m2_factored"]
@@ -172,6 +176,30 @@ def test_golden(case):
     code, text = render(case)
     assert code == CLI_CASES.get(case, (None, 0))[1]
     # bytes, not text: the CSV rows end in \r\n
+    assert text == (GOLDEN / f"{case}.json").read_bytes().decode()
+
+
+def refuse_extension_fields(monkeypatch):
+    """make_field, wherever a gfalign module holds it, raising for m > 1."""
+    real = gf.make_field
+
+    def make_field(p, m, pi=None):
+        if m > 1:
+            raise AssertionError(f"make_field({p}, {m}) called")
+        return real(p, m, pi)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gfalign") and getattr(module, "make_field", None) is real:
+            monkeypatch.setattr(module, "make_field", make_field)
+
+
+@pytest.mark.parametrize("case", [c for c in sorted(CLI_CASES) if c.startswith("symbol_ext")])
+def test_symbol_ext_builds_no_extension_field(case, monkeypatch):
+    # the symbol-ext path runs on symbol codes: byte for byte the same
+    # reply with every F_{p^m}, m > 1, refused
+    refuse_extension_fields(monkeypatch)
+    code, text = render(case)
+    assert code == CLI_CASES[case][1]
     assert text == (GOLDEN / f"{case}.json").read_bytes().decode()
 
 

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,25 @@ def f4_fixture_channel():
 
 
 class TestPlanExtension:
+    def test_views_are_built_on_first_read(self, monkeypatch):
+        # planning builds no F_{p^L}; reading ext builds make_field(p, L),
+        # and the Mat and Poly views equal the code rows they are read off
+        ch = random_mimo_channel(2, 6, random.Random(3))
+        plan = plan_extension(ch)
+        assert plan.degree == 12
+        assert not {"ext", "s_blocks"} & set(vars(plan))
+        assert not {"ext", "product", "cross", "char"} & set(vars(plan.hop1))
+        assert "matrices" not in vars(ch)
+        assert plan.ext == make_field(2, 12) and plan.hop2.ext is plan.ext
+        for hop in (plan.hop1, plan.hop2):
+            assert hop.product.to_code_rows() == hop.product_codes
+            assert hop.cross.to_code_rows() == hop.cross_codes
+            assert hop.char.coeff_codes() == hop.char_codes
+        assert [mat.to_code_rows() for mat in ch.matrices] == list(ch.codes)
+        assert [blk.to_code_rows() for blk in plan.s_blocks] == list(plan.s_codes)
+        pre = build_mimo_precoders(plan)
+        assert [v.to_code_rows() for v in (pre.v1, pre.v2, pre.v3, pre.v4)] == list(pre.codes)
+
     def test_m1_trivial(self):
         ch = random_mimo_channel(3, 1, random.Random(0))
         plan = plan_extension(ch)
@@ -287,7 +310,8 @@ class TestLead:
             try:
                 # skip before plan.ext builds a field beyond max_degree
                 if max_degree is not None and math.lcm(*(
-                        splitting_data(prod.spec.p, prod.to_code_rows())[2] for prod in hop_products(ch))) > max_degree:
+                        splitting_data(prod.spec.p, prod.to_code_rows())[2]
+                        for prod in hop_products(ch))) > max_degree:
                     continue
                 plan = plan_extension(ch)
             except DegenerateSpectrum:
@@ -509,6 +533,34 @@ class TestChannelStream:
             assert random_mimo_channel(p, m, rng) == \
                 random_mimo_channel_by_det(p, m, ref), seed
             assert rng.getstate() == ref.getstate(), seed
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
+    def test_invertible_block_tables(self, p, m):
+        # every m x m block against its closed-form determinant, and the
+        # table's size against |GL_m(F_p)| = prod (p^m - p^i)
+        table = mimo._invertible_blocks(p, m)
+        blocks = list(itertools.product(range(p), repeat=m * m))
+        assert all((bytes(b) in table) == bool(linalg._det_small(p, b)) for b in blocks)
+        assert table <= set(map(bytes, blocks))
+        assert len(table) == math.prod(p ** m - p ** i for i in range(m))
+
+    def test_tables_serve_the_shapes_of_at_most_512_blocks(self, monkeypatch):
+        # (2, 2), (3, 2) and (2, 3) only, each table built on its first draw
+        built = []
+        real = mimo._invertible_blocks
+        monkeypatch.setattr(mimo, "_invertible_blocks",
+                            lambda p, m: built.append((p, m)) or real(p, m))
+        for p, m in [(3, 1), (5, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)]:
+            random_mimo_channel(p, m, random.Random(0))
+        assert built == [(2, 2), (3, 2), (2, 3)]
+
+    def test_no_table_at_import(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "from gfalign import cli, mimo; "
+             "print(mimo._invertible_blocks.cache_info().currsize)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(mimo.__file__).parents[1])})
+        assert out.stdout == "0\n"
 
     @pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5, 7, 251, 257, 1009, 65537)
                                      for m in range(1, 7) if (p, m) != (2, 1)])

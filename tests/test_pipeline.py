@@ -431,14 +431,14 @@ def feasible_channels(p, m, count, seed):
 
 
 def scalar_core_args(ch, pre):
-    """The arguments scalar_pipeline passes to LinearPipeline."""
+    """The arguments scalar_pipeline passes to LinearPipeline, as Mats."""
     reps = [matrix_rep(q) for q in ch.hop1 + ch.hop2]
     return (ch.spec.p, block2x2(*reps[:4]), block2x2(*reps[4:]),
             matrix_rep(pre.s11), matrix_rep(pre.s21), pre.v1, pre.v2, pre.v3, pre.v4)
 
 
 def matrix_core_args(plan):
-    """The arguments MimoPipeline passes to LinearPipeline."""
+    """The arguments MimoPipeline passes to LinearPipeline, as Mats."""
     pre, ch = build_mimo_precoders(plan), plan.channel
     s11, _, s21, _ = plan.s_blocks
     return (ch.ground.p, block2x2(*ch.hop1), block2x2(*ch.hop2), s11, s21,
@@ -454,14 +454,15 @@ class TestComposedMaps:
     def assert_composed(args):
         """The core of args checked against the oracle; it, or the Singular
         both raise."""
+        rows = (args[0], *map(Mat.to_code_rows, args[1:]))
         try:
             want = composed_maps(*args)
         except Singular as exc:
             with pytest.raises(Singular) as got:
-                LinearPipeline(*args)
+                LinearPipeline(*rows)
             assert str(got.value) == str(exc)
             return got.value
-        core = LinearPipeline(*args)
+        core = LinearPipeline(*rows)
         assert [core.relay_map, core.destination_map] == list(want)
         ground = prime_field(core.p)
         relay, destination, sums, target = (Mat.from_code_rows(ground, rows) for rows in (
