@@ -11,7 +11,7 @@ Each DIR is a checkout (for example a ``git archive`` of a commit) holding
 * ``rounds``: ten alternating pairs of ``perfbench/run.py --workload W
   --seed S --seconds 45 --trace 0`` per workload, each side run in its own
   checkout, compared by ``perfbench/run.py --compare``;
-* ``held_out``: the same on seeds 4242 and 4243;
+* ``held_out``: the same on seeds 4242 and 4243, one more round per run;
 * ``control``: both packages in one process, the 100 symbol-ext calls of a
   seed through each side's ``cli.main``, interleaved, each call keeping its
   best time over 15 passes; every reply is compared between the sides;
@@ -338,7 +338,7 @@ def setup(parent: Path, change: Path) -> dict:
         for side, vals in values.items():
             q1, q2, q3 = statistics.quantiles(vals, n=4)
             summary[side] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
-                             "spread": (q3 - q1) / q2, "values": vals}
+                             "spread": (q3 - q1) / q2, "min": min(vals), "values": vals}
         summary["ratio"] = summary["change"]["median"] / summary["parent"]["median"]
         out[w] = summary
         print(f"setup {w}: {summary['ratio']:.3f}", file=sys.stderr)
@@ -368,8 +368,9 @@ def main() -> int:
             if part == "rounds":
                 record["rounds"] = paired_rounds(parent, change, ROUND_SEEDS, work, "rounds")
             elif part == "held_out":
-                record["held_out"] = paired_rounds(parent, change, HELD_OUT_SEEDS, work,
-                                                   "held_out")
+                # each run of this part adds one round of the held-out seeds
+                record.setdefault("held_out", []).append(
+                    paired_rounds(parent, change, HELD_OUT_SEEDS, work, "held_out"))
             elif part in ("control", "stages", "wide", "setup"):
                 record[part] = globals()[part](parent, change)
             else:
