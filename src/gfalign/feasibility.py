@@ -8,7 +8,7 @@ diagonal model's joint feasibility in closed form.
 Monte Carlo machinery: estimators for the joint two-hop feasibility event
 under the scalar extension-field model and under the diagonal (time-varying
 symbol-extension) model, with deterministic per-trial substreams so results
-are reproducible and order-independent.
+are reproducible and order-independent, refused past a minute's estimate.
 """
 
 from __future__ import annotations
@@ -19,9 +19,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLarge
-from .gf import _randbelow, check_field_params, int_digit_limit, make_field
+from .gf import (_INTERN_LIMIT, _randbelow, _shown, check_field_params, int_digit_limit,
+                 make_field)
 from .polys import count_irreducible, divisors
 from .scheme import check_feasible, draw_channel
+
+_WORK_LIMIT_S = 60   # estimated trial time of one Monte Carlo call
+# ns per trial: an mc trial on interned tables 150 us (perfbench baseline:
+# 31-41 us at (2,2), 110-150 us at (2,16)); above 2^16 elements 20 us per
+# m^2 log2 p, 5.8 ms at (2,17) (perfbench: 5.7-7.9 ms; one run: 21-24 ms at
+# (2,32), 131-185 ms at (2,64), 0.78 ms at (101,3)); a diagonal trial 12 us
+# per slot (one run: 24 us at (2,2), 5.4 ms at (2,1000))
+_TABLE_TRIAL_NS, _POLY_UNIT_NS, _DIAG_SLOT_NS = 150_000, 20_000, 12_000
+
+
+def _check_work(what: str, trials: int, ns_per_trial: int) -> None:
+    """TooLarge when the trials' estimated time, in integers, passes the limit."""
+    if (ns := trials * ns_per_trial) > _WORK_LIMIT_S * 10 ** 9:
+        raise TooLarge(f"{_shown(trials)} {what} at {_shown(ns_per_trial // 1000)} us each are "
+                       f"estimated at {_shown(ns // 10 ** 9)} s: the limit is {_WORK_LIMIT_S} s")
 
 
 def exact_fraction(p: int, m: int) -> Fraction:
@@ -118,9 +134,13 @@ def mc_feasibility(p: int, m: int, trials: int, seed: int) -> McFeasibility:
     """Estimate the probability that a random channel satisfies the
     full-degree condition on both cross ratios.  Deterministic for a given
     (seed, trials); trials use independent substreams and may be evaluated
-    in any order."""
+    in any order.  TooLarge, before the field is built, past _WORK_LIMIT_S."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_field_params(p, m)
+    tables = m <= 16 and p ** m <= _INTERN_LIMIT
+    _check_work(f"trials over GF({p}^{m})", trials,
+                _TABLE_TRIAL_NS if tables else _POLY_UNIT_NS * m * m * (p - 1).bit_length())
     spec = make_field(p, m)
     feasible = rejected = 0
     for i in range(trials):
@@ -184,9 +204,11 @@ def _diag_hop(p: int, slots) -> tuple[int, bool]:
 
 def diag_symbol_ext_feasibility(p: int, m: int, trials: int,
                                 seed: int) -> DiagFeasibility:
+    """Diagonal-model estimate; TooLarge before any draw, as mc_feasibility."""
     check_field_params(p, m)
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_work(f"symbol-extension trials of {m} slots", trials, _DIAG_SLOT_NS * m)
     feasible = defined = 0
     for i in range(trials):
         rng = _trial_rng(seed, i)

@@ -26,12 +26,13 @@ m > 1, these raise FieldMismatch; ``@``, ``+`` and ``scale`` work over any
 field.  ``char_poly`` (Berkowitz), ``splitting_data`` and ``eigenvector_sum``
 run on code rows mod p too; the eigenvectors over F_p[x]/(f) = F_p[C_f]
 are the kernel of one F_p matrix.  Roots in F_{p^L} are searched only in
-its subfields F_{p^d}, d | L, d <= deg f.
+its subfields F_{p^d}, d | L, d <= deg f, by Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -600,7 +601,8 @@ def roots_in_field(f: Poly, ext: FieldSpec) -> list[FieldElem]:
     subfield of ext exactly when d divides ext.m, and d <= deg f.  So only
     zero and those subfields are searched, never all of ext (Lidl &
     Niederreiter, *Finite Fields*, Thm. 2.14): 76 candidates instead of
-    4096 for a sextic in F_{2^12}.  Raises ValueError for the zero
+    4096 for a sextic in F_{2^12}; each is tested by Horner's rule on f's
+    coefficients, lifted into ext once.  Raises ValueError for the zero
     polynomial and FieldMismatch for coefficients outside the ground field.
     """
     if not f.coeffs:
@@ -612,7 +614,9 @@ def roots_in_field(f: Poly, ext: FieldSpec) -> list[FieldElem]:
     for d in divisors(ext.m):
         if d <= f.degree:
             codes.update(_subfield_unit_codes(ext, d))
-    return [x for x in map(ext.from_code, sorted(codes)) if not f(x).code]
+    lifted = [ext.from_code(c) for c in reversed(f.coeff_codes())]
+    return [x for x in map(ext.from_code, sorted(codes))
+            if not reduce(lambda acc, c: acc * x + c, lifted).code]
 
 
 def splitting_data(p: int, rows: list) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:

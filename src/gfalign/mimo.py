@@ -9,15 +9,16 @@ irreducible-factor degrees across the two hops), but the eigenvector sum
 that leads each precoder is fixed by Frobenius: for each irreducible factor
 f it is the trace of one eigenvector over F_p[x]/(f) = F_p[C_f], read off an
 F_p kernel (``linalg.eigenvector_sum``).  So planning runs over F_p and the
-precoders are F_p matrices; the eigen data in F_{p^L} are computed only
-when a caller reads them, with no elimination (eigenvectors: v1 V^-1, V^-1
-by Lagrange interpolation).  Channel, plan, precoders and report hold
-integer codes; a message symbol is the base-p code of a vector of F_p^L,
-on which the F_p core shared with the scalar model (scheme.LinearPipeline)
-acts directly: the relay sums are one loop over their column pairs, XOR
-for p = 2 and sums of digit fields folded by residue tables for odd p.
-F_{p^L} and the Mat, Poly and FieldElem views are built when a library
-caller reads them, or F_{p^L} by MimoPipeline.  Per slot the scheme still
+precoders are F_p matrices; the eigen data in F_{p^L} are read off the
+plan's code rows only when a caller reads them, with no elimination and
+no polynomial arithmetic (eigenvectors: v1 V^-1, V^-1 by Lagrange
+interpolation).  Channel, plan, precoders and report hold integer codes;
+a message symbol is the base-p code of a vector of F_p^L, on which the
+F_p core shared with the scalar model (scheme.LinearPipeline) acts
+directly: the relay sums are one loop over their column pairs, XOR for
+p = 2 and sums of digit fields folded by residue tables for odd p.
+F_{p^L} and the Mat and FieldElem views are built when a library caller
+reads them, or F_{p^L} by MimoPipeline.  Per slot the scheme still
 delivers 2m-1 ground-field symbols.
 """
 
@@ -26,8 +27,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from itertools import islice, product
+from functools import cache, cached_property, partial, reduce
+from itertools import accumulate, islice, product
 from typing import Sequence
 
 from .errors import InconsistentSystem, Singular, SingularChannel
@@ -35,8 +36,7 @@ from .gf import (FieldElem, FieldSpec, _code_to_coeffs, _randbelow_blocks,
                  check_field_params, make_field, prime_field)
 from .linalg import (Mat, _compound, _det_small, _element_of_code, _full_rank,
                      _independent_masks, _inv_mod_p, _krylov_codes, _matmul_mod_p,
-                     _solve_mod_p, eigenvector_sum, krylov_precoders, lift_matrix,
-                     roots_in_field, splitting_data)
+                     _solve_mod_p, eigenvector_sum, roots_in_field, splitting_data)
 from .polys import Poly
 from .scheme import (_MAX_DRAWS, LinearPipeline, _is_json_ints, _json_fields,
                      _json_int)
@@ -81,11 +81,11 @@ class HopPlan:
     (A, B, cross) is (Q11, Q12, Q22^-1 Q21) for the first hop and
     (S11, S12, S22^-1 S21) for the second: its spectrum's shape and the
     eigenvector sum that leads its precoders, found over F_p on integer
-    codes.  The Mat and Poly views ``product``, ``cross`` and ``char``, the
-    common extension ``ext`` = F_{p^L} and the eigen data in it are built on
-    first read, which planning never does.  The eigenvectors E sum to
-    ``lead``, so the main precoder v1 = [lead, A lead, ...] is E V for
-    V[j][l] = lambda_j^l, and E = v1 V^-1 with V^-1 by Lagrange."""
+    codes.  The Mat view ``product``, the common extension ``ext`` =
+    F_{p^L} and the eigen data in it are built on first read, which
+    planning never does.  The eigenvectors E sum to ``lead``, so the main
+    precoder v1 = [lead, A lead, ...] is E V for V[j][l] = lambda_j^l,
+    and E = v1 V^-1 with V^-1 by Lagrange, read off the code rows."""
 
     ground: FieldSpec
     product_codes: list[list[int]]
@@ -98,15 +98,13 @@ class HopPlan:
     ext_degree: int                   # L, the degree of the common extension
 
     product = cached_property(lambda self: Mat.from_code_rows(self.ground, self.product_codes))
-    cross = cached_property(lambda self: Mat.from_code_rows(self.ground, self.cross_codes))
-    char = cached_property(lambda self: Poly(self.ground, self.char_codes))
     ext = cached_property(lambda self: make_field(self.ground.p, self.ext_degree))
 
     @cached_property
     def eigenvalues(self) -> tuple[FieldElem, ...]:
-        """The roots of ``char`` in ``ext``, ascending by code."""
-        values = tuple(roots_in_field(self.char, self.ext))
-        if len(values) != self.product.nrows:
+        """The roots of ``char_codes`` in ``ext``, ascending by code."""
+        values = tuple(roots_in_field(Poly(self.ground, self.char_codes), self.ext))
+        if len(values) != len(self.lead):
             raise AssertionError("common extension does not split a hop product")
         return values
 
@@ -115,16 +113,17 @@ class HopPlan:
         """Columns over ``ext``, each with lowest nonzero entry 1: v1 V^-1,
         with no elimination.  Column j of V^-1 holds the coefficients of the
         Lagrange polynomial q_j / q_j(lambda_j), q_j = char / (x - lambda_j),
-        which is 1 at lambda_j and 0 at the other eigenvalues."""
+        which is 1 at lambda_j and 0 at the other eigenvalues: q_j by
+        synthetic division and q_j(lambda_j) by Horner's rule."""
         ext = self.ext
-        v1, _ = krylov_precoders(self.product, Mat.column(self.ground, self.lead),
-                                 self.cross)
-        char, columns = Poly(ext, self.char_codes), []
+        v1 = _krylov_codes(self.ground.p, self.product_codes, self.lead, self.cross_codes)[0]
+        char = [ext.from_code(c) for c in reversed(self.char_codes)]   # highest degree first
+        columns = []
         for lam in self.eigenvalues:
-            q = char // Poly(ext, (-lam, 1))
-            scale = q(lam).inv()
-            columns.append([c * scale for c in q.coeffs])
-        return lift_matrix(v1, ext) @ Mat(ext, tuple(zip(*columns)))
+            q = list(accumulate(char[:-1], lambda acc, c: acc * lam + c))
+            scale = reduce(lambda acc, c: acc * lam + c, q).inv()
+            columns.append([c * scale for c in reversed(q)])
+        return Mat.from_code_rows(ext, v1) @ Mat(ext, tuple(zip(*columns)))
 
     def summary(self) -> dict:
         return {

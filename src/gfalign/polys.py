@@ -1,11 +1,11 @@
 """Univariate polynomials over a field: factoring, counting irreducibles, text.
 
-Everything here is desk-scale by design: factoring, over a prime field
-only, divides integer coefficient tuples mod p by the monic polynomials of
-each degree in turn, and irreducibility and squarefreeness are read off
-that factorization.  The count of irreducibles of a degree is the Moebius
-closed form; nothing here enumerates them.  That is exact, simple, and
-fast enough for the field sizes this package targets.
+A ``Poly`` only records coefficients.  Everything here is desk-scale by
+design: factoring, over a prime field only, divides integer coefficient
+tuples mod p by the monic polynomials of each degree in turn, and
+irreducibility and squarefreeness are read off that factorization.  The
+Moebius closed form counts irreducibles; nothing here enumerates them.
+That is exact, simple, and fast enough for the field sizes targeted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _PARSE_DEGREE_LIMIT = 1 << 16   # degree of polynomial text: a list of 65537 coe
 
 
 class Poly:
-    """Dense polynomial with coefficients in one field, low degree first.
+    """Coefficients in one field, low degree first, with no arithmetic.
 
     The zero polynomial has an empty coefficient tuple; otherwise the leading
     coefficient is nonzero.
@@ -39,18 +39,6 @@ class Poly:
         self.spec = spec
         self.coeffs = tuple(elems)
 
-    @classmethod
-    def zero(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, ())
-
-    @classmethod
-    def one(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (1,))
-
-    @classmethod
-    def x(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (0, 1))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -62,80 +50,6 @@ class Poly:
 
     def coeff_codes(self) -> tuple[int, ...]:
         return tuple(c.code for c in self.coeffs)
-
-    def _check(self, other: "Poly") -> None:
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise FieldMismatch("polynomials over different fields")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.spec, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.spec, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.spec)
-        zero = self.spec.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.code:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.spec, out)
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead_inv = dv[-1].inv()
-        quo = [self.spec.zero] * max(0, len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd] * lead_inv
-            if c.code:
-                quo[k] = c
-                for i, d in enumerate(dv):
-                    rem[k + i] = rem[k + i] - c * d
-        return Poly(self.spec, quo), Poly(self.spec, rem[:dd])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def divides(self, other: "Poly") -> bool:
-        return not (other % self).coeffs
-
-    def __call__(self, point: FieldElem) -> FieldElem:
-        """Evaluate at a point, lifting ground-field coefficients if the
-        point lives in an extension of the coefficient field."""
-        target = point.spec
-        if target is self.spec or target == self.spec:
-            lift = None
-        elif self.spec.m == 1 and target.p == self.spec.p:
-            lift = target
-        else:
-            raise FieldMismatch("evaluation point is not in a compatible field")
-        acc = target.zero
-        for c in reversed(self.coeffs):
-            cv = c if lift is None else c.lift(lift)
-            acc = acc * point + cv
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

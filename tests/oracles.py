@@ -32,6 +32,49 @@ def prime_factors_by_trial_division(n: int) -> list[int]:
     return out
 
 
+# -- polynomials as coefficient lists ------------------------------------------
+# A polynomial here is a list of FieldElem in one field, low degree first;
+# trailing zeros may stand, and Poly(spec, coeffs) drops them.
+
+
+def poly_add(a, b):
+    """Sum of two coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def poly_mul(a, b):
+    """Product of two nonempty coefficient lists, by schoolbook convolution."""
+    out = [a[0].spec.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_divmod(a, b):
+    """(quotient, remainder) of a by b, whose last coefficient is nonzero,
+    by long division; the remainder has len(b) - 1 entries."""
+    rem, d = list(a), len(b) - 1
+    lead_inv = b[-1].inv()
+    quo = [b[0].spec.zero] * max(0, len(a) - d)
+    for k in range(len(a) - d - 1, -1, -1):
+        quo[k] = c = rem[k + d] * lead_inv
+        for i, y in enumerate(b):
+            rem[k + i] = rem[k + i] - c * y
+    return quo, rem[:d]
+
+
+def poly_eval(a, x):
+    """The coefficient list a at x by Horner's rule, each coefficient
+    lifted into x's field when it lies in the ground field of an extension."""
+    acc = x.spec.zero
+    for c in reversed(a):
+        acc = acc * x + (c if c.spec == x.spec else c.lift(x.spec))
+    return acc
+
+
 def det_by_elimination(p, entries):
     """Determinant over F_p of the square matrix with row-major integer codes
     ``entries``, the signed pivot product of the list elimination
@@ -54,7 +97,7 @@ def matmul_by_lists(p, *mats):
 def roots_by_enumeration(f, ext):
     """All roots of f in ext, ascending by code, by evaluating f at every
     element of ext."""
-    return [e for e in ext.elements() if not f(e).code]
+    return [e for e in ext.elements() if not poly_eval(f.coeffs, e).code]
 
 
 def vandermonde_det(values):
@@ -147,8 +190,9 @@ def eigenvectors_by_vandermonde(hop):
     Vandermonde matrix V[j][l] = lambda_j^l of the eigenvalues, V inverted
     by rref in the extension field."""
     from gfalign.linalg import Mat, krylov_precoders, lift_matrix
-    v1, _ = krylov_precoders(hop.product, Mat.column(hop.product.spec, hop.lead),
-                             hop.cross)
+    ground = hop.product.spec
+    v1, _ = krylov_precoders(hop.product, Mat.column(ground, hop.lead),
+                             Mat.from_code_rows(ground, hop.cross_codes))
     vandermonde = Mat(hop.ext, tuple(tuple(lam ** l for l in range(len(hop.lead)))
                                      for lam in hop.eigenvalues))
     return lift_matrix(v1, hop.ext) @ inv_by_rref(vandermonde)
@@ -197,10 +241,12 @@ def all_monic(spec, degree: int):
 
 
 def factor_by_trial_division(f) -> list:
-    """factor_poly of a monic f of degree >= 1 by Poly arithmetic, over any
-    field: divide by every monic polynomial of each degree d <= deg / 2 in
-    turn (all_monic), as often as it divides; what is left past that is
-    irreducible.  Sorted as factor_poly sorts."""
+    """factor_poly of a monic f of degree >= 1 by long division of
+    coefficient lists (poly_divmod), over any field: divide by every monic
+    polynomial of each degree d <= deg / 2 in turn (all_monic), as often as
+    it divides; what is left past that is irreducible.  Sorted as
+    factor_poly sorts."""
+    from gfalign.polys import Poly
     out = []
     rest, d = f, 1
     while rest.degree > 0:
@@ -209,9 +255,10 @@ def factor_by_trial_division(f) -> list:
             break
         for g in all_monic(f.spec, d):
             mult = 0
-            while g.divides(rest):
-                rest = rest // g
-                mult += 1
+            quo, rem = poly_divmod(rest.coeffs, g.coeffs)
+            while not any(rem):
+                rest, mult = Poly(f.spec, quo), mult + 1
+                quo, rem = poly_divmod(rest.coeffs, g.coeffs)
             if mult:
                 out.append((g, mult))
         d += 1
@@ -245,11 +292,11 @@ def minimal_polynomial(e):
     from gfalign.polys import Poly
     spec = e.spec
     ground = prime_field(spec)
-    acc = Poly(spec, (1,))
+    acc = [spec.one]
     for c in conjugates(e):
-        acc = acc * Poly(spec, (-c, spec.one))
+        acc = poly_mul(acc, [-c, spec.one])
     codes = []
-    for coeff in acc.coeffs:
+    for coeff in acc:
         if any(coeff.coeffs[1:]):
             raise AssertionError("orbit product has a coefficient outside F_p")
         codes.append(coeff.coeffs[0])

@@ -241,6 +241,17 @@ class TestBoundsAndMc:
             main(["mc", "--p", "2", "--m", "2", "--trials", "10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["mc", "compare-ext"])
+    def test_trial_guard_exits_2_at_once(self, capsys, command):
+        # 10^11 trials printed nothing for as long as they ran
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--p", "2", "--m", "3",
+                             "--trials", str(10 ** 11), "--seed", "0")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("error: 100000000000 trials over GF(2^3) at 150 us each are "
+                       "estimated at 15000000 s: the limit is 60 s\n")
+
     def test_compare_ext(self, capsys):
         code, payload = run_json(capsys, "compare-ext", "--p", "2", "--m", "2",
                                  "--trials", "200", "--seed", "5")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gfalign import (NotPrime, diag_exhaustive,
+from gfalign import (NotPrime, TooLarge, diag_exhaustive, feasibility,
                      diag_symbol_ext_feasibility, exact_fraction,
                      feasibility_stats, lower_bound, make_field,
                      mc_feasibility, normalized_rates)
@@ -85,6 +85,58 @@ def test_diagonal_field_parameters_checked(fn):
 def test_zero_trials_refused(fn):
     with pytest.raises(ValueError, match="at least one trial"):
         fn(2, 2, 0, 1)
+
+
+class Untouched(Exception):
+    """Raised in place of a trial draw or a field build past the guard."""
+
+
+class TestTrialGuard:
+    """Both Monte Carlo estimators refuse with TooLarge when trials times
+    the estimated cost of one passes a minute, before the field is built or
+    any trial draws."""
+
+    @pytest.fixture(autouse=True)
+    def untouched(self, monkeypatch):
+        def untouched(*args):
+            raise Untouched
+        monkeypatch.setattr(feasibility, "_trial_rng", untouched)
+        monkeypatch.setattr(feasibility, "make_field", untouched)
+
+    @pytest.mark.parametrize("fn,each,seconds", [
+        (mc_feasibility, 150, 15000000), (diag_symbol_ext_feasibility, 36, 3600000)])
+    def test_refuses_before_drawing(self, fn, each, seconds):
+        # 10^11 trials at (2,3) printed nothing for days
+        with pytest.raises(TooLarge, match=rf"^100000000000 .* at {each} us each are "
+                                           rf"estimated at {seconds} s: the limit is 60 s$"):
+            fn(2, 3, 10 ** 11, 0)
+
+    @pytest.mark.parametrize("fn,p,m,most", [
+        (mc_feasibility, 2, 2, 400000), (mc_feasibility, 65521, 1, 400000),
+        (mc_feasibility, 2, 17, 10380), (mc_feasibility, 101, 3, 47619),
+        (diag_symbol_ext_feasibility, 2, 2, 2500000),
+        (diag_symbol_ext_feasibility, 5, 1000, 5000)])
+    def test_limit(self, fn, p, m, most):
+        # interned tables up to 2^16 elements, polynomial arithmetic above,
+        # m slots of a diagonal trial
+        with pytest.raises(Untouched):
+            fn(p, m, most, 0)
+        with pytest.raises(TooLarge, match=rf"^{most + 1} "):
+            fn(p, m, most + 1, 0)
+
+    @pytest.mark.parametrize("p,m,trials", [
+        (2, 2, 10 ** 5), (2, 2, 1800), (2, 16, 500), (2, 17, 10), (2, 200, 1)])
+    def test_runs_what_answered(self, p, m, trials):
+        # the acceptance suite's 10^5 trials, perfbench's traced arms, and
+        # the trial of GF(2^200) that make_field refuses
+        with pytest.raises(Untouched):
+            mc_feasibility(p, m, trials, 0)
+
+    def test_field_parameters_first(self):
+        with pytest.raises(NotPrime):
+            mc_feasibility(4, 2, 10 ** 11, 0)
+        with pytest.raises(NotPrime):
+            diag_symbol_ext_feasibility(4, 2, 10 ** 11, 0)
 
 
 class TestMonteCarlo:

@@ -55,18 +55,16 @@ def f4_fixture_channel():
 class TestPlanExtension:
     def test_views_are_built_on_first_read(self, monkeypatch):
         # planning builds no F_{p^L}; reading ext builds make_field(p, L),
-        # and the Mat and Poly views equal the code rows they are read off
+        # and the Mat views equal the code rows they are read off
         ch = random_mimo_channel(2, 6, random.Random(3))
         plan = plan_extension(ch)
         assert plan.degree == 12
         assert not {"ext", "s_blocks"} & set(vars(plan))
-        assert not {"ext", "product", "cross", "char"} & set(vars(plan.hop1))
+        assert not {"ext", "product", "eigenvalues", "eigenvectors"} & set(vars(plan.hop1))
         assert "matrices" not in vars(ch)
         assert plan.ext == make_field(2, 12) and plan.hop2.ext is plan.ext
         for hop in (plan.hop1, plan.hop2):
             assert hop.product.to_code_rows() == hop.product_codes
-            assert hop.cross.to_code_rows() == hop.cross_codes
-            assert hop.char.coeff_codes() == hop.char_codes
         assert [mat.to_code_rows() for mat in ch.matrices] == list(ch.codes)
         assert [blk.to_code_rows() for blk in plan.s_blocks] == list(plan.s_codes)
         pre = build_mimo_precoders(plan)

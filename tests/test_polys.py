@@ -6,7 +6,8 @@ from gfalign import (FieldMismatch, Poly, TooLarge, count_irreducible, divisors,
                      factor_poly, format_poly, make_field, mobius,
                      parse_poly, polys, prime_field, primitive_element)
 from oracles import (all_monic, enumerate_irreducible, factor_by_trial_division,
-                     is_irreducible, minimal_polynomial)
+                     is_irreducible, minimal_polynomial, poly_divmod, poly_eval,
+                     poly_mul)
 
 GF2 = prime_field(2)
 GF3 = prime_field(3)
@@ -20,7 +21,7 @@ def brute_minimal_polynomial(e):
     for d in range(1, spec.m + 1):
         for low in itertools.product(range(spec.p), repeat=d):
             f = Poly(ground, list(low) + [1])
-            if not f(e).code:
+            if not poly_eval(f.coeffs, e).code:
                 return f
     raise AssertionError("element not annihilated by any small polynomial")
 
@@ -31,39 +32,14 @@ class TestPolyArithmetic:
         assert Poly(GF2, []).degree == -1
         assert not Poly(GF2, [0, 0])
 
-    def test_divmod_roundtrip(self):
-        import random
-        rng = random.Random(3)
-        for _ in range(200):
-            f = Poly(GF3, [rng.randrange(3) for _ in range(rng.randrange(1, 7))])
-            g = Poly(GF3, [rng.randrange(3) for _ in range(rng.randrange(1, 5))])
-            if not g:
-                continue
-            q, r = divmod(f, g)
-            assert q * g + r == f
-            assert r.degree < g.degree
-
     @pytest.mark.parametrize("call,error,message", [
-        (lambda: Poly(GF2, [1]) + Poly(GF3, [1]), FieldMismatch, "different fields"),
-        (lambda: divmod(Poly(GF2, [1, 1]), Poly.zero(GF2)), ZeroDivisionError,
-         "division by zero"),
-        (lambda: Poly(GF2, [1, 1])(make_field(3, 2).one), FieldMismatch,
-         "not in a compatible field"),
         (lambda: factor_poly(Poly(GF3, [1, 2])), ValueError, "monic polynomials"),
         (lambda: factor_poly(Poly(make_field(2, 2), [1, 1])), FieldMismatch,
          r"prime field, not GF\(4\)"),
-    ], ids=["add-across-fields", "divmod-by-zero", "eval-in-GF9", "factor-non-monic",
-            "factor-over-GF4"])
+    ], ids=["factor-non-monic", "factor-over-GF4"])
     def test_refusals(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
-
-    def test_eval_with_lift(self):
-        f4 = make_field(2, 2)
-        a = primitive_element(f4)
-        f = Poly(GF2, [1, 1, 1])          # 1 + x + x^2
-        assert f(a).code == 0             # a^2 + a + 1 = 0
-        assert f(f4.one) == f4.one
 
 
 class TestMobiusAndCounting:
@@ -122,7 +98,8 @@ class TestIrreducibility:
         for d in range(1, 6 if spec.p == 2 else 5):
             for low in itertools.product(range(spec.p), repeat=d):
                 f = Poly(spec, list(low) + [1])
-                divisible = any(g.divides(f) for k in range(1, d // 2 + 1)
+                divisible = any(not any(poly_divmod(f.coeffs, g.coeffs)[1])
+                                for k in range(1, d // 2 + 1)
                                 for g in all_monic(spec, k))
                 assert is_irreducible(f) == (not divisible)
 
@@ -145,17 +122,17 @@ class TestFactoring:
         for d in range(1, 5):
             for low in itertools.product(range(spec.p), repeat=d):
                 f = Poly(spec, list(low) + [1])
-                prod = Poly.one(spec)
+                prod = [spec.one]
                 for g, mult in factor_poly(f):
                     assert is_irreducible(g)
                     for _ in range(mult):
-                        prod = prod * g
-                assert prod == f
+                        prod = poly_mul(prod, g.coeffs)
+                assert Poly(spec, prod) == f
 
     @pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 3)])
     def test_matches_poly_trial_division(self, p, max_degree):
         # every monic polynomial of each degree up to max_degree, against
-        # trial division by every monic candidate in Poly arithmetic
+        # trial division by every monic candidate on coefficient lists
         spec = prime_field(p)
         for d in range(1, max_degree + 1):
             for f in all_monic(spec, d):
@@ -167,7 +144,8 @@ class TestFactoring:
         for p, d in ((2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (5, 2)):
             spec = prime_field(p)
             want = [f.coeff_codes() for f in all_monic(spec, d)
-                    if d == 1 or f(spec.zero).code and f(spec.one).code]
+                    if d == 1 or poly_eval(f.coeffs, spec.zero).code
+                    and poly_eval(f.coeffs, spec.one).code]
             assert list(polys._monic_codes(p, d)) == want
         assert polys._monic_codes(2, 2) == ((1, 1, 1),)
 
@@ -213,7 +191,7 @@ class TestMinimalPolynomial:
         assert minimal_polynomial(a16 ** 5) == Poly(GF2, [1, 1, 1])
 
     def test_zero_maps_to_x(self):
-        assert minimal_polynomial(make_field(2, 3).zero) == Poly.x(GF2)
+        assert minimal_polynomial(make_field(2, 3).zero) == Poly(GF2, [0, 1])
 
     @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_against_brute_force(self, p, m):
@@ -223,7 +201,7 @@ class TestMinimalPolynomial:
             assert mu == brute_minimal_polynomial(e)
             assert mu.is_monic
             assert m % mu.degree == 0
-            assert not mu(e).code
+            assert not poly_eval(mu.coeffs, e).code
 
     @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2)])
     def test_full_degree_count_matches_formula(self, p, m):
@@ -237,8 +215,8 @@ class TestNotation:
     def test_format(self):
         assert format_poly(Poly(GF2, [1, 1, 0, 1])) == "1 + x + x^3"
         assert format_poly(Poly(GF3, [0, 2])) == "2*x"
-        assert format_poly(Poly.zero(GF2)) == "0"
-        assert format_poly(Poly.one(GF3)) == "1"
+        assert format_poly(Poly(GF2, [])) == "0"
+        assert format_poly(Poly(GF3, [1])) == "1"
 
     def test_parse_text(self):
         assert parse_poly(2, "1 + x + x^2") == Poly(GF2, [1, 1, 1])
@@ -295,4 +273,4 @@ class TestNotation:
             assert str(info.value) == (f"coefficient list {text!r} has an entry "
                                        f"that is not an integer: {entry}")
         assert parse_poly(2, "[ 1 , 1 ]") == Poly(GF2, [1, 1])
-        assert parse_poly(2, "[]") == Poly.zero(GF2)
+        assert parse_poly(2, "[]") == Poly(GF2, [])
