@@ -33,11 +33,12 @@ _WORK_LIMIT_S = 60   # estimated trial time of one Monte Carlo call
 _TABLE_TRIAL_NS, _POLY_UNIT_NS, _DIAG_SLOT_NS = 150_000, 20_000, 12_000
 
 
-def _check_work(what: str, trials: int, ns_per_trial: int) -> None:
+def _check_work(what: str, trials: int, each_ns: int) -> None:
     """TooLarge when the trials' estimated time, in integers, passes the limit."""
-    if (ns := trials * ns_per_trial) > _WORK_LIMIT_S * 10 ** 9:
-        raise TooLarge(f"{_shown(trials)} {what} at {_shown(ns_per_trial // 1000)} us each are "
-                       f"estimated at {_shown(ns // 10 ** 9)} s: the limit is {_WORK_LIMIT_S} s")
+    seconds = -(-trials * each_ns // 10 ** 9)     # rounded up
+    if seconds > _WORK_LIMIT_S:
+        raise TooLarge(f"{_shown(trials)} {what} at {_shown(each_ns // 1000)} us each are "
+                       f"estimated at {_shown(seconds)} s: the limit is {_WORK_LIMIT_S} s")
 
 
 def exact_fraction(p: int, m: int) -> Fraction:

@@ -117,8 +117,7 @@ class HopPlan:
         synthetic division and q_j(lambda_j) by Horner's rule."""
         ext = self.ext
         v1 = _krylov_codes(self.ground.p, self.product_codes, self.lead, self.cross_codes)[0]
-        char = [ext.from_code(c) for c in reversed(self.char_codes)]   # highest degree first
-        columns = []
+        char, columns = [ext.from_code(c) for c in reversed(self.char_codes)], []
         for lam in self.eigenvalues:
             q = list(accumulate(char[:-1], lambda acc, c: acc * lam + c))
             scale = reduce(lambda acc, c: acc * lam + c, q).inv()
