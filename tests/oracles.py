@@ -69,9 +69,10 @@ def poly_divmod(a, b):
 def poly_eval(a, x):
     """The coefficient list a at x by Horner's rule, each coefficient
     lifted into x's field when it lies in the ground field of an extension."""
-    acc = x.spec.zero
+    spec = x.spec
+    acc = spec.zero
     for c in reversed(a):
-        acc = acc * x + (c if c.spec == x.spec else c.lift(x.spec))
+        acc = acc * x + (c if c.spec is spec or c.spec == spec else c.lift(spec))
     return acc
 
 

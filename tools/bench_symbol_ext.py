@@ -3,7 +3,7 @@
 the readings to one JSON file.
 
     python3 tools/bench_symbol_ext.py --parent DIR --change DIR --out BENCH.json \
-        [--parts rounds,held_out,control,stages,wide,setup]
+        [--parts rounds,held_out,control,stages,wide,setup,eigen]
 
 Each DIR is a checkout (for example a ``git archive`` of a commit) holding
 ``src/gfalign`` and ``perfbench/``.  Every seed is fixed below.  The parts:
@@ -21,7 +21,11 @@ Each DIR is a checkout (for example a ``git archive`` of a commit) holding
 * ``wide``: fresh-process wall times of ``symbol-ext --seed 0`` at wide
   (p, m), interpreter start-up included, alternating sides;
 * ``setup``: the ``setup_s`` of ``perfbench/run.py``'s set-up process,
-  repeated in alternating pairs per workload.
+  repeated in alternating pairs per workload;
+* ``eigen``: both packages in one process, the eigen data of every plan in
+  perfbench's mimo-stream pool, as its plan digest reads them, timed per
+  pass over the plans, alternating sides; each digest is checked against
+  the pinned one.
 
 Runs are sequential, one process at a time.  Only the standard library is
 used.
@@ -54,8 +58,9 @@ WIDE = ((2, 8), (5, 8), (2, 12), (2, 24), (2, 25), (3, 16))
 WIDE_REPEATS = 3
 WIDE_TIMEOUT_S = 120
 SETUP_PAIRS = 15
+EIGEN_PASSES = 15
 WORKLOADS = ("mimo-stream", "symbol-ext")
-PARTS = ("rounds", "held_out", "control", "stages", "wide", "setup")
+PARTS = ("rounds", "held_out", "control", "stages", "wide", "setup", "eigen")
 
 
 def clean_env() -> dict:
@@ -350,6 +355,43 @@ def setup(parent: Path, change: Path) -> dict:
             "workloads": out}
 
 
+def eigen(parent: Path, change: Path) -> dict:
+    sides = {"parent": load_package(parent), "change": load_package(change)}
+    pool = json.loads((change / "perfbench" / "pool.json").read_text())["mimo-stream"]
+    channels = [(*map(int, arm[1:].split("m")), seed, pinned)
+                for arm, entry in pool.items() for cls in entry["pool"].values()
+                for seed, pinned in cls]
+    ms = {side: [] for side in sides}
+    pinned_ok = {side: True for side in sides}
+    for rep in range(EIGEN_PASSES):
+        for side in (("parent", "change") if rep % 2 == 0 else ("change", "parent")):
+            mimo = sides[side]["mimo"]
+            plans = [(mimo.plan_extension(mimo.random_mimo_channel(p, m, random.Random(s))),
+                      pinned) for p, m, s, pinned in channels]
+            for plan, _ in plans:
+                plan.ext
+            t0 = time.perf_counter_ns()
+            hops = [[{"eigenvalues": [e.code for e in hop.eigenvalues],
+                      "eigenvectors": hop.eigenvectors.to_code_rows()}
+                     for hop in (plan.hop1, plan.hop2)] for plan, _ in plans]
+            ms[side].append((time.perf_counter_ns() - t0) / 1e6)
+            for (plan, pinned), pair in zip(plans, hops):
+                text = json.dumps({"summary": plan.summary(), "hops": pair},
+                                  sort_keys=True, separators=(",", ":"))
+                pinned_ok[side] &= hashlib.sha256(text.encode()).hexdigest()[:16] == pinned
+    out = {side: {"median_ms": statistics.median(vals), "min_ms": min(vals),
+                  "quartiles_ms": statistics.quantiles(vals, n=4), "values_ms": vals,
+                  "digests_equal_pinned": pinned_ok[side]} for side, vals in ms.items()}
+    out["ratio"] = out["change"]["median_ms"] / out["parent"]["median_ms"]
+    print(f"eigen: {out['ratio']:.3f}", file=sys.stderr)
+    return {"how": f"both packages imported in one process; the {len(channels)} plans of "
+                   "perfbench/pool.json's mimo-stream pool, planned untimed with ext "
+                   "built, then their eigenvalues and eigenvectors read as "
+                   "workloads.plan_digest reads them, timed per pass over the plans; "
+                   f"{EIGEN_PASSES} passes alternating which side runs first; each "
+                   "digest compared with the pinned one", **out}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -371,7 +413,7 @@ def main() -> int:
                 # each run of this part adds one round of the held-out seeds
                 record.setdefault("held_out", []).append(
                     paired_rounds(parent, change, HELD_OUT_SEEDS, work, "held_out"))
-            elif part in ("control", "stages", "wide", "setup"):
+            elif part in ("control", "stages", "wide", "setup", "eigen"):
                 record[part] = globals()[part](parent, change)
             else:
                 parser.error(f"unknown part {part!r}")
