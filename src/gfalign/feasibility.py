@@ -27,7 +27,7 @@ from .scheme import check_feasible, draw_channel
 _WORK_LIMIT_S = 60   # estimated trial time of one Monte Carlo call
 # ns per trial: an mc trial on interned tables 150 us (perfbench baseline:
 # 31-41 us at (2,2), 110-150 us at (2,16)); above 2^16 elements 20 us per
-# m^2 log2 p, 5.8 ms at (2,17) (perfbench: 5.7-7.9 ms; one run: 21-24 ms at
+# m^2 ceil(log2 p), 5.8 ms at (2,17) (perfbench: 5.7-7.9 ms; one run: 21-24 ms at
 # (2,32), 131-185 ms at (2,64), 0.78 ms at (101,3)); a diagonal trial 12 us
 # per slot (one run: 24 us at (2,2), 5.4 ms at (2,1000))
 _TABLE_TRIAL_NS, _POLY_UNIT_NS, _DIAG_SLOT_NS = 150_000, 20_000, 12_000
