@@ -24,7 +24,7 @@ from .errors import DegenerateSpectrum, GFAlignError, SingularChannel, TooLarge
 from .gf import (_coeffs_to_code, _randbelow, check_field_params, int_digit_limit,
                  make_field, parse_int, prime_field, primitive_element)
 from .linalg import companion_matrix
-from .polys import Poly, format_poly, parse_poly
+from .polys import Poly, check_factor_work, format_poly, parse_poly
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -132,6 +132,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_compare_ext(args) -> int:
+    # both estimates refuse before the first trial of either
+    feas.check_mc_work(args.p, args.m, args.trials)
+    feas.check_diag_work(args.p, args.m, args.trials)
     field = feas.mc_feasibility(args.p, args.m, args.trials, args.seed)
     diag = feas.diag_symbol_ext_feasibility(args.p, args.m, args.trials, args.seed)
     _emit_json(args, {"field_extension": field.to_dict(),
@@ -206,6 +209,10 @@ def cmd_symbol_ext(args) -> int:
     else:
         if args.p is None or args.m is None or rng is None:
             raise ValueError("give --channel, or --p/--m/--seed for a random channel")
+        # a drawn channel passes planning's block and compound checks, so the
+        # factoring guard at degree m is the first that planning meets
+        check_field_params(args.p, args.m)
+        check_factor_work(args.p, args.m)
         ch = mimo.random_mimo_channel(args.p, args.m, rng)
     try:
         plan = mimo.plan_extension(ch)

@@ -41,6 +41,25 @@ def _check_work(what: str, trials: int, each_ns: int) -> None:
                        f"estimated at {_shown(seconds)} s: the limit is {_WORK_LIMIT_S} s")
 
 
+def check_mc_work(p: int, m: int, trials: int) -> None:
+    """mc_feasibility's checks of its arguments and its trial-time estimate."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    check_field_params(p, m)
+    tables = m <= 16 and p ** m <= _INTERN_LIMIT
+    _check_work(f"trials over GF({p}^{m})", trials,
+                _TABLE_TRIAL_NS if tables else _POLY_UNIT_NS * m * m * (p - 1).bit_length())
+
+
+def check_diag_work(p: int, m: int, trials: int) -> None:
+    """diag_symbol_ext_feasibility's checks of its arguments and its
+    trial-time estimate."""
+    check_field_params(p, m)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    _check_work(f"symbol-extension trials of {m} slots", trials, _DIAG_SLOT_NS * m)
+
+
 def exact_fraction(p: int, m: int) -> Fraction:
     """Probability that a uniform nonzero element of F_{p^m} has a minimal
     polynomial of degree exactly m: m * N(p, m) / (p^m - 1), where N counts
@@ -135,13 +154,8 @@ def mc_feasibility(p: int, m: int, trials: int, seed: int) -> McFeasibility:
     """Estimate the probability that a random channel satisfies the
     full-degree condition on both cross ratios.  Deterministic for a given
     (seed, trials); trials use independent substreams and may be evaluated
-    in any order.  TooLarge, before the field is built, past _WORK_LIMIT_S."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    check_field_params(p, m)
-    tables = m <= 16 and p ** m <= _INTERN_LIMIT
-    _check_work(f"trials over GF({p}^{m})", trials,
-                _TABLE_TRIAL_NS if tables else _POLY_UNIT_NS * m * m * (p - 1).bit_length())
+    in any order.  TooLarge, before the field is built, by check_mc_work."""
+    check_mc_work(p, m, trials)
     spec = make_field(p, m)
     feasible = rejected = 0
     for i in range(trials):
@@ -205,11 +219,8 @@ def _diag_hop(p: int, slots) -> tuple[int, bool]:
 
 def diag_symbol_ext_feasibility(p: int, m: int, trials: int,
                                 seed: int) -> DiagFeasibility:
-    """Diagonal-model estimate; TooLarge before any draw, as mc_feasibility."""
-    check_field_params(p, m)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    _check_work(f"symbol-extension trials of {m} slots", trials, _DIAG_SLOT_NS * m)
+    """Diagonal-model estimate; TooLarge before any draw, by check_diag_work."""
+    check_diag_work(p, m, trials)
     feasible = defined = 0
     for i in range(trials):
         rng = _trial_rng(seed, i)

@@ -134,19 +134,26 @@ def factor_poly(f: Poly) -> list[tuple[Poly, int]]:
     return [(Poly(spec, g), mult) for g, mult in _factor_codes(spec.p, f.coeff_codes())]
 
 
-def _factor_codes(p: int, f: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Monic irreducible factors with multiplicities of a monic f over F_p
-    of degree >= 1, as coefficient tuples low degree first, sorted by degree
-    descending, then lexicographically: trial division mod p by the monic
-    polynomials of each degree d <= deg f / 2 (``_monic_codes``).  TooLarge
-    when the p^d candidates of those degrees exceed _FACTOR_LIMIT, counted
-    before any is listed."""
-    degree, candidates = len(f) - 1, 0
+def check_factor_work(p: int, degree: int) -> None:
+    """TooLarge when factoring a polynomial of this degree over F_p by trial
+    division would try more than _FACTOR_LIMIT candidates, the p^d monic
+    polynomials of each degree d <= degree / 2, counted before any is listed:
+    at most 13 integer powers, since 2 + 4 + ... + 2^13 passes the limit."""
+    candidates = 0
     for d in range(1, degree // 2 + 1):
         candidates += p ** d
         if candidates > _FACTOR_LIMIT:
             raise TooLarge(f"factoring a polynomial of degree {degree} over GF({p}) "
                            f"by trial division tries more than {_FACTOR_LIMIT} candidate divisors")
+
+
+def _factor_codes(p: int, f: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Monic irreducible factors with multiplicities of a monic f over F_p
+    of degree >= 1, as coefficient tuples low degree first, sorted by degree
+    descending, then lexicographically: trial division mod p by the monic
+    polynomials of each degree d <= deg f / 2 (``_monic_codes``), refused
+    first by check_factor_work."""
+    check_factor_work(p, len(f) - 1)
     out: list[tuple[tuple[int, ...], int]] = []
     rest = f
     d = 1

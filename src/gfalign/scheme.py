@@ -50,6 +50,9 @@ _HOP1_KEYS = ("q11", "q12", "q21", "q22")
 _HOP2_KEYS = ("q33", "q34", "q43", "q44")
 _MAX_DRAWS = 10000      # rejection-sampling budget of the random channel draws
 _CORE_LIMIT = 50000     # scan set-ups: GF(16) needs 40 500, GF(17) 61 440
+# m ceil(log2 p) up to which _core_count is made: counting GF(2^12000001),
+# the cheapest field past it, took 22 s (Python 3.11, 2 vCPUs)
+_COUNT_BITS_LIMIT = 12_000_000
 _PAIR_LIMIT = 20000     # valid channels up to which a scan runs every pair
 
 
@@ -748,10 +751,14 @@ def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
     """Count the all-nonzero channel tuples and verify decoding.
 
     Guard: refuses with TooLarge, before building the field, when the scan
-    would set up more than _CORE_LIMIT cores (_core_count), all its work: of
-    the (q-1)^4 all-nonzero hop tuples (q = p^m), the (q-1)^3 (q-2) of cross
-    ratio r != 1 are valid, and only those whose r has full degree are built
-    (_feasible_tuples), one core each, as the channel (t, t).  Up to
+    would set up more than _CORE_LIMIT cores (_core_count), all its work.
+    Past m ceil(log2 p) = _COUNT_BITS_LIMIT, where _core_count's powers of
+    p take over 10 s, the refusal names a lower bound instead: a scan over
+    GF(q), q > 2, sets up at least (q-1)^3 cores, and q >= 2^(m (b-1)) for
+    b = p.bit_length().
+    Of the (q-1)^4 all-nonzero hop tuples (q = p^m), the (q-1)^3 (q-2) of
+    cross ratio r != 1 are valid, and only those whose r has full degree
+    are built (_feasible_tuples), one core each, as the channel (t, t).  Up to
     _PAIR_LIMIT valid channels, every feasible pair (t1, t2) is verified
     end to end from t1's relay_map and t2's destination_map (paired mode).
     Beyond that, each core's relay half and destination half are counted
@@ -759,6 +766,10 @@ def exhaustive_scan(p: int, m: int, pi=None) -> ScanReport:
     ground, because the halves interact only through the decoded sums.  No
     message is sent (see _certify)."""
     check_field_params(p, m)
+    if m * (p - 1).bit_length() > _COUNT_BITS_LIMIT:
+        floor = 3 * (m * (p.bit_length() - 1) - 1)     # q - 1 >= q / 2
+        raise TooLarge(f"a scan over GF({p}^{m}) sets up at least (q - 1)^3 >= 2^{floor} "
+                       f"channel cores, more than the guard of {_CORE_LIMIT}")
     count = _core_count(p, m)
     if count > _CORE_LIMIT:
         shown = count if count < 10 ** 12 else f"about 2^{count.bit_length() - 1}"

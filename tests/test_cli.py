@@ -1,19 +1,23 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gfalign import (MimoCodePipeline, MimoPipeline, build_mimo_precoders,
-                     companion_matrix, exact_fraction, lower_bound, make_field, mimo,
-                     mimo_channel_from_dict, mimo_channel_to_dict, plan_extension,
+from gfalign import (MimoCodePipeline, MimoPipeline, TooLarge, build_mimo_precoders,
+                     companion_matrix, exact_fraction, feasibility, lower_bound, make_field,
+                     mimo, mimo_channel_from_dict, mimo_channel_to_dict, plan_extension,
                      random_mimo_channel, scheme, simulate_symbol_ext)
 from gfalign.cli import _json_text, main
 from gfalign.gf import _coeffs_to_code
 from gfalign.mimo import random_message
+from gfalign.polys import _factor_codes
 from oracles import lane_destination_half, lane_relay_half
 from test_golden import refuse_extension_fields
 from test_pipeline import bump_v2
@@ -892,3 +896,100 @@ class TestSymbolCodes:
         w1, w2 = random_message(plan.ext, 3, rng)
         assert payload["message"] == {"w1": [list(e.coeffs) for e in w1],
                                       "w2": [list(e.coeffs) for e in w2]}
+
+
+def run_console(*argv):
+    """Exit code, stdout and stderr of the CLI in a fresh interpreter with
+    src on the path.  TimeoutExpired after 2 s fails the test instead of
+    hanging the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "gfalign.cli", *argv], capture_output=True,
+                         text=True, timeout=2, env={**os.environ, "PYTHONPATH": path})
+    return run.returncode, run.stdout, run.stderr
+
+
+def fail_if_called(*args):
+    raise AssertionError(f"called with {args}")
+
+
+# inputs that hung, or refused only after the work their guard bounds
+LATE_REFUSALS = {
+    # _core_count computed p^m, and count_irreducible's divisor loop runs to
+    # sqrt(m); neither ended
+    ("scan", "--p", "5", "--m", "2147483647"):
+        f"a scan over GF(5^2147483647) sets up at least (q - 1)^3 >= 2^{3 * (2 * 2147483647 - 1)} "
+        "channel cores, more than the guard of 50000",
+    ("scan", "--p", "2", "--m", str(10 ** 20)):
+        f"a scan over GF(2^{10 ** 20}) sets up at least (q - 1)^3 >= 2^{3 * (10 ** 20 - 1)} "
+        "channel cores, more than the guard of 50000",
+    # the channel draw ran before the factoring guard, and did not end
+    ("symbol-ext", "--p", "2", "--m", "65537", "--seed", "0"):
+        "factoring a polynomial of degree 65537 over GF(2) by trial division tries more "
+        "than 10000 candidate divisors",
+    ("symbol-ext", "--p", "3", "--m", "3000", "--seed", "0"):
+        "factoring a polynomial of degree 3000 over GF(3) by trial division tries more "
+        "than 10000 candidate divisors",
+    # 58.5 s of field trials by the estimate, then the diagonal one refused
+    ("compare-ext", "--p", "2", "--m", "13", "--trials", "390000", "--seed", "0"):
+        "390000 symbol-extension trials of 13 slots at 156 us each are estimated at 61 s: "
+        "the limit is 60 s",
+}
+
+
+class TestRefusalBeforeWork:
+    """Each guard refuses before the work it bounds, with the message it
+    gave when it refused late."""
+
+    @pytest.mark.parametrize("argv", sorted(LATE_REFUSALS))
+    def test_console_exits_2_within_2_s(self, argv):
+        code, out, err = run_console(*argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {LATE_REFUSALS[argv]}\n"
+
+    @pytest.mark.parametrize("argv", sorted(LATE_REFUSALS))
+    def test_expensive_step_never_runs(self, capsys, monkeypatch, argv):
+        # _core_count computes p^m before it calls count_irreducible
+        monkeypatch.setattr(scheme, "_core_count", fail_if_called)
+        monkeypatch.setattr(mimo, "random_mimo_channel", fail_if_called)
+        monkeypatch.setattr(feasibility, "make_field", fail_if_called)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {LATE_REFUSALS[argv]}\n"
+
+    @pytest.mark.parametrize("p,m", [
+        (2, 12_000_000), (3, 6_000_000), (5, 4_000_000), (2 ** 61 - 1, 196_721)])
+    def test_scan_counts_up_to_the_bit_limit(self, capsys, monkeypatch, p, m):
+        # up to m ceil(log2 p) = 12 000 000 the message names the exact
+        # count; one degree more names the lower bound
+        bits = (p - 1).bit_length()
+        assert m * bits <= scheme._COUNT_BITS_LIMIT < (m + 1) * bits
+        monkeypatch.setattr(scheme, "_core_count", lambda p, m: 10 ** 12)
+        code, out, err = run(capsys, "scan", "--p", str(p), "--m", str(m))
+        assert code == 2 and err == (f"error: a scan over GF({p}^{m}) sets up about 2^39 "
+                                     "channel cores, more than the guard of 50000\n")
+        monkeypatch.setattr(scheme, "_core_count", fail_if_called)
+        code, out, err = run(capsys, "scan", "--p", str(p), "--m", str(m + 1))
+        floor = 3 * ((m + 1) * (p.bit_length() - 1) - 1)
+        assert code == 2 and err == (f"error: a scan over GF({p}^{m + 1}) sets up at least "
+                                     f"(q - 1)^3 >= 2^{floor} channel cores, more than the "
+                                     "guard of 50000\n")
+
+    @pytest.mark.parametrize("p,m", [(2, 26), (3, 18), (5, 12), (2, 32)])
+    def test_symbol_ext_guard_keeps_the_planning_message(self, capsys, monkeypatch, p, m):
+        # these refused in planning, after the draw, with factoring's message
+        with pytest.raises(TooLarge) as refused:
+            _factor_codes(p, (1,) * (m + 1))
+        monkeypatch.setattr(mimo, "random_mimo_channel", fail_if_called)
+        code, out, err = run(capsys, "symbol-ext", "--p", str(p), "--m", str(m), "--seed", "0")
+        assert code == 2 and out == "" and err == f"error: {refused.value}\n"
+
+    def test_symbol_ext_channel_file_keeps_its_order(self, capsys, tmp_path):
+        # a file is planned as before: a singular block exits 1, before the
+        # factoring guard of m = 26 over GF(2) could exit 2
+        eye = block_diagonal([[[1]]] * 26)
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"p": 2, "m": 26, "Q11": [[0] * 26] * 26, **{
+            key: eye for key in ("Q12", "Q21", "Q22", "Q33", "Q34", "Q43", "Q44")}}))
+        code, payload = run_json(capsys, "symbol-ext", "--channel", str(path), "--seed", "0")
+        assert code == 1 and payload["error"] == "channel matrix Q11 is singular"
