@@ -26,11 +26,14 @@ from .scheme import check_feasible, draw_channel
 
 _WORK_LIMIT_S = 60   # estimated trial time of one Monte Carlo call
 # ns per trial: an mc trial on interned tables 150 us (perfbench baseline:
-# 31-41 us at (2,2), 110-150 us at (2,16)); above 2^16 elements 20 us per
-# m^2 ceil(log2 p), 5.8 ms at (2,17) (perfbench: 5.7-7.9 ms; one run: 21-24 ms at
-# (2,32), 131-185 ms at (2,64), 0.78 ms at (101,3)); a diagonal trial 12 us
-# per slot (one run: 24 us at (2,2), 5.4 ms at (2,1000))
-_TABLE_TRIAL_NS, _POLY_UNIT_NS, _DIAG_SLOT_NS = 150_000, 20_000, 12_000
+# 31-41 us at (2,2), 110-150 us at (2,16)); above 2^16 elements
+# ceil(log2 p) times the larger of 20 us per m^2 and 0.8 us per m^3, 5.8 ms at
+# (2,17) (perfbench: 5.7-7.9 ms; one run: 21-24 ms at (2,32), 131-185 ms at
+# (2,64), 0.78 ms at (101,3); another: 6.8 ms at (2,17), 37 ms at (2,32),
+# 183 ms at (2,64), 73 ms at (3,40), 80 ms at (5,30)); a diagonal trial
+# 12 us per slot (one run: 24 us at (2,2), 5.4 ms at (2,1000))
+_TABLE_TRIAL_NS, _DIAG_SLOT_NS = 150_000, 12_000
+_POLY_SQUARE_NS, _POLY_CUBE_NS = 20_000, 800
 
 
 def _check_work(what: str, trials: int, each_ns: int) -> None:
@@ -47,8 +50,8 @@ def check_mc_work(p: int, m: int, trials: int) -> None:
         raise ValueError("need at least one trial")
     check_field_params(p, m)
     tables = m <= 16 and p ** m <= _INTERN_LIMIT
-    _check_work(f"trials over GF({p}^{m})", trials,
-                _TABLE_TRIAL_NS if tables else _POLY_UNIT_NS * m * m * (p - 1).bit_length())
+    _check_work(f"trials over GF({p}^{m})", trials, _TABLE_TRIAL_NS if tables else
+                max(_POLY_SQUARE_NS, _POLY_CUBE_NS * m) * m * m * (p - 1).bit_length())
 
 
 def check_diag_work(p: int, m: int, trials: int) -> None:

@@ -18,8 +18,11 @@ F_p core shared with the scalar model (scheme.LinearPipeline) acts
 directly: the relay sums are one loop over their column pairs, XOR for
 p = 2 and sums of digit fields folded by residue tables for odd p.
 F_{p^L} and the Mat and FieldElem views are built when a library caller
-reads them, or F_{p^L} by MimoPipeline.  Per slot the scheme still
-delivers 2m-1 ground-field symbols.
+reads them, or F_{p^L} by MimoPipeline, whose run is one straight-line
+function per core shape: its source is built from integers only (m and
+the composed map's gather indices), compiled once per shape and bound to
+each pipeline's field and code map.  Per slot the scheme still delivers
+2m-1 ground-field symbols.
 """
 
 from __future__ import annotations
@@ -250,35 +253,82 @@ class MimoCodePipeline:
                                    _compound(*ch.codes[4:]), s11, s21, *precoders.codes)
 
 
+class _CodeElements:
+    """Element of a field with no element table by code, as a subscript."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+
+    def __getitem__(self, code: int) -> FieldElem:
+        return self.spec.from_code(code)
+
+
+@cache
+def _run_template(m: int, gather: tuple[int, ...]):
+    """MimoPipeline.run's kernel for one core shape, compiled once from
+    source made of integers only: m and the gather indices of
+    LinearPipeline.composed_map.  Returns bind(ext, E, apply, element),
+    which makes the kernel of one pipeline."""
+    n = 2 * m - 1
+    x = [f"x{i}" for i in range(n)]
+    general = [f"g{j}" for j in range(max(gather) - n)]
+    out = [(x + ["0"] + general)[i] for i in gather]
+    a1, a2 = [f"a{i}" for i in range(m)], [f"a{i}" for i in range(m, n)]
+
+    def elements(names):
+        return "(" + "".join(f"E[{v}], " for v in names) + ")"
+
+    lines = [
+        "def bind(ext, E, apply, element):",
+        "    def run(w1, w2):",
+        f"        if len(w1) != {m} or len(w2) != {m - 1}:",
+        f"            raise ValueError('expected message lengths {m} and {m - 1}')",
+        f"        {', '.join(a1)}, = w1",
+        *([f"        {', '.join(a2)}, = w2"] if a2 else []),
+        *(f"        {xi} = {ai}.code if type({ai}) is FieldElem and {ai}.spec is ext "
+          f"else element({ai}).code" for xi, ai in zip(x, a1 + a2)),
+        *([f"        {', '.join(general)}, = apply(({', '.join(x)},))"] if general else []),
+        *([f"        if {out[0]}:",
+           "            raise InconsistentSystem('destination-2 observation left the "
+           "side-precoder column space')"] if out[0] != "0" else []),
+        "        return (" + ", ".join(elements(out[i:j]) for i, j in (
+            (1, m + 1), (m + 1, n + 1), (n + 1, n + 1 + m), (n + 1 + m, 4 * m))) + ")",
+        "    return run",
+    ]
+    namespace = {"FieldElem": FieldElem, "InconsistentSystem": InconsistentSystem}
+    exec(compile("\n".join(lines), f"<MimoPipeline.run m={m}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 class MimoPipeline(MimoCodePipeline):
     """Reusable end-to-end runner for one planned channel on symbols of the
-    plan's F_{p^L}, ``ext``, which it builds: each run sends their codes once
-    through the core's composed map.  ``ext`` is a plain attribute, since a
-    lazy one would slow run's reads of it."""
+    plan's F_{p^L}, ``ext``, which it builds.  Its kernel is one
+    straight-line function per core shape (``_run_template``), bound to
+    ``ext``, its element table and the core's code map when the pipeline
+    is built, and again when ``core`` is replaced or a map is set on it."""
 
     def __init__(self, precoders: MimoPrecoders):
         super().__init__(precoders)
         self.ext = self.plan.ext
-        self._symbol = _element_of_code(self.ext)
+        self._bind_kernel()
+
+    def _bind_kernel(self) -> None:
+        ext, self._composed = self.ext, self.core.composed_map
+        gather, code_map = self._composed
+        table = ext._elems if ext._elems is not None else _CodeElements(ext)
+        self._kernel = _run_template(self.core.m, gather)(
+            ext, table, None if code_map is None else code_map.apply, ext.element)
 
     def run(self, w1: Sequence[FieldElem], w2: Sequence[FieldElem]):
         """Full pipeline; returns (decoded_w1, decoded_w2, u1, u2).  An
         element of ``ext`` gives its code, any other symbol goes through
         ext.element; the codes pass once through the composed F_p map.
         InconsistentSystem when the destination-2 residual is nonzero."""
-        m, ext, symbol = self.core.m, self.ext, self._symbol
-        if len(w1) != m or len(w2) != m - 1:
-            raise ValueError(f"expected message lengths {m} and {m - 1}")
-        out = self.core.transmit([
-            v.code if type(v) is FieldElem and v.spec is ext else ext.element(v).code
-            for v in (*w1, *w2)])
-        if out[0]:
-            raise InconsistentSystem(
-                "destination-2 observation left the side-precoder column space")
-        # tuple() of a map resizes its guess and leaves tuples in the free
-        # lists on every call; of a list it allocates the size once
-        out, n = tuple([*map(symbol, out[1:])]), 2 * m - 1
-        return out[:m], out[m:n], out[n:n + m], out[n + m:]
+        if self.core.composed_map is not self._composed:
+            self._bind_kernel()
+        return self._kernel(w1, w2)
 
 
 @dataclass(frozen=True)

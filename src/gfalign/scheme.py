@@ -425,7 +425,7 @@ class LinearPipeline:
     = Q22 v2[l] (and their S-block twins for v3, v4) hold and S11, S21 are
     blocks of the inverse of hop 2.  Setting a map stores the rank of
     relay_map - S or destination_map S - [I; 0]: relay_defect, destination_defect,
-    and drops the composed map of transmit, built again on the next call.
+    and drops the composed map and transmit, built again on the next call.
     """
 
     def __init__(self, p: int, hop1: list, hop2: list, s11: list, s21: list,
@@ -455,7 +455,7 @@ class LinearPipeline:
     def relay_map(self, rows: list[list[int]]) -> None:
         self._relay_rows = rows
         self.relay_defect = _defect(self.p, rows, _relay_sum_rows(self.m))
-        self.__dict__.pop("transmit", None)
+        self._drop_composed()
 
     @property
     def destination_map(self) -> list[list[int]]:
@@ -467,19 +467,24 @@ class LinearPipeline:
         self._decode_sums = _matmul_mod_p(self.p, rows, _relay_sum_rows(self.m))
         self.destination_defect = _defect(self.p, self._decode_sums,
                                           _decode_target(self.m))
+        self._drop_composed()
+
+    def _drop_composed(self) -> None:
+        self.__dict__.pop("composed_map", None)
         self.__dict__.pop("transmit", None)
 
     @functools.cached_property
-    def transmit(self):
-        """The pipeline as one function of the message x = (w1; w2), a flat
-        list of 2m-1 symbol codes, to the tuple (r, w1, w2, u1, u2) of 4m
-        codes: the destination-2 residual, the decoded message and the relay
-        sums.  Its rows are [D R; R] for D = destination_map and R =
-        relay_map, residual row first.  An intact relay map is S, so D R is
-        the product D S the destination defect took.  Rows that copy one
-        input, or are zero, are gathered from x and an appended 0 by their
-        index in [I; 0]; only the other distinct rows, on an intact core
-        the relay sums of two inputs, go through a _CodeMap."""
+    def composed_map(self) -> tuple[tuple[int, ...], _CodeMap | None]:
+        """The pipeline as one map of the message x = (w1; w2), 2m-1 symbol
+        codes, to (r, w1, w2, u1, u2), 4m codes: the destination-2 residual,
+        the decoded message and the relay sums.  Its rows are [D R; R] for
+        D = destination_map and R = relay_map, residual row first.  An
+        intact relay map is S, so D R is the product D S the destination
+        defect took.  Returns (gather, code_map): output i is entry
+        gather[i] of [*x, 0, *code_map.apply(x)].  Rows that copy one
+        input, or are zero, are gathered by their index in [I; 0]; only the
+        other distinct rows, on an intact core the relay sums of two
+        inputs, go through code_map, which is None when there are none."""
         relay = self.relay_map
         composed = (_matmul_mod_p(self.p, self.destination_map, relay)
                     if self.relay_defect else self._decode_sums)
@@ -487,8 +492,15 @@ class LinearPipeline:
         index = {row: i for i, row in enumerate(_decode_target(self.m))}
         general = [row for row in dict.fromkeys(rows) if row not in index]
         index.update({row: i for i, row in enumerate(general, len(index))})
-        pick = itemgetter(*map(index.get, rows))
-        apply = _CodeMap(self.p, general).apply if general else lambda x: ()
+        return tuple(map(index.get, rows)), _CodeMap(self.p, general) if general else None
+
+    @functools.cached_property
+    def transmit(self):
+        """composed_map as one function of a flat list of 2m-1 symbol codes
+        to the tuple of 4m codes (r, w1, w2, u1, u2)."""
+        gather, code_map = self.composed_map
+        pick = itemgetter(*gather)
+        apply = code_map.apply if code_map is not None else lambda x: ()
         return lambda x: pick([*x, 0, *apply(x)])
 
 

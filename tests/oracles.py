@@ -638,6 +638,27 @@ def lane_run(pipe, w1, w2):
                  for codes in (got1, got2, u1, u2))
 
 
+def element_run(pipe, w1, w2):
+    """MimoPipeline.run on elements, generic in m: each symbol's code (an
+    element of ext as it is, any other symbol through ext.element) in one
+    flat list through LinearPipeline.transmit, the residual tested, and the
+    output codes wrapped by ext's element table or from_code."""
+    from gfalign.errors import InconsistentSystem
+    from gfalign.gf import FieldElem
+    from gfalign.linalg import _element_of_code
+    m, ext, symbol = pipe.core.m, pipe.ext, _element_of_code(pipe.ext)
+    if len(w1) != m or len(w2) != m - 1:
+        raise ValueError(f"expected message lengths {m} and {m - 1}")
+    out = pipe.core.transmit([
+        v.code if type(v) is FieldElem and v.spec is ext else ext.element(v).code
+        for v in (*w1, *w2)])
+    if out[0]:
+        raise InconsistentSystem(
+            "destination-2 observation left the side-precoder column space")
+    out, n = tuple([*map(symbol, out[1:])]), 2 * m - 1
+    return out[:m], out[m:n], out[n:n + m], out[n + m:]
+
+
 def relay_sums(p, msg):
     """The symbol sums relays 1 and 2 decode: w1_i + w2_{i-1} and
     w1_i + w2_i."""

@@ -114,11 +114,13 @@ class TestTrialGuard:
     @pytest.mark.parametrize("fn,p,m,most", [
         (mc_feasibility, 2, 2, 400000), (mc_feasibility, 65521, 1, 400000),
         (mc_feasibility, 2, 17, 10380), (mc_feasibility, 101, 3, 47619),
+        (mc_feasibility, 2, 32, 2288), (mc_feasibility, 2, 64, 286),
         (diag_symbol_ext_feasibility, 2, 2, 2500000),
         (diag_symbol_ext_feasibility, 5, 1000, 5000)])
     def test_limit(self, fn, p, m, most):
-        # interned tables up to 2^16 elements, polynomial arithmetic above,
-        # m slots of a diagonal trial
+        # interned tables up to 2^16 elements, polynomial arithmetic above
+        # (m^2 terms up to m = 25, m^3 terms past it), m slots of a
+        # diagonal trial
         with pytest.raises(Untouched):
             fn(p, m, most, 0)
         with pytest.raises(TooLarge, match=rf"^{most + 1} "):

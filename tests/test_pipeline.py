@@ -21,11 +21,11 @@ from gfalign import (DegenerateSpectrum, FieldMismatch, FieldSpec, InconsistentS
                      random_mimo_channel, relay_decode, relay_encode, scheme,
                      simulate, source_encode)
 from gfalign.gf import _code_to_coeffs, is_prime
-from gfalign.mimo import random_message
+from gfalign.mimo import _run_template, random_message
 from gfalign.scheme import (_certify, _CodeMap, _decode_target, _digit_codec,
                             _relay_sum_rows, scalar_pipeline)
 from oracles import (ExtensionFieldPipeline, TwoMapPipeline, _scan_hop, batch,
-                     composed_maps, lane_apply, lane_destination_half,
+                     composed_maps, element_run, lane_apply, lane_destination_half,
                      lane_relay_half, lane_run, relay_sums, scan_by_sweep,
                      sweep_failures)
 from test_mimo import f4_fixture_channel
@@ -847,27 +847,17 @@ class TestCodeKernels:
                     assert code_map.apply(x) == list(
                         lane_apply(p, rows, [x], digits)[0]), (rows, digits, x)
 
-    def test_intact_cores_take_the_two_term_loop(self, monkeypatch):
-        # the rows transmit computes on an intact core are the relay sums,
-        # and they take the pair loop: for the certificate's cores and for
-        # planned matrix cores at every mimo-stream (p, m)
-        built = []
-
-        class Recorded(scheme._CodeMap):
-            def __init__(self, p, rows):
-                super().__init__(p, rows)
-                built.append(self)
-
-        monkeypatch.setattr(scheme, "_CodeMap", Recorded)
+    def test_intact_cores_take_the_two_term_loop(self):
+        # the rows of the composed map's code map on an intact core are the
+        # relay sums, and they take the pair loop: for the certificate's
+        # cores and for planned matrix cores at every mimo-stream (p, m)
         cores = TestCertificate.cores()
         for p, m in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
             plans, _ = planned_channels(p, m, 2, 179 + p * m)
             cores += [MimoPipeline(build_mimo_precoders(plan)).core for plan in plans]
         for core in cores:
             assert core.relay_defect == core.destination_defect == 0
-            built.clear()
-            core.transmit([0] * (2 * core.m - 1))
-            (code_map,) = built
+            code_map = core.composed_map[1]
             assert code_map.pairs is not None
             assert sorted(code_map.rows) == sorted(map(tuple, self.sum_rows(core.m)))
 
@@ -890,6 +880,30 @@ class TestCodeKernels:
         for m in (2, 3):
             twos = [3 ** 7 - 1] * (2 * m - 1)         # 2 + 2 = 1 mod 3 in each lane
             assert _CodeMap(3, self.sum_rows(m)).apply(twos) == [(3 ** 7 - 1) // 2] * (2 * m - 2)
+
+
+def outcome(run, *args):
+    """run's return value, or the type and message of what it raised."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_run_matches_elements(pipe, messages):
+    """run equals oracles.element_run on each message, output elements
+    being the same objects where the field interns them; returns how many
+    raised."""
+    raised = 0
+    for w1, w2 in messages:
+        got = outcome(pipe.run, w1, w2)
+        want = outcome(element_run, pipe, w1, w2)
+        assert got == want
+        if isinstance(want[0], type):
+            raised += 1
+        elif pipe.ext._elems is not None:
+            assert all(a is b for g, w in zip(got, want) for a, b in zip(g, w))
+    return raised
 
 
 def transmit_outcome(core, x):
@@ -1001,15 +1015,24 @@ class TestTransmit:
         ("relay_map", "any"), ("destination_map", "residual")])
     def test_corrupted_matrix_run(self, name, rows):
         # MimoPipeline.run on a corrupted core raises InconsistentSystem
-        # exactly when the lane oracle does, and else returns its output
+        # exactly when the lane oracle does, and else returns its output.
+        # The kernel is bound by a first run on the intact core, then a
+        # corrupted copy replaces the core, or the map is set on the core
+        # itself: either way the next run follows it
         rng = random.Random(211)
         plans, _ = planned_channels(3, 2, 4, 89)
         raised = 0
-        for plan in plans:
+        for k, plan in enumerate(plans):
             pipe = MimoPipeline(build_mimo_precoders(plan))
+            w1, w2 = random_message(plan.ext, 2, rng)
+            assert pipe.run(w1, w2) == lane_run(pipe, w1, w2)
             core = pipe.core
             i = rng.randrange(2 * core.m) if rows == "any" else 2 * core.m - 1
-            pipe.core = self.corrupt(core, name, i, rng.randrange(len(getattr(core, name)[0])))
+            bad = self.corrupt(core, name, i, rng.randrange(len(getattr(core, name)[0])))
+            if k % 2:
+                pipe.core = bad
+            else:
+                setattr(core, name, getattr(bad, name))
             for _ in range(60):
                 w1, w2 = random_message(plan.ext, 2, rng)
                 got = run_outcome(pipe.run, w1, w2)
@@ -1065,3 +1088,72 @@ class TestTransmit:
         for x in ([1, 0, 1], [0, 1, 1]):
             core.transmit(x)
         assert built == [2]
+
+
+class TestRunKernel:
+    """MimoPipeline.run, one straight-line kernel per core shape compiled
+    by _run_template, against the element-level oracle
+    (oracles.element_run): the outputs, and the type and message of every
+    exception."""
+
+    @pytest.mark.parametrize("p,m,degree", [(2, 2, 2), (3, 2, 2), (2, 3, 3)])
+    def test_every_message(self, p, m, degree):
+        (plan,), _ = planned_channels(p, m, 1, 233 + p * m, degree)
+        pipe = MimoPipeline(build_mimo_precoders(plan))
+        messages = every_message(plan.ext, m)
+        assert len(messages) == plan.ext.order ** (2 * m - 1)
+        assert assert_run_matches_elements(pipe, messages) == 0
+
+    @pytest.mark.parametrize("p,m,degree", [(3, 3, 6), (2, 4, 4)])
+    def test_seeded_messages(self, p, m, degree):
+        (plan,), rng = planned_channels(p, m, 1, 239 + p * m, degree)
+        pipe = MimoPipeline(build_mimo_precoders(plan))
+        messages = [random_message(plan.ext, m, rng) for _ in range(2000)]
+        assert assert_run_matches_elements(pipe, messages) == 0
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
+    def test_coerced_symbols(self, p, m):
+        # ints (constants mod p), coefficient lists and elements of an equal
+        # spec that is not the plan's own object
+        plans, rng = planned_channels(p, m, 2, 241 + p * m)
+        for plan in plans:
+            pipe = MimoPipeline(build_mimo_precoders(plan))
+            ext = plan.ext
+            twin = FieldSpec(ext.p, ext.m, ext.pi)
+            assert twin == ext and twin is not ext
+            messages = []
+            for _ in range(40):
+                w1, w2 = random_message(ext, m, rng)
+                for convert in (lambda v: list(v.coeffs), lambda v: twin.from_code(v.code),
+                                lambda v: rng.randrange(-p, 2 * p)):
+                    messages.append(([convert(v) for v in w1], [convert(v) for v in w2]))
+            assert assert_run_matches_elements(pipe, messages) == 0
+
+    def test_refusals_match(self):
+        # wrong lengths, a symbol of another field and, on a corrupted core,
+        # a nonzero residual raise what the oracle raises, with its message
+        (plan,), rng = planned_channels(3, 2, 1, 251)
+        pipe = MimoPipeline(build_mimo_precoders(plan))
+        one, zero = plan.ext.one, plan.ext.zero
+        lengths = [((one,), (one,)), ((one,) * 3, (one,)), ((one, one), ()),
+                   ((one, one), (one, one)), ((), ())]
+        foreign = [(w1, w2) for f in (make_field(2, 3).one, make_field(3, 3).one)
+                   for w1, w2 in (((zero, f), (zero,)), ((zero, zero), (f,)))]
+        assert assert_run_matches_elements(pipe, lengths + foreign) == len(lengths + foreign)
+        assert outcome(pipe.run, *foreign[0])[0] is FieldMismatch
+        core = pipe.core
+        pipe.core = TestCertificate.corrupt(core, "destination_map", 2 * core.m - 1, 0)
+        messages = [random_message(plan.ext, 2, rng) for _ in range(60)]
+        raised = assert_run_matches_elements(pipe, messages)
+        assert 0 < raised < len(messages)
+        assert any(outcome(pipe.run, *msg)[0] is InconsistentSystem for msg in messages)
+
+    def test_one_template_per_shape(self):
+        # the intact cores of the five mimo-stream arms gather alike for one
+        # m, so they compile three kernels, one each for m = 2, 3 and 4
+        _run_template.cache_clear()
+        for p, m in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4)):
+            plans, _ = planned_channels(p, m, 3, 257 + p * m)
+            for plan in plans:
+                MimoPipeline(build_mimo_precoders(plan))
+        assert _run_template.cache_info().currsize == 3

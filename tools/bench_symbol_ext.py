@@ -3,7 +3,7 @@
 the readings to one JSON file.
 
     python3 tools/bench_symbol_ext.py --parent DIR --change DIR --out BENCH.json \
-        [--parts rounds,held_out,control,stages,wide,setup,eigen]
+        [--parts rounds,held_out,control,stages,wide,setup,eigen,run]
 
 Each DIR is a checkout (for example a ``git archive`` of a commit) holding
 ``src/gfalign`` and ``perfbench/``.  Every seed is fixed below.  The parts:
@@ -25,7 +25,12 @@ Each DIR is a checkout (for example a ``git archive`` of a commit) holding
 * ``eigen``: both packages in one process, the eigen data of every plan in
   perfbench's mimo-stream pool, as its plan digest reads them, timed per
   pass over the plans, alternating sides; each digest is checked against
-  the pinned one.
+  the pinned one;
+* ``run``: both packages in one process, ``MimoPipeline.run`` on every
+  channel of perfbench's mimo-stream pool, per channel the best per-call
+  time over passes that alternate sides, and per arm the median over its
+  channels; every decode is compared between the sides and with the
+  message.
 
 Runs are sequential, one process at a time.  Only the standard library is
 used.
@@ -59,8 +64,9 @@ WIDE_REPEATS = 3
 WIDE_TIMEOUT_S = 120
 SETUP_PAIRS = 15
 EIGEN_PASSES = 15
+RUN_PASSES, RUN_LOOPS, RUN_MESSAGES = 7, 50, 20
 WORKLOADS = ("mimo-stream", "symbol-ext")
-PARTS = ("rounds", "held_out", "control", "stages", "wide", "setup", "eigen")
+PARTS = ("rounds", "held_out", "control", "stages", "wide", "setup", "eigen", "run")
 
 
 def clean_env() -> dict:
@@ -392,6 +398,66 @@ def eigen(parent: Path, change: Path) -> dict:
                    "digest compared with the pinned one", **out}
 
 
+def run_us(run, messages) -> float:
+    """Mean us per call of ``run`` over RUN_LOOPS passes over ``messages``."""
+    t0 = time.perf_counter_ns()
+    for _ in range(RUN_LOOPS):
+        for w1, w2 in messages:
+            run(w1, w2)
+    return (time.perf_counter_ns() - t0) / (RUN_LOOPS * len(messages)) / 1e3
+
+
+def run(parent: Path, change: Path) -> dict:
+    sides = {"parent": load_package(parent), "change": load_package(change)}
+    pool = json.loads((change / "perfbench" / "pool.json").read_text())["mimo-stream"]
+    arms, decodes_equal = {}, True
+    for arm, entry in pool.items():
+        p, m = map(int, arm[1:].split("m"))
+        seeds = [seed for cls in entry["pool"].values() for seed, _ in cls]
+        pipes = {side: [] for side in sides}
+        for side, mods in sides.items():
+            mimo = mods["mimo"]
+            for seed in seeds:
+                try:
+                    plan = mimo.plan_extension(mimo.random_mimo_channel(p, m, random.Random(seed)))
+                except mods["errors"].GFAlignError:
+                    continue
+                pipe = mimo.MimoPipeline(mimo.build_mimo_precoders(plan))
+                rng = random.Random(f"run:{arm}:{seed}")
+                pipes[side].append((pipe.run, [mimo.random_message(plan.ext, m, rng)
+                                               for _ in range(RUN_MESSAGES)]))
+        channels = len(pipes["change"])
+        best = {side: [0.0] * channels for side in sides}
+        for rep in range(RUN_PASSES):
+            for i in range(channels):
+                for side in (("parent", "change") if (rep + i) % 2 == 0
+                             else ("change", "parent")):
+                    us = run_us(*pipes[side][i])
+                    if not best[side][i] or us < best[side][i]:
+                        best[side][i] = us
+        for i in range(channels):
+            got = {side: [[[v.code for v in part] for part in fn(w1, w2)]
+                          for w1, w2 in messages]
+                   for side, (fn, messages) in ((s, pipes[s][i]) for s in sides)}
+            sent = [[[v.code for v in w] for w in msg] for msg in pipes["change"][i][1]]
+            decodes_equal &= (len(pipes["parent"]) == channels
+                              and got["parent"] == got["change"]
+                              and [g[:2] for g in got["change"]] == sent)
+        arms[arm] = {"channels": channels,
+                     **{side: {"median_us": statistics.median(vals), "min_us": min(vals),
+                               "max_us": max(vals)} for side, vals in best.items()}}
+        arms[arm]["ratio"] = arms[arm]["change"]["median_us"] / arms[arm]["parent"]["median_us"]
+        print(f"run {arm}: {arms[arm]['ratio']:.3f}", file=sys.stderr)
+    return {"how": "both packages imported in one process; every channel of "
+                   "perfbench/pool.json's mimo-stream pool planned, its MimoPipeline "
+                   f"built and {RUN_MESSAGES} messages drawn per side from one seeded "
+                   f"rng; per channel and pass, the mean us per call over {RUN_LOOPS} "
+                   f"loops over its messages, best of {RUN_PASSES} passes alternating "
+                   "which side runs first; per arm the median over its channels; every "
+                   "decode compared, as codes, between the sides and with the message",
+            "decodes_equal": decodes_equal, "arms": arms}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -413,7 +479,7 @@ def main() -> int:
                 # each run of this part adds one round of the held-out seeds
                 record.setdefault("held_out", []).append(
                     paired_rounds(parent, change, HELD_OUT_SEEDS, work, "held_out"))
-            elif part in ("control", "stages", "wide", "setup", "eigen"):
+            elif part in ("control", "stages", "wide", "setup", "eigen", "run"):
                 record[part] = globals()[part](parent, change)
             else:
                 parser.error(f"unknown part {part!r}")
