@@ -303,16 +303,18 @@ def _digit_codec(p: int):
     the base-p code of the residues mod p of the fields of v, for v below
     2^width: one chunk of width // b fields, coded below base.  A spread
     code holds at most two chunks, so a sum of two folds by at most two
-    lookups.
+    lookups.  Both tables grow one digit or field at a time, the new one
+    highest: one addition per entry.
     """
     b = (2 * (p - 1)).bit_length()
-    kr, ks, field = _TABLE_BITS // b, 1, (1 << b) - 1
+    kr, ks = _TABLE_BITS // b, 1
     while p ** (ks + 1) <= 1 << _TABLE_BITS:
         ks += 1
-    spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
-               for c in range(p ** ks)]
-    residues = [sum(((v >> (b * i)) & field) % p * p ** i for i in range(kr))
-                for v in range(1 << (kr * b))]
+    spreads, residues = [0], [0]
+    for i in range(ks):
+        spreads = [s + (d << (b * i)) for d in range(p) for s in spreads]
+    for i in range(kr):
+        residues = [r + f % p * p ** i for f in range(1 << b) for r in residues]
     return spreads, residues, kr * b, p ** kr
 
 

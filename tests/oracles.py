@@ -543,6 +543,21 @@ class ExtensionFieldPipeline:
                 u2.col_entries(0))
 
 
+def digit_codec_by_formula(p, bits=12):
+    """scheme._digit_codec entry by entry from its definition: each spread
+    from the digits of its code, each residue from the fields of its
+    index."""
+    b = (2 * (p - 1)).bit_length()
+    kr, ks, field = bits // b, 1, (1 << b) - 1
+    while p ** (ks + 1) <= 1 << bits:
+        ks += 1
+    spreads = [sum((c // p ** i % p) << (b * i) for i in range(ks))
+               for c in range(p ** ks)]
+    residues = [sum(((v >> (b * i)) & field) % p * p ** i for i in range(kr))
+                for v in range(1 << (kr * b))]
+    return spreads, residues, kr * b, p ** kr
+
+
 def lane_apply(p, rows, vectors, digits):
     """rows applied to vectors of symbol codes, each code a base-p packed
     element of F_p^digits, one digit lane at a time: every code is split

@@ -25,9 +25,9 @@ from gfalign.mimo import _run_template, random_message
 from gfalign.scheme import (_certify, _CodeMap, _decode_target, _digit_codec,
                             _relay_sum_rows, scalar_pipeline)
 from oracles import (ExtensionFieldPipeline, TwoMapPipeline, _scan_hop, batch,
-                     composed_maps, element_run, lane_apply, lane_destination_half,
-                     lane_relay_half, lane_run, relay_sums, scan_by_sweep,
-                     sweep_failures)
+                     composed_maps, digit_codec_by_formula, element_run, lane_apply,
+                     lane_destination_half, lane_relay_half, lane_run, relay_sums,
+                     scan_by_sweep, sweep_failures)
 from test_mimo import f4_fixture_channel
 
 
@@ -860,6 +860,11 @@ class TestCodeKernels:
             code_map = core.composed_map[1]
             assert code_map.pairs is not None
             assert sorted(code_map.rows) == sorted(map(tuple, self.sum_rows(core.m)))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 41, 1009, 2039])
+    def test_codec_tables_by_formula(self, p):
+        # the tables grown a digit at a time equal their definition
+        assert _digit_codec(p) == digit_codec_by_formula(p)
 
     def test_p3_codec_tables(self):
         # at p = 3 a field is b = 3 bits, one octal digit: spreads[c] is the
