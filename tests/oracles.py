@@ -543,11 +543,11 @@ class ExtensionFieldPipeline:
                 u2.col_entries(0))
 
 
-def digit_codec_by_formula(p, bits=12):
+def digit_codec_by_formula(p):
     """scheme._digit_codec entry by entry from its definition: each spread
     from the digits of its code, each residue from the fields of its
-    index."""
-    b = (2 * (p - 1)).bit_length()
+    index, in tables of at most 2^12 entries."""
+    b, bits = (2 * (p - 1)).bit_length(), 12
     kr, ks, field = bits // b, 1, (1 << b) - 1
     while p ** (ks + 1) <= 1 << bits:
         ks += 1
